@@ -2,22 +2,36 @@
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
 const BIN: &str = env!("CARGO_BIN_EXE_condor");
 
-fn write_fixture(name: &str, contents: &str) -> std::path::PathBuf {
+/// A path in the shared scratch directory that only this test process
+/// uses: `$TMPDIR` outlives the run and other `cargo test` processes
+/// write there too, so every file name carries the pid.
+fn scratch_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("condor-cli-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
+    dir.join(format!("{}-{name}", std::process::id()))
+}
+
+fn write_fixture(name: &str, contents: &str) -> PathBuf {
+    let path = scratch_path(name);
     std::fs::write(&path, contents).expect("write fixture");
     path
 }
 
-fn mini_json() -> std::path::PathBuf {
-    write_fixture(
-        "mini.json",
-        r#"{
+/// The model most tests feed the binary. Written once: the tests run
+/// as threads of this process, and a second truncate-and-rewrite would
+/// let a sibling's `condor` child read a torn file.
+fn mini_json() -> PathBuf {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        write_fixture(
+            "mini.json",
+            r#"{
   "name": "mini",
   "board": "aws-f1",
   "frequency_mhz": 150.0,
@@ -28,7 +42,9 @@ fn mini_json() -> std::path::PathBuf {
     {"name": "ip1", "type": "InnerProduct", "num_output": 10}
   ]
 }"#,
-    )
+        )
+    })
+    .clone()
 }
 
 #[test]
@@ -89,7 +105,7 @@ layer { name: "conv1" type: "Convolution" convolution_param { num_output: 2 kern
 
 #[test]
 fn export_writes_prototxt() {
-    let out_path = std::env::temp_dir().join("condor-cli-tests/exported.prototxt");
+    let out_path = scratch_path("exported.prototxt");
     let out = Command::new(BIN)
         .args([
             "export",
@@ -223,11 +239,9 @@ fn dse_lists_feasible_points() {
 
 /// Writes a live journal by firing a small plan through a journalling
 /// handle, exactly as a chaos run would.
-fn fired_journal(name: &str) -> std::path::PathBuf {
+fn fired_journal(name: &str) -> PathBuf {
     use condor_faults::{FaultPlan, FaultRule};
-    let dir = std::env::temp_dir().join("condor-cli-tests");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
+    let path = scratch_path(name);
     let handle = FaultPlan::new(42)
         .rule(
             FaultRule::at("s3.put_object")

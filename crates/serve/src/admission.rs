@@ -175,10 +175,9 @@ pub(crate) enum PushError<T> {
 pub(crate) enum PopOutcome<T> {
     Popped {
         item: T,
-        /// Class the item was queued under — what the strict-priority
-        /// and aging tests assert on (production consumers carry the
-        /// class on the item itself when they need it downstream).
-        #[allow(dead_code)]
+        /// Class the item was queued under: items do not carry their
+        /// own, so a consumer that dispatches by class (the fleet
+        /// router) reads it here.
         class: Priority,
         /// Time the item spent queued (per the queue's clock).
         sojourn: Duration,

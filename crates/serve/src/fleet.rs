@@ -42,31 +42,31 @@
 //! one incarnation: a rule at `fleet0g0.serve.` fails instance 0's
 //! first generation and leaves its replacement alone.
 //!
-//! Admission is the same classed queue the single server uses:
-//! strict-priority with aging, CoDel shedding on sojourn time
-//! (`requests_shed{class}`, lowest class first), and — in disk-queue
-//! mode — priority-then-FIFO redelivery of the recovered backlog with
-//! expired records failed and acked instead of served late.
+//! Admission is not the fleet's own: it is the same `intake` the single
+//! server sits behind — strict-priority with aging, CoDel shedding on
+//! sojourn time (`requests_shed{class}`, lowest class first), and, in
+//! disk-queue mode, durable-before-admission, ack-after-reply and
+//! priority-then-FIFO redelivery of the recovered backlog with expired
+//! records failed and acked instead of served late. The fleet adds one
+//! check in front of it (the [`FleetConfig::min_healthy`] floor) and
+//! everything behind it: routers that carry a popped request across
+//! instances, and hand it back through the intake's `resolve`.
 //!
 //! The ledger invariant of the single server carries over: every
 //! accepted request is answered exactly once, and
 //! `requests_accepted == requests_completed + requests_failed +
 //! requests_timed_out + requests_shed` holds on the final snapshot.
 
-use crate::admission::{AdmissionQueue, PopOutcome, PushError, Shed};
-use crate::{
-    count_shed, durable, queue_err, InferenceServer, PendingInference, ServeConfig, ServeError,
-    ServeReply, ShedReason,
-};
+use crate::admission::{AdmissionQueue, PopOutcome};
+use crate::intake::{count_shed, resolve, resolve_sheds, Intake, Request};
+use crate::{InferenceServer, PendingInference, ServeConfig, ServeError, ShedReason};
 use condor::{CondorError, ExecutionBackend, MetricsRegistry, MetricsSnapshot};
-use condor_faults::retry::SystemClock;
 use condor_faults::FaultHandle;
 use condor_queue::{
-    AimdConfig, AimdController, BreakerConfig, BreakerState, CircuitBreaker, DiskQueue, Priority,
-    QueueBackend,
+    AimdConfig, AimdController, BreakerConfig, BreakerState, CircuitBreaker, Priority, QueueBackend,
 };
 use condor_tensor::Tensor;
-use crossbeam_channel::{bounded, Receiver, Sender};
+use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -253,42 +253,6 @@ struct InstanceSlot {
     healthy: bool,
 }
 
-/// A request riding the fleet queue.
-struct FleetRequest {
-    tensor: Tensor,
-    class: Priority,
-    enqueued: Instant,
-    deadline: Instant,
-    reply: Sender<Result<ServeReply, ServeError>>,
-    /// Present in disk-queue mode: the durable record backing this
-    /// request, acked only on resolution.
-    ticket: Option<FleetTicket>,
-}
-
-/// The durable record behind one accepted fleet request.
-struct FleetTicket {
-    queue: Arc<DiskQueue>,
-    id: u64,
-}
-
-/// Answers a fleet request and — in disk-queue mode — acks its durable
-/// record, strictly after the reply lands in the caller's channel.
-fn resolve_fleet(
-    request: FleetRequest,
-    result: Result<ServeReply, ServeError>,
-    metrics: &MetricsRegistry,
-) {
-    let _ = request.reply.send(result);
-    if let Some(ticket) = request.ticket {
-        // Ok(false)/Err leave the ledger consistent: a refused double
-        // ack or a failed ack write just means a legal redelivery.
-        if let Ok(true) = ticket.queue.ack(ticket.id) {
-            metrics.observe_duration("ack_latency_us", request.enqueued.elapsed());
-            metrics.set_gauge("disk_queue_depth", ticket.queue.depth() as f64);
-        }
-    }
-}
-
 enum SupervisorMsg {
     /// Replace the named replica if its generation still matches.
     Reprovision {
@@ -302,7 +266,8 @@ enum SupervisorMsg {
 struct FleetShared {
     slots: Vec<Mutex<InstanceSlot>>,
     inflight: Vec<AtomicUsize>,
-    metrics: MetricsRegistry,
+    /// The intake's registry: admission and dispatch keep one ledger.
+    metrics: Arc<MetricsRegistry>,
     supervisor_tx: Sender<SupervisorMsg>,
     rr: AtomicUsize,
     /// One circuit breaker per replica, surviving generations (reset
@@ -457,21 +422,16 @@ impl FleetShared {
 ///   per-class `requests_shed_*`), `requests_rejected_overloaded`;
 /// * resilience — `instance_failed_over`, `instance_reprovisioned`,
 ///   `requests_migrated`, per-replica `breaker{k}_state` gauges;
-/// * placement — `instance{k}_completed` per replica,
-///   `queue_sojourn_us` admission latency.
+/// * placement — `instance{k}_completed` per replica, `queue_depth`
+///   seen by each admitted request, `queue_sojourn_us` admission
+///   latency.
 pub struct Fleet {
     shared: Arc<FleetShared>,
-    accepting: Arc<AtomicBool>,
+    intake: Intake,
     running: Arc<AtomicBool>,
-    admission: Arc<AdmissionQueue<FleetRequest>>,
     routers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     config: FleetConfig,
-    started: Instant,
-    /// Disk-queue mode: the durable admission log.
-    durable: Option<Arc<DiskQueue>>,
-    /// Disk-queue mode: the thread re-injecting recovered records.
-    redelivery: Option<JoinHandle<()>>,
 }
 
 /// The fault-site prefix of one instance generation.
@@ -522,6 +482,12 @@ impl Fleet {
             config.instance_failure_threshold >= 1,
             "instance_failure_threshold must be ≥ 1"
         );
+        // Before any instance is provisioned: a failed open must leave
+        // no server, router or supervisor running. The queue is the
+        // same classed one the single server uses — strict priority
+        // with aging, plus CoDel shedding when the serve config enables
+        // it.
+        let intake = Intake::open(&config.queue, config.queue_capacity, &config.serve)?;
         let (supervisor_tx, supervisor_rx) = crossbeam_channel::unbounded::<SupervisorMsg>();
         let mut slots = Vec::with_capacity(config.replicas);
         let mut inflight = Vec::with_capacity(config.replicas);
@@ -541,7 +507,7 @@ impl Fleet {
         let shared = Arc::new(FleetShared {
             slots,
             inflight,
-            metrics: MetricsRegistry::new(),
+            metrics: intake.metrics(),
             supervisor_tx: supervisor_tx.clone(),
             rr: AtomicUsize::new(0),
             breakers: (0..config.replicas)
@@ -555,22 +521,11 @@ impl Fleet {
             }),
         });
 
-        let accepting = Arc::new(AtomicBool::new(true));
         let running = Arc::new(AtomicBool::new(true));
-        // The same classed admission queue the single server uses:
-        // strict priority with aging, plus CoDel shedding when the
-        // serve config enables it.
-        let admission = Arc::new(AdmissionQueue::new(
-            config.queue_capacity,
-            config.serve.aging_limit,
-            config.serve.codel.clone(),
-            Arc::new(SystemClock),
-            config.serve.faults.clone(),
-        ));
         let routers = (0..config.router_threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let queue = Arc::clone(&admission);
+                let queue = intake.queue();
                 let replicas = config.replicas;
                 std::thread::spawn(move || router_loop(shared, queue, replicas))
             })
@@ -586,34 +541,13 @@ impl Fleet {
             })
         };
 
-        // Disk-queue mode: recover the durable log and re-inject every
-        // record the previous process accepted but never resolved.
-        let (durable, redelivery) = match &config.queue {
-            QueueBackend::InMemory => (None, None),
-            QueueBackend::Disk(queue_config) => {
-                let (queue, report) = DiskQueue::open(queue_config.clone()).map_err(queue_err)?;
-                let queue = Arc::new(queue);
-                let thread = spawn_fleet_redelivery(
-                    Arc::clone(&queue),
-                    report,
-                    Arc::clone(&admission),
-                    Arc::clone(&shared),
-                );
-                (Some(queue), Some(thread))
-            }
-        };
-
         Ok(Fleet {
             shared,
-            accepting,
+            intake,
             running,
-            admission,
             routers,
             supervisor: Some(supervisor),
             config,
-            started: Instant::now(),
-            durable,
-            redelivery,
         })
     }
 
@@ -632,26 +566,6 @@ impl Fleet {
         )
     }
 
-    /// Submits one image with an explicit deadline at `Standard`
-    /// priority.
-    pub fn submit_with_timeout(
-        &self,
-        tensor: Tensor,
-        timeout: Duration,
-    ) -> Result<PendingInference, ServeError> {
-        self.submit_with_class(tensor, timeout, Priority::Standard)
-    }
-
-    /// Submits one image with the default timeout at an explicit
-    /// priority class.
-    pub fn submit_with_priority(
-        &self,
-        tensor: Tensor,
-        class: Priority,
-    ) -> Result<PendingInference, ServeError> {
-        self.submit_with_class(tensor, self.config.serve.default_timeout, class)
-    }
-
     /// Submits one image with an explicit deadline and priority class.
     /// Sheds load when the fleet queue is full
     /// ([`ShedReason::QueueFull`]) or fewer than
@@ -663,59 +577,11 @@ impl Fleet {
         timeout: Duration,
         class: Priority,
     ) -> Result<PendingInference, ServeError> {
-        if !self.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
         if self.shared.healthy_instances() < self.config.min_healthy {
             self.shared.metrics.incr("requests_rejected_overloaded", 1);
             return Err(ServeError::Overloaded(ShedReason::MinHealthyFloor));
         }
-        // Disk-queue mode: durable before admission, carrying the
-        // class (CQR2 frame) and the absolute deadline (payload).
-        let ticket = match &self.durable {
-            None => None,
-            Some(queue) => {
-                let payload =
-                    durable::encode_request(&tensor, timeout, durable::deadline_epoch_us(timeout));
-                let id = queue.append(&payload, class).map_err(queue_err)?;
-                self.shared
-                    .metrics
-                    .set_gauge("disk_queue_depth", queue.depth() as f64);
-                Some(FleetTicket {
-                    queue: Arc::clone(queue),
-                    id,
-                })
-            }
-        };
-        let (reply_tx, reply_rx) = bounded(1);
-        let now = Instant::now();
-        let request = FleetRequest {
-            tensor,
-            class,
-            enqueued: now,
-            deadline: now + timeout,
-            reply: reply_tx,
-            ticket,
-        };
-        match self.admission.try_push(request, class) {
-            Ok(()) => {
-                self.shared.metrics.incr("requests_accepted", 1);
-                Ok(PendingInference { rx: reply_rx })
-            }
-            Err(PushError::Full(request)) => {
-                self.shared.metrics.incr("requests_rejected_overloaded", 1);
-                resolve_fleet(
-                    request,
-                    Err(ServeError::Overloaded(ShedReason::QueueFull)),
-                    &self.shared.metrics,
-                );
-                Err(ServeError::Overloaded(ShedReason::QueueFull))
-            }
-            Err(PushError::Closed(request)) => {
-                resolve_fleet(request, Err(ServeError::ShuttingDown), &self.shared.metrics);
-                Err(ServeError::ShuttingDown)
-            }
-        }
+        self.intake.submit(tensor, timeout, class)
     }
 
     /// Submits one image and blocks for its result.
@@ -726,12 +592,7 @@ impl Fleet {
     /// Live fleet metrics (ledger, resilience counters, throughput,
     /// breaker states, adaptive-concurrency and durable-queue gauges).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.shared.metrics.snapshot();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            let rps = snap.counter("requests_completed") as f64 / elapsed;
-            snap.set_gauge("throughput_rps", rps);
-        }
+        let mut snap = self.intake.snapshot();
         for (i, breaker) in self.shared.breakers.iter().enumerate() {
             snap.set_gauge(
                 &format!("breaker{i}_state"),
@@ -747,9 +608,6 @@ impl Fleet {
             }
             snap.set_gauge("concurrency_limit", total as f64);
         }
-        if let Some(queue) = &self.durable {
-            snap.set_gauge("disk_queue_depth", queue.depth() as f64);
-        }
         snap
     }
 
@@ -762,15 +620,8 @@ impl Fleet {
     }
 
     fn stop(&mut self) {
-        self.accepting.store(false, Ordering::SeqCst);
         self.running.store(false, Ordering::SeqCst);
-        // The redelivery thread pushes into the admission queue: join
-        // it before closing so every recovered record is back in
-        // flight and the routers can drain it.
-        if let Some(r) = self.redelivery.take() {
-            let _ = r.join();
-        }
-        self.admission.close();
+        self.intake.close();
         for r in self.routers.drain(..) {
             let _ = r.join();
         }
@@ -784,11 +635,7 @@ impl Fleet {
             // threads after answering every accepted request).
             drop(server);
         }
-        if let Some(queue) = &self.durable {
-            // Every accepted request is resolved and acked by now; a
-            // final checkpoint makes the next open start clean.
-            let _ = queue.checkpoint();
-        }
+        self.intake.checkpoint();
     }
 }
 
@@ -803,28 +650,21 @@ impl Drop for Fleet {
 /// One router thread: carries each fleet request end-to-end, failing
 /// over to another instance when the serving one dies under it, and
 /// resolving any CoDel sheds the admission queue reports.
-fn router_loop(
-    shared: Arc<FleetShared>,
-    queue: Arc<AdmissionQueue<FleetRequest>>,
-    replicas: usize,
-) {
-    let mut sheds: Vec<Shed<FleetRequest>> = Vec::new();
+fn router_loop(shared: Arc<FleetShared>, queue: Arc<AdmissionQueue<Request>>, replicas: usize) {
+    let mut sheds = Vec::new();
     loop {
         let outcome = queue.pop(Duration::from_millis(20), &mut sheds);
-        for shed in sheds.drain(..) {
-            count_shed(&shared.metrics, shed.class);
-            resolve_fleet(
-                shed.item,
-                Err(ServeError::Overloaded(ShedReason::CoDelShed {
-                    retry_after: shed.retry_after,
-                })),
-                &shared.metrics,
-            );
-        }
+        // No brownout feed from here: the instance servers already
+        // report their own sheds to the controller.
+        resolve_sheds(&mut sheds, None, &shared.metrics);
         match outcome {
-            PopOutcome::Popped { item, sojourn, .. } => {
+            PopOutcome::Popped {
+                item,
+                class,
+                sojourn,
+            } => {
                 shared.metrics.observe_duration("queue_sojourn_us", sojourn);
-                route_one(&shared, item, replicas);
+                route_one(&shared, item, class, replicas);
             }
             PopOutcome::TimedOut => {}
             PopOutcome::Closed => return,
@@ -832,7 +672,7 @@ fn router_loop(
     }
 }
 
-fn route_one(shared: &Arc<FleetShared>, request: FleetRequest, replicas: usize) {
+fn route_one(shared: &Arc<FleetShared>, request: Request, class: Priority, replicas: usize) {
     // One try per replica plus one: enough to walk off a dying instance
     // onto every peer without looping forever under a total outage.
     let budget = replicas + 1;
@@ -843,7 +683,7 @@ fn route_one(shared: &Arc<FleetShared>, request: FleetRequest, replicas: usize) 
         let now = Instant::now();
         if now >= request.deadline {
             shared.metrics.incr("requests_timed_out", 1);
-            resolve_fleet(request, Err(ServeError::Timeout), &shared.metrics);
+            resolve(request, Err(ServeError::Timeout), &shared.metrics);
             return;
         }
         let Some((idx, server, generation, probing)) = shared.pick(avoid) else {
@@ -856,11 +696,7 @@ fn route_one(shared: &Arc<FleetShared>, request: FleetRequest, replicas: usize) 
         shared.inflight[idx].fetch_add(1, Ordering::SeqCst);
         let started = Instant::now();
         let outcome = server
-            .submit_with_class(
-                request.tensor.clone(),
-                request.deadline - now,
-                request.class,
-            )
+            .submit_with_class(request.tensor.clone(), request.deadline - now, class)
             .and_then(PendingInference::wait_reply);
         shared.inflight[idx].fetch_sub(1, Ordering::SeqCst);
         drop(server);
@@ -875,7 +711,7 @@ fn route_one(shared: &Arc<FleetShared>, request: FleetRequest, replicas: usize) 
                 shared.record_success(idx, generation);
                 shared.metrics.incr("requests_completed", 1);
                 shared.metrics.incr(&format!("instance{idx}_completed"), 1);
-                resolve_fleet(request, Ok(reply), &shared.metrics);
+                resolve(request, Ok(reply), &shared.metrics);
                 return;
             }
             Err(e) => {
@@ -924,8 +760,8 @@ fn route_one(shared: &Arc<FleetShared>, request: FleetRequest, replicas: usize) 
             .iter()
             .any(|b| b.state() != BreakerState::Closed)
     {
-        count_shed(&shared.metrics, request.class);
-        resolve_fleet(
+        count_shed(&shared.metrics, class);
+        resolve(
             request,
             Err(ServeError::Overloaded(ShedReason::BreakerOpen)),
             &shared.metrics,
@@ -935,11 +771,11 @@ fn route_one(shared: &Arc<FleetShared>, request: FleetRequest, replicas: usize) 
     match last_err {
         ServeError::Timeout => {
             shared.metrics.incr("requests_timed_out", 1);
-            resolve_fleet(request, Err(ServeError::Timeout), &shared.metrics);
+            resolve(request, Err(ServeError::Timeout), &shared.metrics);
         }
         other => {
             shared.metrics.incr("requests_failed", 1);
-            resolve_fleet(request, Err(other), &shared.metrics);
+            resolve(request, Err(other), &shared.metrics);
         }
     }
 }
@@ -1013,79 +849,13 @@ fn supervisor_loop(
     }
 }
 
-/// The fleet's redelivery thread: re-injects the recovered backlog in
-/// priority-then-FIFO order, fire-and-forget (the original caller died
-/// with the old process). Records whose embedded deadline lapsed
-/// during the outage are failed as timed out and acked; poisoned
-/// payloads are counted failed and acked so they cannot redeliver
-/// forever.
-fn spawn_fleet_redelivery(
-    queue: Arc<DiskQueue>,
-    report: condor_queue::RecoveryReport,
-    admission: Arc<AdmissionQueue<FleetRequest>>,
-    shared: Arc<FleetShared>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut pending = report.pending;
-        // Stable sort: classes in priority order, FIFO (append order)
-        // within each class.
-        pending.sort_by_key(|record| record.class.index());
-        for record in pending {
-            match durable::decode_request(&record.payload) {
-                Some((tensor, timeout, deadline_epoch_us)) => {
-                    shared.metrics.incr("requests_redelivered", 1);
-                    let now_epoch = durable::epoch_micros_now();
-                    if deadline_epoch_us != 0 && now_epoch >= deadline_epoch_us {
-                        // The caller's deadline lapsed during the
-                        // outage: fail and ack instead of serving a
-                        // result nobody can use hours late.
-                        shared.metrics.incr("requests_timed_out", 1);
-                        let _ = queue.ack(record.id);
-                        continue;
-                    }
-                    let remaining = if deadline_epoch_us == 0 {
-                        timeout
-                    } else {
-                        Duration::from_micros(deadline_epoch_us - now_epoch).min(timeout)
-                    };
-                    let (reply_tx, _) = bounded(1);
-                    let now = Instant::now();
-                    let request = FleetRequest {
-                        tensor,
-                        class: record.class,
-                        enqueued: now,
-                        deadline: now + remaining,
-                        reply: reply_tx,
-                        ticket: Some(FleetTicket {
-                            queue: Arc::clone(&queue),
-                            id: record.id,
-                        }),
-                    };
-                    if admission.push(request, record.class).is_err() {
-                        // Fleet already gone; the record stays pending
-                        // for the next restart.
-                        return;
-                    }
-                }
-                None => {
-                    shared.metrics.incr("requests_redelivered", 1);
-                    shared.metrics.incr("requests_failed", 1);
-                    let _ = queue.ack(record.id);
-                }
-            }
-        }
-        shared
-            .metrics
-            .set_gauge("disk_queue_depth", queue.depth() as f64);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::CpuBackend;
     use condor_nn::{dataset, zoo};
+    use condor_queue::DiskQueue;
 
     fn quick_config() -> FleetConfig {
         FleetConfig::default().with_serve(
@@ -1126,11 +896,12 @@ mod tests {
         )
         .unwrap();
         let mut samples = dataset::usps_like(2, 9);
+        let timeout = Duration::from_secs(20);
         let fast = fleet
-            .submit_with_priority(samples.remove(0).image, Priority::Interactive)
+            .submit_with_class(samples.remove(0).image, timeout, Priority::Interactive)
             .unwrap();
         let slow = fleet
-            .submit_with_priority(samples.remove(0).image, Priority::Batch)
+            .submit_with_class(samples.remove(0).image, timeout, Priority::Batch)
             .unwrap();
         let fast = fast.wait_reply().unwrap();
         let slow = slow.wait_reply().unwrap();

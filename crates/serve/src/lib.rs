@@ -54,6 +54,13 @@
 //!   between — `accepted ⇒ eventually resolved-or-failed` survives
 //!   `kill -9` (see `tests/crash.rs`).
 //!
+//! Structure: a front end is an intake plus a dispatcher. The private
+//! `intake` module owns everything [`InferenceServer`] and [`Fleet`]
+//! must agree on — admission, the durable record, redelivery, the one
+//! place a request is answered and acked, the shared ledger — and each
+//! front end adds only its own dispatch: a batcher and lanes here,
+//! routers, breakers and a supervisor in [`fleet`].
+//!
 //! Every accepted request receives exactly one reply, and outputs are
 //! bit-identical to calling `infer_batch` directly on the deployment:
 //! the threaded runtime computes each image independently, so batch
@@ -85,6 +92,7 @@ pub mod brownout;
 pub mod cpu;
 mod durable;
 pub mod fleet;
+mod intake;
 
 pub use admission::CodelConfig;
 pub use brownout::{BrownoutConfig, BrownoutController, DegradableBackend};
@@ -94,18 +102,17 @@ pub use condor_queue::{
 pub use cpu::CpuBackend;
 pub use fleet::{Fleet, FleetConfig, InstanceProvisioner};
 
-use admission::{AdmissionQueue, PopOutcome, PushError, Shed};
+use admission::{AdmissionQueue, PopOutcome};
 use condor::{
     CondorError, DeployedAccelerator, ExecutionBackend, MetricsRegistry, MetricsSnapshot,
 };
-use condor_faults::retry::SystemClock;
 use condor_faults::{FaultHandle, FaultPlan};
-use condor_queue::DiskQueue;
 use condor_tensor::Tensor;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use intake::{resolve, resolve_sheds, Intake, Request};
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -368,56 +375,6 @@ pub struct ServeReply {
     pub degraded: bool,
 }
 
-/// One queued inference request. Its priority class lives in the
-/// admission queue's lane (and, durably, the CQR2 frame), not here —
-/// once popped, every class is served the same way.
-struct Request {
-    tensor: Tensor,
-    enqueued: Instant,
-    deadline: Instant,
-    reply: Sender<Result<ServeReply, ServeError>>,
-    /// Present in disk-queue mode: the durable record backing this
-    /// request, acked only when the request is resolved.
-    ticket: Option<DurableTicket>,
-}
-
-/// The durable record behind one accepted request.
-struct DurableTicket {
-    queue: Arc<DiskQueue>,
-    id: u64,
-}
-
-/// Answers a request and — in disk-queue mode — acks its durable
-/// record. This is the *only* place a record is retired: the ack is
-/// written strictly after the reply is delivered to the caller's
-/// channel, so `accepted ⇒ eventually resolved-or-failed` holds across
-/// a `kill -9` anywhere (a crash between reply and ack redelivers; a
-/// crash before the reply redelivers; nothing is ever dropped).
-fn resolve(request: Request, result: Result<ServeReply, ServeError>, metrics: &MetricsRegistry) {
-    let _ = request.reply.send(result);
-    if let Some(ticket) = request.ticket {
-        // A refused double ack (redelivery raced the original) or a
-        // failed ack write (the record legally redelivers after the
-        // next restart) both leave the ledger consistent.
-        if let Ok(true) = ticket.queue.ack(ticket.id) {
-            metrics.observe_duration("ack_latency_us", request.enqueued.elapsed());
-            metrics.set_gauge("disk_queue_depth", ticket.queue.depth() as f64);
-        }
-    }
-}
-
-/// Per-class shed accounting: the aggregate counter plus one counter
-/// per priority class (so dashboards can verify Batch absorbs the
-/// sheds).
-pub(crate) fn count_shed(metrics: &MetricsRegistry, class: Priority) {
-    metrics.incr("requests_shed", 1);
-    match class {
-        Priority::Interactive => metrics.incr("requests_shed_interactive", 1),
-        Priority::Standard => metrics.incr("requests_shed_standard", 1),
-        Priority::Batch => metrics.incr("requests_shed_batch", 1),
-    }
-}
-
 /// A ticket for a request the server accepted.
 #[derive(Debug)]
 pub struct PendingInference {
@@ -493,17 +450,10 @@ struct WorkerHandle {
 /// one deployment.
 pub struct InferenceServer {
     config: ServeConfig,
-    accepting: Arc<AtomicBool>,
-    admission: Arc<AdmissionQueue<Request>>,
+    intake: Intake,
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    metrics: Arc<MetricsRegistry>,
     locations: Vec<String>,
-    started: Instant,
-    /// Disk-queue mode: the durable admission log.
-    durable: Option<Arc<DiskQueue>>,
-    /// Disk-queue mode: the thread re-injecting recovered records.
-    redelivery: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for InferenceServer {
@@ -525,15 +475,10 @@ impl InferenceServer {
         if backends.is_empty() {
             return Err(ServeError::NoBackends);
         }
-        let metrics = Arc::new(MetricsRegistry::new());
-        let accepting = Arc::new(AtomicBool::new(true));
-        let admission = Arc::new(AdmissionQueue::new(
-            config.queue_capacity.max(1),
-            config.aging_limit,
-            config.codel.clone(),
-            Arc::new(SystemClock),
-            config.faults.clone(),
-        ));
+        // Before any thread exists: a failed open must leave nothing
+        // running that owns a backend.
+        let intake = Intake::open(&config.queue, config.queue_capacity, &config)?;
+        let metrics = intake.metrics();
 
         let mut handles = Vec::with_capacity(backends.len());
         let mut workers = Vec::with_capacity(backends.len());
@@ -568,41 +513,17 @@ impl InferenceServer {
         }
 
         let batcher_cfg = config.clone();
-        let batcher_metrics = Arc::clone(&metrics);
-        let batcher_queue = Arc::clone(&admission);
+        let batcher_queue = intake.queue();
         let batcher = std::thread::spawn(move || {
-            batcher_loop(batcher_queue, handles, batcher_cfg, batcher_metrics);
+            batcher_loop(batcher_queue, handles, batcher_cfg, metrics);
         });
-
-        // Disk-queue mode: open (running crash recovery) and re-inject
-        // every record that was accepted but unresolved when the
-        // previous process died.
-        let (durable, redelivery) = match &config.queue {
-            QueueBackend::InMemory => (None, None),
-            QueueBackend::Disk(queue_config) => {
-                let (queue, report) = DiskQueue::open(queue_config.clone()).map_err(queue_err)?;
-                let queue = Arc::new(queue);
-                let thread = spawn_redelivery(
-                    Arc::clone(&queue),
-                    report,
-                    Arc::clone(&admission),
-                    Arc::clone(&metrics),
-                );
-                (Some(queue), Some(thread))
-            }
-        };
 
         Ok(InferenceServer {
             config,
-            accepting,
-            admission,
+            intake,
             batcher: Some(batcher),
             workers,
-            metrics,
             locations,
-            started: Instant::now(),
-            durable,
-            redelivery,
         })
     }
 
@@ -634,25 +555,6 @@ impl InferenceServer {
         self.submit_with_class(tensor, self.config.default_timeout, Priority::Standard)
     }
 
-    /// Submits one image with an explicit deadline at [`Priority::Standard`].
-    pub fn submit_with_timeout(
-        &self,
-        tensor: Tensor,
-        timeout: Duration,
-    ) -> Result<PendingInference, ServeError> {
-        self.submit_with_class(tensor, timeout, Priority::Standard)
-    }
-
-    /// Submits one image with the default timeout at an explicit
-    /// priority class.
-    pub fn submit_with_priority(
-        &self,
-        tensor: Tensor,
-        class: Priority,
-    ) -> Result<PendingInference, ServeError> {
-        self.submit_with_class(tensor, self.config.default_timeout, class)
-    }
-
     /// Submits one image with an explicit deadline and priority class.
     pub fn submit_with_class(
         &self,
@@ -660,58 +562,7 @@ impl InferenceServer {
         timeout: Duration,
         class: Priority,
     ) -> Result<PendingInference, ServeError> {
-        if !self.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        // Disk-queue mode: the request is durable *before* admission —
-        // a crash from here on redelivers it, same class, against its
-        // absolute deadline.
-        let ticket = match &self.durable {
-            None => None,
-            Some(queue) => {
-                let payload =
-                    durable::encode_request(&tensor, timeout, durable::deadline_epoch_us(timeout));
-                let id = queue.append(&payload, class).map_err(queue_err)?;
-                self.metrics
-                    .set_gauge("disk_queue_depth", queue.depth() as f64);
-                Some(DurableTicket {
-                    queue: Arc::clone(queue),
-                    id,
-                })
-            }
-        };
-        let (reply_tx, reply_rx) = bounded(1);
-        let now = Instant::now();
-        let request = Request {
-            tensor,
-            enqueued: now,
-            deadline: now + timeout,
-            reply: reply_tx,
-            ticket,
-        };
-        match self.admission.try_push(request, class) {
-            Ok(()) => {
-                self.metrics.incr("requests_accepted", 1);
-                self.metrics
-                    .observe("queue_depth", self.admission.len() as f64);
-                Ok(PendingInference { rx: reply_rx })
-            }
-            Err(PushError::Full(request)) => {
-                self.metrics.incr("requests_rejected_overloaded", 1);
-                // The durable record (if any) is resolved as rejected,
-                // so it will not redeliver.
-                resolve(
-                    request,
-                    Err(ServeError::Overloaded(ShedReason::QueueFull)),
-                    &self.metrics,
-                );
-                Err(ServeError::Overloaded(ShedReason::QueueFull))
-            }
-            Err(PushError::Closed(request)) => {
-                resolve(request, Err(ServeError::ShuttingDown), &self.metrics);
-                Err(ServeError::ShuttingDown)
-            }
-        }
+        self.intake.submit(tensor, timeout, class)
     }
 
     /// Submits one image and blocks for its result.
@@ -722,16 +573,7 @@ impl InferenceServer {
     /// Live metrics: request counters, queue-depth and batch-size
     /// distributions, latency percentiles, and the throughput gauge.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            let rps = snap.counter("requests_completed") as f64 / elapsed;
-            snap.set_gauge("throughput_rps", rps);
-        }
-        if let Some(queue) = &self.durable {
-            snap.set_gauge("disk_queue_depth", queue.depth() as f64);
-        }
-        snap
+        self.intake.snapshot()
     }
 
     /// Stops accepting new requests, drains every request already
@@ -743,28 +585,17 @@ impl InferenceServer {
     }
 
     fn stop(&mut self) {
-        self.accepting.store(false, Ordering::SeqCst);
-        // The redelivery thread pushes into the admission queue: join
-        // it first so every recovered record is back in flight, then
-        // close the queue so the batcher drains what is left and
-        // observes the close; the batcher in turn drops the worker
+        // Closing the intake lets the batcher drain what is left and
+        // observe the close; the batcher in turn drops the worker
         // lanes, which drain and exit.
-        if let Some(r) = self.redelivery.take() {
-            let _ = r.join();
-        }
-        self.admission.close();
+        self.intake.close();
         if let Some(b) = self.batcher.take() {
             let _ = b.join();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(queue) = &self.durable {
-            // Everything accepted is resolved and acked; fold the acks
-            // into a final checkpoint so the next open starts clean.
-            // Best-effort: a failure only means a longer journal replay.
-            let _ = queue.checkpoint();
-        }
+        self.intake.checkpoint();
     }
 }
 
@@ -776,79 +607,6 @@ impl Drop for InferenceServer {
     }
 }
 
-/// Maps a queue failure onto the serving error surface.
-fn queue_err(e: condor_queue::QueueError) -> ServeError {
-    ServeError::Backend(CondorError::new("queue", e.to_string()))
-}
-
-/// Starts the redelivery thread: recovered records are re-injected in
-/// priority-then-FIFO order (classes come from the CQR2 frames, FIFO
-/// from the recovery scan), fire-and-forget (the original caller died
-/// with the previous process; the record's obligation is resolution,
-/// not reply delivery). Records whose embedded absolute deadline
-/// already expired are failed-and-acked as timed out instead of
-/// burning backend time; poisoned records — payloads that no longer
-/// decode — are counted failed and acked so they cannot loop forever.
-fn spawn_redelivery(
-    queue: Arc<DiskQueue>,
-    report: condor_queue::RecoveryReport,
-    admission: Arc<AdmissionQueue<Request>>,
-    metrics: Arc<MetricsRegistry>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut pending = report.pending;
-        // Stable sort: Interactive re-enters first, FIFO within class.
-        pending.sort_by_key(|record| record.class.index());
-        for record in pending {
-            match durable::decode_request(&record.payload) {
-                Some((tensor, timeout, deadline_epoch_us)) => {
-                    metrics.incr("requests_redelivered", 1);
-                    let now_epoch = durable::epoch_micros_now();
-                    if deadline_epoch_us != 0 && now_epoch >= deadline_epoch_us {
-                        // The caller's deadline passed while the record
-                        // sat on disk: fail-and-ack, never execute.
-                        metrics.incr("requests_timed_out", 1);
-                        let _ = queue.ack(record.id);
-                        continue;
-                    }
-                    let remaining = if deadline_epoch_us == 0 {
-                        timeout
-                    } else {
-                        Duration::from_micros(deadline_epoch_us - now_epoch).min(timeout)
-                    };
-                    // The rx side is dropped: replies go nowhere, but
-                    // resolve() still acks the record.
-                    let (reply_tx, _) = bounded(1);
-                    let now = Instant::now();
-                    let request = Request {
-                        tensor,
-                        enqueued: now,
-                        deadline: now + remaining,
-                        reply: reply_tx,
-                        ticket: Some(DurableTicket {
-                            queue: Arc::clone(&queue),
-                            id: record.id,
-                        }),
-                    };
-                    // Blocking push: redelivery yields to live traffic
-                    // when the queue is full. A push failure means the
-                    // server is already gone; the record stays pending
-                    // for the next restart.
-                    if admission.push(request, record.class).is_err() {
-                        return;
-                    }
-                }
-                None => {
-                    metrics.incr("requests_redelivered", 1);
-                    metrics.incr("requests_failed", 1);
-                    let _ = queue.ack(record.id);
-                }
-            }
-        }
-        metrics.set_gauge("disk_queue_depth", queue.depth() as f64);
-    })
-}
-
 /// Adds a request to the forming batch, or answers it with `Timeout` if
 /// its deadline already passed while it sat in the queue.
 fn admit(request: Request, batch: &mut Vec<Request>, metrics: &MetricsRegistry) {
@@ -857,26 +615,6 @@ fn admit(request: Request, batch: &mut Vec<Request>, metrics: &MetricsRegistry) 
         resolve(request, Err(ServeError::Timeout), metrics);
     } else {
         batch.push(request);
-    }
-}
-
-/// Resolves every request the admission queue shed since the last
-/// pop: shed counters tick (aggregate and per class), the brownout
-/// controller hears about the overload, and the caller gets the typed
-/// rejection with its retry hint.
-fn drain_sheds(sheds: &mut Vec<Shed<Request>>, config: &ServeConfig, metrics: &MetricsRegistry) {
-    for shed in sheds.drain(..) {
-        count_shed(metrics, shed.class);
-        if let Some(brownout) = &config.brownout {
-            brownout.on_shed();
-        }
-        resolve(
-            shed.item,
-            Err(ServeError::Overloaded(ShedReason::CoDelShed {
-                retry_after: shed.retry_after,
-            })),
-            metrics,
-        );
     }
 }
 
@@ -894,7 +632,7 @@ fn batcher_loop(
         // drained queue means the server is shutting down.
         let first = loop {
             let outcome = queue.pop(Duration::from_millis(20), &mut sheds);
-            drain_sheds(&mut sheds, &config, &metrics);
+            resolve_sheds(&mut sheds, config.brownout.as_deref(), &metrics);
             match outcome {
                 PopOutcome::Popped { item, sojourn, .. } => {
                     metrics.observe_duration("queue_sojourn_us", sojourn);
@@ -921,7 +659,7 @@ fn batcher_loop(
                 break;
             }
             let outcome = queue.pop(window_closes - now, &mut sheds);
-            drain_sheds(&mut sheds, &config, &metrics);
+            resolve_sheds(&mut sheds, config.brownout.as_deref(), &metrics);
             match outcome {
                 PopOutcome::Popped { item, sojourn, .. } => {
                     metrics.observe_duration("queue_sojourn_us", sojourn);
@@ -1081,6 +819,7 @@ mod tests {
     use condor::Condor;
     use condor_dataflow::PipelineModel;
     use condor_nn::{dataset, zoo};
+    use condor_queue::DiskQueue;
     use std::sync::{Condvar, Mutex};
 
     fn deployed_lenet() -> DeployedAccelerator {
@@ -1213,11 +952,15 @@ mod tests {
 
         // First request occupies the (gated) worker.
         let occupier = server
-            .submit_with_timeout(images(1, 8).remove(0), Duration::from_secs(30))
+            .submit_with_class(
+                images(1, 8).remove(0),
+                Duration::from_secs(30),
+                Priority::Standard,
+            )
             .unwrap();
         // Second request gets a zero deadline: it can only expire.
         let doomed = server
-            .submit_with_timeout(images(1, 9).remove(0), Duration::ZERO)
+            .submit_with_class(images(1, 9).remove(0), Duration::ZERO, Priority::Standard)
             .unwrap();
         assert_eq!(doomed.wait(), Err(ServeError::Timeout));
 
@@ -1302,12 +1045,13 @@ mod tests {
     fn shutdown_rejects_new_submissions() {
         let deployed = deployed_lenet();
         let img = images(1, 13).remove(0);
-        let server = InferenceServer::from_deployment(deployed, ServeConfig::default()).unwrap();
-        // `shutdown` consumes the server, so probe the accepting flag
-        // through a clone-free drop/rebuild: simplest observable is that
-        // a server mid-drop cannot be submitted to — covered by the
-        // ShuttingDown path in submit via the accepting flag.
-        server.accepting.store(false, Ordering::SeqCst);
+        let mut server =
+            InferenceServer::from_deployment(deployed, ServeConfig::default()).unwrap();
+        // `shutdown` consumes the server, so no caller can submit to
+        // one that has stopped; close the intake the way `stop` does
+        // and probe the refusal directly. The drop that follows closes
+        // it a second time, which must be harmless.
+        server.intake.close();
         assert_eq!(server.submit(img).unwrap_err(), ServeError::ShuttingDown);
     }
 
@@ -1491,6 +1235,49 @@ mod tests {
         dir
     }
 
+    /// Starts each front end in turn over the disk queue `seed` left
+    /// behind and shuts it straight down, handing `check` the final
+    /// snapshot: recovery is intake policy, so whatever the backlog
+    /// held must resolve the same way behind either dispatcher.
+    fn drain_recovered_backlog(
+        tag: &str,
+        seed: impl Fn(&DiskQueue),
+        check: impl Fn(&MetricsSnapshot),
+    ) {
+        for front_end in ["server", "fleet"] {
+            let dir = tmp_queue_dir(&format!("{tag}-{front_end}"));
+            {
+                let (queue, _) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
+                seed(&queue);
+            }
+            let queue = QueueBackend::Disk(DiskQueueConfig::new(&dir));
+            let serve = ServeConfig::default().with_default_timeout(Duration::from_secs(30));
+            let snap = if front_end == "server" {
+                InferenceServer::from_deployment(deployed_lenet(), serve.with_queue(queue))
+                    .unwrap()
+                    .shutdown()
+            } else {
+                Fleet::new(
+                    |_: usize, _: u64| CpuBackend::replicas(&zoo::lenet_weighted(11), 1),
+                    FleetConfig::default()
+                        .with_replicas(1)
+                        .with_serve(serve)
+                        .with_queue(queue),
+                )
+                .unwrap()
+                .shutdown()
+            };
+            check(&snap);
+            let (_, report) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
+            assert!(
+                report.pending.is_empty(),
+                "{front_end}: every recovered record must ack"
+            );
+            assert_eq!(report.double_acks, 0, "{front_end}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn disk_queue_mode_serves_and_drains_durably() {
         let dir = tmp_queue_dir("roundtrip");
@@ -1520,41 +1307,32 @@ mod tests {
     #[test]
     fn recovered_records_are_redelivered_and_resolved() {
         // Simulate a crashed predecessor: durable records exist on disk
-        // with no live caller, one of them poisoned.
-        let dir = tmp_queue_dir("redeliver");
-        {
-            let (queue, _) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
-            for img in images(4, 22) {
-                let payload = durable::encode_request(
-                    &img,
-                    Duration::from_secs(30),
-                    durable::deadline_epoch_us(Duration::from_secs(30)),
-                );
-                queue.append(&payload, Priority::Standard).unwrap();
-            }
-            queue
-                .append(b"not a request payload", Priority::Batch)
-                .unwrap();
-        }
-        // Startup must replay all five: four infer to completion (their
-        // replies go nowhere, their acks land), the poisoned one is
-        // failed and acked rather than looping or crashing the thread.
-        let server = InferenceServer::from_deployment(
-            deployed_lenet(),
-            ServeConfig::default()
-                .with_default_timeout(Duration::from_secs(30))
-                .with_queue(QueueBackend::Disk(DiskQueueConfig::new(&dir))),
-        )
-        .unwrap();
-        let snap = server.shutdown();
-        assert_eq!(snap.counter("requests_redelivered"), 5);
-        assert_eq!(snap.counter("requests_completed"), 4);
-        assert_eq!(snap.counter("requests_failed"), 1);
-        assert_eq!(snap.counter("requests_accepted"), 0);
-        let (_, report) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
-        assert!(report.pending.is_empty(), "redelivered records must ack");
-        assert_eq!(report.double_acks, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        // with no live caller, one of them poisoned. Startup must
+        // replay all five: four infer to completion (their replies go
+        // nowhere, their acks land), the poisoned one is failed and
+        // acked rather than looping or crashing the thread.
+        drain_recovered_backlog(
+            "redeliver",
+            |queue| {
+                for img in images(4, 22) {
+                    let payload = durable::encode_request(
+                        &img,
+                        Duration::from_secs(30),
+                        durable::deadline_epoch_us(Duration::from_secs(30)),
+                    );
+                    queue.append(&payload, Priority::Standard).unwrap();
+                }
+                queue
+                    .append(b"not a request payload", Priority::Batch)
+                    .unwrap();
+            },
+            |snap| {
+                assert_eq!(snap.counter("requests_redelivered"), 5);
+                assert_eq!(snap.counter("requests_completed"), 4);
+                assert_eq!(snap.counter("requests_failed"), 1);
+                assert_eq!(snap.counter("requests_accepted"), 0);
+            },
+        );
     }
 
     #[test]
@@ -1565,7 +1343,11 @@ mod tests {
         )
         .unwrap();
         let reply = server
-            .submit_with_priority(images(1, 50).remove(0), Priority::Interactive)
+            .submit_with_class(
+                images(1, 50).remove(0),
+                Duration::from_secs(30),
+                Priority::Interactive,
+            )
             .unwrap()
             .wait_reply()
             .unwrap();
@@ -1617,34 +1399,25 @@ mod tests {
 
     #[test]
     fn expired_recovered_records_fail_and_ack_as_timed_out() {
-        let dir = tmp_queue_dir("expired");
-        {
-            let (queue, _) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
-            // Deadline already in the past: must never execute.
-            let stale = durable::encode_request(&images(1, 23)[0], Duration::from_secs(30), 1);
-            queue.append(&stale, Priority::Interactive).unwrap();
-            // Deadline far in the future: must complete normally.
-            let fresh = durable::encode_request(
-                &images(1, 24)[0],
-                Duration::from_secs(30),
-                durable::deadline_epoch_us(Duration::from_secs(30)),
-            );
-            queue.append(&fresh, Priority::Batch).unwrap();
-        }
-        let server = InferenceServer::from_deployment(
-            deployed_lenet(),
-            ServeConfig::default()
-                .with_default_timeout(Duration::from_secs(30))
-                .with_queue(QueueBackend::Disk(DiskQueueConfig::new(&dir))),
-        )
-        .unwrap();
-        let snap = server.shutdown();
-        assert_eq!(snap.counter("requests_redelivered"), 2);
-        assert_eq!(snap.counter("requests_timed_out"), 1);
-        assert_eq!(snap.counter("requests_completed"), 1);
-        let (_, report) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
-        assert!(report.pending.is_empty(), "expired record must still ack");
-        assert_eq!(report.double_acks, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        drain_recovered_backlog(
+            "expired",
+            |queue| {
+                // Deadline already in the past: must never execute.
+                let stale = durable::encode_request(&images(1, 23)[0], Duration::from_secs(30), 1);
+                queue.append(&stale, Priority::Interactive).unwrap();
+                // Deadline far in the future: must complete normally.
+                let fresh = durable::encode_request(
+                    &images(1, 24)[0],
+                    Duration::from_secs(30),
+                    durable::deadline_epoch_us(Duration::from_secs(30)),
+                );
+                queue.append(&fresh, Priority::Batch).unwrap();
+            },
+            |snap| {
+                assert_eq!(snap.counter("requests_redelivered"), 2);
+                assert_eq!(snap.counter("requests_timed_out"), 1);
+                assert_eq!(snap.counter("requests_completed"), 1);
+            },
+        );
     }
 }

@@ -3,12 +3,19 @@
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
 
-use condor::{CloudContext, Condor, DeployTarget, DeployedAccelerator};
+use condor::{
+    CloudContext, Condor, CondorError, DeployTarget, DeployedAccelerator, ExecutionBackend,
+};
 use condor_cloud::F1InstanceType;
+use condor_dataflow::PipelineModel;
 use condor_nn::{dataset, zoo};
-use condor_serve::{InferenceServer, ServeConfig};
+use condor_serve::{
+    CpuBackend, DiskQueueConfig, Fleet, FleetConfig, InferenceServer, QueueBackend, ServeConfig,
+};
 use condor_tensor::Tensor;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn deployed_tc1(seed: u64) -> DeployedAccelerator {
@@ -170,4 +177,71 @@ fn eight_clients_against_two_f1_slots_form_real_batches() {
     let latency = snap.histogram("latency_us").expect("latencies recorded");
     assert_eq!(latency.count, (CLIENTS * PER_CLIENT) as u64);
     assert!(latency.p99 >= latency.p50);
+}
+
+/// A backend that counts itself live from construction until drop.
+struct TrackedBackend {
+    inner: CpuBackend,
+    live: Arc<AtomicUsize>,
+}
+
+impl TrackedBackend {
+    fn boxed(live: &Arc<AtomicUsize>) -> Box<dyn ExecutionBackend> {
+        live.fetch_add(1, Ordering::SeqCst);
+        Box::new(TrackedBackend {
+            inner: CpuBackend::new(&zoo::tc1_weighted(1)).unwrap(),
+            live: Arc::clone(live),
+        })
+    }
+}
+
+impl Drop for TrackedBackend {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl ExecutionBackend for TrackedBackend {
+    fn infer_batch(&self, images: &[Tensor]) -> Result<Vec<Tensor>, CondorError> {
+        self.inner.infer_batch(images)
+    }
+    fn pipeline(&self) -> PipelineModel {
+        self.inner.pipeline()
+    }
+    fn location(&self) -> String {
+        self.inner.location()
+    }
+}
+
+/// A constructor that fails on its disk queue must leave nothing
+/// behind: no thread may still own a backend once `Err` is returned.
+/// The queue directory sits under a regular file, so the open fails on
+/// the environment, not on the configuration.
+#[test]
+fn failed_disk_queue_open_leaves_no_backend_alive() {
+    let file = std::env::temp_dir().join(format!("condor-serve-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"regular file").unwrap();
+    let queue = || QueueBackend::Disk(DiskQueueConfig::new(file.join("q")));
+
+    let live = Arc::new(AtomicUsize::new(0));
+    let server = InferenceServer::new(
+        vec![TrackedBackend::boxed(&live)],
+        ServeConfig::default().with_queue(queue()),
+    );
+    assert!(
+        server.is_err(),
+        "server opened a queue under a regular file"
+    );
+    assert_eq!(live.load(Ordering::SeqCst), 0, "server leaked its backend");
+
+    let live = Arc::new(AtomicUsize::new(0));
+    let provisioned = Arc::clone(&live);
+    let fleet = Fleet::new(
+        move |_: usize, _: u64| Ok(vec![TrackedBackend::boxed(&provisioned)]),
+        FleetConfig::default().with_queue(queue()),
+    );
+    assert!(fleet.is_err(), "fleet opened a queue under a regular file");
+    assert_eq!(live.load(Ordering::SeqCst), 0, "fleet leaked its backends");
+
+    let _ = std::fs::remove_file(&file);
 }
