@@ -1,128 +1,82 @@
-//! Kernel-layer benchmark workloads: naive convolution against the
-//! im2col + blocked-GEMM path, whole-network engines, and the threaded
-//! runtime's frame-chunked batch execution.
-//!
-//! Shared between the `kernels` Criterion bench and the
-//! `kernels_baseline` binary so the committed `BENCH_kernels.json`
-//! baseline and the interactive `cargo bench` run time exactly the same
-//! code paths.
+//! Kernel-layer cross-check: every fast compute path — im2col + tiled
+//! GEMM, the f32 and int8 engines, the threaded runtime — against the
+//! golden loop nests, as one `cargo test` case. Timing these paths is the
+//! `perf` package's job (`kernels.*` / `nn.*` rows, see `BENCHMARK.json`).
 
 use condor_dataflow::runtime::ThreadedRuntime;
 use condor_dataflow::PlanBuilder;
 use condor_kernels::{
-    conv2d, gemm_f32, gemm_i8_requant, im2col, im2col_i8_patches, qconv2d, quantize_into,
-    quantize_weights_per_channel, ConvGeometry, Epilogue, GemmBlocking, QWorkspace, QuantParams,
-    Workspace,
+    conv2d, qconv2d, quantize_into, quantize_weights_per_channel, ConvGeometry, QWorkspace,
+    QuantParams, Workspace,
 };
-use condor_nn::{dataset, golden, zoo, FastEngine, GoldenEngine, Network, QuantizedEngine};
+use condor_nn::{dataset, golden, zoo, FastEngine, GoldenEngine, QuantizedEngine};
 use condor_tensor::{AllClose, Shape, Tensor, TensorRng};
-use std::time::Instant;
 
-/// A VGG-style 3×3 same-convolution: 64→64 channels at 56×56, the
-/// mid-network layer shape the feature-extraction stage spends most of
-/// its multiply-accumulates on (≈116 M MACs per image).
-pub struct VggConvCase {
-    /// Input feature-map stack (`64×56×56`).
-    pub input: Tensor,
-    /// Filter bank (`64×64×3×3`).
-    pub weights: Tensor,
-    /// Per-filter bias.
-    pub bias: Tensor,
-    /// Lowering geometry of the layer.
-    pub geo: ConvGeometry,
-    /// Output channels.
-    pub num_output: usize,
+/// A VGG-style 3×3 same-convolution, 16→22 channels at 14×14: small
+/// enough for a debug build, and as a GEMM (22×196×144) it has a partial
+/// register tile on both edges (22 = 5·4 + 2 rows, 196 = 12·16 + 4
+/// columns).
+struct ConvCase {
+    input: Tensor,
+    weights: Tensor,
+    bias: Tensor,
+    geo: ConvGeometry,
+    num_output: usize,
 }
 
-impl VggConvCase {
-    /// Shape of the convolution output.
-    pub fn out_shape(&self) -> Shape {
+impl ConvCase {
+    fn new() -> Self {
+        let (c, h, w, k, f) = (16usize, 14usize, 14usize, 3usize, 22usize);
+        let geo = ConvGeometry {
+            in_c: c,
+            in_h: h,
+            in_w: w,
+            kernel: k,
+            stride: 1,
+            pad: 1,
+            out_h: Shape::conv_out_dim(h, k, 1, 1),
+            out_w: Shape::conv_out_dim(w, k, 1, 1),
+        };
+        let mut rng = TensorRng::seeded(42);
+        ConvCase {
+            input: rng.uniform(Shape::chw(c, h, w), -1.0, 1.0),
+            weights: rng.uniform(Shape::new(f, c, k, k), -0.2, 0.2),
+            bias: rng.uniform(Shape::vector(f), -0.5, 0.5),
+            geo,
+            num_output: f,
+        }
+    }
+
+    fn out_shape(&self) -> Shape {
         Shape::new(1, self.num_output, self.geo.out_h, self.geo.out_w)
     }
 }
 
-/// Builds the VGG-style convolution workload with seeded random data.
-pub fn vgg_conv_case(seed: u64) -> VggConvCase {
-    let (c, h, w, k, f) = (64usize, 56usize, 56usize, 3usize, 64usize);
-    let geo = ConvGeometry {
-        in_c: c,
-        in_h: h,
-        in_w: w,
-        kernel: k,
-        stride: 1,
-        pad: 1,
-        out_h: Shape::conv_out_dim(h, k, 1, 1),
-        out_w: Shape::conv_out_dim(w, k, 1, 1),
-    };
-    let mut rng = TensorRng::seeded(seed);
-    VggConvCase {
-        input: rng.uniform(Shape::chw(c, h, w), -1.0, 1.0),
-        weights: rng.uniform(Shape::new(f, c, k, k), -0.2, 0.2),
-        bias: rng.uniform(Shape::vector(f), -0.5, 0.5),
-        geo,
-        num_output: f,
-    }
-}
-
-/// Runs the golden engine's textbook sliding-window convolution.
-pub fn conv_naive(case: &VggConvCase) -> Tensor {
-    golden::convolve(
-        &case.input,
-        &case.weights,
-        Some(&case.bias),
-        case.out_shape(),
-        case.num_output,
-        case.geo.kernel,
-        case.geo.stride,
-        case.geo.pad,
-        true,
-    )
-}
-
-/// Runs the same layer through im2col + blocked GEMM into a reused
-/// output buffer and lowering workspace.
-pub fn conv_fast(case: &VggConvCase, out: &mut [f32], ws: &mut Workspace) {
-    conv2d(
-        case.input.as_slice(),
-        case.weights.as_slice(),
-        Some(case.bias.as_slice()),
-        case.num_output,
-        &case.geo,
-        None,
-        out,
-        ws,
-    );
-}
-
-/// The VGG-style convolution lowered to the symmetric INT8 scheme:
+/// [`ConvCase`] lowered to the symmetric INT8 scheme:
 /// quantized operands, bias in accumulator units, per-channel requantize
 /// multipliers, and the analytic per-channel error bound the quantized
 /// output must honour against the f32 golden result.
-pub struct QuantVggCase {
-    /// Quantized input feature maps (`64×56×56` `i8`).
-    pub input: Vec<i8>,
-    /// Per-channel quantized filter bank (`64×64×3×3` `i8`).
-    pub weights: Vec<i8>,
+struct QuantConvCase {
+    /// Quantized input feature maps.
+    input: Vec<i8>,
+    /// Per-channel quantized filter bank.
+    weights: Vec<i8>,
     /// Bias in accumulator units: `round(b[f] / (s_in · s_w[f]))`.
-    pub bias: Vec<i32>,
+    bias: Vec<i32>,
     /// Requantize multipliers: `s_in · s_w[f] / s_out`.
-    pub multipliers: Vec<f32>,
-    /// Lowering geometry (same layer as [`VggConvCase`]).
-    pub geo: ConvGeometry,
-    /// Output channels.
-    pub num_output: usize,
+    multipliers: Vec<f32>,
     /// Output quantization parameters.
-    pub out_params: QuantParams,
+    out_params: QuantParams,
     /// Analytic per-channel absolute error bound vs the f32 golden
     /// output (input rounding · weight L1 + weight rounding · patch
     /// magnitude + cross term + output rounding).
-    pub bound: Vec<f32>,
+    bound: Vec<f32>,
 }
 
-/// Quantizes [`VggConvCase`] end to end: min-max input calibration,
+/// Quantizes [`ConvCase`] end to end: min-max input calibration,
 /// per-channel weight scales, and output scale observed from the f32
 /// golden result (exactly how the quantized engine calibrates).
-pub fn quant_vgg_case(case: &VggConvCase, golden_out: &Tensor) -> QuantVggCase {
+fn quantize_case(case: &ConvCase, golden_out: &Tensor) -> QuantConvCase {
     let abs_in = case
         .input
         .as_slice()
@@ -161,395 +115,138 @@ pub fn quant_vgg_case(case: &VggConvCase, golden_out: &Tensor) -> QuantVggCase {
             l1 * err_in + (s_w / 2.0) * k * (abs_in + err_in) + in_params.scale * s_w / 2.0;
         bound.push((layer_err + out_params.scale / 2.0) * 1.01 + 1e-5);
     }
-    QuantVggCase {
+    QuantConvCase {
         input,
         weights,
         bias,
         multipliers,
-        geo: case.geo,
-        num_output: case.num_output,
         out_params,
         bound,
     }
 }
 
-/// Runs the layer through int8 im2col + packed GEMM + fused requantize
-/// into a reused `i8` output buffer and quantized workspace. No ReLU is
-/// fused, matching the bare [`conv_naive`]/[`conv_fast`] layer.
-pub fn conv_int8(case: &QuantVggCase, out: &mut [i8], ws: &mut QWorkspace) {
-    qconv2d(
-        &case.input,
-        &case.weights,
-        Some(&case.bias),
-        case.num_output,
-        &case.geo,
-        &case.multipliers,
-        false,
-        out,
-        ws,
-    );
-}
-
-/// Whole-network workload: a weighted LeNet, a batch of MNIST-like
-/// images, and a fast engine with its arena already warm.
-pub struct EngineCase {
-    /// The network (owns the weights; golden engines borrow it).
-    pub net: Network,
-    /// Fast engine reusing one scratch arena across calls.
-    pub fast: FastEngine,
-    /// Input batch.
-    pub images: Vec<Tensor>,
-}
-
-/// Builds the LeNet engine workload.
-pub fn lenet_case(batch: usize) -> EngineCase {
-    let net = zoo::lenet_weighted(5);
-    let fast = FastEngine::new(&net).expect("zoo network is fully weighted");
-    let images = dataset::mnist_like(batch, 7)
-        .into_iter()
-        .map(|s| s.image)
-        .collect();
-    EngineCase { net, fast, images }
-}
-
-/// Threaded-runtime workload: LeNet mapped to one PE per layer,
-/// streaming frame-sized chunks between PE threads.
-pub struct RuntimeCase {
-    /// The functional runtime under test.
-    pub runtime: ThreadedRuntime,
-    /// Input batch.
-    pub images: Vec<Tensor>,
-}
-
-/// The VGG layer's bare GEMM (`m=64, n=3136, k=576`) with both domains'
-/// operands pre-lowered, isolating the matrix kernels from the im2col
-/// cost: f32 weights × `k×n` columns against packed int8 weights ×
-/// patch-major `n×k` patches with the fused requantize epilogue.
-pub struct GemmCase {
-    /// Output channels (GEMM rows).
-    pub m: usize,
-    /// Output pixels (GEMM columns).
-    pub n: usize,
-    /// Reduction depth (`C·K²`).
-    pub k: usize,
-    /// f32 weights, `m×k` row-major.
-    pub a: Vec<f32>,
-    /// f32 lowered patches, `k×n` row-major.
-    pub b: Vec<f32>,
-    /// f32 per-row bias.
-    pub bias: Vec<f32>,
-    /// int8 weights, `m×k` row-major (per-channel quantized).
-    pub qa: Vec<i8>,
-    /// int8 lowered patches, patch-major `n×k` row-major.
-    pub qb_t: Vec<i8>,
-    /// int8-path bias in accumulator units.
-    pub qbias: Vec<i32>,
-    /// Per-row requantize multipliers.
-    pub multipliers: Vec<f32>,
-}
-
-/// Lowers both domains' operands for the bare-GEMM comparison.
-pub fn gemm_case(case: &VggConvCase, qcase: &QuantVggCase) -> GemmCase {
-    let (m, n, k) = (
-        case.num_output,
-        case.geo.lowered_cols(),
-        case.geo.lowered_rows(),
-    );
-    let mut b = vec![0.0f32; case.geo.lowered_len()];
-    im2col(case.input.as_slice(), &case.geo, &mut b);
-    let mut qb_t = vec![0i8; case.geo.lowered_len()];
-    im2col_i8_patches(&qcase.input, &case.geo, &mut qb_t);
-    GemmCase {
-        m,
-        n,
-        k,
-        a: case.weights.as_slice().to_vec(),
-        b,
-        bias: case.bias.as_slice().to_vec(),
-        qa: qcase.weights.clone(),
-        qb_t,
-        qbias: qcase.bias.clone(),
-        multipliers: qcase.multipliers.clone(),
-    }
-}
-
-/// The f32 blocked GEMM with the bias epilogue.
-pub fn gemm_f32_run(case: &GemmCase, out: &mut [f32]) {
-    gemm_f32(
-        case.m,
-        case.n,
-        case.k,
-        &case.a,
-        &case.b,
-        out,
-        GemmBlocking::default(),
-        Epilogue::Bias(&case.bias),
-    );
-}
-
-/// The packed int8 GEMM with the fused bias/requantize epilogue.
-pub fn gemm_int8_run(case: &GemmCase, out: &mut [i8], ws: &mut QWorkspace) {
-    gemm_i8_requant(
-        case.m,
-        case.n,
-        case.k,
-        &case.qa,
-        &case.qb_t,
-        out,
-        GemmBlocking::default(),
-        Some(&case.qbias),
-        &case.multipliers,
-        false,
-        ws,
-    );
-}
-
-/// Quantized whole-network workload: a LeNet calibrated on a slice of
-/// the batch it will then infer.
-pub struct QuantEngineCase {
-    /// Calibrated int8 engine with its arena already warm.
-    pub engine: QuantizedEngine,
-    /// Input batch (also the calibration set, so the analytic budgets
-    /// are guaranteed to hold on it).
-    pub images: Vec<Tensor>,
-}
-
-/// Builds the quantized LeNet workload.
-pub fn quantized_lenet_case(batch: usize) -> QuantEngineCase {
-    let net = zoo::lenet_weighted(5);
-    let images: Vec<Tensor> = dataset::mnist_like(batch, 7)
-        .into_iter()
-        .map(|s| s.image)
-        .collect();
-    let engine = QuantizedEngine::calibrate(&net, &images).expect("zoo network calibrates");
-    QuantEngineCase { engine, images }
-}
-
-/// Builds the threaded-runtime workload.
-pub fn runtime_case(batch: usize) -> RuntimeCase {
-    let net = zoo::lenet_weighted(5);
-    let plan = PlanBuilder::new(&net)
-        .build()
-        .expect("zoo network plans cleanly");
-    let runtime = ThreadedRuntime::new(&net, &plan).expect("runtime wires");
-    let images = dataset::mnist_like(batch, 7)
-        .into_iter()
-        .map(|s| s.image)
-        .collect();
-    RuntimeCase { runtime, images }
-}
-
-/// Cross-checks every fast path against the golden oracle; panics on the
-/// first disagreement. CI runs this as the bench smoke step
-/// (`CONDOR_BENCH_SMOKE=1`), so a kernel regression fails the build even
-/// though CI never runs the timing loops.
-pub fn assert_kernels_match_golden() {
-    // Single layer: im2col + GEMM vs the sliding-window loop nest.
-    let case = vgg_conv_case(42);
-    let want = conv_naive(&case);
-    let mut out = vec![0.0f32; case.out_shape().len()];
-    let mut ws = Workspace::new();
-    conv_fast(&case, &mut out, &mut ws);
-    let got = Tensor::from_vec(case.out_shape(), out);
-    assert!(
-        got.all_close_tol(&want, 1e-4, 1e-4),
-        "im2col+GEMM convolution diverged from the golden loop nest"
-    );
-
-    // Whole networks: fast engine vs golden engine.
-    for net in [zoo::tc1_weighted(3), zoo::lenet_weighted(3)] {
-        let golden_engine = GoldenEngine::new(&net).expect("weighted");
-        let mut fast = FastEngine::new(&net).expect("weighted");
-        let mut rng = TensorRng::seeded(99);
-        for _ in 0..3 {
-            let img = rng.uniform(net.input_shape, -1.0, 1.0);
-            let want = golden_engine.infer(&img).expect("golden runs");
-            let got = fast.infer(&img).expect("fast runs");
-            assert!(
-                got.all_close_tol(&want, 1e-4, 1e-4),
-                "fast engine diverged from golden on {}",
-                net.name
-            );
-        }
-    }
-
-    // INT8 convolution: dequantized output must sit inside the analytic
-    // per-channel error bound of the f32 golden result.
-    let qcase = quant_vgg_case(&case, &want);
-    let mut qout = vec![0i8; case.out_shape().len()];
-    let mut qws = QWorkspace::new();
-    conv_int8(&qcase, &mut qout, &mut qws);
-    let pixels = case.geo.out_h * case.geo.out_w;
-    for (f, (chunk, want_chunk)) in qout
-        .chunks_exact(pixels)
-        .zip(want.as_slice().chunks_exact(pixels))
-        .enumerate()
-    {
-        for (&q, &w) in chunk.iter().zip(want_chunk) {
-            let err = (qcase.out_params.dequantize(q) - w).abs();
-            assert!(
-                err <= qcase.bound[f],
-                "int8 convolution error {err} exceeds the analytic bound {} on channel {f}",
-                qcase.bound[f]
-            );
-        }
-    }
-
-    // Quantized engines: every layer inside its declared error budget on
-    // the calibration inputs (the guaranteed regime).
-    for net in [zoo::tc1_weighted(3), zoo::lenet_weighted(3)] {
-        let mut rng = TensorRng::seeded(7);
-        let calib: Vec<Tensor> = (0..4)
-            .map(|_| rng.uniform(net.input_shape, -1.0, 1.0))
-            .collect();
-        let mut q = QuantizedEngine::calibrate(&net, &calib).expect("calibrates");
-        let report = q.accuracy_report(&calib).expect("runs");
-        assert!(
-            report.within_budget(),
-            "quantized engine exceeded its error budget on {}: {:?}",
-            net.name,
-            report.worst()
-        );
-    }
-
-    // Threaded runtime: frame-chunked PE streaming vs golden batch.
-    let rt = runtime_case(4);
-    let got = rt.runtime.run_batch(&rt.images).expect("runtime runs");
-    let golden_engine = GoldenEngine::new(rt.runtime.network()).expect("weighted");
-    let want = golden_engine.infer_batch(&rt.images).expect("golden runs");
-    for (g, w) in got.iter().zip(&want) {
-        assert!(
-            g.all_close_tol(w, 1e-4, 1e-4),
-            "threaded runtime diverged from golden"
-        );
-    }
-}
-
-/// Times `samples` runs of `f` (after one untimed warm-up) and returns
-/// the median in nanoseconds — the statistic `BENCH_kernels.json`
-/// records per benchmark.
-pub fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
-    f();
-    let mut times: Vec<u128> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as u64
-}
-
-/// Result of a paired two-body timing run: each body's overall median,
-/// its fastest sample, and the contention-resistant speedup estimate.
-pub struct PairedTiming {
-    /// Overall median of the first body, nanoseconds.
-    pub f_ns: u64,
-    /// Overall median of the second body, nanoseconds.
-    pub g_ns: u64,
-    /// Fastest sample of the first body, nanoseconds.
-    pub f_min_ns: u64,
-    /// Fastest sample of the second body, nanoseconds.
-    pub g_min_ns: u64,
-    /// `f_min_ns / g_min_ns` — the uncontended capability ratio.
-    pub ratio_f_over_g: f64,
-}
-
-/// Times two bodies within one process, alternating *blocks* of
-/// `samples` runs (`f×samples, g×samples, f×samples, ...` over `rounds`
-/// rounds, one untimed warm-up each).
-///
-/// Why blocks rather than strict `f, g, f, g` interleaving: each body
-/// keeps its own operands cache-resident across a block, as in
-/// steady-state inference where consecutive images reuse the same
-/// weights — per-sample alternation would charge both kernels a cold
-/// refill every sample. Why alternate at all: this host's clock drifts
-/// between runs (and slowly within one), so sampling both bodies under
-/// the same frequency envelope keeps their *ratio* meaningful even when
-/// absolute times are not.
-///
-/// The returned [`PairedTiming::ratio_f_over_g`] is built for a noisy
-/// shared host in three steps. Within each round, each body's *minimum*
-/// sample is its least-contaminated observation (contention only ever
-/// slows a sample down — classic min-time estimation). The two minima of
-/// one round come from adjacent blocks, so they saw (nearly) the same
-/// clock envelope and their quotient is a paired estimate of the
-/// capability ratio. The median of the per-round quotients then rejects
-/// rounds where a neighbor's load contaminated even the minima. Pooled
-/// medians and minima are also reported for the absolute-ns records.
-pub fn blockwise_median_ns(
-    rounds: usize,
-    samples: usize,
-    mut f: impl FnMut(),
-    mut g: impl FnMut(),
-) -> PairedTiming {
-    fn median(v: &mut [u128]) -> u128 {
-        v.sort_unstable();
-        v[v.len() / 2]
-    }
-    f();
-    g();
-    // Everything is preallocated so the measurement loop itself never
-    // touches the allocator: fresh pages mid-run would perturb the very
-    // placement effects the pairing is trying to hold constant.
-    let (rounds, samples) = (rounds.max(1), samples.max(1));
-    let mut tf: Vec<u128> = Vec::with_capacity(rounds * samples);
-    let mut tg: Vec<u128> = Vec::with_capacity(rounds * samples);
-    let mut ratios: Vec<f64> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let round = tf.len();
-        for _ in 0..samples {
-            let start = Instant::now();
-            f();
-            tf.push(start.elapsed().as_nanos());
-        }
-        for _ in 0..samples {
-            let start = Instant::now();
-            g();
-            tg.push(start.elapsed().as_nanos());
-        }
-        let rf_min = tf[round..].iter().copied().min().unwrap_or(1).max(1);
-        let rg_min = tg[round..].iter().copied().min().unwrap_or(1).max(1);
-        ratios.push(rf_min as f64 / rg_min as f64);
-    }
-    ratios.sort_unstable_by(f64::total_cmp);
-    let f_min = tf.iter().copied().min().unwrap_or(1).max(1);
-    let g_min = tg.iter().copied().min().unwrap_or(1).max(1);
-    PairedTiming {
-        f_ns: median(&mut tf) as u64,
-        g_ns: median(&mut tg) as u64,
-        f_min_ns: f_min as u64,
-        g_min_ns: g_min as u64,
-        ratio_f_over_g: ratios[ratios.len() / 2],
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Cross-checks every fast path against the golden oracle, so a
+    /// kernel regression fails `cargo test` without any timing loop.
     #[test]
     fn smoke_checks_pass() {
-        assert_kernels_match_golden();
-    }
+        // Single layer: im2col + GEMM vs the sliding-window loop nest.
+        let case = ConvCase::new();
+        let want = golden::convolve(
+            &case.input,
+            &case.weights,
+            Some(&case.bias),
+            case.out_shape(),
+            case.num_output,
+            case.geo.kernel,
+            case.geo.stride,
+            case.geo.pad,
+            true,
+        );
+        let mut out = vec![0.0f32; case.out_shape().len()];
+        conv2d(
+            case.input.as_slice(),
+            case.weights.as_slice(),
+            Some(case.bias.as_slice()),
+            case.num_output,
+            &case.geo,
+            None,
+            &mut out,
+            &mut Workspace::new(),
+        );
+        let got = Tensor::from_vec(case.out_shape(), out);
+        assert!(
+            got.all_close_tol(&want, 1e-4, 1e-4),
+            "im2col+GEMM convolution diverged from the golden loop nest"
+        );
 
-    #[test]
-    fn blockwise_median_times_both_bodies() {
-        let (mut calls_f, mut calls_g) = (0u32, 0u32);
-        let t = blockwise_median_ns(3, 4, || calls_f += 1, || calls_g += 1);
-        assert_eq!(calls_f, 13); // warm-up + 3 rounds × 4 samples
-        assert_eq!(calls_g, 13);
-        assert!(t.f_ns < 1_000_000_000 && t.g_ns < 1_000_000_000);
-        assert!(t.f_min_ns <= t.f_ns && t.g_min_ns <= t.g_ns);
-        assert!(t.ratio_f_over_g.is_finite() && t.ratio_f_over_g > 0.0);
-    }
+        // Whole networks: fast engine vs golden engine.
+        for net in [zoo::tc1_weighted(3), zoo::lenet_weighted(3)] {
+            let golden_engine = GoldenEngine::new(&net).expect("weighted");
+            let mut fast = FastEngine::new(&net).expect("weighted");
+            let mut rng = TensorRng::seeded(99);
+            for _ in 0..3 {
+                let img = rng.uniform(net.input_shape, -1.0, 1.0);
+                let want = golden_engine.infer(&img).expect("golden runs");
+                let got = fast.infer(&img).expect("fast runs");
+                assert!(
+                    got.all_close_tol(&want, 1e-4, 1e-4),
+                    "fast engine diverged from golden on {}",
+                    net.name
+                );
+            }
+        }
 
-    #[test]
-    fn median_is_order_insensitive() {
-        let mut calls = 0u32;
-        let ns = median_ns(5, || calls += 1);
-        assert_eq!(calls, 6); // warm-up + 5 samples
-        assert!(ns < 1_000_000_000);
+        // INT8 convolution (no fused ReLU, as above): dequantized output
+        // must sit inside the analytic per-channel error bound of the f32
+        // golden result.
+        let qcase = quantize_case(&case, &want);
+        let mut qout = vec![0i8; case.out_shape().len()];
+        qconv2d(
+            &qcase.input,
+            &qcase.weights,
+            Some(&qcase.bias),
+            case.num_output,
+            &case.geo,
+            &qcase.multipliers,
+            false,
+            &mut qout,
+            &mut QWorkspace::new(),
+        );
+        let pixels = case.geo.out_h * case.geo.out_w;
+        for (f, (chunk, want_chunk)) in qout
+            .chunks_exact(pixels)
+            .zip(want.as_slice().chunks_exact(pixels))
+            .enumerate()
+        {
+            for (&q, &w) in chunk.iter().zip(want_chunk) {
+                let err = (qcase.out_params.dequantize(q) - w).abs();
+                assert!(
+                    err <= qcase.bound[f],
+                    "int8 convolution error {err} exceeds the analytic bound {} on channel {f}",
+                    qcase.bound[f]
+                );
+            }
+        }
+
+        // Quantized engines: every layer inside its declared error budget
+        // on the calibration inputs (the guaranteed regime).
+        for net in [zoo::tc1_weighted(3), zoo::lenet_weighted(3)] {
+            let mut rng = TensorRng::seeded(7);
+            let calib: Vec<Tensor> = (0..4)
+                .map(|_| rng.uniform(net.input_shape, -1.0, 1.0))
+                .collect();
+            let mut q = QuantizedEngine::calibrate(&net, &calib).expect("calibrates");
+            let report = q.accuracy_report(&calib).expect("runs");
+            assert!(
+                report.within_budget(),
+                "quantized engine exceeded its error budget on {}: {:?}",
+                net.name,
+                report.worst()
+            );
+        }
+
+        // Threaded runtime (LeNet, one PE per layer, frame-sized chunks
+        // between PE threads) vs golden batch.
+        let net = zoo::lenet_weighted(5);
+        let plan = PlanBuilder::new(&net)
+            .build()
+            .expect("zoo network plans cleanly");
+        let runtime = ThreadedRuntime::new(&net, &plan).expect("runtime wires");
+        let images: Vec<Tensor> = dataset::mnist_like(4, 7)
+            .into_iter()
+            .map(|s| s.image)
+            .collect();
+        let got = runtime.run_batch(&images).expect("runtime runs");
+        let golden_engine = GoldenEngine::new(&net).expect("weighted");
+        let want = golden_engine.infer_batch(&images).expect("golden runs");
+        for (g, w) in got.iter().zip(&want) {
+            assert!(
+                g.all_close_tol(w, 1e-4, 1e-4),
+                "threaded runtime diverged from golden"
+            );
+        }
     }
 }

@@ -10,7 +10,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod kernels;
+#[cfg(test)]
+mod kernels;
 
 use condor::deploy::F1InstanceType;
 use condor::{CloudContext, Condor, DeployTarget, DeployedAccelerator, DseConfig};

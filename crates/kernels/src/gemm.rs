@@ -1,30 +1,72 @@
-//! Cache-blocked single-precision GEMM with fused epilogues.
+//! Register-tiled single-precision GEMM with fused epilogues.
 //!
 //! Computes `C = A · B` for row-major matrices (`A: m×k`, `B: k×n`,
-//! `C: m×n`) using the classic three-level loop blocking (BLIS-style
-//! `Nc`/`Kc`/`Mc` panels) so every hot inner loop runs over data that
-//! fits the cache hierarchy, plus a 4-row micro-kernel that reuses each
-//! loaded `B` element for four multiply-accumulates. The inner axpy loops
-//! are written over exact-length slices so LLVM auto-vectorises them; no
-//! `unsafe` is needed.
+//! `C: m×n`) one `MR×NR` tile of `C` at a time. The tile's accumulators
+//! are a local `[[f32; NR]; MR]` that LLVM keeps in vector registers for
+//! a whole `k`-slice, so the inner loop is one broadcast of `A`, one load
+//! of `B` and `MR·NR` multiply-adds per `k` step with no traffic to `C`;
+//! the bias/ReLU epilogue is applied to those registers before the
+//! tile's only store. All of it is safe Rust over fixed-size arrays.
+//!
+//! Tile sizes. `NR = 16` is two AVX2 vectors; `MR = 4` gives eight
+//! accumulator registers and leaves room for the two `B` vectors, the
+//! broadcast and the product temporaries in the sixteen `ymm` registers
+//! of the `x86-64-v3` level the workspace compiles for. Measured on the
+//! `vgg56` conv1_2 shape (64×3136×576, one thread): 4×16 and 6×16 tie
+//! within noise, 4×24 and 8×8 lose (see DESIGN.md §4c), and 4 divides
+//! the zoo's channel counts more often than 6 does.
+//!
+//! Packing. Before a column of tiles is computed, the `kc×NR` slice of
+//! `B` under it is copied into a stack array (`KC_MAX·NR·4 B` = 16 KiB),
+//! zero-padded to `NR` columns at the right edge, and every row tile
+//! reads that copy. Unpacked, the slice is `kc` separate cache lines a
+//! whole row of `B` apart: at `n = 3136` (a 56×56 feature map) the row
+//! stride is 12 544 B = 196 lines, 196 mod 64 = 4, so the 256 lines of
+//! one slice fall onto 16 of an 8-way L1's 64 sets — room for 128 — and
+//! evict each other on every pass. Packed, the slice is contiguous and
+//! L1-resident. It lives on the stack because its size is a compile-time
+//! constant and each worker thread needs its own: no heap, no
+//! `Workspace` field, nothing to size or share.
 //!
 //! Determinism: each output element accumulates its `k` products in
-//! strictly ascending `k` order regardless of blocking parameters or
-//! thread count (threads partition *rows*, never the reduction), so
-//! results are bit-identical across configurations.
+//! strictly ascending `k` order as a separate multiply and add —
+//! `acc += a * b`, never `mul_add`, which rounds once instead of twice
+//! (different bits) and calls libm where the target lacks FMA —
+//! regardless of blocking parameters or thread count (threads partition
+//! *rows*, never the reduction), so results are bit-identical across
+//! configurations and to the textbook triple loop.
 
-/// Loop-blocking parameters of the GEMM macro kernel.
+use std::sync::OnceLock;
+
+/// Rows of the register tile.
+const MR: usize = 4;
+/// Columns of the register tile (two 8-lane vectors).
+const NR: usize = 16;
+/// Deepest `k`-slice the packed `B` tile holds: `KC_MAX × NR` floats =
+/// 16 KiB of stack.
+const KC_MAX: usize = 256;
+
+/// Accumulators of one `MR×NR` tile of `C`.
+type Tile = [[f32; NR]; MR];
+
+/// Loop-blocking parameters, shared by the f32 and int8 GEMMs.
 ///
-/// Defaults target common x86/ARM cache sizes: a `kc × nc` panel of `B`
-/// (256·512·4 B = 512 KiB worst case, usually far less) streams through
-/// L2 while each row block of `C` (`nc` floats) stays resident in L1.
+/// The f32 [`gemm`] reads only `kc`: the depth of the `k`-slice whose
+/// `kc × 16` piece of `B` is packed into the L1-resident stack tile,
+/// honoured up to that tile's cap of 256. Its row and column steps are
+/// fixed by the register tile and every row tile reuses one packed
+/// slice, so `mc` and `nc` are idle there. The int8 GEMM
+/// ([`crate::qgemm`]) reads only `nc`, the width of its widening plane.
+/// `mc` is read by neither and stays because callers name the struct.
+/// No value of any field changes a result bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GemmBlocking {
-    /// Rows of `C` processed per macro-kernel panel.
+    /// Idle (was: rows of `C` per macro-kernel panel).
     pub mc: usize,
-    /// Columns of `C` processed per panel (contiguous, L1-resident).
+    /// Columns per staged block of the int8 GEMM; idle in the f32 one.
     pub nc: usize,
-    /// Depth of the reduction slice per panel.
+    /// Depth of the reduction slice per packed `B` tile of the f32 GEMM
+    /// (1 ..= 256); idle in the int8 one.
     pub kc: usize,
 }
 
@@ -34,18 +76,6 @@ impl Default for GemmBlocking {
             mc: 64,
             nc: 512,
             kc: 256,
-        }
-    }
-}
-
-impl GemmBlocking {
-    /// Clamps degenerate (zero) parameters to 1 so stepping always
-    /// advances.
-    fn sanitized(self) -> Self {
-        GemmBlocking {
-            mc: self.mc.max(1),
-            nc: self.nc.max(1),
-            kc: self.kc.max(1),
         }
     }
 }
@@ -62,6 +92,40 @@ pub enum Epilogue<'a> {
     Relu(f32),
     /// Bias then leaky-ReLU, the common convolution tail.
     BiasRelu(&'a [f32], f32),
+}
+
+impl<'a> Epilogue<'a> {
+    /// The same epilogue for a band of `C` that starts at row `row0`.
+    fn for_band(self, row0: usize) -> Self {
+        match self {
+            Epilogue::Bias(bias) => Epilogue::Bias(&bias[row0..]),
+            Epilogue::BiasRelu(bias, slope) => Epilogue::BiasRelu(&bias[row0..], slope),
+            other => other,
+        }
+    }
+
+    /// Finishes the first `rows` rows of a tile whose top row is `ib`.
+    fn apply(self, acc: &mut Tile, ib: usize, rows: usize) {
+        let (bias, slope) = match self {
+            Epilogue::None => return,
+            Epilogue::Bias(bias) => (Some(bias), None),
+            Epilogue::Relu(slope) => (None, Some(slope)),
+            Epilogue::BiasRelu(bias, slope) => (Some(bias), Some(slope)),
+        };
+        for (r, row) in acc.iter_mut().enumerate().take(rows) {
+            if let Some(bias) = bias {
+                let bv = bias[ib + r];
+                for v in row.iter_mut() {
+                    *v += bv;
+                }
+            }
+            if let Some(slope) = slope {
+                for v in row.iter_mut() {
+                    *v = if *v < 0.0 { *v * slope } else { *v };
+                }
+            }
+        }
+    }
 }
 
 /// Work threshold (in multiply-accumulates) below which spawning threads
@@ -89,6 +153,27 @@ pub fn gemm(
     blocking: GemmBlocking,
     epilogue: Epilogue<'_>,
 ) {
+    let threads = if m * n * k >= PAR_MACS_THRESHOLD {
+        available_threads()
+    } else {
+        1
+    };
+    gemm_on(threads, m, n, k, a, b, c, blocking, epilogue);
+}
+
+/// [`gemm`] over at most `threads` row bands.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on(
+    threads: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    blocking: GemmBlocking,
+    epilogue: Epilogue<'_>,
+) {
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), k * n, "B must be k×n");
     assert_eq!(c.len(), m * n, "C must be m×n");
@@ -98,167 +183,121 @@ pub fn gemm(
     if m == 0 || n == 0 {
         return;
     }
-    let blocking = blocking.sanitized();
+    let kc = blocking.kc.clamp(1, KC_MAX);
 
-    let threads = available_threads();
-    if threads > 1 && m * n * k >= PAR_MACS_THRESHOLD && m >= 2 {
-        // Row-partitioned parallel path: each thread owns a horizontal
-        // band of C and the matching band of A; B is shared read-only.
-        let bands = threads.min(m);
-        let rows_per = m.div_ceil(bands);
-        std::thread::scope(|scope| {
-            for (band, c_band) in c.chunks_mut(rows_per * n).enumerate() {
+    // Each thread owns a horizontal band of C and the matching band of
+    // A; B is shared read-only. Bands are whole register tiles, so only
+    // the last one can end in a partial tile. The caller computes the
+    // first band itself instead of sleeping on a thread it had to spawn.
+    let rows_per = m.div_ceil(threads.clamp(1, m)).next_multiple_of(MR);
+    if rows_per >= m {
+        return gemm_band(m, n, k, a, b, c, kc, epilogue);
+    }
+    std::thread::scope(|scope| {
+        let mut bands = c
+            .chunks_mut(rows_per * n)
+            .enumerate()
+            .map(|(band, c_band)| {
                 let row0 = band * rows_per;
                 let rows = c_band.len() / n;
                 let a_band = &a[row0 * k..(row0 + rows) * k];
-                let bias_off = row0;
-                scope.spawn(move || {
-                    gemm_serial(rows, n, k, a_band, b, c_band, blocking);
-                    apply_epilogue(rows, n, c_band, epilogue, bias_off);
-                });
-            }
-        });
-    } else {
-        gemm_serial(m, n, k, a, b, c, blocking);
-        apply_epilogue(m, n, c, epilogue, 0);
-    }
+                let epilogue = epilogue.for_band(row0);
+                move || gemm_band(rows, n, k, a_band, b, c_band, kc, epilogue)
+            });
+        let first = bands.next();
+        for band in bands {
+            scope.spawn(band);
+        }
+        if let Some(mut band) = first {
+            band();
+        }
+    });
 }
 
-/// The number of worker threads worth using on this machine.
+/// The number of worker threads worth using on this machine. Asked once:
+/// `available_parallelism` re-reads the cgroup files on every call
+/// (≈ 9 µs here), and every GEMM and GEMV asks.
 pub(crate) fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Single-threaded blocked GEMM over the whole of `c`.
-fn gemm_serial(
+/// Single-threaded GEMM over the whole of `c`: for each `NR`-wide column
+/// of tiles and each `kc`-deep slice, pack that piece of `B` once and run
+/// every row tile against it.
+#[allow(clippy::too_many_arguments)]
+fn gemm_band(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    bl: GemmBlocking,
+    kc: usize,
+    epilogue: Epilogue<'_>,
 ) {
-    c.fill(0.0);
-    let mut jb = 0;
-    while jb < n {
-        let jw = bl.nc.min(n - jb);
+    let mut packed = [[0.0f32; NR]; KC_MAX];
+    for jb in (0..n).step_by(NR) {
+        let jw = NR.min(n - jb);
         let mut kb = 0;
-        while kb < k {
-            let kw = bl.kc.min(k - kb);
-            let mut ib = 0;
-            while ib < m {
-                let iw = bl.mc.min(m - ib);
-                macro_panel(
-                    &mut c[ib * n..(ib + iw) * n],
-                    &a[ib * k..(ib + iw) * k],
-                    b,
-                    n,
-                    k,
-                    jb,
-                    jw,
-                    kb,
-                    kw,
-                );
-                ib += iw;
+        // `k = 0` still runs one (empty) slice: C = epilogue(0).
+        loop {
+            let kw = kc.min(k - kb);
+            let bp = &mut packed[..kw];
+            for (p, row) in bp.iter_mut().enumerate() {
+                let src = (kb + p) * n + jb;
+                row[..jw].copy_from_slice(&b[src..src + jw]);
+                row[jw..].fill(0.0);
+            }
+            let (first, last) = (kb == 0, kb + kw == k);
+            for ib in (0..m).step_by(MR) {
+                let iw = MR.min(m - ib);
+                // Rows past the bottom edge alias the last real row;
+                // their accumulators are computed and never stored.
+                let a_rows: [&[f32]; MR] = std::array::from_fn(|r| {
+                    let at = (ib + r.min(iw - 1)) * k + kb;
+                    &a[at..at + kw]
+                });
+                let mut acc = [[0.0f32; NR]; MR];
+                if !first {
+                    for (r, row) in acc.iter_mut().enumerate().take(iw) {
+                        let at = (ib + r) * n + jb;
+                        row[..jw].copy_from_slice(&c[at..at + jw]);
+                    }
+                }
+                let mut acc = micro_kernel(&a_rows, bp, acc);
+                if last {
+                    epilogue.apply(&mut acc, ib, iw);
+                }
+                for (r, row) in acc.iter().enumerate().take(iw) {
+                    let at = (ib + r) * n + jb;
+                    c[at..at + jw].copy_from_slice(&row[..jw]);
+                }
             }
             kb += kw;
+            if kb >= k {
+                break;
+            }
         }
-        jb += jw;
     }
 }
 
-/// One `iw × jw × kw` panel: 4 rows of `C` at a time so every loaded
-/// `B` element feeds four FMAs.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn macro_panel(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    jb: usize,
-    jw: usize,
-    kb: usize,
-    kw: usize,
-) {
-    let mut rows = c.chunks_mut(n);
-    let mut i = 0;
-    let iw = a.len() / k;
-    while i + 4 <= iw {
-        // `chunks_mut` hands out disjoint row slices, so four can be
-        // live at once without aliasing.
-        let (Some(r0), Some(r1), Some(r2), Some(r3)) =
-            (rows.next(), rows.next(), rows.next(), rows.next())
-        else {
-            break;
-        };
-        let c0 = &mut r0[jb..jb + jw];
-        let c1 = &mut r1[jb..jb + jw];
-        let c2 = &mut r2[jb..jb + jw];
-        let c3 = &mut r3[jb..jb + jw];
-        let a0 = &a[i * k + kb..i * k + kb + kw];
-        let a1 = &a[(i + 1) * k + kb..(i + 1) * k + kb + kw];
-        let a2 = &a[(i + 2) * k + kb..(i + 2) * k + kb + kw];
-        let a3 = &a[(i + 3) * k + kb..(i + 3) * k + kb + kw];
-        for p in 0..kw {
-            let brow = &b[(kb + p) * n + jb..(kb + p) * n + jb + jw];
-            let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            for j in 0..jw {
-                let bv = brow[j];
-                c0[j] += x0 * bv;
-                c1[j] += x1 * bv;
-                c2[j] += x2 * bv;
-                c3[j] += x3 * bv;
-            }
-        }
-        i += 4;
-    }
-    // Remainder rows one at a time.
-    for r in rows {
-        let ci = &mut r[jb..jb + jw];
-        let arow = &a[i * k + kb..i * k + kb + kw];
-        for p in 0..kw {
+/// `acc[r][j] + Σ_p a_rows[r][p] · bp[p][j]`, ascending `p`, multiply
+/// then add. The tile is taken and returned by value: a local that is
+/// only ever indexed by the (fully unrolled) constant loops below is
+/// promoted to `MR·NR/8` vector registers for the whole `p` loop, which a
+/// `&mut Tile` the caller also slices dynamically would not be.
+#[inline(always)]
+fn micro_kernel(a_rows: &[&[f32]; MR], bp: &[[f32; NR]], mut acc: Tile) -> Tile {
+    for (p, brow) in bp.iter().enumerate() {
+        for (arow, crow) in a_rows.iter().zip(acc.iter_mut()) {
             let x = arow[p];
-            let brow = &b[(kb + p) * n + jb..(kb + p) * n + jb + jw];
-            for (cv, &bv) in ci.iter_mut().zip(brow) {
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
                 *cv += x * bv;
             }
         }
-        i += 1;
     }
-}
-
-/// Applies the fused tail over `rows × n` of `c`; `bias_off` shifts the
-/// bias index for row bands handled by worker threads.
-fn apply_epilogue(rows: usize, n: usize, c: &mut [f32], epilogue: Epilogue<'_>, bias_off: usize) {
-    match epilogue {
-        Epilogue::None => {}
-        Epilogue::Bias(bias) => {
-            for (i, row) in c.chunks_mut(n).enumerate().take(rows) {
-                let bv = bias[bias_off + i];
-                for v in row {
-                    *v += bv;
-                }
-            }
-        }
-        Epilogue::Relu(slope) => {
-            for v in &mut c[..rows * n] {
-                if *v < 0.0 {
-                    *v *= slope;
-                }
-            }
-        }
-        Epilogue::BiasRelu(bias, slope) => {
-            for (i, row) in c.chunks_mut(n).enumerate().take(rows) {
-                let bv = bias[bias_off + i];
-                for v in row {
-                    let x = *v + bv;
-                    *v = if x < 0.0 { slope * x } else { x };
-                }
-            }
-        }
-    }
+    acc
 }
 
 /// Dense matrix-vector product `y = W · x (+ bias)` with an optional
@@ -355,8 +394,17 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
 
-    /// Textbook triple loop for cross-checking.
-    fn naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+    /// Textbook triple loop: ascending `k`, multiply then add, then the
+    /// epilogue as its own pass — the reduction the kernel must
+    /// reproduce bit for bit.
+    fn naive(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        epilogue: Epilogue<'_>,
+    ) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for p in 0..k {
@@ -364,8 +412,28 @@ mod tests {
                     c[i * n + j] += a[i * k + p] * b[p * n + j];
                 }
             }
+            let (bias, slope) = match epilogue {
+                Epilogue::None => (None, None),
+                Epilogue::Bias(bias) => (Some(bias[i]), None),
+                Epilogue::Relu(slope) => (None, Some(slope)),
+                Epilogue::BiasRelu(bias, slope) => (Some(bias[i]), Some(slope)),
+            };
+            for v in &mut c[i * n..(i + 1) * n] {
+                if let Some(bv) = bias {
+                    *v += bv;
+                }
+                if let Some(slope) = slope {
+                    if *v < 0.0 {
+                        *v *= slope;
+                    }
+                }
+            }
         }
         c
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn ramp(len: usize, scale: f32) -> Vec<f32> {
@@ -374,30 +442,23 @@ mod tests {
 
     #[test]
     fn matches_naive_across_shapes() {
-        for &(m, n, k) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 16),
-            (5, 9, 3),
-            (17, 33, 29),
-            (64, 70, 65),
-        ] {
-            let a = ramp(m * k, 0.25);
-            let b = ramp(k * n, 0.5);
-            let mut c = vec![9.0f32; m * n];
-            gemm(
-                m,
-                n,
-                k,
-                &a,
-                &b,
-                &mut c,
-                GemmBlocking::default(),
-                Epilogue::None,
-            );
-            let want = naive(m, n, k, &a, &b);
-            for (x, y) in c.iter().zip(&want) {
-                assert!((x - y).abs() < 1e-3, "({m},{n},{k}): {x} vs {y}");
+        let kc = 8;
+        let blocking = GemmBlocking {
+            kc,
+            ..GemmBlocking::default()
+        };
+        for m in [1, MR - 1, MR + 1, 50] {
+            for n in [1, 4, NR - 1, NR + 1, 70] {
+                for k in [0, 1, kc - 1, kc + 1, 2 * kc + 3] {
+                    let a = ramp(m * k, 0.37);
+                    let b = ramp(k * n, 0.53);
+                    let bias = ramp(m, 0.11);
+                    let epilogue = Epilogue::BiasRelu(&bias, 0.1);
+                    let mut c = vec![9.0f32; m * n];
+                    gemm(m, n, k, &a, &b, &mut c, blocking, epilogue);
+                    let want = naive(m, n, k, &a, &b, epilogue);
+                    assert_eq!(bits(&c), bits(&want), "({m},{n},{k})");
+                }
             }
         }
     }
@@ -472,24 +533,24 @@ mod tests {
 
     #[test]
     fn large_parallel_path_matches_serial() {
-        // Big enough to cross PAR_MACS_THRESHOLD.
-        let (m, n, k) = (128, 160, 128);
+        // 3 threads over 50 rows: bands of 20, 20 and 10 rows, the last
+        // one ending in a 2-row tile; 17 rows per band before rounding.
+        let (m, n, k) = (50, 70, 33);
         let a = ramp(m * k, 0.01);
         let b = ramp(k * n, 0.02);
+        let bias = ramp(m, 0.3);
+        let epilogue = Epilogue::BiasRelu(&bias, 0.2);
+        let bl = GemmBlocking::default();
         let mut par = vec![0.0; m * n];
-        gemm(
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut par,
-            GemmBlocking::default(),
-            Epilogue::None,
-        );
+        gemm_on(3, m, n, k, &a, &b, &mut par, bl, epilogue);
         let mut ser = vec![0.0; m * n];
-        gemm_serial(m, n, k, &a, &b, &mut ser, GemmBlocking::default());
-        assert_eq!(par, ser, "threaded row bands must be bit-identical");
+        gemm_on(1, m, n, k, &a, &b, &mut ser, bl, epilogue);
+        assert_eq!(
+            bits(&par),
+            bits(&ser),
+            "threaded row bands must be bit-identical"
+        );
+        assert_eq!(bits(&ser), bits(&naive(m, n, k, &a, &b, epilogue)));
     }
 
     #[test]

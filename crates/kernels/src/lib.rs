@@ -9,9 +9,13 @@
 //!
 //! * [`im2col`] — patch-matrix lowering so convolution becomes one GEMM,
 //!   writing into a reusable workspace buffer;
-//! * [`gemm`] — cache-blocked (`Mc×Nc×Kc`) f32 matrix multiply with a
-//!   4-row micro-kernel, thread parallelism over output-row blocks and
-//!   fused bias/LeakyReLU epilogues ([`Epilogue`]);
+//! * [`gemm`] — f32 matrix multiply over 4×16 register tiles: the
+//!   accumulators stay in registers for a whole `k`-slice, the slice of
+//!   `B` under a tile is packed into an L1-resident stack array, and
+//!   bias/LeakyReLU ([`Epilogue`]) are applied to the accumulators
+//!   before the tile's only store; threads split output rows, and every
+//!   product is a separate multiply and add (no FMA), so results equal
+//!   the textbook triple loop bit for bit;
 //! * [`ops`] — layer-level kernels (convolution, pooling, activations,
 //!   softmax, fully-connected [`gemv`]) that all write into
 //!   caller-provided buffers, so steady-state inference allocates

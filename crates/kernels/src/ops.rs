@@ -60,7 +60,7 @@ pub enum Activation {
     Tanh,
 }
 
-/// Convolution via im2col + blocked GEMM with a fused bias(+ReLU)
+/// Convolution via im2col + tiled GEMM with a fused bias(+ReLU)
 /// epilogue.
 ///
 /// * `input` — `C×H×W` row-major (one image),
@@ -144,6 +144,35 @@ pub fn pool2d(
         channels * out_h * out_w,
         "output length mismatch"
     );
+    let dims = (
+        (channels, in_h, in_w),
+        (kernel, stride, pad),
+        (out_h, out_w),
+    );
+    let average = |sum, count: usize| sum / count.max(1) as f32;
+    match method {
+        PoolMethod::Max => {
+            pool_windows(input, dims, out, f32::NEG_INFINITY, f32::max, |max, _| max)
+        }
+        PoolMethod::Average => pool_windows(input, dims, out, 0.0, |sum, v| sum + v, average),
+    }
+}
+
+/// `(C, H, W)` of the input, `(kernel, stride, pad)`, `(H, W)` of the output.
+type PoolDims = ((usize, usize, usize), (usize, usize, usize), (usize, usize));
+
+/// Reduces every pooling window (clipped to the image) of every feature
+/// map: `finish(fold(… fold(init, v0) …, vn), in-range count)`. Generic
+/// over the reduction, so each pooling method gets its own loop nest
+/// with exactly one reduction in it.
+fn pool_windows(
+    input: &[f32],
+    ((channels, in_h, in_w), (kernel, stride, pad), (out_h, out_w)): PoolDims,
+    out: &mut [f32],
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32, usize) -> f32,
+) {
     for c in 0..channels {
         let map = &input[c * in_h * in_w..(c + 1) * in_h * in_w];
         let omap = &mut out[c * out_h * out_w..(c + 1) * out_h * out_w];
@@ -155,20 +184,14 @@ pub fn pool2d(
                 let w_lo = (j * stride) as isize - pad as isize;
                 let ww_lo = w_lo.max(0) as usize;
                 let ww_hi = (w_lo + kernel as isize).clamp(0, in_w as isize) as usize;
-                let mut max = f32::NEG_INFINITY;
-                let mut sum = 0.0f32;
+                let mut acc = init;
                 for hh in hh_lo..hh_hi {
-                    let row = &map[hh * in_w + ww_lo..hh * in_w + ww_hi];
-                    for &v in row {
-                        max = max.max(v);
-                        sum += v;
+                    for &v in &map[hh * in_w + ww_lo..hh * in_w + ww_hi] {
+                        acc = fold(acc, v);
                     }
                 }
                 let count = (hh_hi.saturating_sub(hh_lo)) * (ww_hi.saturating_sub(ww_lo));
-                omap[i * out_w + j] = match method {
-                    PoolMethod::Max => max,
-                    PoolMethod::Average => sum / count.max(1) as f32,
-                };
+                omap[i * out_w + j] = finish(acc, count);
             }
         }
     }

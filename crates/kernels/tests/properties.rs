@@ -1,5 +1,5 @@
-//! Property tests for the compute-kernel layer: the blocked GEMM against
-//! a textbook triple loop, and the im2col lowering against per-element
+//! Property tests for the compute-kernel layer: the tiled GEMM bit for
+//! bit against a textbook triple loop, and the im2col lowering against per-element
 //! padded gathers, across randomly drawn shapes and geometries.
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
@@ -8,9 +8,17 @@ use condor_kernels::{gemm_f32, gemv, im2col, ConvGeometry, Epilogue, GemmBlockin
 use condor_tensor::{Shape, Tensor, TensorRng};
 use proptest::prelude::*;
 
-/// Textbook `C = A·B` with the same ascending-`k` reduction order the
-/// blocked kernel guarantees.
-fn naive_matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+/// Textbook `C = epilogue(A·B)`: ascending `k`, multiply then add, the
+/// epilogue as its own pass — the exact reduction the tiled kernel
+/// guarantees, so comparisons against it are bit for bit.
+fn naive_matmul(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    epilogue: Epilogue<'_>,
+) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     for i in 0..m {
         for p in 0..k {
@@ -18,8 +26,28 @@ fn naive_matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> 
                 c[i * n + j] += a[i * k + p] * b[p * n + j];
             }
         }
+        let (bias, slope) = match epilogue {
+            Epilogue::None => (None, None),
+            Epilogue::Bias(bias) => (Some(bias[i]), None),
+            Epilogue::Relu(slope) => (None, Some(slope)),
+            Epilogue::BiasRelu(bias, slope) => (Some(bias[i]), Some(slope)),
+        };
+        for v in &mut c[i * n..(i + 1) * n] {
+            if let Some(bv) = bias {
+                *v += bv;
+            }
+            if let Some(slope) = slope {
+                if *v < 0.0 {
+                    *v *= slope;
+                }
+            }
+        }
     }
     c
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn geometry(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> ConvGeometry {
@@ -36,39 +64,38 @@ fn geometry(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> ConvG
 }
 
 proptest! {
-    /// The blocked GEMM agrees with the naive triple loop for every
-    /// shape, and arbitrary blocking parameters are bit-identical to the
-    /// default ones (the reduction order never depends on blocking).
+    /// The tiled GEMM is bit-identical to the naive triple loop for
+    /// every shape (tiles of 4×16: `m`, `n` reach past two of each),
+    /// every blocking (`kc` below `k` cuts the reduction into slices) and
+    /// every epilogue.
     #[test]
     fn gemm_matches_naive_matmul(
         seed in any::<u64>(),
         m in 1usize..24,
-        n in 1usize..24,
-        k in 1usize..24,
-        mc in 1usize..8,
-        nc in 1usize..8,
-        kc in 1usize..8,
+        n in 1usize..40,
+        k in 1usize..40,
+        mc in 0usize..8,
+        nc in 0usize..8,
+        kc in 0usize..12,
+        variant in 0usize..4,
+        slope in 0.0f32..0.5,
     ) {
         let mut rng = TensorRng::seeded(seed);
         let a = rng.uniform(Shape::vector(m * k), -1.0, 1.0);
         let b = rng.uniform(Shape::vector(k * n), -1.0, 1.0);
-        let mut c = vec![f32::NAN; m * n];
-        gemm_f32(
-            m, n, k,
-            a.as_slice(), b.as_slice(), &mut c,
-            GemmBlocking::default(), Epilogue::None,
-        );
-        let want = naive_matmul(m, n, k, a.as_slice(), b.as_slice());
-        for (x, y) in c.iter().zip(&want) {
-            prop_assert!((x - y).abs() < 1e-4, "({m},{n},{k}): {x} vs {y}");
+        let bias = rng.uniform(Shape::vector(m), -0.5, 0.5);
+        let epilogue = match variant {
+            0 => Epilogue::None,
+            1 => Epilogue::Bias(bias.as_slice()),
+            2 => Epilogue::Relu(slope),
+            _ => Epilogue::BiasRelu(bias.as_slice(), slope),
+        };
+        let want = naive_matmul(m, n, k, a.as_slice(), b.as_slice(), epilogue);
+        for blocking in [GemmBlocking::default(), GemmBlocking { mc, nc, kc }] {
+            let mut c = vec![f32::NAN; m * n];
+            gemm_f32(m, n, k, a.as_slice(), b.as_slice(), &mut c, blocking, epilogue);
+            prop_assert_eq!(bits(&c), bits(&want), "({},{},{}) {:?}", m, n, k, blocking);
         }
-        let mut c2 = vec![f32::NAN; m * n];
-        gemm_f32(
-            m, n, k,
-            a.as_slice(), b.as_slice(), &mut c2,
-            GemmBlocking { mc, nc, kc }, Epilogue::None,
-        );
-        prop_assert_eq!(c, c2, "blocking changed the result bits");
     }
 
     /// Fused epilogues equal the plain GEMM followed by an explicit
