@@ -13,12 +13,9 @@
 #[cfg(test)]
 mod kernels;
 
-use condor::deploy::F1InstanceType;
 use condor::{CloudContext, Condor, DeployTarget, DeployedAccelerator, DseConfig};
 use condor_dataflow::PeParallelism;
-use condor_nn::{dataset, zoo, Network};
-use condor_serve::{InferenceServer, ServeConfig};
-use std::time::{Duration, Instant};
+use condor_nn::{zoo, Network};
 
 /// One row of Table 1 ("AWS F1 deployment results").
 #[derive(Clone, Debug)]
@@ -262,95 +259,10 @@ pub fn figure5() -> Vec<Figure5Series> {
         .collect()
 }
 
-/// One row of the serving-throughput experiment: the paper's Figure 5
-/// batch economics, recovered end-to-end by the `condor-serve` dynamic
-/// batcher under concurrent client load.
-#[derive(Clone, Debug)]
-pub struct ServingRow {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Served images per wall-clock second.
-    pub throughput_rps: f64,
-    /// Mean dispatched hardware batch size.
-    pub mean_batch: f64,
-    /// Median request latency (µs).
-    pub p50_us: f64,
-    /// Tail request latency (µs).
-    pub p99_us: f64,
-}
-
-/// Runs the serving sweep: LeNet on both slots of an f1.4xlarge, with a
-/// growing number of concurrent clients each sending `per_client`
-/// single-image requests. All figures come from the server's
-/// [`condor::MetricsSnapshot`] — the same structure
-/// [`condor::AcceleratorMetrics::snapshot`] reports through.
-pub fn serving_sweep(client_counts: &[usize], per_client: usize) -> Vec<ServingRow> {
-    client_counts
-        .iter()
-        .map(|&clients| {
-            let ctx = CloudContext::new("condor-serving-bench")
-                .with_instance_type(F1InstanceType::F1_4xlarge);
-            let deployed = Condor::from_network(zoo::lenet_weighted(1))
-                .board("aws-f1")
-                .freq_mhz(180.0)
-                .build()
-                .expect("LeNet builds")
-                .deploy(&DeployTarget::Cloud(&ctx))
-                .expect("cloud deployment");
-            let server = InferenceServer::from_deployment(
-                deployed,
-                ServeConfig::default()
-                    .with_max_batch(16)
-                    .with_batch_window(Duration::from_millis(3))
-                    .with_default_timeout(Duration::from_secs(30)),
-            )
-            .expect("server starts");
-
-            let started = Instant::now();
-            std::thread::scope(|scope| {
-                for c in 0..clients {
-                    let server = &server;
-                    scope.spawn(move || {
-                        for sample in dataset::mnist_like(per_client, 9_000 + c as u64) {
-                            server.infer(sample.image).expect("request served");
-                        }
-                    });
-                }
-            });
-            let elapsed = started.elapsed().as_secs_f64();
-
-            let snap = server.shutdown();
-            let batches = snap.histogram("batch_size").expect("batches dispatched");
-            let latency = snap.histogram("latency_us").expect("latency recorded");
-            ServingRow {
-                clients,
-                throughput_rps: (clients * per_client) as f64 / elapsed,
-                mean_batch: batches.mean,
-                p50_us: latency.p50,
-                p99_us: latency.p99,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-
-    #[test]
-    fn serving_sweep_batches_under_load() {
-        let rows = serving_sweep(&[1, 8], 8);
-        assert_eq!(rows.len(), 2);
-        // 8 concurrent clients must produce real coalescing…
-        assert!(rows[1].mean_batch > 1.0, "{rows:?}");
-        // …and more coalescing than a single sequential client.
-        assert!(rows[1].mean_batch >= rows[0].mean_batch, "{rows:?}");
-        for row in &rows {
-            assert!(row.throughput_rps > 0.0);
-            assert!(row.p99_us >= row.p50_us);
-        }
-    }
 
     #[test]
     fn table1_preserves_paper_shape() {

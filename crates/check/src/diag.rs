@@ -8,7 +8,7 @@
 
 use condor_cjson::Value;
 use condor_dataflow::{DataflowError, DataflowErrorKind};
-use condor_nn::{NnError, NnErrorKind, ShapeErrorKind};
+use condor_nn::{NnErrorKind, ShapeErrorKind};
 use std::fmt;
 
 /// How serious a finding is.
@@ -308,17 +308,6 @@ impl Diagnostic {
     pub fn hint(mut self, hint: impl Into<String>) -> Self {
         self.hint = Some(hint.into());
         self
-    }
-
-    /// Wraps a typed network error.
-    pub fn from_nn_error(e: &NnError) -> Self {
-        Diagnostic {
-            code: Code::from_nn_kind(e.kind),
-            severity: Code::from_nn_kind(e.kind).severity(),
-            site: e.layer.clone(),
-            message: e.message.clone(),
-            hint: None,
-        }
     }
 
     /// Wraps a typed dataflow error.

@@ -86,12 +86,6 @@ impl OnPremiseContext {
         self.faults = faults;
         self
     }
-
-    /// Overrides the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// Anything that can execute inference batches: a whole deployment or a
@@ -195,12 +189,6 @@ impl CloudContext {
         self.afi.set_faults(faults.clone());
         self.f1.set_faults(faults.clone());
         self.faults = faults;
-        self
-    }
-
-    /// Overrides the retry policy for transient deployment failures.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }

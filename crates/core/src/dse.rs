@@ -21,7 +21,6 @@ use condor_dataflow::{AcceleratorPlan, PeParallelism, PipelineModel, PlanBuilder
 use condor_fpga::{Board, Resources, Utilization};
 use condor_hls::{synthesize_plan, PlanSynthesis, SynthModel};
 use condor_nn::Network;
-use rayon::prelude::*;
 
 /// Candidate axes of the exploration.
 #[derive(Clone, Debug, PartialEq)]
@@ -258,7 +257,7 @@ pub fn explore(net: &Network, board: &Board, cfg: &DseConfig) -> Result<DseOutco
     let model = SynthModel::default();
     let budget = board.usable_resources();
     let points: Vec<DsePoint> = combos
-        .par_iter()
+        .iter()
         .map(|&(fusion, par, precision, freq)| {
             if let Some(b) = &bounds {
                 if let Some(reason) = b.infeasible_reason(par, precision, &model, &budget) {

@@ -171,12 +171,6 @@ impl Default for PeParallelism {
 pub struct PlannedLayer {
     /// Stable identity of the layer's node in the source network graph.
     pub node: NodeId,
-    /// Index into the source network's layer list.
-    // Re-dated from the aspirational "0.6.0": `since` must name a
-    // shipped release for the expiry audit (X031/X032) to be
-    // meaningful. The field is removed in the release after 0.1.0.
-    #[deprecated(since = "0.1.0", note = "use `node` (a stable `NodeId`) instead")]
-    pub index: usize,
     /// Layer name.
     pub name: String,
     /// Operator snapshot.
@@ -571,10 +565,8 @@ impl<'a> PlanBuilder<'a> {
         let mut groups: Vec<(Stage, Vec<PlannedLayer>)> = Vec::new();
         for (i, layer) in self.net.layers.iter().enumerate() {
             let id = NodeId::from_index(i);
-            #[allow(deprecated)] // populate the `index` shim for one release
             let planned = PlannedLayer {
                 node: id,
-                index: i,
                 name: layer.name.clone(),
                 kind: layer.kind.clone(),
                 input: ins[i],

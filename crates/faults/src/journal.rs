@@ -4,9 +4,7 @@
 //!
 //! * **Dump** — a single JSON document written after the fact
 //!   ([`crate::FaultHandle::log_json`]):
-//!   `{"fired":[…],"schema":"condor-faultlog/2","seed":N}`. The v1
-//!   schema (hand-rolled writer of earlier releases, no `arg` field)
-//!   parses through the same reader.
+//!   `{"fired":[…],"schema":"condor-faultlog/2","seed":N}`.
 //! * **Journal** — an append-only JSON-lines file written *while the
 //!   faults fire* ([`crate::FaultPlan::install_with_journal`]): a header
 //!   line `{"journal":true,"schema":"condor-faultlog/2","seed":N}`
@@ -25,15 +23,14 @@ use condor_cjson::Value;
 use std::fmt;
 use std::path::Path;
 
-/// Schema tag of the legacy hand-rolled dumps.
-pub const SCHEMA_V1: &str = "condor-faultlog/1";
 /// Schema tag of cjson dumps and journals.
 pub const SCHEMA_V2: &str = "condor-faultlog/2";
 
 /// A parsed fault dump or journal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultDump {
-    /// Schema version the document declared (1 or 2).
+    /// Schema version the document declared (always 2; the hand-rolled
+    /// v1 form of earlier releases is refused).
     pub schema_version: u32,
     /// The plan seed the run used.
     pub seed: u64,
@@ -125,15 +122,13 @@ fn action_static(s: &str) -> Result<&'static str, JournalError> {
     }
 }
 
-fn u64_field(v: &Value, key: &str, default: Option<u64>) -> Result<u64, JournalError> {
-    match v.get(key) {
-        Some(n) => n
-            .as_i64()
-            .filter(|&x| x >= 0)
-            .map(|x| x as u64)
-            .ok_or_else(|| journal_error(format!("field {key:?} is not a non-negative integer"))),
-        None => default.ok_or_else(|| journal_error(format!("missing field {key:?}"))),
-    }
+fn u64_field(v: &Value, key: &str) -> Result<u64, JournalError> {
+    v.get(key)
+        .ok_or_else(|| journal_error(format!("missing field {key:?}")))?
+        .as_i64()
+        .filter(|&x| x >= 0)
+        .map(|x| x as u64)
+        .ok_or_else(|| journal_error(format!("field {key:?} is not a non-negative integer")))
 }
 
 fn record_from_value(v: &Value) -> Result<FaultRecord, JournalError> {
@@ -149,18 +144,15 @@ fn record_from_value(v: &Value) -> Result<FaultRecord, JournalError> {
     )?;
     Ok(FaultRecord {
         site,
-        call: u64_field(v, "call", None)?,
-        rule: u64_field(v, "rule", None)? as usize,
+        call: u64_field(v, "call")?,
+        rule: u64_field(v, "rule")? as usize,
         action,
-        // v1 records carry no argument; replay then approximates
-        // parameterised actions with a zero argument.
-        arg: u64_field(v, "arg", Some(0))?,
+        arg: u64_field(v, "arg")?,
     })
 }
 
 fn schema_version(v: &Value) -> Result<u32, JournalError> {
     match v.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA_V1 => Ok(1),
         Some(s) if s == SCHEMA_V2 => Ok(2),
         Some(other) => Err(journal_error(format!("unknown schema {other:?}"))),
         None => Err(journal_error("missing \"schema\" field")),
@@ -169,7 +161,7 @@ fn schema_version(v: &Value) -> Result<u32, JournalError> {
 
 fn parse_document(v: &Value) -> Result<FaultDump, JournalError> {
     let schema_version = schema_version(v)?;
-    let seed = u64_field(v, "seed", None)?;
+    let seed = u64_field(v, "seed")?;
     // A header-only journal (no faults fired before the run ended)
     // parses as a complete single document.
     if v.get("journal").and_then(Value::as_bool) == Some(true) {
@@ -196,15 +188,15 @@ fn parse_document(v: &Value) -> Result<FaultDump, JournalError> {
     })
 }
 
-/// Parses a fault dump (v1 or v2 single document) or an append-only
-/// journal (v2 JSON lines). A journal whose final line is torn parses
+/// Parses a fault dump (single document) or an append-only journal
+/// (JSON lines). A journal whose final line is torn parses
 /// to its intact prefix with [`FaultDump::truncated`] set.
 pub fn parse_dump(text: &str) -> Result<FaultDump, JournalError> {
     let trimmed = text.trim();
     if trimmed.is_empty() {
         return Err(journal_error("empty document"));
     }
-    // Whole-document form first: v1/v2 dumps, or a header-only journal.
+    // Whole-document form first: a dump, or a header-only journal.
     if let Ok(v) = condor_cjson::parse(trimmed) {
         return parse_document(&v);
     }
@@ -220,7 +212,7 @@ pub fn parse_dump(text: &str) -> Result<FaultDump, JournalError> {
         ));
     }
     let schema_version = schema_version(&header)?;
-    let seed = u64_field(&header, "seed", None)?;
+    let seed = u64_field(&header, "seed")?;
     let mut records = Vec::new();
     let mut truncated = false;
     for line in lines {
@@ -345,15 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_dump_still_parses() {
+    fn v1_dump_is_refused() {
         let text = r#"{"schema":"condor-faultlog/1","seed":9,"fired":[
             {"site":"x.y","call":0,"rule":0,"action":"fail-transient"}]}"#;
-        let dump = parse_dump(text).unwrap();
-        assert_eq!(dump.schema_version, 1);
-        assert_eq!(dump.seed, 9);
-        assert_eq!(dump.records.len(), 1);
-        assert_eq!(dump.records[0].site, "x.y");
-        assert_eq!(dump.records[0].arg, 0, "v1 has no arg field");
+        let err = parse_dump(text).unwrap_err();
+        assert!(err.message.contains("unknown schema"), "{err}");
     }
 
     #[test]

@@ -686,8 +686,7 @@ impl FaultHandle {
 
     /// The fault log as a `condor-faultlog/2` JSON document (serialised
     /// through `condor-cjson`), for CI artifact upload when a chaos
-    /// scenario fails. Old `condor-faultlog/1` dumps remain readable via
-    /// [`journal::parse_dump`].
+    /// scenario fails; [`journal::parse_dump`] reads it back.
     pub fn log_json(&self) -> String {
         let (seed, records) = match &self.0 {
             None => (0, Vec::new()),

@@ -22,8 +22,8 @@
 //!   nothing per layer.
 //!
 //! Thread parallelism uses `std::thread::scope` over disjoint row bands
-//! (the workspace's `rayon` shim is sequential, and band splitting keeps
-//! each element's reduction order fixed), so results are bit-identical
+//! (band splitting keeps each element's reduction order fixed), so
+//! results are bit-identical
 //! across thread counts and blocking parameters. `condor-nn`'s
 //! `FastEngine` drives these kernels for whole networks and
 //! property-tests them against the golden oracle.

@@ -55,15 +55,14 @@ const PAR_MACS_THRESHOLD: usize = 1 << 21;
 /// Measured ~20% faster than the untiled loop on the VGG-56 layer.
 const TILE_J: usize = 16;
 
-/// Reusable scratch for the quantized path: im2col output, `i16`
-/// widening planes and the `i32` accumulator plane. Grown on demand,
-/// never shrunk, so steady-state inference allocates nothing.
+/// Reusable scratch for the quantized path: im2col output and the `i16`
+/// widening planes. Grown on demand, never shrunk, so steady-state
+/// inference allocates nothing.
 #[derive(Debug, Default)]
 pub struct QWorkspace {
     cols: Vec<i8>,
     apack: Vec<i16>,
     bpack: Vec<i16>,
-    acc: Vec<i32>,
 }
 
 impl QWorkspace {
@@ -72,14 +71,12 @@ impl QWorkspace {
         QWorkspace::default()
     }
 
-    /// Pre-sizes the im2col and accumulator planes (e.g. to a network's
-    /// high-water marks) so inference never reallocates.
-    pub fn with_capacity(cols_len: usize, acc_len: usize) -> Self {
+    /// Pre-sizes the im2col plane (e.g. to a network's high-water mark)
+    /// so inference never reallocates it.
+    pub fn with_capacity(cols_len: usize) -> Self {
         QWorkspace {
             cols: Vec::with_capacity(cols_len),
-            apack: Vec::new(),
-            bpack: Vec::new(),
-            acc: Vec::with_capacity(acc_len),
+            ..QWorkspace::default()
         }
     }
 
@@ -88,13 +85,8 @@ impl QWorkspace {
         self.cols.capacity()
     }
 
-    /// Current accumulator capacity in elements (diagnostic).
-    pub fn acc_capacity(&self) -> usize {
-        self.acc.capacity()
-    }
-
     /// Detaches the im2col buffer so it can be borrowed alongside the
-    /// widening/accumulator planes; return it with
+    /// widening planes; return it with
     /// [`QWorkspace::put_cols`].
     pub(crate) fn take_cols(&mut self) -> Vec<i8> {
         std::mem::take(&mut self.cols)

@@ -1,20 +1,13 @@
 //! Fast inference engine over the `condor-kernels` compute layer.
 //!
 //! [`FastEngine`] runs whole networks through im2col + blocked-GEMM
-//! kernels instead of the golden engine's naive loop nests. It
-//! precompiles the network into a topologically-ordered step list
-//! (fusing each Conv/FC layer with a sole-consumer ReLU into the GEMM
-//! epilogue) and owns a scratch arena: a pool of activation slots
-//! assigned at compile time by a refcounting linear scan — a slot is
-//! recycled as soon as its last consumer has run — plus the im2col
-//! workspace, all sized to the network's high-water mark at
-//! construction. Steady-state inference therefore performs **zero heap
-//! allocation per layer** (only the returned output tensor is
-//! allocated). A linear chain degenerates to exactly two alternating
-//! slots — the classic ping-pong buffer pair — so chain networks keep
-//! their historical memory footprint and bit-identical results; branchy
-//! graphs (concat / eltwise joins) hold as many live slots as their
-//! widest cut requires.
+//! kernels instead of the golden engine's naive loop nests. It executes
+//! the shared compiled schedule (DESIGN.md §4c: ReLUs folded into their
+//! Conv/FC producer's GEMM epilogue, activation slots assigned at
+//! compile time) over an `f32` arena plus an im2col workspace, all sized
+//! to the network's high-water mark at construction. Steady-state
+//! inference therefore performs **zero heap allocation per layer** (only
+//! the returned output tensor is allocated).
 //!
 //! The slice-level primitive, [`forward_layer_fast`], is shared with the
 //! dataflow hardware runtime: its PEs run the same kernels over the same
@@ -27,81 +20,21 @@
 //! different association orders (ascending-`k` GEMM vs `(c, m, n)` loop
 //! nest), so agreement is approximate, not bitwise.
 
-use crate::graph::NodeId;
-use crate::layer::{EltwiseOp, LayerKind, PoolKind};
+use crate::layer::{EltwiseOp, LayerKind};
 use crate::network::{Network, NnError, NnErrorKind};
-use condor_kernels::{
-    activate, conv2d, gemv, pool2d, softmax, Activation, ConvGeometry, PoolMethod, Workspace,
-};
+use crate::schedule::{conv_geometry, pool_method, Arena, Schedule};
+use condor_kernels::{activate, conv2d, gemv, pool2d, softmax, Activation, Workspace};
 use condor_tensor::{Shape, Tensor};
 use std::sync::Arc;
 
-/// One compiled node (or fused node pair).
-#[derive(Clone, Debug)]
-struct Step {
-    /// Source layer name — the weight lookup key.
-    name: String,
-    /// Operator snapshot.
-    kind: LayerKind,
-    /// Negative slope of a sole-consumer ReLU folded into this step's
-    /// GEMM epilogue (`Some(0.0)` for plain ReLU).
-    fused_relu: Option<f32>,
-    /// Arena slot and single-item shape of each input, in fan-in order.
-    inputs: Vec<(usize, Shape)>,
-    /// Single-item output shape.
-    output: Shape,
-    /// Arena slot the output is written to.
-    out_slot: usize,
-}
-
 /// The immutable, shareable part of a compiled engine: network handle,
-/// step list, slot assignment and buffer high-water marks.
+/// schedule and the im2col high-water mark.
 #[derive(Debug)]
 struct EnginePlan {
     net: Arc<Network>,
-    steps: Vec<Step>,
-    /// Number of arena slots the slot-pool linear scan settled on
-    /// (2 for any linear chain — the ping-pong pair).
-    slot_count: usize,
-    /// Slot the network input is staged into before the first step.
-    input_slot: usize,
-    /// Slot holding the final output after the last step.
-    output_slot: usize,
-    /// Largest single-node activation length (per-slot buffer size).
-    max_elems: usize,
+    schedule: Schedule,
     /// Largest im2col patch-matrix length (workspace size).
     max_cols: usize,
-    input_shape: Shape,
-    output_shape: Shape,
-}
-
-/// Lowering geometry of a convolution step, from its declared
-/// hyper-parameters and inferred shapes.
-fn conv_geometry(
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    input: Shape,
-    output: Shape,
-) -> ConvGeometry {
-    ConvGeometry {
-        in_c: input.c,
-        in_h: input.h,
-        in_w: input.w,
-        kernel,
-        stride,
-        pad,
-        out_h: output.h,
-        out_w: output.w,
-    }
-}
-
-/// Pops a recycled arena slot or mints a new one.
-fn alloc_slot(free: &mut Vec<usize>, slot_count: &mut usize) -> usize {
-    free.pop().unwrap_or_else(|| {
-        *slot_count += 1;
-        *slot_count - 1
-    })
 }
 
 impl EnginePlan {
@@ -112,149 +45,37 @@ impl EnginePlan {
             )
             .with_kind(NnErrorKind::MissingWeights));
         }
-        let ins_multi = net.input_shapes_multi()?;
-        let outs = net.output_shapes()?;
-        let n = net.layers.len();
-        let output_shape = outs.last().copied().ok_or_else(|| {
-            NnError::net("network has no layers").with_kind(NnErrorKind::NoComputeLayers)
-        })?;
-
-        // A ReLU folds into a Conv/FC producer's GEMM epilogue exactly
-        // when it is that producer's *sole* consumer and reads nothing
-        // else — on a linear chain this is the historical "ReLU directly
-        // after Conv/FC" rule, and on a branchy graph it refuses to fuse
-        // a ReLU whose producer also feeds a skip edge (the raw
-        // pre-activation value must stay observable).
-        let mut fused_into: Vec<Option<usize>> = vec![None; n];
-        let mut fused_slope: Vec<Option<f32>> = vec![None; n];
-        for (i, layer) in net.layers.iter().enumerate() {
-            if !matches!(
-                layer.kind,
-                LayerKind::Convolution { .. } | LayerKind::InnerProduct { .. }
-            ) {
-                continue;
-            }
-            if let [j] = net.consumers_of(NodeId::from_index(i)).as_slice() {
-                let j = j.index();
-                if let LayerKind::ReLU { negative_slope } = net.layers[j].kind {
-                    if net.inputs_of(NodeId::from_index(j)).len() == 1 {
-                        fused_into[j] = Some(i);
-                        fused_slope[i] = Some(negative_slope);
-                    }
-                }
-            }
-        }
-        // Node whose step produces node `k`'s value: its fused producer
-        // for folded ReLUs, itself otherwise.
-        let value_src: Vec<usize> = (0..n).map(|k| fused_into[k].unwrap_or(k)).collect();
-
-        // Refcount every value (and the network input) by the number of
-        // step reads; the final output takes one extra reference so its
-        // slot survives to the end of the run.
-        let mut refs = vec![0usize; n];
-        let mut input_refs = 0usize;
-        for (j, fused) in fused_into.iter().enumerate() {
-            if fused.is_some() {
-                continue;
-            }
-            let preds = net.inputs_of(NodeId::from_index(j));
-            if preds.is_empty() {
-                input_refs += 1;
-            }
-            for p in &preds {
-                refs[value_src[p.index()]] += 1;
-            }
-        }
-        refs[value_src[n - 1]] += 1;
-
-        // Linear-scan slot assignment over the topological order: the
-        // output slot is allocated while the step's inputs are still
-        // live (so it can never alias them), then inputs whose last
-        // consumer this step was are recycled. A chain settles on two
-        // alternating slots — the classic ping-pong pair.
-        let mut slot_count = 0usize;
-        let mut free: Vec<usize> = Vec::new();
-        let input_slot = alloc_slot(&mut free, &mut slot_count);
-        let mut input_live = input_refs;
-        let mut slot_of = vec![usize::MAX; n];
-        let mut steps = Vec::with_capacity(n);
-        let mut max_elems = net.input_shape.len();
+        // The GEMM epilogue realises any slope, so every foldable ReLU folds.
+        let schedule = Schedule::compile(&net, |_| true)?;
         let mut max_cols = 0usize;
-        for j in 0..n {
-            if fused_into[j].is_some() {
-                continue;
-            }
-            let layer = &net.layers[j];
-            let preds = net.inputs_of(NodeId::from_index(j));
-            let inputs: Vec<(usize, Shape)> = if preds.is_empty() {
-                vec![(input_slot, net.input_shape)]
-            } else {
-                preds
-                    .iter()
-                    .zip(&ins_multi[j])
-                    .map(|(p, &shape)| (slot_of[value_src[p.index()]], shape))
-                    .collect()
-            };
+        for step in &schedule.steps {
             if let LayerKind::Convolution {
                 kernel,
                 stride,
                 pad,
                 ..
-            } = layer.kind
+            } = net.layers[step.node].kind
             {
-                let geo = conv_geometry(kernel, stride, pad, inputs[0].1, outs[j]);
+                let geo = conv_geometry(kernel, stride, pad, step.inputs[0].1, step.output);
                 if !geo.is_identity() {
                     max_cols = max_cols.max(geo.lowered_len());
                 }
             }
-            for &(_, shape) in &inputs {
-                max_elems = max_elems.max(shape.len());
-            }
-            max_elems = max_elems.max(outs[j].len());
-            let out_slot = alloc_slot(&mut free, &mut slot_count);
-            slot_of[j] = out_slot;
-            steps.push(Step {
-                name: layer.name.clone(),
-                kind: layer.kind.clone(),
-                // The folded ReLU is shape-preserving, so the fused step
-                // keeps the producer's output shape.
-                fused_relu: fused_slope[j],
-                inputs,
-                output: outs[j],
-                out_slot,
-            });
-            // Recycle inputs whose last read this step performed.
-            if preds.is_empty() {
-                input_live -= 1;
-                if input_live == 0 {
-                    free.push(input_slot);
-                }
-            }
-            for p in &preds {
-                let src = value_src[p.index()];
-                refs[src] -= 1;
-                if refs[src] == 0 {
-                    free.push(slot_of[src]);
-                }
-            }
-            // A dangling node's output is never read; hand its slot
-            // straight back.
-            if refs[j] == 0 {
-                free.push(out_slot);
-            }
         }
-        let output_slot = slot_of[value_src[n - 1]];
         Ok(EnginePlan {
-            input_shape: net.input_shape,
-            output_shape,
             net,
-            steps,
-            slot_count,
-            input_slot,
-            output_slot,
-            max_elems,
+            schedule,
             max_cols,
         })
+    }
+
+    /// Negative slope of the ReLU node folded into a step's epilogue
+    /// (`Some(0.0)` for plain ReLU).
+    fn fused_slope(&self, fused_relu: Option<usize>) -> Option<f32> {
+        match self.net.layers[fused_relu?].kind {
+            LayerKind::ReLU { negative_slope } => Some(negative_slope),
+            _ => None,
+        }
     }
 }
 
@@ -275,7 +96,7 @@ impl EnginePlan {
 #[derive(Debug)]
 pub struct FastEngine {
     plan: Arc<EnginePlan>,
-    slots: Vec<Vec<f32>>,
+    arena: Arena<f32>,
     ws: Workspace,
 }
 
@@ -301,13 +122,10 @@ impl FastEngine {
     }
 
     fn from_plan(plan: Arc<EnginePlan>) -> Self {
-        let max_elems = plan.max_elems;
-        let max_cols = plan.max_cols;
-        let slot_count = plan.slot_count;
         FastEngine {
+            arena: Arena::new(&plan.schedule),
+            ws: Workspace::with_capacity(plan.max_cols),
             plan,
-            slots: (0..slot_count).map(|_| vec![0.0; max_elems]).collect(),
-            ws: Workspace::with_capacity(max_cols),
         }
     }
 
@@ -319,14 +137,14 @@ impl FastEngine {
     /// Number of compiled steps (< layer count when ReLUs were fused
     /// into their producers).
     pub fn step_count(&self) -> usize {
-        self.plan.steps.len()
+        self.plan.schedule.steps.len()
     }
 
     /// Number of activation slots the compile-time refcounting scan
     /// settled on: 2 for every linear chain (the classic ping-pong
     /// pair), more for branchy graphs whose widest live cut is wider.
     pub fn arena_slot_count(&self) -> usize {
-        self.plan.slot_count
+        self.plan.schedule.slot_count
     }
 
     /// Runs one image (`1×c×h×w`) through the whole network.
@@ -335,52 +153,33 @@ impl FastEngine {
     /// intermediate activations live in the engine's slot-pool arena and
     /// the im2col workspace is reused across layers and calls.
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let plan = Arc::clone(&self.plan);
-        if input.shape() != plan.input_shape {
-            return Err(NnError::net(format!(
-                "input shape {} does not match network input {}",
-                input.shape(),
-                plan.input_shape
-            ))
-            .with_kind(NnErrorKind::InputMismatch));
-        }
-        self.slots[plan.input_slot][..input.len()].copy_from_slice(input.as_slice());
-        for step in &plan.steps {
-            // Lift the output buffer out of the arena for the duration
-            // of the step so the input slots stay borrowable; the
-            // compile-time scan guarantees the output slot never aliases
-            // an input slot.
-            let mut out_buf = std::mem::take(&mut self.slots[step.out_slot]);
-            let out = &mut out_buf[..step.output.len()];
-            let result = if step.kind.is_merge() && step.inputs.len() > 1 {
-                let ins: Vec<&[f32]> = step
-                    .inputs
-                    .iter()
-                    .map(|&(slot, shape)| &self.slots[slot][..shape.len()])
-                    .collect();
-                merge_fast(&step.kind, &ins, out);
-                Ok(())
-            } else {
-                let (slot, in_shape) = step.inputs[0];
+        let plan = &*self.plan;
+        plan.schedule.check_input(input)?;
+        self.arena.input_mut().copy_from_slice(input.as_slice());
+        for step in &plan.schedule.steps {
+            let layer = &plan.net.layers[step.node];
+            let ws = &mut self.ws;
+            self.arena.run_step(step, |ins, out| {
+                if layer.kind.is_merge() && ins.len() > 1 {
+                    merge_fast(&layer.kind, ins, out);
+                    return Ok(());
+                }
                 forward_layer_fast(
                     &plan.net,
-                    &step.name,
-                    &step.kind,
-                    step.fused_relu,
-                    &self.slots[slot][..in_shape.len()],
-                    in_shape,
+                    &layer.name,
+                    &layer.kind,
+                    plan.fused_slope(step.fused_relu),
+                    ins[0],
+                    step.inputs[0].1,
                     step.output,
                     out,
-                    &mut self.ws,
+                    ws,
                 )
-            };
-            self.slots[step.out_slot] = out_buf;
-            result?;
+            })?;
         }
-        let out_len = plan.output_shape.len();
         Ok(Tensor::from_vec(
-            plan.output_shape,
-            self.slots[plan.output_slot][..out_len].to_vec(),
+            plan.schedule.output_shape,
+            self.arena.output().to_vec(),
         ))
     }
 
@@ -456,7 +255,7 @@ pub fn forward_layer_fast(
             pad,
             ..
         } => {
-            let lw = weights_or_err(net, name)?;
+            let lw = net.weights_or_err(name)?;
             let geo = conv_geometry(kernel, stride, pad, in_shape, out_shape);
             conv2d(
                 input,
@@ -479,10 +278,7 @@ pub fn forward_layer_fast(
             in_shape.c,
             in_shape.h,
             in_shape.w,
-            match method {
-                PoolKind::Max => PoolMethod::Max,
-                PoolKind::Average => PoolMethod::Average,
-            },
+            pool_method(method),
             kernel,
             stride,
             pad,
@@ -496,7 +292,7 @@ pub fn forward_layer_fast(
         LayerKind::Sigmoid => activate(input, Activation::Sigmoid, out),
         LayerKind::TanH => activate(input, Activation::Tanh, out),
         LayerKind::InnerProduct { .. } => {
-            let lw = weights_or_err(net, name)?;
+            let lw = net.weights_or_err(name)?;
             let (m, k) = (out_shape.item_len(), in_shape.item_len());
             if lw.weights.shape().c != k {
                 return Err(NnError::at(
@@ -560,15 +356,6 @@ pub fn merge_fast(kind: &LayerKind, inputs: &[&[f32]], out: &mut [f32]) {
         }
         _ => unreachable!("is_merge covers exactly these kinds"),
     }
-}
-
-fn weights_or_err<'a>(
-    net: &'a Network,
-    name: &str,
-) -> Result<&'a crate::network::LayerWeights, NnError> {
-    net.weights_of(name).ok_or_else(|| {
-        NnError::at(name, "no weights installed").with_kind(NnErrorKind::MissingWeights)
-    })
 }
 
 #[cfg(test)]

@@ -5,14 +5,12 @@
 //! fully-connected layers and Eq. (5) for (Log)SoftMax. No tiling, no
 //! fusion, no cleverness: this is the functional oracle the dataflow
 //! hardware simulator is validated against, so it optimises for
-//! obviousness over speed. Batch execution parallelises across images with
-//! rayon (images are independent at inference time).
+//! obviousness over speed.
 
 use crate::graph::NodeId;
 use crate::layer::{EltwiseOp, LayerKind, PoolKind};
 use crate::network::{Network, NnError, NnErrorKind};
 use condor_tensor::{Shape, Tensor};
-use rayon::prelude::*;
 
 /// Reference CPU inference engine over a [`Network`].
 ///
@@ -92,9 +90,9 @@ impl<'a> GoldenEngine<'a> {
         Ok(outputs)
     }
 
-    /// Runs a batch of images in parallel, preserving order.
+    /// Runs a batch of images one after another, preserving order.
     pub fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, NnError> {
-        inputs.par_iter().map(|img| self.infer(img)).collect()
+        inputs.iter().map(|img| self.infer(img)).collect()
     }
 
     fn forward_layer(
@@ -115,7 +113,7 @@ impl<'a> GoldenEngine<'a> {
                 pad,
                 bias,
             } => {
-                let lw = self.weights_or_err(name)?;
+                let lw = self.net.weights_or_err(name)?;
                 convolve(
                     input,
                     &lw.weights,
@@ -150,7 +148,7 @@ impl<'a> GoldenEngine<'a> {
                 out
             }
             LayerKind::InnerProduct { bias, .. } => {
-                let lw = self.weights_or_err(name)?;
+                let lw = self.net.weights_or_err(name)?;
                 inner_product(input, &lw.weights, lw.bias.as_ref(), out_shape, bias).map_err(
                     |mut e| {
                         e.layer.get_or_insert_with(|| name.to_string());
@@ -163,14 +161,6 @@ impl<'a> GoldenEngine<'a> {
             // case is handled in `infer_all_layers`.
             LayerKind::Concat => input.clone(),
             LayerKind::Eltwise { .. } => input.clone(),
-        })
-    }
-
-    /// Weights for a layer; a typed error (rather than a panic) if the
-    /// network was mutated to drop them after construction.
-    fn weights_or_err(&self, name: &str) -> Result<&crate::network::LayerWeights, NnError> {
-        self.net.weights_of(name).ok_or_else(|| {
-            NnError::at(name, "no weights installed").with_kind(NnErrorKind::MissingWeights)
         })
     }
 }

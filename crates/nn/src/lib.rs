@@ -16,8 +16,7 @@
 //!   topologies;
 //! * [`golden`] — a straightforward, obviously-correct software inference
 //!   engine (paper Eq. (1), (4), (5)) used as the functional oracle the
-//!   hardware simulator is validated against, with rayon-parallel batch
-//!   execution;
+//!   hardware simulator is validated against;
 //! * [`fast`] — the production CPU engine: im2col + blocked-GEMM kernels
 //!   from `condor-kernels`, ReLU fusion and a per-engine scratch arena,
 //!   property-tested against the golden oracle;
@@ -44,6 +43,7 @@ pub mod graph;
 pub mod layer;
 pub mod network;
 pub mod quantized;
+mod schedule;
 pub mod zoo;
 
 pub use fast::FastEngine;

@@ -357,16 +357,6 @@ impl Network {
             .collect()
     }
 
-    /// Expected weight/bias shapes for a layer, `None` for weight-less
-    /// layers.
-    // Re-dated from the aspirational "0.6.0": `since` must name a
-    // shipped release for the expiry audit (X031/X032) to be
-    // meaningful. The shim is removed in the release after 0.1.0.
-    #[deprecated(since = "0.1.0", note = "use `node_weight_shapes(NodeId)` instead")]
-    pub fn weight_shapes(&self, index: usize) -> Result<Option<(Shape, Option<Shape>)>, NnError> {
-        self.node_weight_shapes(NodeId::from_index(index))
-    }
-
     /// Expected weight/bias shapes for a node, `None` for weight-less
     /// layers.
     pub fn node_weight_shapes(
@@ -454,6 +444,14 @@ impl Network {
     /// Installed weights for a layer, if any.
     pub fn weights_of(&self, layer_name: &str) -> Option<&LayerWeights> {
         self.weights.get(layer_name)
+    }
+
+    /// Weights for a layer; a typed error (rather than a panic) if the
+    /// network was mutated to drop them after an engine was built.
+    pub(crate) fn weights_or_err(&self, layer_name: &str) -> Result<&LayerWeights, NnError> {
+        self.weights_of(layer_name).ok_or_else(|| {
+            NnError::at(layer_name, "no weights installed").with_kind(NnErrorKind::MissingWeights)
+        })
     }
 
     /// True when every weight-bearing layer has weights installed.
@@ -701,22 +699,16 @@ mod tests {
     }
 
     #[test]
-    // The index-based shim stays for one release; this test pins its
-    // behaviour to the NodeId-based replacement.
-    #[allow(deprecated)]
     fn weight_shapes_for_conv_and_fc() {
         let net = tiny_net();
-        let (w, b) = net.weight_shapes(1).unwrap().unwrap();
+        let shapes = |i: usize| net.node_weight_shapes(NodeId::from_index(i)).unwrap();
+        let (w, b) = shapes(1).unwrap();
         assert_eq!(w, Shape::new(4, 1, 3, 3));
         assert_eq!(b, Some(Shape::vector(4)));
-        let (w, b) = net.weight_shapes(4).unwrap().unwrap();
+        let (w, b) = shapes(4).unwrap();
         assert_eq!(w, Shape::new(10, 4 * 3 * 3, 1, 1));
         assert_eq!(b, Some(Shape::vector(10)));
-        assert!(net.weight_shapes(2).unwrap().is_none());
-        assert_eq!(
-            net.weight_shapes(1).unwrap(),
-            net.node_weight_shapes(NodeId::from_index(1)).unwrap()
-        );
+        assert!(shapes(2).is_none());
     }
 
     #[test]

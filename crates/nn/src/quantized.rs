@@ -21,11 +21,9 @@
 //!
 //! ## Compilation
 //!
-//! The compile pass mirrors `FastEngine`'s plan: the same topological
-//! step list, the same sole-consumer ReLU fusion (restricted to
-//! `negative_slope == 0`, the form the integer epilogue clamp realises
-//! exactly), and the same refcounting linear-scan slot assignment — a
-//! linear chain ping-pongs between two `i8` arena slots. Each step
+//! The engine executes the shared compiled schedule (DESIGN.md §4c) over
+//! an `i8` arena; ReLU folding is restricted to `negative_slope == 0`,
+//! the form the integer epilogue clamp realises exactly. Each step
 //! carries its quantized payload: conv/FC steps own their `i8` weight
 //! blobs, accumulator-unit biases and per-channel requantize
 //! multipliers; pointwise activations (standalone ReLU, Sigmoid, TanH)
@@ -49,16 +47,15 @@
 //! shrink the error), so min/max-calibrated engines satisfy them on
 //! their calibration batch by construction.
 
-use crate::graph::NodeId;
 use crate::layer::{EltwiseOp, LayerKind, PoolKind};
-use crate::network::{Network, NnError, NnErrorKind};
+use crate::network::{LayerWeights, Network, NnError, NnErrorKind};
+use crate::schedule::{conv_geometry, pool_method, Arena, Schedule, ScheduledStep, Source};
 use crate::GoldenEngine;
 use condor_kernels::{
     dequantize_into, qconv2d, qgemv_i8, qpool2d, quantize_into, quantize_weights_per_channel,
-    softmax, ConvGeometry, MinMaxObserver, MovingAvgObserver, PoolMethod, QWorkspace, QuantParams,
-    QMAX,
+    softmax, MinMaxObserver, MovingAvgObserver, QWorkspace, QuantParams, QMAX,
 };
-use condor_tensor::{Shape, Tensor};
+use condor_tensor::Tensor;
 use std::sync::Arc;
 
 /// Activation-range calibration strategy.
@@ -105,60 +102,29 @@ impl Obs {
     }
 }
 
-/// Per-kind quantized execution payload of one step.
+/// What compilation precomputes for a step beyond its layer kind.
 #[derive(Debug)]
 enum QPayload {
-    /// Input staging and single-input merges: a quantized copy.
-    Copy,
-    /// Convolution through the patch-major int8 GEMM.
-    Conv {
+    /// Nothing: the kind says it all (input staging, pooling, SoftMax,
+    /// merges).
+    None,
+    /// Conv filter bank or FC matrix (both `F × k` row-major):
+    /// per-channel `i8` weights, accumulator-unit bias and per-channel
+    /// requantize multipliers.
+    Linear {
         weights: Vec<i8>,
         bias: Option<Vec<i32>>,
         multipliers: Vec<f32>,
-        num_output: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-    },
-    /// Fully-connected layer through the quantized GEMV.
-    Fc {
-        weights: Vec<i8>,
-        bias: Option<Vec<i32>>,
-        multipliers: Vec<f32>,
-    },
-    /// Quantized pooling (max is exact, average rounds once).
-    Pool {
-        method: PoolMethod,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
     },
     /// Pointwise unary op compiled to a 256-entry `i8 → i8` table
     /// (standalone ReLU, Sigmoid, TanH).
     Lut(Vec<i8>),
-    /// (Log)SoftMax through the f32 scratch pair.
-    Softmax { log: bool },
-    /// Channel concatenation, each part requantized to the output scale.
-    Concat,
-    /// Element-wise merge on dequantized values, requantized once.
-    Eltwise { op: EltwiseOp },
 }
 
-/// One compiled quantized step (or fused step pair).
+/// What the engine adds to one [`ScheduledStep`].
 #[derive(Debug)]
 struct QStep {
-    name: String,
-    /// Network node whose golden output this step's output represents
-    /// (the folded ReLU node for fused steps) — the accuracy harness
-    /// compares against `infer_all_layers()[golden_index]`.
-    golden_index: usize,
-    /// Slot, single-item shape and scale of each input, in fan-in order.
-    inputs: Vec<(usize, Shape, QuantParams)>,
-    output: Shape,
     out_params: QuantParams,
-    out_slot: usize,
-    /// Whether a slope-0 ReLU is folded into this step's epilogue.
-    fused_relu: bool,
     payload: QPayload,
     /// Declared bound on `|dequantized − golden|` for this step's output
     /// on inputs within the calibrated ranges.
@@ -169,44 +135,11 @@ struct QStep {
 #[derive(Debug)]
 struct QPlan {
     net: Arc<Network>,
+    schedule: Schedule,
+    /// One entry per `schedule.steps` entry.
     steps: Vec<QStep>,
-    slot_count: usize,
-    input_slot: usize,
-    output_slot: usize,
     input_params: QuantParams,
-    output_params: QuantParams,
-    max_elems: usize,
     max_cols: usize,
-    max_acc: usize,
-    input_shape: Shape,
-    output_shape: Shape,
-}
-
-/// Lowering geometry of a convolution step (mirrors `fast.rs`).
-fn conv_geometry(
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    input: Shape,
-    output: Shape,
-) -> ConvGeometry {
-    ConvGeometry {
-        in_c: input.c,
-        in_h: input.h,
-        in_w: input.w,
-        kernel,
-        stride,
-        pad,
-        out_h: output.h,
-        out_w: output.w,
-    }
-}
-
-fn alloc_slot(free: &mut Vec<usize>, slot_count: &mut usize) -> usize {
-    free.pop().unwrap_or_else(|| {
-        *slot_count += 1;
-        *slot_count - 1
-    })
 }
 
 /// Multiplies the analytic bound by a hair and adds an absolute epsilon,
@@ -241,141 +174,43 @@ impl QPlan {
         let node_params: Vec<QuantParams> = node_obs.iter().map(Obs::params).collect();
         let input_params = input_obs.params();
 
-        let ins_multi = net.input_shapes_multi()?;
-        let outs = net.output_shapes()?;
-        let output_shape = outs.last().copied().ok_or_else(|| {
-            NnError::net("network has no layers").with_kind(NnErrorKind::NoComputeLayers)
-        })?;
-
-        // Sole-consumer ReLU fusion, restricted to slope 0 — the only
-        // form the integer epilogue's clamp-at-zero realises exactly.
-        let mut fused_into: Vec<Option<usize>> = vec![None; n];
-        let mut fused_relu_node: Vec<Option<usize>> = vec![None; n];
-        for (i, layer) in net.layers.iter().enumerate() {
-            if !matches!(
-                layer.kind,
-                LayerKind::Convolution { .. } | LayerKind::InnerProduct { .. }
-            ) {
-                continue;
-            }
-            if let [j] = net.consumers_of(NodeId::from_index(i)).as_slice() {
-                let j = j.index();
-                if let LayerKind::ReLU { negative_slope } = net.layers[j].kind {
-                    if negative_slope == 0.0 && net.inputs_of(NodeId::from_index(j)).len() == 1 {
-                        fused_into[j] = Some(i);
-                        fused_relu_node[i] = Some(j);
-                    }
-                }
-            }
-        }
-        let value_src: Vec<usize> = (0..n).map(|k| fused_into[k].unwrap_or(k)).collect();
-
-        // Refcounts, as in the f32 plan.
-        let mut refs = vec![0usize; n];
-        let mut input_refs = 0usize;
-        for (j, fused) in fused_into.iter().enumerate() {
-            if fused.is_some() {
-                continue;
-            }
-            let preds = net.inputs_of(NodeId::from_index(j));
-            if preds.is_empty() {
-                input_refs += 1;
-            }
-            for p in &preds {
-                refs[value_src[p.index()]] += 1;
-            }
-        }
-        refs[value_src[n - 1]] += 1;
-
+        // Plain ReLU only: the one form the integer epilogue's
+        // clamp-at-zero realises exactly.
+        let schedule = Schedule::compile(&net, |slope| slope == 0.0)?;
         let input_err = slacked(input_params.scale / 2.0);
-        let input_abs = input_params.scale * QMAX as f32;
-
-        let mut slot_count = 0usize;
-        let mut free: Vec<usize> = Vec::new();
-        let input_slot = alloc_slot(&mut free, &mut slot_count);
-        let mut input_live = input_refs;
-        let mut slot_of = vec![usize::MAX; n];
-        // Scale / error bound / abs-max of the *value* each node
-        // produces (a fused producer's value is the ReLU node's).
-        let mut vparams = vec![QuantParams::from_abs_max(1.0); n];
-        let mut verr = vec![0.0f32; n];
-        let mut vabs = vec![0.0f32; n];
-        let mut steps = Vec::with_capacity(n);
-        let mut max_elems = net.input_shape.len();
+        let mut steps: Vec<QStep> = Vec::with_capacity(schedule.steps.len());
         let mut max_cols = 0usize;
-        let mut max_acc = 0usize;
 
-        for j in 0..n {
-            if fused_into[j].is_some() {
-                continue;
-            }
-            let layer = &net.layers[j];
-            let preds = net.inputs_of(NodeId::from_index(j));
-            let inputs: Vec<(usize, Shape, QuantParams)> = if preds.is_empty() {
-                vec![(input_slot, net.input_shape, input_params)]
-            } else {
-                preds
-                    .iter()
-                    .zip(&ins_multi[j])
-                    .map(|(p, &shape)| {
-                        let src = value_src[p.index()];
-                        (slot_of[src], shape, vparams[src])
-                    })
-                    .collect()
-            };
-            let in_errs: Vec<f32> = if preds.is_empty() {
-                vec![input_err]
-            } else {
-                preds.iter().map(|p| verr[value_src[p.index()]]).collect()
-            };
-            let in_abs: Vec<f32> = if preds.is_empty() {
-                vec![input_abs]
-            } else {
-                preds.iter().map(|p| vabs[value_src[p.index()]]).collect()
-            };
-            let golden_index = fused_relu_node[j].unwrap_or(j);
-            let in_params = inputs[0].2;
+        for step in &schedule.steps {
+            let layer = &net.layers[step.node];
+            // Scale and error bound of each value this step reads.
+            let (in_scales, in_errs): (Vec<QuantParams>, Vec<f32>) = step
+                .inputs
+                .iter()
+                .map(|&(_, _, source)| match source {
+                    Source::NetworkInput => (input_params, input_err),
+                    Source::Step(i) => (steps[i].out_params, steps[i].budget),
+                })
+                .unzip();
+            let in_abs = |k: usize| in_scales[k].scale * QMAX as f32;
+            // The node whose golden output this step's output represents.
+            let golden_index = step.fused_relu.unwrap_or(step.node);
+            let in_params = in_scales[0];
             let s_in = in_params.scale;
 
             // Per-kind payload, output scale and error budget.
             let (payload, out_params, budget) = match layer.kind {
-                LayerKind::Input => (QPayload::Copy, in_params, in_errs[0]),
-                LayerKind::Convolution {
-                    num_output,
-                    kernel,
-                    stride,
-                    pad,
-                    ..
-                } => {
-                    let lw = weights_or_err(&net, &layer.name)?;
-                    let p_out = node_params[golden_index];
-                    let (qw, bias, mult, bound) = quantize_linear_layer(
-                        lw.weights.as_slice(),
-                        lw.bias.as_ref().map(|b| b.as_slice()),
-                        num_output,
-                        in_params,
-                        p_out,
-                        in_errs[0],
-                        in_abs[0],
-                    );
-                    (
-                        QPayload::Conv {
-                            weights: qw,
-                            bias,
-                            multipliers: mult,
-                            num_output,
-                            kernel,
-                            stride,
-                            pad,
-                        },
-                        p_out,
-                        bound,
-                    )
+                LayerKind::Input => (QPayload::None, in_params, in_errs[0]),
+                // A single-input merge is a quantized copy.
+                LayerKind::Concat | LayerKind::Eltwise { .. } if step.inputs.len() == 1 => {
+                    (QPayload::None, in_params, in_errs[0])
                 }
-                LayerKind::InnerProduct { num_output, .. } => {
-                    let lw = weights_or_err(&net, &layer.name)?;
-                    let k = inputs[0].1.item_len();
-                    if lw.weights.shape().c != k {
+                LayerKind::Convolution { num_output, .. }
+                | LayerKind::InnerProduct { num_output, .. } => {
+                    let lw = net.weights_or_err(&layer.name)?;
+                    let k = step.inputs[0].1.item_len();
+                    let is_fc = matches!(layer.kind, LayerKind::InnerProduct { .. });
+                    if is_fc && lw.weights.shape().c != k {
                         return Err(NnError::at(
                             &layer.name,
                             format!(
@@ -386,48 +221,25 @@ impl QPlan {
                         .with_kind(NnErrorKind::WeightShape));
                     }
                     let p_out = node_params[golden_index];
-                    let (qw, bias, mult, bound) = quantize_linear_layer(
-                        lw.weights.as_slice(),
-                        lw.bias.as_ref().map(|b| b.as_slice()),
+                    let (payload, bound) = quantize_linear_layer(
+                        lw,
                         num_output,
                         in_params,
                         p_out,
                         in_errs[0],
-                        in_abs[0],
+                        in_abs(0),
                     );
-                    (
-                        QPayload::Fc {
-                            weights: qw,
-                            bias,
-                            multipliers: mult,
-                        },
-                        p_out,
-                        bound,
-                    )
+                    (payload, p_out, bound)
                 }
-                LayerKind::Pooling {
-                    method,
-                    kernel,
-                    stride,
-                    pad,
-                } => {
-                    let (pm, extra) = match method {
+                LayerKind::Pooling { method, .. } => {
+                    let extra = match method {
                         // Max commutes with monotone dequantization:
                         // exact on the input's scale.
-                        PoolKind::Max => (PoolMethod::Max, 0.0),
+                        PoolKind::Max => 0.0,
                         // Average rounds its quotient once.
-                        PoolKind::Average => (PoolMethod::Average, s_in / 2.0),
+                        PoolKind::Average => s_in / 2.0,
                     };
-                    (
-                        QPayload::Pool {
-                            method: pm,
-                            kernel,
-                            stride,
-                            pad,
-                        },
-                        in_params,
-                        slacked(in_errs[0] + extra),
-                    )
+                    (QPayload::None, in_params, slacked(in_errs[0] + extra))
                 }
                 LayerKind::ReLU { negative_slope } => {
                     // Scale-preserving: plain ReLU is exact in the
@@ -456,7 +268,7 @@ impl QPlan {
                     )
                 }
                 LayerKind::Sigmoid => {
-                    let p_out = node_params[j];
+                    let p_out = node_params[step.node];
                     let lut = build_lut(|x| 1.0 / (1.0 + (-x).exp()), in_params, p_out);
                     // Sigmoid is 1/4-Lipschitz.
                     (
@@ -466,7 +278,7 @@ impl QPlan {
                     )
                 }
                 LayerKind::TanH => {
-                    let p_out = node_params[j];
+                    let p_out = node_params[step.node];
                     let lut = build_lut(f32::tanh, in_params, p_out);
                     (
                         QPayload::Lut(lut),
@@ -474,55 +286,40 @@ impl QPlan {
                         slacked(in_errs[0] + p_out.scale / 2.0),
                     )
                 }
-                LayerKind::Softmax { log } => {
-                    let p_out = node_params[j];
+                LayerKind::Softmax { .. } => {
+                    let p_out = node_params[step.node];
                     // (Log)SoftMax is 2-Lipschitz in the ∞-norm.
                     (
-                        QPayload::Softmax { log },
+                        QPayload::None,
                         p_out,
                         slacked(2.0 * in_errs[0] + p_out.scale / 2.0),
                     )
                 }
                 LayerKind::Concat => {
-                    if inputs.len() > 1 {
-                        let p_out = node_params[j];
-                        let worst = in_errs.iter().fold(0.0f32, |m, &e| m.max(e));
-                        (QPayload::Concat, p_out, slacked(worst + p_out.scale / 2.0))
-                    } else {
-                        (QPayload::Copy, in_params, in_errs[0])
-                    }
+                    let p_out = node_params[step.node];
+                    let worst = in_errs.iter().fold(0.0f32, |m, &e| m.max(e));
+                    (QPayload::None, p_out, slacked(worst + p_out.scale / 2.0))
                 }
                 LayerKind::Eltwise { op } => {
-                    if inputs.len() > 1 {
-                        let p_out = node_params[j];
-                        let bound = match op {
-                            EltwiseOp::Sum => in_errs.iter().sum::<f32>(),
-                            EltwiseOp::Max => in_errs.iter().fold(0.0f32, |m, &e| m.max(e)),
-                            EltwiseOp::Prod => {
-                                // Fold |ab − a′b′| ≤ |a|·err_b + (|b| + err_b)·err_a.
-                                let mut err = in_errs[0];
-                                let mut abs = in_abs[0];
-                                for (&e, &a) in in_errs[1..].iter().zip(&in_abs[1..]) {
-                                    err = abs * e + (a + e) * err;
-                                    abs *= a;
-                                }
-                                err
+                    let p_out = node_params[step.node];
+                    let bound = match op {
+                        EltwiseOp::Sum => in_errs.iter().sum::<f32>(),
+                        EltwiseOp::Max => in_errs.iter().fold(0.0f32, |m, &e| m.max(e)),
+                        EltwiseOp::Prod => {
+                            // Fold |ab − a′b′| ≤ |a|·err_b + (|b| + err_b)·err_a.
+                            let mut err = in_errs[0];
+                            let mut abs = in_abs(0);
+                            for (k, &e) in in_errs.iter().enumerate().skip(1) {
+                                let a = in_abs(k);
+                                err = abs * e + (a + e) * err;
+                                abs *= a;
                             }
-                        };
-                        (
-                            QPayload::Eltwise { op },
-                            p_out,
-                            slacked(bound + p_out.scale / 2.0),
-                        )
-                    } else {
-                        (QPayload::Copy, in_params, in_errs[0])
-                    }
+                            err
+                        }
+                    };
+                    (QPayload::None, p_out, slacked(bound + p_out.scale / 2.0))
                 }
             };
-
-            vparams[j] = out_params;
-            verr[j] = budget;
-            vabs[j] = out_params.scale * QMAX as f32;
 
             if let LayerKind::Convolution {
                 kernel,
@@ -531,75 +328,44 @@ impl QPlan {
                 ..
             } = layer.kind
             {
-                let geo = conv_geometry(kernel, stride, pad, inputs[0].1, outs[j]);
+                let geo = conv_geometry(kernel, stride, pad, step.inputs[0].1, step.output);
                 max_cols = max_cols.max(geo.lowered_len());
-                max_acc = max_acc.max(outs[j].len());
             }
-            for &(_, shape, _) in &inputs {
-                max_elems = max_elems.max(shape.len());
-            }
-            max_elems = max_elems.max(outs[j].len());
-            let out_slot = alloc_slot(&mut free, &mut slot_count);
-            slot_of[j] = out_slot;
             steps.push(QStep {
-                name: layer.name.clone(),
-                golden_index,
-                inputs,
-                output: outs[j],
                 out_params,
-                out_slot,
-                fused_relu: fused_relu_node[j].is_some(),
                 payload,
                 budget,
             });
-            if preds.is_empty() {
-                input_live -= 1;
-                if input_live == 0 {
-                    free.push(input_slot);
-                }
-            }
-            for p in &preds {
-                let src = value_src[p.index()];
-                refs[src] -= 1;
-                if refs[src] == 0 {
-                    free.push(slot_of[src]);
-                }
-            }
-            if refs[j] == 0 {
-                free.push(out_slot);
-            }
         }
-        let output_slot = slot_of[value_src[n - 1]];
-        let output_params = vparams[value_src[n - 1]];
         Ok(QPlan {
-            input_shape: net.input_shape,
-            output_shape,
             net,
+            schedule,
             steps,
-            slot_count,
-            input_slot,
-            output_slot,
             input_params,
-            output_params,
-            max_elems,
             max_cols,
-            max_acc,
         })
+    }
+
+    /// Scale of the value a step input carries.
+    fn params_of(&self, source: Source) -> QuantParams {
+        match source {
+            Source::NetworkInput => self.input_params,
+            Source::Step(i) => self.steps[i].out_params,
+        }
     }
 }
 
-/// Quantizes one linear layer (conv filter bank or FC weight matrix, both
-/// `F × k` row-major): per-channel `i8` weights, accumulator-unit bias,
-/// per-channel requantize multipliers, and the analytic error bound.
+/// Quantizes one linear layer (conv filter bank or FC weight matrix) into
+/// its [`QPayload::Linear`] and the analytic error bound.
 fn quantize_linear_layer(
-    weights: &[f32],
-    bias: Option<&[f32]>,
+    lw: &LayerWeights,
     num_output: usize,
     p_in: QuantParams,
     p_out: QuantParams,
     err_in: f32,
     abs_in: f32,
-) -> (Vec<i8>, Option<Vec<i32>>, Vec<f32>, f32) {
+) -> (QPayload, f32) {
+    let weights = lw.weights.as_slice();
     let mut qw = vec![0i8; weights.len()];
     let wparams = quantize_weights_per_channel(weights, num_output, &mut qw);
     let s_in = p_in.scale as f64;
@@ -607,8 +373,9 @@ fn quantize_linear_layer(
         .iter()
         .map(|pw| (s_in * pw.scale as f64 / p_out.scale as f64) as f32)
         .collect();
-    let qbias = bias.map(|b| {
-        b.iter()
+    let bias = lw.bias.as_ref().map(|b| {
+        b.as_slice()
+            .iter()
             .zip(&wparams)
             .map(|(&bv, pw)| (bv as f64 / (s_in * pw.scale as f64)).round() as i32)
             .collect()
@@ -626,13 +393,17 @@ fn quantize_linear_layer(
             + p_in.scale * pw.scale / 2.0;
         worst = worst.max(e);
     }
-    let bound = slacked(p_out.scale / 2.0 + worst);
-    (qw, qbias, multipliers, bound)
+    let payload = QPayload::Linear {
+        weights: qw,
+        bias,
+        multipliers,
+    };
+    (payload, slacked(p_out.scale / 2.0 + worst))
 }
 
 /// Compiles a pointwise unary op into a 256-entry `i8 → i8` table:
 /// `lut[q + 128] = requantize(f(dequantize(q)))`. Entry 0 (`q = -128`,
-/// unreachable for symmetric quantization) mirrors `q = -127`.
+/// unreachable for symmetric quantization) repeats `q = -127`.
 fn build_lut(f: impl Fn(f32) -> f32, p_in: QuantParams, p_out: QuantParams) -> Vec<i8> {
     (-128i32..=127)
         .map(|q| {
@@ -640,15 +411,6 @@ fn build_lut(f: impl Fn(f32) -> f32, p_in: QuantParams, p_out: QuantParams) -> V
             p_out.quantize(f(x))
         })
         .collect()
-}
-
-fn weights_or_err<'a>(
-    net: &'a Network,
-    name: &str,
-) -> Result<&'a crate::network::LayerWeights, NnError> {
-    net.weights_of(name).ok_or_else(|| {
-        NnError::at(name, "no weights installed").with_kind(NnErrorKind::MissingWeights)
-    })
 }
 
 /// Per-layer outcome of a golden-vs-quantized accuracy run.
@@ -709,10 +471,17 @@ impl QuantAccuracyReport {
 #[derive(Debug)]
 pub struct QuantizedEngine {
     plan: Arc<QPlan>,
-    slots: Vec<Vec<i8>>,
+    arena: Arena<i8>,
+    scratch: QScratch,
+}
+
+/// Per-engine scratch beside the arena: the kernel workspace and the
+/// f32 pair SoftMax and Eltwise steps compute in.
+#[derive(Debug)]
+struct QScratch {
+    ws: QWorkspace,
     fbuf_a: Vec<f32>,
     fbuf_b: Vec<f32>,
-    ws: QWorkspace,
 }
 
 impl Clone for QuantizedEngine {
@@ -741,12 +510,14 @@ impl QuantizedEngine {
     }
 
     fn from_plan(plan: Arc<QPlan>) -> Self {
-        let max_elems = plan.max_elems;
+        let max_elems = plan.schedule.max_elems;
         QuantizedEngine {
-            slots: (0..plan.slot_count).map(|_| vec![0i8; max_elems]).collect(),
-            fbuf_a: vec![0.0; max_elems],
-            fbuf_b: vec![0.0; max_elems],
-            ws: QWorkspace::with_capacity(plan.max_cols, plan.max_acc),
+            arena: Arena::new(&plan.schedule),
+            scratch: QScratch {
+                ws: QWorkspace::with_capacity(plan.max_cols),
+                fbuf_a: vec![0.0; max_elems],
+                fbuf_b: vec![0.0; max_elems],
+            },
             plan,
         }
     }
@@ -764,31 +535,21 @@ impl QuantizedEngine {
     /// Number of `i8` activation slots the arena holds (2 for chains —
     /// the same ping-pong pair as the f32 engine).
     pub fn arena_slot_count(&self) -> usize {
-        self.plan.slot_count
-    }
-
-    /// Declared per-layer error budgets, in execution order.
-    pub fn layer_budgets(&self) -> Vec<(String, f32)> {
-        self.plan
-            .steps
-            .iter()
-            .map(|s| (s.name.clone(), s.budget))
-            .collect()
+        self.plan.schedule.slot_count
     }
 
     /// Runs one image through the quantized network, returning the
     /// dequantized f32 output.
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.run(input, |_, _| {})?;
-        let plan = Arc::clone(&self.plan);
-        let out_len = plan.output_shape.len();
-        let mut out = vec![0.0f32; out_len];
+        let schedule = &self.plan.schedule;
+        let mut out = vec![0.0f32; schedule.output_shape.len()];
         dequantize_into(
-            &self.slots[plan.output_slot][..out_len],
-            plan.output_params,
+            self.arena.output(),
+            self.plan.steps[schedule.output_step].out_params,
             &mut out,
         );
-        Ok(Tensor::from_vec(plan.output_shape, out))
+        Ok(Tensor::from_vec(schedule.output_shape, out))
     }
 
     /// Replays a batch through both engines and reports every layer's
@@ -800,9 +561,10 @@ impl QuantizedEngine {
         for img in inputs {
             let all = golden.infer_all_layers(img)?;
             self.run(img, |si, out_q| {
-                let step = &plan.steps[si];
-                let g = all[step.golden_index].as_slice();
-                let s = step.out_params.scale;
+                let step = &plan.schedule.steps[si];
+                // A fused step's output is the folded ReLU node's value.
+                let g = all[step.fused_relu.unwrap_or(step.node)].as_slice();
+                let s = plan.steps[si].out_params.scale;
                 for (&q, &gv) in out_q.iter().zip(g) {
                     let e = (q as f32 * s - gv).abs();
                     if e > max_err[si] {
@@ -813,12 +575,14 @@ impl QuantizedEngine {
         }
         Ok(QuantAccuracyReport {
             layers: plan
+                .schedule
                 .steps
                 .iter()
+                .zip(&plan.steps)
                 .zip(&max_err)
-                .map(|(s, &e)| LayerAccuracy {
-                    name: s.name.clone(),
-                    budget: s.budget,
+                .map(|((step, q), &e)| LayerAccuracy {
+                    name: plan.net.layers[step.node].name.clone(),
+                    budget: q.budget,
                     max_abs_err: e,
                 })
                 .collect(),
@@ -828,45 +592,48 @@ impl QuantizedEngine {
     /// Quantizes the input, executes every step, and hands each step's
     /// quantized output to `hook`.
     fn run(&mut self, input: &Tensor, mut hook: impl FnMut(usize, &[i8])) -> Result<(), NnError> {
-        let plan = Arc::clone(&self.plan);
-        if input.shape() != plan.input_shape {
-            return Err(NnError::net(format!(
-                "input shape {} does not match network input {}",
-                input.shape(),
-                plan.input_shape
-            ))
-            .with_kind(NnErrorKind::InputMismatch));
-        }
-        quantize_into(
-            input.as_slice(),
-            plan.input_params,
-            &mut self.slots[plan.input_slot][..input.len()],
-        );
-        for (si, step) in plan.steps.iter().enumerate() {
-            let mut out_buf = std::mem::take(&mut self.slots[step.out_slot]);
-            let out_len = step.output.len();
-            let out = &mut out_buf[..out_len];
-            self.execute(step, out);
-            hook(si, out);
-            self.slots[step.out_slot] = out_buf;
+        let plan = &*self.plan;
+        plan.schedule.check_input(input)?;
+        quantize_into(input.as_slice(), plan.input_params, self.arena.input_mut());
+        for (si, (step, q)) in plan.schedule.steps.iter().zip(&plan.steps).enumerate() {
+            let scratch = &mut self.scratch;
+            self.arena.run_step(step, |ins, out| {
+                plan.execute(step, q, ins, out, scratch);
+                hook(si, out);
+            });
         }
         Ok(())
     }
+}
 
-    fn execute(&mut self, step: &QStep, out: &mut [i8]) {
-        let (in_slot, in_shape, in_params) = (step.inputs[0].0, step.inputs[0].1, step.inputs[0].2);
-        let input = &self.slots[in_slot][..in_shape.len()];
-        match &step.payload {
-            QPayload::Copy => out.copy_from_slice(input),
-            QPayload::Conv {
-                weights,
-                bias,
-                multipliers,
-                num_output,
-                kernel,
-                stride,
-                pad,
-            } => {
+impl QPlan {
+    fn execute(
+        &self,
+        step: &ScheduledStep,
+        q: &QStep,
+        ins: &[&[i8]],
+        out: &mut [i8],
+        scratch: &mut QScratch,
+    ) {
+        let (_, in_shape, in_source) = step.inputs[0];
+        let in_params = self.params_of(in_source);
+        let input = ins[0];
+        let fused_relu = step.fused_relu.is_some();
+        match (&self.net.layers[step.node].kind, &q.payload) {
+            (
+                LayerKind::Convolution {
+                    num_output,
+                    kernel,
+                    stride,
+                    pad,
+                    ..
+                },
+                QPayload::Linear {
+                    weights,
+                    bias,
+                    multipliers,
+                },
+            ) => {
                 let geo = conv_geometry(*kernel, *stride, *pad, in_shape, step.output);
                 qconv2d(
                     input,
@@ -875,16 +642,19 @@ impl QuantizedEngine {
                     *num_output,
                     &geo,
                     multipliers,
-                    step.fused_relu,
+                    fused_relu,
                     out,
-                    &mut self.ws,
+                    &mut scratch.ws,
                 );
             }
-            QPayload::Fc {
-                weights,
-                bias,
-                multipliers,
-            } => {
+            (
+                LayerKind::InnerProduct { .. },
+                QPayload::Linear {
+                    weights,
+                    bias,
+                    multipliers,
+                },
+            ) => {
                 let (m, k) = (step.output.item_len(), in_shape.item_len());
                 qgemv_i8(
                     m,
@@ -893,22 +663,25 @@ impl QuantizedEngine {
                     input,
                     bias.as_deref(),
                     multipliers,
-                    step.fused_relu,
+                    fused_relu,
                     out,
-                    &mut self.ws,
+                    &mut scratch.ws,
                 );
             }
-            QPayload::Pool {
-                method,
-                kernel,
-                stride,
-                pad,
-            } => qpool2d(
+            (
+                LayerKind::Pooling {
+                    method,
+                    kernel,
+                    stride,
+                    pad,
+                },
+                _,
+            ) => qpool2d(
                 input,
                 in_shape.c,
                 in_shape.h,
                 in_shape.w,
-                *method,
+                pool_method(*method),
                 *kernel,
                 *stride,
                 *pad,
@@ -916,56 +689,59 @@ impl QuantizedEngine {
                 step.output.w,
                 out,
             ),
-            QPayload::Lut(table) => {
+            (_, QPayload::Lut(table)) => {
                 for (o, &q) in out.iter_mut().zip(input) {
                     *o = table[(q as i16 + 128) as usize];
                 }
             }
-            QPayload::Softmax { log } => {
+            (LayerKind::Softmax { log }, _) => {
                 let n = in_shape.len();
-                dequantize_into(input, in_params, &mut self.fbuf_a[..n]);
-                softmax(&self.fbuf_a[..n], *log, &mut self.fbuf_b[..n]);
-                quantize_into(&self.fbuf_b[..n], step.out_params, out);
+                dequantize_into(input, in_params, &mut scratch.fbuf_a[..n]);
+                softmax(&scratch.fbuf_a[..n], *log, &mut scratch.fbuf_b[..n]);
+                quantize_into(&scratch.fbuf_b[..n], q.out_params, out);
             }
-            QPayload::Concat => {
+            (LayerKind::Concat, _) if ins.len() > 1 => {
                 let mut off = 0;
-                let s_out = step.out_params.scale as f64;
-                for &(slot, shape, p) in &step.inputs {
-                    let part = &self.slots[slot][..shape.len()];
-                    let ratio = p.scale as f64 / s_out;
-                    for (o, &q) in out[off..off + part.len()].iter_mut().zip(part) {
+                let s_out = q.out_params.scale as f64;
+                for (part, &(_, _, source)) in ins.iter().zip(&step.inputs) {
+                    let ratio = self.params_of(source).scale as f64 / s_out;
+                    for (o, &q) in out[off..off + part.len()].iter_mut().zip(*part) {
                         *o = ((q as f64 * ratio).round()).clamp(-127.0, 127.0) as i8;
                     }
                     off += part.len();
                 }
                 assert_eq!(off, out.len(), "concat output length mismatch");
             }
-            QPayload::Eltwise { op } => {
-                let n = step.output.len();
-                dequantize_into(input, in_params, &mut self.fbuf_a[..n]);
-                for &(slot, shape, p) in &step.inputs[1..] {
-                    let part = &self.slots[slot][..shape.len()];
-                    let acc = &mut self.fbuf_a[..n];
+            (LayerKind::Eltwise { op }, _) if ins.len() > 1 => {
+                let acc = &mut scratch.fbuf_a[..step.output.len()];
+                dequantize_into(input, in_params, acc);
+                for (part, &(_, _, source)) in ins.iter().zip(&step.inputs).skip(1) {
+                    let scale = self.params_of(source).scale;
                     match op {
                         EltwiseOp::Sum => {
-                            for (a, &q) in acc.iter_mut().zip(part) {
-                                *a += q as f32 * p.scale;
+                            for (a, &q) in acc.iter_mut().zip(*part) {
+                                *a += q as f32 * scale;
                             }
                         }
                         EltwiseOp::Prod => {
-                            for (a, &q) in acc.iter_mut().zip(part) {
-                                *a *= q as f32 * p.scale;
+                            for (a, &q) in acc.iter_mut().zip(*part) {
+                                *a *= q as f32 * scale;
                             }
                         }
                         EltwiseOp::Max => {
-                            for (a, &q) in acc.iter_mut().zip(part) {
-                                *a = a.max(q as f32 * p.scale);
+                            for (a, &q) in acc.iter_mut().zip(*part) {
+                                *a = a.max(q as f32 * scale);
                             }
                         }
                     }
                 }
-                quantize_into(&self.fbuf_a[..n], step.out_params, out);
+                quantize_into(acc, q.out_params, out);
             }
+            // Input staging and single-input merges: a quantized copy.
+            (LayerKind::Input | LayerKind::Concat | LayerKind::Eltwise { .. }, _) => {
+                out.copy_from_slice(input)
+            }
+            _ => unreachable!("compile attaches a payload to every Conv/FC/activation step"),
         }
     }
 }
@@ -976,7 +752,7 @@ mod tests {
     use super::*;
     use crate::arbitrary::{random_weighted_chain, random_weighted_dag};
     use crate::zoo;
-    use condor_tensor::TensorRng;
+    use condor_tensor::{Shape, TensorRng};
 
     fn calib_batch(shape: Shape, count: u64, seed: u64) -> Vec<Tensor> {
         (0..count)
@@ -1009,13 +785,13 @@ mod tests {
 
     #[test]
     fn quantized_fuses_plain_relu_like_the_fast_engine() {
-        let net = zoo::tc1_weighted(1);
-        let calib = calib_batch(net.input_shape, 1, 3);
-        let q = QuantizedEngine::calibrate(&net, &calib).unwrap();
-        let fast = crate::FastEngine::new(&net).unwrap();
-        // TC1's ReLUs are plain (slope 0), so the quantized plan fuses
-        // exactly the same pairs.
-        assert_eq!(q.step_count(), fast.step_count());
+        // Every ReLU in these networks is plain (slope 0), so the two
+        // engines' fusion predicates yield the identical schedule.
+        for net in [zoo::tc1(), zoo::lenet(), zoo::resnet_block()] {
+            let fast = Schedule::compile(&net, |_| true).unwrap();
+            let int8 = Schedule::compile(&net, |slope| slope == 0.0).unwrap();
+            assert_eq!(fast, int8, "{}", net.name);
+        }
     }
 
     #[test]

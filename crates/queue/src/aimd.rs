@@ -88,18 +88,6 @@ impl AimdConfig {
         self
     }
 
-    /// Sets the multiplicative decrease factor (clamped to `[0.1, 0.9]`).
-    pub fn with_decrease_factor(mut self, f: f64) -> Self {
-        self.decrease_factor = f.clamp(0.1, 0.9);
-        self
-    }
-
-    /// Sets the additive increase step (at least 1).
-    pub fn with_increase_step(mut self, n: usize) -> Self {
-        self.increase_step = n.max(1);
-        self
-    }
-
     /// Sets the quiet period before an additive increase.
     pub fn with_quiet_period(mut self, d: Duration) -> Self {
         self.quiet_period = d;

@@ -113,13 +113,6 @@ pub enum QueueBackend {
     Disk(DiskQueueConfig),
 }
 
-impl QueueBackend {
-    /// True when this backend survives a process crash.
-    pub fn is_durable(&self) -> bool {
-        matches!(self, QueueBackend::Disk(_))
-    }
-}
-
 /// Errors out of the disk queue.
 #[derive(Debug)]
 pub enum QueueError {

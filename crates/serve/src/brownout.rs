@@ -1,13 +1,14 @@
 //! Brownout mode: graceful degradation from f32 to INT8 inference.
 //!
 //! When overload control starts shedding requests, dropping work is
-//! the last resort — serving *cheaper* work is better. PR 8's
-//! quantized engine executes the same network roughly 2× faster than
-//! the f32 path at a bounded accuracy cost, which makes it a natural
-//! brownout lane: under sustained shedding the [`BrownoutController`]
-//! latches *active* and every [`DegradableBackend`] switches its CPU
-//! lane from [`FastEngine`] to [`QuantizedEngine`]; once the queue has
-//! been quiet for a while it switches back.
+//! the last resort — serving *cheaper* work is better. The quantized
+//! engine executes the same network at a bounded accuracy cost and was
+//! meant to be the cheaper lane (today `perf` measures it at ≈ 0.6× the
+//! f32 rate on `vgg56`; ROADMAP, first open item): under sustained
+//! shedding the [`BrownoutController`] latches *active* and every
+//! [`DegradableBackend`] switches its CPU lane from [`FastEngine`] to
+//! [`QuantizedEngine`]; once the queue has been quiet for a while it
+//! switches back.
 //!
 //! The two thresholds are deliberately asymmetric (engage on a burst
 //! of sheds inside a short window, disengage only after a long quiet

@@ -24,3 +24,6 @@ fn exercise(handle: &FaultHandle, metrics: &MetricsRegistry) {
 fn legacy(handle: &FaultHandle) {
     handle.check("dataflow.pe0");
 }
+
+/// Public surface that `user.rs` calls: clean under X040.
+pub fn entry() {}

@@ -34,3 +34,9 @@ fn future_dated() {}
 // X032: the one-release grace period has passed.
 #[deprecated(since = "0.0.1", note = "use seeded")]
 fn expired() {}
+
+// X040: public, yet no other file of the tree names it.
+pub fn orphaned() {}
+
+/// Public and named by `caller.rs`: not a finding.
+pub fn shared() {}

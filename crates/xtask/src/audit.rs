@@ -22,6 +22,10 @@
 //!   moves past `since`, and rejects future-dated or unparseable
 //!   `since` versions (`X030`–`X032`).
 //!
+//! One more rule reuses the same token scan: a `pub fn` of a crate under
+//! API-snapshot review whose name the tree mentions nowhere but in its
+//! own declaration is surface nobody calls (`X040`).
+//!
 //! Violations render as stable `X0xx` diagnostics (text and JSON),
 //! mirroring condor-check's `C0xx` reporting idiom. The audit runs as a
 //! unit test (so `cargo test -q` gates it), as `cargo run -p xtask
@@ -32,6 +36,7 @@ use crate::lexer::{lex, Spanned, Tok};
 use condor::MetricKind;
 use condor_cjson::Value;
 use condor_faults::sites::{template_matches, template_prefix_matches};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,7 +44,8 @@ use std::path::{Path, PathBuf};
 /// Stable audit diagnostic codes.
 ///
 /// Grouped by rule family: `X00x` fault sites, `X01x` metric names,
-/// `X02x` diagnostic-code hygiene, `X03x` deprecation expiry. Like the
+/// `X02x` diagnostic-code hygiene, `X03x` deprecation expiry, `X04x`
+/// dead public surface. Like the
 /// `C0xx` codes these are never renumbered or repurposed; new rules get
 /// new codes (catalogued in DESIGN.md).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,6 +80,8 @@ pub enum AuditCode {
     X031,
     /// An expired deprecation shim: the one-release grace period passed.
     X032,
+    /// A snapshotted `pub fn` that nothing in the tree ever names.
+    X040,
 }
 
 impl AuditCode {
@@ -94,6 +102,7 @@ impl AuditCode {
         AuditCode::X030,
         AuditCode::X031,
         AuditCode::X032,
+        AuditCode::X040,
     ];
 
     /// The stable code string (`"X001"`).
@@ -114,6 +123,7 @@ impl AuditCode {
             AuditCode::X030 => "X030",
             AuditCode::X031 => "X031",
             AuditCode::X032 => "X032",
+            AuditCode::X040 => "X040",
         }
     }
 
@@ -135,6 +145,7 @@ impl AuditCode {
             AuditCode::X030 => "deprecation without a parseable `since` version",
             AuditCode::X031 => "future-dated deprecation",
             AuditCode::X032 => "expired deprecation shim",
+            AuditCode::X040 => "public function never named outside its declaration",
         }
     }
 
@@ -332,6 +343,9 @@ pub struct AuditConfig {
     pub snapshot: String,
     /// The workspace version `#[deprecated(since)]` is judged against.
     pub version: (u64, u64, u64),
+    /// Public-API surfaces checked for dead functions, as `(src dir
+    /// relative to root, surface text in [`crate::surface`]'s form)`.
+    pub api: Vec<(String, String)>,
 }
 
 impl AuditConfig {
@@ -384,6 +398,10 @@ impl AuditConfig {
             design,
             snapshot,
             version,
+            api: crate::TRACKED
+                .iter()
+                .map(|(_, dir)| (dir.to_string(), crate::surface(dir)))
+                .collect(),
         }
     }
 }
@@ -447,6 +465,9 @@ struct Scan {
     site_prefixes: Vec<LitUse>,
     metric_uses: Vec<(LitUse, MetricKind)>,
     deprecations: Vec<Deprecation>,
+    /// Every identifier the tree mentions other than as the name a
+    /// `fn` item declares (comments and doc-tests are not mentions).
+    mentioned: BTreeSet<String>,
 }
 
 /// Runs the full audit under `cfg`.
@@ -457,6 +478,7 @@ pub fn run(cfg: &AuditConfig) -> Report {
     audit_metrics(cfg, &scan, &mut findings);
     audit_diag_codes(cfg, &mut findings);
     audit_deprecations(cfg, &scan, &mut findings);
+    audit_dead_items(cfg, &scan, &mut findings);
     Report { findings }
 }
 
@@ -474,6 +496,13 @@ fn scan_tree(cfg: &AuditConfig) -> Scan {
         let sites_on = !has_prefix(rel, &cfg.site_exempt);
         let metrics_on = !has_prefix(rel, &cfg.metric_exempt);
         scan_file(rel, &toks, sites_on, metrics_on, &mut scan);
+        for pair in toks.windows(2) {
+            if let (before, Tok::Ident(name)) = (&pair[0].tok, &pair[1].tok) {
+                if !matches!(before, Tok::Ident(keyword) if keyword == "fn") {
+                    scan.mentioned.insert(name.clone());
+                }
+            }
+        }
     }
     scan
 }
@@ -906,6 +935,46 @@ fn audit_deprecations(cfg: &AuditConfig, scan: &Scan, out: &mut Vec<Finding>) {
     }
 }
 
+/// The function a surface signature declares (`pub const fn id(x: u32)`
+/// → `id`), or `None` for any other kind of item.
+fn declared_fn(signature: &str) -> Option<&str> {
+    let mut words = signature.strip_prefix("pub ")?.split_whitespace();
+    let keyword = words.find(|w| !crate::QUALIFIERS.contains(w) && !w.starts_with('"'))?;
+    let name = words.next().filter(|_| keyword == "fn")?;
+    let end = name
+        .find(|c: char| !c.is_alphanumeric() && c != '_')
+        .unwrap_or(name.len());
+    Some(&name[..end])
+}
+
+fn audit_dead_items(cfg: &AuditConfig, scan: &Scan, out: &mut Vec<Finding>) {
+    for (dir, surface) in &cfg.api {
+        for line in surface.lines() {
+            let Some((file, signature)) = line.split_once(": ") else {
+                continue;
+            };
+            let Some(name) = declared_fn(signature) else {
+                continue;
+            };
+            if !scan.mentioned.contains(name) {
+                let defined_in = if dir.is_empty() {
+                    file.to_string()
+                } else {
+                    format!("{dir}/{file}")
+                };
+                out.push(
+                    Finding::new(
+                        AuditCode::X040,
+                        format!("`{signature}` is declared but named nowhere else in the tree"),
+                    )
+                    .at(defined_in, 0)
+                    .hint("delete it: no crate, test, bench or example calls it"),
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -966,6 +1035,10 @@ mod tests {
             design,
             snapshot,
             version: (0, 1, 0),
+            api: vec![(
+                String::new(),
+                crate::surface(&format!("crates/xtask/fixtures/{case}")),
+            )],
         }
     }
 
@@ -987,7 +1060,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(
             got,
-            vec!["X001", "X003", "X010", "X012", "X030", "X031", "X032"],
+            vec!["X001", "X003", "X010", "X012", "X030", "X031", "X032", "X040"],
             "{}",
             report.render()
         );
@@ -1000,6 +1073,26 @@ mod tests {
         assert!(typo.message.contains("s3.putobject"));
         assert!(typo.file.as_deref().unwrap().ends_with("bad.rs"));
         assert!(typo.line > 0);
+        // Of the two public functions only the uncalled one is dead.
+        let dead = report
+            .findings
+            .iter()
+            .find(|f| f.code == AuditCode::X040)
+            .unwrap();
+        assert!(dead.message.contains("fn orphaned("), "{}", dead.message);
+    }
+
+    #[test]
+    fn declared_fn_reads_only_function_signatures() {
+        assert_eq!(
+            declared_fn("pub fn new( field: u32, ) -> Self"),
+            Some("new")
+        );
+        assert_eq!(declared_fn("pub const fn id<T>(x: T) -> T"), Some("id"));
+        assert_eq!(declared_fn("pub extern \"C\" fn raw()"), Some("raw"));
+        assert_eq!(declared_fn("pub struct Foo"), None);
+        assert_eq!(declared_fn("pub const LIMIT: usize = 4"), None);
+        assert_eq!(declared_fn("pub type Hook = fn (u32)"), None);
     }
 
     #[test]
