@@ -29,7 +29,7 @@ use condor_kernels::Workspace;
 use condor_nn::fast::{forward_layer_fast, merge_fast};
 use condor_nn::Network;
 use condor_tensor::Tensor;
-use crossbeam_channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// The threaded accelerator runtime.
@@ -211,12 +211,12 @@ impl ThreadedRuntime {
         // pair gets its own FIFO, registered with the producing stage.
         // Each message is one whole frame.
         let mut pe_rxs: Vec<Vec<Receiver<Vec<f32>>>> = Vec::with_capacity(n_pes);
-        let mut dm_txs: Vec<Sender<Vec<f32>>> = Vec::new();
-        let mut pe_txs: Vec<Vec<Sender<Vec<f32>>>> = vec![Vec::new(); n_pes];
+        let mut dm_txs: Vec<SyncSender<Vec<f32>>> = Vec::new();
+        let mut pe_txs: Vec<Vec<SyncSender<Vec<f32>>>> = vec![Vec::new(); n_pes];
         for feed in &feeds {
             let mut rxs = Vec::with_capacity(feed.len());
             for &src in feed {
-                let (tx, rx) = bounded::<Vec<f32>>(self.channel_depth);
+                let (tx, rx) = sync_channel::<Vec<f32>>(self.channel_depth);
                 rxs.push(rx);
                 match src {
                     None => dm_txs.push(tx),
@@ -226,7 +226,7 @@ impl ThreadedRuntime {
             pe_rxs.push(rxs);
         }
         // The collector is one more consumer of the final PE.
-        let (col_tx, col_rx) = bounded::<Vec<f32>>(self.channel_depth);
+        let (col_tx, col_rx) = sync_channel::<Vec<f32>>(self.channel_depth);
         pe_txs[n_pes - 1].push(col_tx);
 
         let batch = images.len();
@@ -314,7 +314,7 @@ fn recv_frame(rx: &Receiver<Vec<f32>>, len: usize) -> Option<Vec<f32>> {
 /// common single-consumer chain case moves the frame without a copy).
 /// `Err` when every consumer hung up; a dangling PE (no consumers)
 /// drops the frame, mirroring hardware where an unread stream idles.
-fn send_to_all(txs: &[Sender<Vec<f32>>], frame: Vec<f32>) -> Result<(), ()> {
+fn send_to_all(txs: &[SyncSender<Vec<f32>>], frame: Vec<f32>) -> Result<(), ()> {
     let Some((last, rest)) = txs.split_last() else {
         return Ok(());
     };
@@ -337,7 +337,7 @@ fn pe_worker(
     pe: &PePlan,
     net: &Network,
     rxs: &[Receiver<Vec<f32>>],
-    txs: &[Sender<Vec<f32>>],
+    txs: &[SyncSender<Vec<f32>>],
     in_lens: &[usize],
     batch: usize,
     faults: &FaultHandle,

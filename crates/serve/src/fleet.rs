@@ -6,18 +6,22 @@
 //! The paper deploys one AFI on one F1 instance; a production service
 //! runs several, because an instance can be lost whole — a crashed
 //! host, a wedged FPGA slot, a revoked spot reservation — taking every
-//! lane of its [`InferenceServer`] with it. This module promotes the
-//! health model one level: where the server quarantines a *lane*, the
-//! [`Fleet`] quarantines an *instance* behind a
-//! [`CircuitBreaker`], migrates the requests that were riding on it to
-//! a healthy peer, and asks its [`InstanceProvisioner`] for a fresh
-//! deployment in the background.
+//! one of its lanes with it. This module promotes the health model one
+//! level: where a replica's batcher quarantines a *lane*, the [`Fleet`]
+//! quarantines an *instance* behind a [`CircuitBreaker`], migrates the
+//! requests that were riding on it to a healthy peer, and asks its
+//! [`InstanceProvisioner`] for a fresh deployment in the background.
+//!
+//! An instance is a `replica` — a batcher and its lanes, the code the
+//! single server runs behind its intake — not a second server: it has
+//! no queue, shedding law or registry of its own.
 //!
 //! Lifecycle of a failure:
 //!
-//! 1. a router thread dispatches a request to instance *k* and the
-//!    reply is a terminal backend error (the server already burned its
-//!    in-worker retries);
+//! 1. a router thread hands instance *k* a *hop* (the tensor, due at
+//!    the remaining deadline, with its own reply channel) through the
+//!    replica's bounded inbox, and the verdict is a terminal backend
+//!    error (the lane already burned its in-worker retries);
 //! 2. the fleet reports the failure to *k*'s breaker — stale reports
 //!    against an already-replaced generation are ignored — and when
 //!    the breaker trips (consecutive failures or window failure rate),
@@ -32,7 +36,7 @@
 //! 4. an Open breaker times out into HalfOpen and the routers admit a
 //!    bounded number of *probes* (suppressed by the `breaker.probe`
 //!    fault site); enough probe successes close the breaker in place —
-//!    otherwise the supervisor thread drains the dead server, waits
+//!    otherwise the supervisor thread drains the dead replica, waits
 //!    [`FleetConfig::reprovision_backoff`], provisions generation
 //!    *g+1*, resets the breaker and swaps the replacement in healthy
 //!    (`instance_reprovisioned`).
@@ -50,25 +54,28 @@
 //! records failed and acked instead of served late. The fleet adds one
 //! check in front of it (the [`FleetConfig::min_healthy`] floor) and
 //! everything behind it: routers that carry a popped request across
-//! instances, and hand it back through the intake's `resolve`.
+//! instances, and hand it back through the intake's `resolve`. That
+//! intake is the only place a fleet request is queued, shed (feeding
+//! [`ServeConfig::brownout`]), aged, made durable or counted; replicas
+//! write their lane metrics to its registry.
 //!
 //! The ledger invariant of the single server carries over: every
 //! accepted request is answered exactly once, and
 //! `requests_accepted == requests_completed + requests_failed +
 //! requests_timed_out + requests_shed` holds on the final snapshot.
 
-use crate::admission::{AdmissionQueue, PopOutcome};
-use crate::intake::{count_shed, resolve, resolve_sheds, Intake, Request};
-use crate::{InferenceServer, PendingInference, ServeConfig, ServeError, ShedReason};
+use crate::intake::{count_shed, resolve, Intake, Popped, Request};
+use crate::replica::Replica;
+use crate::{PendingInference, ServeConfig, ServeError, ShedReason};
 use condor::{CondorError, ExecutionBackend, MetricsRegistry, MetricsSnapshot};
 use condor_faults::FaultHandle;
 use condor_queue::{
     AimdConfig, AimdController, BreakerConfig, BreakerState, CircuitBreaker, Priority, QueueBackend,
 };
 use condor_tensor::Tensor;
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -134,11 +141,13 @@ pub struct FleetConfig {
     /// clamps, and a struct-literal constructor is responsible for
     /// keeping it so (debug builds assert at startup).
     pub queue_capacity: usize,
-    /// Per-instance serving configuration (the fleet overrides its
-    /// `site_prefix` per instance generation and forces the instance
-    /// queue to in-memory — durability lives at the fleet level). Its
-    /// `codel` and `aging_limit` knobs also govern the fleet's own
-    /// admission queue.
+    /// Serving configuration: the dispatch knobs of every replica's
+    /// batcher and lanes (`site_prefix` is overwritten per instance
+    /// generation), plus `codel`, `aging_limit`, `brownout` and
+    /// `default_timeout` for the fleet's one admission queue. Unused by
+    /// a fleet: `serve.queue` and `serve.queue_capacity` — a replica has
+    /// no queue; [`FleetConfig::queue`] / `queue_capacity` are the only
+    /// ones.
     pub serve: ServeConfig,
     /// Which admission queue backs [`Fleet::submit`]: in-memory
     /// (default) or a crash-safe disk queue.
@@ -245,10 +254,10 @@ impl FleetConfig {
     }
 }
 
-/// One fleet slot: the live server (absent while re-provisioning), its
+/// One fleet slot: the live replica (absent while re-provisioning), its
 /// generation and health record.
 struct InstanceSlot {
-    server: Option<Arc<InferenceServer>>,
+    server: Option<Arc<Replica>>,
     generation: u64,
     healthy: bool,
 }
@@ -306,12 +315,12 @@ impl FleetShared {
     /// are demoted to fallbacks — liveness beats health when there is
     /// no healthy choice. Returns the slot index, its server, its
     /// generation, and whether this dispatch is a breaker probe.
-    fn pick(&self, avoid: Option<usize>) -> Option<(usize, Arc<InferenceServer>, u64, bool)> {
+    fn pick(&self, avoid: Option<usize>) -> Option<(usize, Arc<Replica>, u64, bool)> {
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let n = self.slots.len();
-        let mut best: Option<(usize, Arc<InferenceServer>, u64, usize)> = None;
-        let mut fallback: Option<(usize, Arc<InferenceServer>, u64)> = None;
-        let mut half_open: Option<(usize, Arc<InferenceServer>, u64)> = None;
+        let mut best: Option<(usize, Arc<Replica>, u64, usize)> = None;
+        let mut fallback: Option<(usize, Arc<Replica>, u64)> = None;
+        let mut half_open: Option<(usize, Arc<Replica>, u64)> = None;
         for off in 0..n {
             let i = (start + off) % n;
             let slot = self.slots[i].lock();
@@ -434,27 +443,24 @@ pub struct Fleet {
     config: FleetConfig,
 }
 
-/// The fault-site prefix of one instance generation.
-fn site_prefix(replica: usize, generation: u64) -> String {
-    format!("fleet{replica}g{generation}.")
-}
-
-/// Builds the server for one instance generation: the shared serve
-/// config with this generation's site prefix.
+/// Starts the replica of one instance generation: the shared serve
+/// config under this generation's fault-site prefix, writing to the
+/// fleet's registry, fed through an inbox that holds one forming batch.
+/// A full inbox blocks the routers, backing pressure up into the fleet
+/// queue the way the capacity-1 lane channel does for the batcher.
 fn start_instance(
     backends: Vec<Box<dyn ExecutionBackend>>,
     serve: &ServeConfig,
+    metrics: &Arc<MetricsRegistry>,
     replica: usize,
     generation: u64,
-) -> Result<Arc<InferenceServer>, ServeError> {
-    // Durability lives at the fleet level: instance servers always run
-    // in-memory (N instances sharing one disk directory would corrupt
-    // it, and per-instance logs would double-journal every request).
+) -> Result<Arc<Replica>, ServeError> {
     let config = serve
         .clone()
-        .with_site_prefix(site_prefix(replica, generation))
-        .with_queue(QueueBackend::InMemory);
-    Ok(Arc::new(InferenceServer::new(backends, config)?))
+        .with_site_prefix(format!("fleet{replica}g{generation}."));
+    let (inbox, rx) = sync_channel(config.max_batch.max(1));
+    let next = move |timeout| rx.recv_timeout(timeout);
+    Replica::start(backends, &config, Arc::clone(metrics), Some(inbox), next).map(Arc::new)
 }
 
 impl Fleet {
@@ -483,19 +489,20 @@ impl Fleet {
             "instance_failure_threshold must be ≥ 1"
         );
         // Before any instance is provisioned: a failed open must leave
-        // no server, router or supervisor running. The queue is the
+        // no replica, router or supervisor running. The queue is the
         // same classed one the single server uses — strict priority
         // with aging, plus CoDel shedding when the serve config enables
-        // it.
+        // it — and the only one a fleet request ever waits in.
         let intake = Intake::open(&config.queue, config.queue_capacity, &config.serve)?;
-        let (supervisor_tx, supervisor_rx) = crossbeam_channel::unbounded::<SupervisorMsg>();
+        let metrics = intake.metrics();
+        let (supervisor_tx, supervisor_rx) = channel::<SupervisorMsg>();
         let mut slots = Vec::with_capacity(config.replicas);
         let mut inflight = Vec::with_capacity(config.replicas);
         for replica in 0..config.replicas {
             let backends = provisioner
                 .provision(replica, 0)
                 .map_err(ServeError::Backend)?;
-            let server = start_instance(backends, &config.serve, replica, 0)?;
+            let server = start_instance(backends, &config.serve, &metrics, replica, 0)?;
             slots.push(Mutex::new(InstanceSlot {
                 server: Some(server),
                 generation: 0,
@@ -507,8 +514,8 @@ impl Fleet {
         let shared = Arc::new(FleetShared {
             slots,
             inflight,
-            metrics: intake.metrics(),
-            supervisor_tx: supervisor_tx.clone(),
+            metrics,
+            supervisor_tx,
             rr: AtomicUsize::new(0),
             breakers: (0..config.replicas)
                 .map(|_| CircuitBreaker::with_system_clock(breaker_config.clone()))
@@ -525,9 +532,8 @@ impl Fleet {
         let routers = (0..config.router_threads)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let queue = intake.queue();
-                let replicas = config.replicas;
-                std::thread::spawn(move || router_loop(shared, queue, replicas))
+                let pop = intake.consumer();
+                std::thread::spawn(move || router_loop(shared, pop))
             })
             .collect();
 
@@ -631,8 +637,8 @@ impl Fleet {
         }
         for slot in self.shared.slots.iter() {
             let server = slot.lock().server.take();
-            // The last Arc drop drains the instance (its Drop joins all
-            // threads after answering every accepted request).
+            // The last Arc drop drains the replica (its Drop joins all
+            // threads after answering every hop it was handed).
             drop(server);
         }
         self.intake.checkpoint();
@@ -648,41 +654,27 @@ impl Drop for Fleet {
 }
 
 /// One router thread: carries each fleet request end-to-end, failing
-/// over to another instance when the serving one dies under it, and
-/// resolving any CoDel sheds the admission queue reports.
-fn router_loop(shared: Arc<FleetShared>, queue: Arc<AdmissionQueue<Request>>, replicas: usize) {
-    let mut sheds = Vec::new();
+/// over to another instance when the serving one dies under it.
+fn router_loop(shared: Arc<FleetShared>, mut pop: impl FnMut(Duration) -> Popped) {
     loop {
-        let outcome = queue.pop(Duration::from_millis(20), &mut sheds);
-        // No brownout feed from here: the instance servers already
-        // report their own sheds to the controller.
-        resolve_sheds(&mut sheds, None, &shared.metrics);
-        match outcome {
-            PopOutcome::Popped {
-                item,
-                class,
-                sojourn,
-            } => {
-                shared.metrics.observe_duration("queue_sojourn_us", sojourn);
-                route_one(&shared, item, class, replicas);
-            }
-            PopOutcome::TimedOut => {}
-            PopOutcome::Closed => return,
+        match pop(Duration::from_millis(20)) {
+            Ok((request, class)) => route_one(&shared, request, class),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
 
-fn route_one(shared: &Arc<FleetShared>, request: Request, class: Priority, replicas: usize) {
+fn route_one(shared: &Arc<FleetShared>, request: Request, class: Priority) {
     // One try per replica plus one: enough to walk off a dying instance
     // onto every peer without looping forever under a total outage.
-    let budget = replicas + 1;
+    let budget = shared.slots.len() + 1;
     let mut avoid: Option<usize> = None;
     let mut last_err = ServeError::Timeout;
     let mut dispatched = false;
     for attempt in 0..budget {
         let now = Instant::now();
         if now >= request.deadline {
-            shared.metrics.incr("requests_timed_out", 1);
             resolve(request, Err(ServeError::Timeout), &shared.metrics);
             return;
         }
@@ -695,9 +687,9 @@ fn route_one(shared: &Arc<FleetShared>, request: Request, class: Priority, repli
         dispatched = true;
         shared.inflight[idx].fetch_add(1, Ordering::SeqCst);
         let started = Instant::now();
-        let outcome = server
-            .submit_with_class(request.tensor.clone(), request.deadline - now, class)
-            .and_then(PendingInference::wait_reply);
+        // A hop, not the request: this router keeps the admitted
+        // request (ticket, ledger term) until some hop settles it.
+        let outcome = server.hop(request.tensor.clone(), request.deadline - now);
         shared.inflight[idx].fetch_sub(1, Ordering::SeqCst);
         drop(server);
         match outcome {
@@ -709,39 +701,27 @@ fn route_one(shared: &Arc<FleetShared>, request: Request, class: Priority, repli
                     controllers[idx].observe(started.elapsed());
                 }
                 shared.record_success(idx, generation);
-                shared.metrics.incr("requests_completed", 1);
                 shared.metrics.incr(&format!("instance{idx}_completed"), 1);
                 resolve(request, Ok(reply), &shared.metrics);
                 return;
             }
             Err(e) => {
-                match &e {
+                let (congested, failed) = match &e {
                     // The instance failed the request outright: feed
                     // its breaker and fail over.
-                    ServeError::Backend(_) | ServeError::Disconnected => {
-                        if let Some(controllers) = &shared.aimd {
-                            controllers[idx].on_congestion();
-                        }
-                        shared.record_failure(idx, generation);
-                    }
+                    ServeError::Backend(_) | ServeError::Disconnected => (true, true),
                     // Congestion: cut this instance's limit and migrate
-                    // without a breaker penalty — unless this dispatch
-                    // was a half-open probe, which must always report.
-                    ServeError::Overloaded(_) | ServeError::Timeout => {
-                        if let Some(controllers) = &shared.aimd {
-                            controllers[idx].on_congestion();
-                        }
-                        if probing {
-                            shared.record_failure(idx, generation);
-                        }
-                    }
-                    // A draining server: migrate without penalty (but a
-                    // probe still reports, releasing its probe slot).
-                    ServeError::ShuttingDown | ServeError::NoBackends => {
-                        if probing {
-                            shared.record_failure(idx, generation);
-                        }
-                    }
+                    // without a breaker penalty.
+                    ServeError::Overloaded(_) | ServeError::Timeout => (true, false),
+                    // A draining replica: migrate without penalty.
+                    ServeError::ShuttingDown | ServeError::NoBackends => (false, false),
+                };
+                if let (true, Some(controllers)) = (congested, &shared.aimd) {
+                    controllers[idx].on_congestion();
+                }
+                // A half-open probe always reports, releasing its slot.
+                if failed || probing {
+                    shared.record_failure(idx, generation);
                 }
                 if attempt + 1 < budget {
                     shared.metrics.incr("requests_migrated", 1);
@@ -768,16 +748,7 @@ fn route_one(shared: &Arc<FleetShared>, request: Request, class: Priority, repli
         );
         return;
     }
-    match last_err {
-        ServeError::Timeout => {
-            shared.metrics.incr("requests_timed_out", 1);
-            resolve(request, Err(ServeError::Timeout), &shared.metrics);
-        }
-        other => {
-            shared.metrics.incr("requests_failed", 1);
-            resolve(request, Err(other), &shared.metrics);
-        }
-    }
+    resolve(request, Err(last_err), &shared.metrics);
 }
 
 /// The supervisor thread: retires failed instances and provisions
@@ -824,7 +795,7 @@ fn supervisor_loop(
             match provisioner
                 .provision(replica, next_gen)
                 .map_err(ServeError::Backend)
-                .and_then(|b| start_instance(b, &serve, replica, next_gen))
+                .and_then(|b| start_instance(b, &serve, &shared.metrics, replica, next_gen))
             {
                 Ok(server) => {
                     {
@@ -863,6 +834,17 @@ mod tests {
                 .with_batch_window(Duration::from_millis(1))
                 .with_default_timeout(Duration::from_secs(20)),
         )
+    }
+
+    /// `accepted == completed + failed + timed_out + shed`.
+    fn assert_ledger_balances(snap: &MetricsSnapshot) {
+        assert_eq!(
+            snap.counter("requests_accepted"),
+            snap.counter("requests_completed")
+                + snap.counter("requests_failed")
+                + snap.counter("requests_timed_out")
+                + snap.counter("requests_shed")
+        );
     }
 
     #[test]
@@ -1070,14 +1052,109 @@ mod tests {
         assert_eq!(snap.counter("requests_shed"), 1);
         assert_eq!(snap.counter("requests_shed_standard"), 1);
         assert_eq!(snap.counter("instance_failed_over"), 1);
-        assert_eq!(
-            snap.counter("requests_accepted"),
-            snap.counter("requests_completed")
-                + snap.counter("requests_failed")
-                + snap.counter("requests_timed_out")
-                + snap.counter("requests_shed")
-        );
+        assert_ledger_balances(&snap);
         assert_eq!(snap.gauge("breaker0_state"), Some(1.0));
+        handle.clear();
+    }
+
+    #[test]
+    fn codel_sheds_behind_a_fleet_drive_brownout() {
+        use crate::{BrownoutConfig, BrownoutController, DegradableBackend};
+        use condor_faults::{FaultPlan, FaultRule};
+        // `shed.codel` forced on: the one queue a fleet request waits in
+        // sheds it, and that shed must reach the shared controller — one
+        // consult of the site per request, since there is one queue.
+        let controller = Arc::new(BrownoutController::with_system_clock(
+            BrownoutConfig::new()
+                .with_engage_sheds(2)
+                .with_disengage_quiet(Duration::from_secs(60)),
+        ));
+        let handle = FaultPlan::new(0xB0)
+            .rule(FaultRule::at("shed.codel").always().fail_transient())
+            .install();
+        let net = zoo::tc1_weighted(13);
+        let calib: Vec<Tensor> = dataset::usps_like(4, 13)
+            .into_iter()
+            .map(|s| s.image)
+            .collect();
+        let lanes = Arc::clone(&controller);
+        let fleet = Fleet::new(
+            move |_: usize, _: u64| {
+                DegradableBackend::replicas(&net, 1, &calib, Arc::clone(&lanes))
+            },
+            quick_config().with_replicas(1).with_serve(
+                ServeConfig::default()
+                    .with_batch_window(Duration::from_millis(1))
+                    .with_default_timeout(Duration::from_secs(20))
+                    .with_brownout(Arc::clone(&controller))
+                    .with_faults(handle.clone()),
+            ),
+        )
+        .unwrap();
+        let samples = dataset::usps_like(3, 14);
+        let requests = samples.len();
+        for s in samples {
+            match fleet.submit(s.image).unwrap().wait() {
+                Err(ServeError::Overloaded(ShedReason::CoDelShed { retry_after })) => {
+                    assert!(retry_after > Duration::ZERO);
+                }
+                other => panic!("expected a CoDel shed, got {other:?}"),
+            }
+        }
+        assert!(controller.active(), "sustained sheds engage brownout");
+        assert_eq!(controller.engages(), 1);
+        // The replica's idle batcher exports the gauge every 20 ms.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while fleet.metrics().gauge("brownout_active") != Some(1.0) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let snap = fleet.shutdown();
+        assert_eq!(snap.gauge("brownout_active"), Some(1.0));
+        assert_eq!(snap.counter("requests_shed"), requests as u64);
+        assert_eq!(
+            handle.fired(),
+            requests,
+            "one queue, one consult per request"
+        );
+        assert_ledger_balances(&snap);
+        handle.clear();
+    }
+
+    #[test]
+    fn lane_metrics_behind_a_fleet_land_in_the_fleet_registry() {
+        use condor_faults::{FaultPlan, FaultRule};
+        // Replica 0's first dispatch fails transiently and is retried in
+        // its worker: that retry, the batches and every completion's
+        // latency must be readable from the fleet's own snapshot.
+        let handle = FaultPlan::new(0xC1)
+            .rule(
+                FaultRule::at("fleet0g0.serve.backend0")
+                    .nth_call(0)
+                    .fail_transient(),
+            )
+            .install();
+        let net = zoo::tc1_weighted(15);
+        let fleet = Fleet::new(
+            move |_: usize, _: u64| CpuBackend::replicas(&net, 1),
+            quick_config().with_replicas(2).with_serve(
+                ServeConfig::default()
+                    .with_batch_window(Duration::from_millis(1))
+                    .with_default_timeout(Duration::from_secs(20))
+                    .with_faults(handle.clone()),
+            ),
+        )
+        .unwrap();
+        for s in dataset::usps_like(8, 15) {
+            fleet.infer(s.image).unwrap();
+        }
+        let snap = fleet.shutdown();
+        assert_eq!(snap.counter("backend_retries"), 1);
+        assert!(snap.histogram("batch_size").unwrap().count >= 1);
+        assert_eq!(snap.counter("requests_accepted"), 8);
+        assert_eq!(snap.counter("requests_completed"), 8);
+        assert_eq!(snap.histogram("latency_us").unwrap().count, 8);
+        assert_eq!(snap.counter("requests_migrated"), 0);
+        assert_ledger_balances(&snap);
         handle.clear();
     }
 

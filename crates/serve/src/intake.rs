@@ -15,20 +15,24 @@
 //! * **redelivery** — the backlog recovered at [`Intake::open`]
 //!   re-enters priority-then-FIFO, with deadline-expired and poisoned
 //!   records failed and acked instead of served;
+//! * **one pop** — the closure [`Intake::consumer`] returns is the only
+//!   way a request leaves the queue: it resolves the CoDel sheds the
+//!   pop produced, feeds the brownout controller and observes
+//!   `queue_sojourn_us`;
 //! * **one ledger** — `requests_accepted`, the rejection and shed
 //!   counters, `queue_depth`, `ack_latency_us` and `disk_queue_depth`
-//!   are written here against the one registry the dispatcher also
-//!   writes its completions to.
+//!   are written here, and [`resolve`] derives the closing terms
+//!   (`requests_completed`, `requests_failed`, `requests_timed_out`,
+//!   `latency_us`) from the result it delivers.
 //!
-//! What is *not* here is dispatch: the server's batcher and lanes and
-//! the fleet's routers and breakers share no logic, pop from
-//! [`Intake::queue`] on their own threads and hand every request back
-//! through [`resolve`].
+//! What is *not* here is dispatch: the server's replica and the
+//! fleet's routers and breakers pop on their own threads and hand
+//! every request back through [`resolve`].
 //!
 //! [`InferenceServer`]: crate::InferenceServer
 //! [`Fleet`]: crate::Fleet
 
-use crate::admission::{AdmissionQueue, PushError, Shed};
+use crate::admission::{AdmissionQueue, PopOutcome, PushError, Shed};
 use crate::{
     durable, BrownoutController, PendingInference, ServeConfig, ServeError, ServeReply, ShedReason,
 };
@@ -36,8 +40,8 @@ use condor::{CondorError, MetricsRegistry, MetricsSnapshot};
 use condor_faults::retry::SystemClock;
 use condor_queue::{DiskQueue, Priority, QueueBackend, RecoveryReport};
 use condor_tensor::Tensor;
-use crossbeam_channel::{bounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,12 +51,16 @@ use std::time::{Duration, Instant};
 /// consumer that needs it takes it from the pop.
 pub(crate) struct Request {
     pub(crate) tensor: Tensor,
-    pub(crate) enqueued: Instant,
+    enqueued: Instant,
     pub(crate) deadline: Instant,
-    reply: Sender<Result<ServeReply, ServeError>>,
+    reply: SyncSender<Result<ServeReply, ServeError>>,
     /// Present in disk-queue mode: the durable record backing this
     /// request, acked only when the request is resolved.
     ticket: Option<Ticket>,
+    /// True for a request an [`Intake`] admitted or redelivered: its
+    /// resolution is a ledger term. False for a refused submission and
+    /// for a fleet router's hop, whose outcome only the router reads.
+    ledger: bool,
 }
 
 /// The durable record behind one accepted request.
@@ -68,8 +76,9 @@ impl Request {
         tensor: Tensor,
         timeout: Duration,
         ticket: Option<Ticket>,
-    ) -> (Request, Receiver<Result<ServeReply, ServeError>>) {
-        let (reply, rx) = bounded(1);
+        ledger: bool,
+    ) -> (Request, PendingInference) {
+        let (reply, rx) = sync_channel(1);
         let now = Instant::now();
         let request = Request {
             tensor,
@@ -77,22 +86,42 @@ impl Request {
             deadline: now + timeout,
             reply,
             ticket,
+            ledger,
         };
-        (request, rx)
+        (request, PendingInference { rx })
+    }
+
+    /// One attempt of a fleet router at one replica: the durable record
+    /// and the ledger term stay with the request the router holds.
+    pub(crate) fn hop(tensor: Tensor, timeout: Duration) -> (Request, PendingInference) {
+        Request::new(tensor, timeout, None, false)
     }
 }
 
-/// Answers a request and — in disk-queue mode — acks its durable
-/// record. The ack is written strictly after the reply is delivered to
-/// the caller's channel, so `accepted ⇒ eventually resolved-or-failed`
-/// holds across a `kill -9` anywhere (a crash between reply and ack
-/// redelivers; a crash before the reply redelivers; nothing is ever
-/// dropped).
+/// Counts, answers and — in disk-queue mode — acks a request, in that
+/// order: callers read counters right after `wait()`. The ledger term
+/// is derived from `result` (a shed is `Overloaded` and was counted,
+/// with its class, where it was decided). The ack is written strictly
+/// after the reply is delivered to the caller's channel, so `accepted ⇒
+/// eventually resolved-or-failed` holds across a `kill -9` anywhere (a
+/// crash between reply and ack redelivers; a crash before the reply
+/// redelivers; nothing is ever dropped).
 pub(crate) fn resolve(
     request: Request,
     result: Result<ServeReply, ServeError>,
     metrics: &MetricsRegistry,
 ) {
+    if request.ledger {
+        match &result {
+            Ok(_) => {
+                metrics.incr("requests_completed", 1);
+                metrics.observe_duration("latency_us", request.enqueued.elapsed());
+            }
+            Err(ServeError::Timeout) => metrics.incr("requests_timed_out", 1),
+            Err(ServeError::Overloaded(_)) => {}
+            Err(_) => metrics.incr("requests_failed", 1),
+        }
+    }
     let _ = request.reply.send(result);
     if let Some(ticket) = request.ticket {
         // A refused double ack (redelivery raced the original) or a
@@ -119,10 +148,9 @@ pub(crate) fn count_shed(metrics: &MetricsRegistry, class: Priority) {
 
 /// Resolves every request the admission queue shed since the last pop:
 /// shed counters tick (aggregate and per class), the brownout
-/// controller — when the front end feeds one — hears about the
-/// overload, and the caller gets the typed rejection with its retry
-/// hint.
-pub(crate) fn resolve_sheds(
+/// controller — when one is configured — hears about the overload, and
+/// the caller gets the typed rejection with its retry hint.
+fn resolve_sheds(
     sheds: &mut Vec<Shed<Request>>,
     brownout: Option<&BrownoutController>,
     metrics: &MetricsRegistry,
@@ -142,6 +170,11 @@ pub(crate) fn resolve_sheds(
     }
 }
 
+/// What a consumer's pop yields: the next request and its class;
+/// `Timeout` when idle or when sheds were just resolved; `Disconnected`
+/// once the intake is closed and drained.
+pub(crate) type Popped = Result<(Request, Priority), RecvTimeoutError>;
+
 /// Maps a queue failure onto the serving error surface.
 fn queue_err(e: condor_queue::QueueError) -> ServeError {
     ServeError::Backend(CondorError::new("queue", e.to_string()))
@@ -154,6 +187,7 @@ pub(crate) struct Intake {
     accepting: AtomicBool,
     queue: Arc<AdmissionQueue<Request>>,
     metrics: Arc<MetricsRegistry>,
+    brownout: Option<Arc<BrownoutController>>,
     started: Instant,
     durable: Option<Arc<DiskQueue>>,
     redelivery: Option<JoinHandle<()>>,
@@ -161,7 +195,7 @@ pub(crate) struct Intake {
 
 impl Intake {
     /// Opens the intake: `backend` and `capacity` are the front end's
-    /// own, the aging, CoDel and fault knobs come from `serve`.
+    /// own, the aging, CoDel, brownout and fault knobs come from `serve`.
     ///
     /// In disk-queue mode this opens the log (running crash recovery)
     /// and starts re-injecting every record the previous process
@@ -201,15 +235,38 @@ impl Intake {
             accepting: AtomicBool::new(true),
             queue,
             metrics,
+            brownout: serve.brownout.clone(),
             started: Instant::now(),
             durable,
             redelivery,
         })
     }
 
-    /// The queue consumer threads pop from.
-    pub(crate) fn queue(&self) -> Arc<AdmissionQueue<Request>> {
-        Arc::clone(&self.queue)
+    /// One consumer thread's pop, waiting up to the `timeout` it is
+    /// called with: sheds are resolved (and fed to the brownout
+    /// controller) and `queue_sojourn_us` observed before the
+    /// dispatcher sees a request.
+    pub(crate) fn consumer(&self) -> impl FnMut(Duration) -> Popped + Send + 'static {
+        let queue = Arc::clone(&self.queue);
+        let metrics = Arc::clone(&self.metrics);
+        let brownout = self.brownout.clone();
+        let mut sheds = Vec::new();
+        move |timeout| {
+            let outcome = queue.pop(timeout, &mut sheds);
+            resolve_sheds(&mut sheds, brownout.as_deref(), &metrics);
+            match outcome {
+                PopOutcome::Popped {
+                    item,
+                    class,
+                    sojourn,
+                } => {
+                    metrics.observe_duration("queue_sojourn_us", sojourn);
+                    Ok((item, class))
+                }
+                PopOutcome::TimedOut => Err(RecvTimeoutError::Timeout),
+                PopOutcome::Closed => Err(RecvTimeoutError::Disconnected),
+            }
+        }
     }
 
     /// The registry the intake and its dispatcher both write to.
@@ -246,14 +303,15 @@ impl Intake {
                 })
             }
         };
-        let (request, rx) = Request::new(tensor, timeout, ticket);
+        let (request, pending) = Request::new(tensor, timeout, ticket, true);
         // A refused request is resolved, not dropped: its durable
         // record (if any) is acked as rejected and will not redeliver.
-        let (request, error) = match self.queue.try_push(request, class) {
+        // It was never accepted, so it closes no ledger term either.
+        let (mut request, error) = match self.queue.try_push(request, class) {
             Ok(()) => {
                 self.metrics.incr("requests_accepted", 1);
                 self.metrics.observe("queue_depth", self.queue.len() as f64);
-                return Ok(PendingInference { rx });
+                return Ok(pending);
             }
             Err(PushError::Full(request)) => {
                 self.metrics.incr("requests_rejected_overloaded", 1);
@@ -261,6 +319,7 @@ impl Intake {
             }
             Err(PushError::Closed(request)) => (request, ServeError::ShuttingDown),
         };
+        request.ledger = false;
         resolve(request, Err(error.clone()), &self.metrics);
         Err(error)
     }
@@ -362,9 +421,9 @@ fn spawn_redelivery(
                 queue: Arc::clone(&log),
                 id: record.id,
             };
-            // The rx side is dropped: replies go nowhere, but
-            // resolve() still acks the record.
-            let (request, _) = Request::new(tensor, remaining, Some(ticket));
+            // The caller's side is dropped: replies go nowhere, but
+            // resolve() still counts the outcome and acks the record.
+            let (request, _) = Request::new(tensor, remaining, Some(ticket), true);
             // Blocking push: redelivery yields to live traffic when
             // the queue is full. A push failure means the front end is
             // already gone; the record stays pending for the next

@@ -57,10 +57,12 @@
 //!
 //! Structure: a front end is an intake plus a dispatcher. The private
 //! `intake` module owns everything [`InferenceServer`] and [`Fleet`]
-//! must agree on — admission, the durable record, redelivery, the one
-//! place a request is answered and acked, the shared ledger — and each
-//! front end adds only its own dispatch: a batcher and lanes here,
-//! routers, breakers and a supervisor in [`fleet`].
+//! must agree on — admission, the one pop, the durable record,
+//! redelivery, the one place a request is counted, answered and acked —
+//! and the private `replica` module is the batcher and its lanes.
+//! [`InferenceServer`] is an intake whose queue one replica pops;
+//! [`Fleet`] is an intake whose queue routers pop, handing each request
+//! to one of N replicas, plus breakers and a supervisor ([`fleet`]).
 //!
 //! Every accepted request receives exactly one reply, and outputs are
 //! bit-identical to calling `infer_batch` directly on the deployment:
@@ -94,6 +96,7 @@ pub mod cpu;
 mod durable;
 pub mod fleet;
 mod intake;
+mod replica;
 
 pub use admission::CodelConfig;
 pub use brownout::{BrownoutConfig, BrownoutController, DegradableBackend};
@@ -103,20 +106,15 @@ pub use condor_queue::{
 pub use cpu::CpuBackend;
 pub use fleet::{Fleet, FleetConfig, InstanceProvisioner};
 
-use admission::{AdmissionQueue, PopOutcome};
-use condor::{
-    CondorError, DeployedAccelerator, ExecutionBackend, MetricsRegistry, MetricsSnapshot,
-};
+use condor::{CondorError, DeployedAccelerator, ExecutionBackend, MetricsSnapshot};
 use condor_faults::{FaultHandle, FaultPlan};
 use condor_tensor::Tensor;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use intake::{resolve, resolve_sheds, Intake, Request};
-use parking_lot::Mutex;
+use intake::Intake;
+use replica::Replica;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs of the serving layer.
 #[derive(Clone, Debug)]
@@ -407,36 +405,6 @@ impl PendingInference {
     }
 }
 
-/// Health of one dispatch lane, shared between its worker (which
-/// updates it after every batch) and the batcher (which reads it when
-/// picking a lane).
-#[derive(Default)]
-struct LaneState {
-    /// Consecutive failed batches.
-    consecutive_failures: usize,
-    /// Set while the lane is quarantined; an expired instant means the
-    /// lane is due for a re-probe.
-    unhealthy_until: Option<Instant>,
-}
-
-impl LaneState {
-    /// A lane is selectable when healthy or when its quarantine has
-    /// expired (the next batch is its re-probe).
-    fn selectable(&self, now: Instant) -> bool {
-        match self.unhealthy_until {
-            None => true,
-            Some(until) => now >= until,
-        }
-    }
-}
-
-/// One dispatch lane: a backend plus its in-flight load and health.
-struct WorkerHandle {
-    tx: Sender<Vec<Request>>,
-    inflight: Arc<AtomicUsize>,
-    health: Arc<Mutex<LaneState>>,
-}
-
 /// The dynamic-batching inference server.
 ///
 /// See the crate docs for the threading model. Construct with
@@ -446,8 +414,8 @@ struct WorkerHandle {
 pub struct InferenceServer {
     config: ServeConfig,
     intake: Intake,
-    batcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// `None` once stopped: dropping the replica is what joins it.
+    replica: Option<Replica>,
     locations: Vec<String>,
 }
 
@@ -467,57 +435,17 @@ impl InferenceServer {
         backends: Vec<Box<dyn ExecutionBackend>>,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        if backends.is_empty() {
-            return Err(ServeError::NoBackends);
-        }
         // Before any thread exists: a failed open must leave nothing
         // running that owns a backend.
         let intake = Intake::open(&config.queue, config.queue_capacity, &config)?;
-        let metrics = intake.metrics();
-
-        let mut handles = Vec::with_capacity(backends.len());
-        let mut workers = Vec::with_capacity(backends.len());
-        let mut locations = Vec::with_capacity(backends.len());
-        for (idx, backend) in backends.into_iter().enumerate() {
-            let location = backend.location();
-            // Capacity 1 keeps at most one batch queued per lane, so a
-            // stalled backend pushes back into the request queue instead
-            // of hoarding work a faster lane could take.
-            let (tx, rx) = bounded::<Vec<Request>>(1);
-            let inflight = Arc::new(AtomicUsize::new(0));
-            let health = Arc::new(Mutex::new(LaneState::default()));
-            handles.push(WorkerHandle {
-                tx,
-                inflight: Arc::clone(&inflight),
-                health: Arc::clone(&health),
-            });
-            locations.push(location);
-            let worker_metrics = Arc::clone(&metrics);
-            let worker_cfg = config.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    idx,
-                    backend,
-                    rx,
-                    inflight,
-                    health,
-                    worker_cfg,
-                    worker_metrics,
-                );
-            }));
-        }
-
-        let batcher_cfg = config.clone();
-        let batcher_queue = intake.queue();
-        let batcher = std::thread::spawn(move || {
-            batcher_loop(batcher_queue, handles, batcher_cfg, metrics);
-        });
-
+        let locations = backends.iter().map(|b| b.location()).collect();
+        let mut pop = intake.consumer();
+        let next = move |timeout| pop(timeout).map(|(request, _class)| request);
+        let replica = Replica::start(backends, &config, intake.metrics(), None, next)?;
         Ok(InferenceServer {
             config,
             intake,
-            batcher: Some(batcher),
-            workers,
+            replica: Some(replica),
             locations,
         })
     }
@@ -580,16 +508,10 @@ impl InferenceServer {
     }
 
     fn stop(&mut self) {
-        // Closing the intake lets the batcher drain what is left and
-        // observe the close; the batcher in turn drops the worker
-        // lanes, which drain and exit.
+        // Closing the intake lets the replica's batcher drain what is
+        // left and observe the close.
         self.intake.close();
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.replica = None;
         self.intake.checkpoint();
     }
 }
@@ -599,210 +521,6 @@ impl Drop for InferenceServer {
         // A dropped server still drains: threads only exit after the
         // queue empties, and every in-flight request is answered.
         self.stop();
-    }
-}
-
-/// Adds a request to the forming batch, or answers it with `Timeout` if
-/// its deadline already passed while it sat in the queue.
-fn admit(request: Request, batch: &mut Vec<Request>, metrics: &MetricsRegistry) {
-    if Instant::now() >= request.deadline {
-        metrics.incr("requests_timed_out", 1);
-        resolve(request, Err(ServeError::Timeout), metrics);
-    } else {
-        batch.push(request);
-    }
-}
-
-/// The batcher thread: coalesces queued requests into batches and hands
-/// each batch to the least-loaded worker lane.
-fn batcher_loop(
-    queue: Arc<AdmissionQueue<Request>>,
-    workers: Vec<WorkerHandle>,
-    config: ServeConfig,
-    metrics: Arc<MetricsRegistry>,
-) {
-    let mut sheds = Vec::new();
-    'serve: loop {
-        // Block for the first request of the next batch; a closed and
-        // drained queue means the server is shutting down.
-        let first = loop {
-            let outcome = queue.pop(Duration::from_millis(20), &mut sheds);
-            resolve_sheds(&mut sheds, config.brownout.as_deref(), &metrics);
-            match outcome {
-                PopOutcome::Popped { item, sojourn, .. } => {
-                    metrics.observe_duration("queue_sojourn_us", sojourn);
-                    break item;
-                }
-                PopOutcome::TimedOut => {
-                    if let Some(brownout) = &config.brownout {
-                        let active = brownout.poll();
-                        metrics.set_gauge("brownout_active", if active { 1.0 } else { 0.0 });
-                    }
-                    continue;
-                }
-                PopOutcome::Closed => break 'serve,
-            }
-        };
-        let window_closes = Instant::now() + config.batch_window;
-        let mut batch = Vec::with_capacity(config.max_batch);
-        admit(first, &mut batch, &metrics);
-
-        // Keep coalescing until the batch fills or the window closes.
-        while batch.len() < config.max_batch.max(1) {
-            let now = Instant::now();
-            if now >= window_closes {
-                break;
-            }
-            let outcome = queue.pop(window_closes - now, &mut sheds);
-            resolve_sheds(&mut sheds, config.brownout.as_deref(), &metrics);
-            match outcome {
-                PopOutcome::Popped { item, sojourn, .. } => {
-                    metrics.observe_duration("queue_sojourn_us", sojourn);
-                    admit(item, &mut batch, &metrics);
-                }
-                PopOutcome::TimedOut => break,
-                PopOutcome::Closed => break,
-            }
-        }
-        if let Some(brownout) = &config.brownout {
-            let active = brownout.poll();
-            metrics.set_gauge("brownout_active", if active { 1.0 } else { 0.0 });
-        }
-        if batch.is_empty() {
-            continue;
-        }
-
-        // Least-loaded dispatch over *healthy* lanes: quarantined lanes
-        // are shed until their quarantine expires (the next batch sent
-        // to an expired lane is its re-probe). If every lane is
-        // quarantined, fall back to the one whose quarantine ends
-        // soonest — liveness beats health when there is no healthy
-        // choice. The bounded lane makes this send block when every
-        // lane is busy, which is what backs pressure up into the
-        // request queue.
-        let now = Instant::now();
-        let lane = workers
-            .iter()
-            .filter(|w| w.health.lock().selectable(now))
-            .min_by_key(|w| w.inflight.load(Ordering::SeqCst))
-            .or_else(|| {
-                workers
-                    .iter()
-                    .min_by_key(|w| w.health.lock().unhealthy_until.unwrap_or(now))
-            })
-            .expect("server has at least one backend");
-        lane.inflight.fetch_add(batch.len(), Ordering::SeqCst);
-        metrics.observe("batch_size", batch.len() as f64);
-        if let Err(failed) = lane.tx.send(batch) {
-            // Worker died. Resolve every request in the failed batch —
-            // callers see Disconnected, and in disk-queue mode the
-            // records are acked rather than left to redeliver forever.
-            metrics.incr("requests_dropped_worker_died", 1);
-            for request in failed.0 {
-                resolve(request, Err(ServeError::Disconnected), &metrics);
-            }
-        }
-    }
-    // Dropping `workers` here closes every lane; workers drain whatever
-    // is still queued on their channel and exit.
-}
-
-/// One worker thread: executes batches on its backend (retrying
-/// transient failures while some request still has deadline left),
-/// answers every request in the batch, and maintains the lane's health
-/// record.
-fn worker_loop(
-    idx: usize,
-    backend: Box<dyn ExecutionBackend>,
-    rx: Receiver<Vec<Request>>,
-    inflight: Arc<AtomicUsize>,
-    health: Arc<Mutex<LaneState>>,
-    config: ServeConfig,
-    metrics: Arc<MetricsRegistry>,
-) {
-    let site = format!("{}serve.backend{idx}", config.site_prefix);
-    while let Ok(batch) = rx.recv() {
-        let n = batch.len();
-        // Deadline escalation: requests that expired while waiting on
-        // this lane's channel time out instead of burning backend time.
-        let now = Instant::now();
-        let (batch, expired): (Vec<Request>, Vec<Request>) =
-            batch.into_iter().partition(|r| now < r.deadline);
-        for request in expired {
-            metrics.incr("requests_timed_out", 1);
-            resolve(request, Err(ServeError::Timeout), &metrics);
-        }
-        if batch.is_empty() {
-            inflight.fetch_sub(n, Ordering::SeqCst);
-            continue;
-        }
-
-        let tensors: Vec<Tensor> = batch.iter().map(|r| r.tensor.clone()).collect();
-        let mut attempt = 0u32;
-        let result = loop {
-            attempt += 1;
-            let res = config
-                .faults
-                .gate(&site)
-                .map_err(CondorError::from)
-                .and_then(|()| backend.infer_batch(&tensors));
-            match res {
-                Ok(outputs) => break Ok(outputs),
-                Err(e) => {
-                    // Retry only transient failures, only while attempts
-                    // remain, and only if someone is still waiting.
-                    let worth_retrying = e.transient
-                        && attempt < config.backend_attempts.max(1)
-                        && batch.iter().any(|r| Instant::now() < r.deadline);
-                    if !worth_retrying {
-                        break Err(e);
-                    }
-                    metrics.incr("backend_retries", 1);
-                    if !config.backend_backoff.is_zero() {
-                        std::thread::sleep(config.backend_backoff);
-                    }
-                }
-            }
-        };
-
-        match result {
-            Ok(outputs) => {
-                {
-                    let mut lane = health.lock();
-                    if lane.unhealthy_until.is_some() {
-                        metrics.incr("lane_recovered", 1);
-                    }
-                    lane.consecutive_failures = 0;
-                    lane.unhealthy_until = None;
-                }
-                let degraded = config
-                    .brownout
-                    .as_ref()
-                    .is_some_and(|brownout| brownout.active());
-                for (request, output) in batch.into_iter().zip(outputs) {
-                    metrics.incr("requests_completed", 1);
-                    metrics.observe_duration("latency_us", request.enqueued.elapsed());
-                    resolve(request, Ok(ServeReply { output, degraded }), &metrics);
-                }
-            }
-            Err(e) => {
-                {
-                    let mut lane = health.lock();
-                    lane.consecutive_failures += 1;
-                    if lane.consecutive_failures >= config.failure_threshold.max(1) {
-                        if lane.unhealthy_until.is_none() {
-                            metrics.incr("lane_marked_unhealthy", 1);
-                        }
-                        lane.unhealthy_until = Some(Instant::now() + config.quarantine);
-                    }
-                }
-                for request in batch {
-                    metrics.incr("requests_failed", 1);
-                    resolve(request, Err(ServeError::Backend(e.clone())), &metrics);
-                }
-            }
-        }
-        inflight.fetch_sub(n, Ordering::SeqCst);
     }
 }
 
@@ -1219,7 +937,7 @@ mod tests {
 
     /// Fresh scratch directory for the disk-queue tests.
     fn tmp_queue_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "condor-serve-{tag}-{}-{}",
@@ -1263,6 +981,13 @@ mod tests {
                 .shutdown()
             };
             check(&snap);
+            // A redelivered record has no caller, but it was served: its
+            // latency is observed like any completion, from re-admission.
+            assert_eq!(
+                snap.histogram("latency_us").map_or(0, |h| h.count),
+                snap.counter("requests_completed"),
+                "{front_end}: one latency sample per completion"
+            );
             let (_, report) = DiskQueue::open(DiskQueueConfig::new(&dir)).unwrap();
             assert!(
                 report.pending.is_empty(),

@@ -1,0 +1,443 @@
+//! What a replica is: one batcher thread and the lanes it feeds.
+//!
+//! [`InferenceServer`](crate::InferenceServer) is an intake plus one
+//! replica whose batcher pops the intake; a [`Fleet`](crate::Fleet) slot
+//! is a replica whose batcher receives from a bounded inbox the routers
+//! fill. Nothing is queued, shed, aged or made durable here — that
+//! happened once, in the front end's `intake` — and the lane metrics go
+//! to the front end's registry. The batcher is written against "the
+//! next request, or idle, or closed, within `timeout`": a closure
+//! returning what `Receiver::recv_timeout` returns.
+
+use crate::intake::{resolve, Request};
+use crate::{ServeConfig, ServeError, ServeReply};
+use condor::{CondorError, ExecutionBackend, MetricsRegistry};
+use condor_tensor::Tensor;
+use parking_lot::Mutex;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Load and health of one dispatch lane, shared between its worker
+/// (which updates it after every batch) and the batcher (which reads it
+/// when picking a lane).
+#[derive(Default)]
+struct LaneState {
+    /// Requests handed to the lane and not yet answered.
+    inflight: usize,
+    /// Consecutive failed batches.
+    consecutive_failures: usize,
+    /// Set while the lane is quarantined; an expired instant means the
+    /// lane is due for a re-probe.
+    unhealthy_until: Option<Instant>,
+}
+
+impl LaneState {
+    /// A lane is selectable when healthy or when its quarantine has
+    /// expired (the next batch is its re-probe).
+    fn selectable(&self, now: Instant) -> bool {
+        match self.unhealthy_until {
+            None => true,
+            Some(until) => now >= until,
+        }
+    }
+}
+
+/// The batcher's end of one dispatch lane.
+struct WorkerHandle {
+    tx: SyncSender<Vec<Request>>,
+    state: Arc<Mutex<LaneState>>,
+}
+
+/// A running batcher and its lane threads.
+pub(crate) struct Replica {
+    /// The routers' end of the hand-off; absent on a server's replica,
+    /// whose batcher pops the intake instead.
+    inbox: Option<SyncSender<Request>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Replica {
+    /// Starts one worker thread per backend and the batcher that feeds
+    /// them from `next`; `config`'s queue fields are not read. `inbox`
+    /// is the sending end of `next` when that is a channel of hops.
+    pub(crate) fn start(
+        backends: Vec<Box<dyn ExecutionBackend>>,
+        config: &ServeConfig,
+        metrics: Arc<MetricsRegistry>,
+        inbox: Option<SyncSender<Request>>,
+        next: impl FnMut(Duration) -> Result<Request, RecvTimeoutError> + Send + 'static,
+    ) -> Result<Replica, ServeError> {
+        if backends.is_empty() {
+            return Err(ServeError::NoBackends);
+        }
+        let mut handles = Vec::with_capacity(backends.len());
+        let mut threads = Vec::with_capacity(backends.len() + 1);
+        for (idx, backend) in backends.into_iter().enumerate() {
+            // Capacity 1 keeps at most one batch queued per lane, so a
+            // stalled backend pushes back into the request queue instead
+            // of hoarding work a faster lane could take.
+            let (tx, rx) = sync_channel(1);
+            let state = Arc::new(Mutex::new(LaneState::default()));
+            handles.push(WorkerHandle {
+                tx,
+                state: Arc::clone(&state),
+            });
+            let (config, metrics) = (config.clone(), Arc::clone(&metrics));
+            threads.push(std::thread::spawn(move || {
+                worker_loop(idx, backend, rx, state, config, metrics);
+            }));
+        }
+        let config = config.clone();
+        threads.push(std::thread::spawn(move || {
+            batcher_loop(next, handles, config, metrics);
+        }));
+        Ok(Replica { inbox, threads })
+    }
+
+    /// Gives this replica one attempt at `tensor`, due in `timeout`, and
+    /// waits for its verdict. A closed inbox reads as a draining
+    /// replica.
+    pub(crate) fn hop(&self, tensor: Tensor, timeout: Duration) -> Result<ServeReply, ServeError> {
+        let (request, pending) = Request::hop(tensor, timeout);
+        match &self.inbox {
+            Some(inbox) if inbox.send(request).is_ok() => pending.wait_reply(),
+            _ => Err(ServeError::ShuttingDown),
+        }
+    }
+}
+
+impl Drop for Replica {
+    /// Joins every thread, so a dropped replica still drains. The
+    /// batcher exits once its source reports closed — the inbox is
+    /// closed here, a server closes its intake before the drop — and
+    /// drops the lanes, whose workers drain and exit.
+    fn drop(&mut self) {
+        self.inbox = None;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Adds a request to the batch, or answers it with `Timeout` if its
+/// deadline passed while it waited (in the source, or on a lane).
+fn admit(request: Request, batch: &mut Vec<Request>, metrics: &MetricsRegistry) {
+    if Instant::now() >= request.deadline {
+        resolve(request, Err(ServeError::Timeout), metrics);
+    } else {
+        batch.push(request);
+    }
+}
+
+/// Polls the brownout controller (time-based disengage) and exports its
+/// state as the `brownout_active` gauge.
+fn publish_brownout(config: &ServeConfig, metrics: &MetricsRegistry) {
+    if let Some(brownout) = &config.brownout {
+        let active = brownout.poll();
+        metrics.set_gauge("brownout_active", if active { 1.0 } else { 0.0 });
+    }
+}
+
+/// The batcher thread: coalesces requests into batches and hands each
+/// batch to the least-loaded worker lane.
+fn batcher_loop(
+    mut next: impl FnMut(Duration) -> Result<Request, RecvTimeoutError>,
+    workers: Vec<WorkerHandle>,
+    config: ServeConfig,
+    metrics: Arc<MetricsRegistry>,
+) {
+    'serve: loop {
+        // Block for the first request of the next batch; a closed and
+        // drained source means the front end is shutting down.
+        let first = loop {
+            match next(Duration::from_millis(20)) {
+                Ok(request) => break request,
+                Err(RecvTimeoutError::Timeout) => publish_brownout(&config, &metrics),
+                Err(RecvTimeoutError::Disconnected) => break 'serve,
+            }
+        };
+        let window_closes = Instant::now() + config.batch_window;
+        let mut batch = Vec::with_capacity(config.max_batch);
+        admit(first, &mut batch, &metrics);
+
+        // Keep coalescing until the batch fills, the window closes or
+        // the source has nothing more to give.
+        while batch.len() < config.max_batch.max(1) {
+            let now = Instant::now();
+            if now >= window_closes {
+                break;
+            }
+            match next(window_closes - now) {
+                Ok(request) => admit(request, &mut batch, &metrics),
+                Err(_) => break,
+            }
+        }
+        publish_brownout(&config, &metrics);
+        if batch.is_empty() {
+            continue;
+        }
+
+        // Least-loaded dispatch over *healthy* lanes: quarantined lanes
+        // are shed until their quarantine expires (the next batch sent
+        // to an expired lane is its re-probe). If every lane is
+        // quarantined, fall back to the one whose quarantine ends
+        // soonest — liveness beats health when there is no healthy
+        // choice. The bounded lane makes this send block when every
+        // lane is busy, which is what backs pressure up into the
+        // source.
+        let now = Instant::now();
+        let lane = workers
+            .iter()
+            .filter(|w| w.state.lock().selectable(now))
+            .min_by_key(|w| w.state.lock().inflight)
+            .or_else(|| {
+                workers
+                    .iter()
+                    .min_by_key(|w| w.state.lock().unhealthy_until.unwrap_or(now))
+            })
+            .expect("replica has at least one backend");
+        lane.state.lock().inflight += batch.len();
+        metrics.observe("batch_size", batch.len() as f64);
+        if let Err(failed) = lane.tx.send(batch) {
+            // Worker died. Resolve every request in the failed batch —
+            // callers see Disconnected, and in disk-queue mode the
+            // records are acked rather than left to redeliver forever.
+            metrics.incr("requests_dropped_worker_died", 1);
+            for request in failed.0 {
+                resolve(request, Err(ServeError::Disconnected), &metrics);
+            }
+        }
+    }
+    // Dropping `workers` here closes every lane; workers drain whatever
+    // is still queued on their channel and exit.
+}
+
+/// One worker thread: executes batches on its backend (retrying
+/// transient failures while some request still has deadline left),
+/// answers every request in the batch, and maintains the lane's health
+/// record.
+fn worker_loop(
+    idx: usize,
+    backend: Box<dyn ExecutionBackend>,
+    rx: Receiver<Vec<Request>>,
+    state: Arc<Mutex<LaneState>>,
+    config: ServeConfig,
+    metrics: Arc<MetricsRegistry>,
+) {
+    let site = format!("{}serve.backend{idx}", config.site_prefix);
+    while let Ok(queued) = rx.recv() {
+        let n = queued.len();
+        // Deadline escalation: requests that expired while waiting on
+        // this lane's channel time out instead of burning backend time.
+        let mut batch = Vec::with_capacity(n);
+        for request in queued {
+            admit(request, &mut batch, &metrics);
+        }
+        if batch.is_empty() {
+            state.lock().inflight -= n;
+            continue;
+        }
+
+        let tensors: Vec<Tensor> = batch.iter().map(|r| r.tensor.clone()).collect();
+        let mut attempt = 0u32;
+        let result = loop {
+            attempt += 1;
+            let res = config
+                .faults
+                .gate(&site)
+                .map_err(CondorError::from)
+                .and_then(|()| backend.infer_batch(&tensors));
+            match res {
+                Ok(outputs) => break Ok(outputs),
+                Err(e) => {
+                    // Retry only transient failures, only while attempts
+                    // remain, and only if someone is still waiting.
+                    let worth_retrying = e.transient
+                        && attempt < config.backend_attempts.max(1)
+                        && batch.iter().any(|r| Instant::now() < r.deadline);
+                    if !worth_retrying {
+                        break Err(e);
+                    }
+                    metrics.incr("backend_retries", 1);
+                    if !config.backend_backoff.is_zero() {
+                        std::thread::sleep(config.backend_backoff);
+                    }
+                }
+            }
+        };
+
+        match result {
+            Ok(outputs) => {
+                {
+                    let mut lane = state.lock();
+                    if lane.unhealthy_until.is_some() {
+                        metrics.incr("lane_recovered", 1);
+                    }
+                    lane.consecutive_failures = 0;
+                    lane.unhealthy_until = None;
+                }
+                let degraded = config
+                    .brownout
+                    .as_ref()
+                    .is_some_and(|brownout| brownout.active());
+                for (request, output) in batch.into_iter().zip(outputs) {
+                    resolve(request, Ok(ServeReply { output, degraded }), &metrics);
+                }
+            }
+            Err(e) => {
+                {
+                    let mut lane = state.lock();
+                    lane.consecutive_failures += 1;
+                    if lane.consecutive_failures >= config.failure_threshold.max(1) {
+                        if lane.unhealthy_until.is_none() {
+                            metrics.incr("lane_marked_unhealthy", 1);
+                        }
+                        lane.unhealthy_until = Some(Instant::now() + config.quarantine);
+                    }
+                }
+                for request in batch {
+                    resolve(request, Err(ServeError::Backend(e.clone())), &metrics);
+                }
+            }
+        }
+        state.lock().inflight -= n;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used)]
+    use super::*;
+    use crate::{CpuBackend, PendingInference};
+    use condor_dataflow::PipelineModel;
+    use condor_nn::{dataset, zoo};
+    use std::collections::VecDeque;
+
+    /// A CPU lane that records the size of every batch it is handed.
+    /// `sizes` doubles as the liveness witness: the lane thread owns the
+    /// backend, so a strong count of 1 means that thread has exited.
+    struct RecordingBackend {
+        inner: CpuBackend,
+        sizes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl ExecutionBackend for RecordingBackend {
+        fn infer_batch(&self, images: &[Tensor]) -> Result<Vec<Tensor>, CondorError> {
+            self.sizes.lock().push(images.len());
+            self.inner.infer_batch(images)
+        }
+        fn pipeline(&self) -> PipelineModel {
+            self.inner.pipeline()
+        }
+        fn location(&self) -> String {
+            self.inner.location()
+        }
+    }
+
+    /// One step of a scripted source: a request, or an idle wait.
+    enum Step {
+        Request(Request),
+        Idle,
+    }
+
+    /// Starts a one-lane replica over `script`; the source reports
+    /// closed once the script runs out. Returns the replica, the
+    /// callers' ends in script order and the lane's batch record.
+    fn scripted(
+        timeouts: &[Option<Duration>],
+        config: &ServeConfig,
+    ) -> (Replica, Vec<PendingInference>, Arc<Mutex<Vec<usize>>>) {
+        let mut images = dataset::usps_like(timeouts.len(), 3).into_iter();
+        let mut pending = Vec::new();
+        let mut script = VecDeque::new();
+        for timeout in timeouts {
+            script.push_back(match timeout {
+                Some(timeout) => {
+                    let image = images.next().unwrap().image;
+                    let (request, reply) = Request::hop(image, *timeout);
+                    pending.push(reply);
+                    Step::Request(request)
+                }
+                None => Step::Idle,
+            });
+        }
+        let sizes = Arc::new(Mutex::new(Vec::new()));
+        let backend = RecordingBackend {
+            inner: CpuBackend::new(&zoo::tc1_weighted(3)).unwrap(),
+            sizes: Arc::clone(&sizes),
+        };
+        let replica = Replica::start(
+            vec![Box::new(backend)],
+            config,
+            Arc::new(MetricsRegistry::new()),
+            None,
+            move |timeout| match script.pop_front() {
+                Some(Step::Request(request)) => Ok(request),
+                // An idle source blocks for as long as it was allowed.
+                Some(Step::Idle) => {
+                    std::thread::sleep(timeout);
+                    Err(RecvTimeoutError::Timeout)
+                }
+                None => Err(RecvTimeoutError::Disconnected),
+            },
+        )
+        .unwrap();
+        (replica, pending, sizes)
+    }
+
+    const LIVE: Option<Duration> = Some(Duration::from_secs(30));
+
+    #[test]
+    fn max_batch_caps_a_batch_and_an_idle_source_flushes_at_the_window() {
+        // Five back-to-back requests under max_batch 2 (the window is
+        // a scheduler stall away: only the cap can close those
+        // batches), then one more after the source idles through the
+        // rest of a window.
+        let config = ServeConfig::default()
+            .with_max_batch(2)
+            .with_batch_window(Duration::from_millis(100));
+        let (replica, pending, sizes) =
+            scripted(&[LIVE, LIVE, LIVE, LIVE, LIVE, None, LIVE], &config);
+        drop(replica);
+        for reply in pending {
+            assert_eq!(reply.wait().unwrap().shape().c, 10);
+        }
+        assert_eq!(*sizes.lock(), vec![2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn closed_source_drains_then_drop_joins_every_lane() {
+        let config = ServeConfig::default().with_batch_window(Duration::from_secs(30));
+        let (replica, pending, sizes) = scripted(&[LIVE, LIVE, LIVE], &config);
+        drop(replica);
+        // Everything the source held before closing was served — in one
+        // batch, since the close (not the 30 s window) ended it — and
+        // the lane thread is gone: it owned the backend's `sizes` clone.
+        assert_eq!(*sizes.lock(), vec![3]);
+        assert_eq!(Arc::strong_count(&sizes), 1);
+        for reply in pending {
+            reply.wait_timeout(Duration::ZERO).unwrap();
+        }
+    }
+
+    #[test]
+    fn request_expired_in_the_source_times_out_before_the_backend() {
+        let (replica, mut pending, sizes) =
+            scripted(&[Some(Duration::ZERO)], &ServeConfig::default());
+        drop(replica);
+        assert_eq!(pending.remove(0).wait(), Err(ServeError::Timeout));
+        assert!(sizes.lock().is_empty(), "an expired request never executes");
+    }
+
+    #[test]
+    fn a_replica_without_an_inbox_refuses_hops() {
+        let (replica, _, _) = scripted(&[], &ServeConfig::default());
+        let image = dataset::usps_like(1, 4).remove(0).image;
+        assert_eq!(
+            replica.hop(image, Duration::from_secs(1)).unwrap_err(),
+            ServeError::ShuttingDown
+        );
+    }
+}

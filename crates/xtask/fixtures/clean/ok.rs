@@ -12,7 +12,8 @@ fn exercise(handle: &FaultHandle, metrics: &MetricsRegistry) {
         handle.timing(&format!("dataflow.pe{pe}"));
     }
     let plan = FaultPlan::new().rule(FaultRule::at("dataflow.pe").fail_once());
-    metrics.incr("requests_completed");
+    // Reading a ledger counter is anyone's business; `intake.rs`
+    // writes it.
     let done = metrics.counter("requests_completed");
     metrics.observe("latency_us", done as f64);
     drop(plan);

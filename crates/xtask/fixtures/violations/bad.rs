@@ -7,7 +7,7 @@
 fn covering_uses(handle: &FaultHandle, metrics: &MetricsRegistry) {
     handle.check("s3.put_object");
     handle.timing("dataflow.pe0");
-    metrics.incr("requests_completed");
+    metrics.counter("requests_completed");
     metrics.observe("latency_us", 1.0);
 }
 

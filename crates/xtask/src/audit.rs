@@ -12,7 +12,8 @@
 //! * **metric names** — every name recorded into or asserted against a
 //!   `MetricsRegistry`/`MetricsSnapshot` must come from
 //!   [`condor::METRICS`], with the right instrument kind, and every
-//!   registered metric must be used (`X010`–`X012`);
+//!   registered metric must be used (`X010`–`X012`), and the request
+//!   ledger has one writer (`X013`);
 //! * **diagnostic codes** — condor-check's `C0xx` codes must be unique,
 //!   documented in DESIGN.md with matching severities, and never
 //!   removed or renumbered against the committed
@@ -62,6 +63,8 @@ pub enum AuditCode {
     X011,
     /// A metric name is used with the wrong instrument kind.
     X012,
+    /// A request-ledger counter is written outside its one owner.
+    X013,
     /// Two diagnostic codes share a code string.
     X020,
     /// A diagnostic code is missing from DESIGN.md's catalogue.
@@ -93,6 +96,7 @@ impl AuditCode {
         AuditCode::X010,
         AuditCode::X011,
         AuditCode::X012,
+        AuditCode::X013,
         AuditCode::X020,
         AuditCode::X021,
         AuditCode::X022,
@@ -114,6 +118,7 @@ impl AuditCode {
             AuditCode::X010 => "X010",
             AuditCode::X011 => "X011",
             AuditCode::X012 => "X012",
+            AuditCode::X013 => "X013",
             AuditCode::X020 => "X020",
             AuditCode::X021 => "X021",
             AuditCode::X022 => "X022",
@@ -136,6 +141,7 @@ impl AuditCode {
             AuditCode::X010 => "metric name not registered in condor::METRICS",
             AuditCode::X011 => "registered metric never used",
             AuditCode::X012 => "metric used with the wrong instrument kind",
+            AuditCode::X013 => "ledger counter written outside the intake",
             AuditCode::X020 => "duplicate diagnostic code",
             AuditCode::X021 => "diagnostic code missing from DESIGN.md catalogue",
             AuditCode::X022 => "DESIGN.md documents an undefined diagnostic code",
@@ -333,6 +339,8 @@ pub struct AuditConfig {
     pub sites: Vec<String>,
     /// The metric-name registry with instrument kinds.
     pub metrics: Vec<(String, MetricKind)>,
+    /// Prefixes allowed to `incr` a [`LEDGER`] counter.
+    pub ledger_writers: Vec<String>,
     /// condor-check's diagnostic catalogue.
     pub diag_codes: Vec<CodeSpec>,
     /// This module's own catalogue (audited against DESIGN.md too).
@@ -379,6 +387,12 @@ impl AuditConfig {
                 .iter()
                 .map(|m| (m.name.to_string(), m.kind))
                 .collect(),
+            ledger_writers: vec![
+                "crates/serve/src/intake.rs".into(),
+                // Times `incr` on a registry of its own under a
+                // production name; the benchmark's files are frozen.
+                "crates/bench/src/bin/perf/src/sut.rs".into(),
+            ],
             diag_codes: condor_check::Code::ALL
                 .iter()
                 .map(|c| CodeSpec {
@@ -442,6 +456,17 @@ pub fn parse_semver(s: &str) -> Option<(u64, u64, u64)> {
     Some((major, minor, patch))
 }
 
+/// The counters of the serving ledger identity, `requests_accepted ==
+/// requests_completed + requests_failed + requests_timed_out +
+/// requests_shed`, that `condor-serve`'s intake derives from the result
+/// it delivers; a second writer double-counts.
+const LEDGER: [&str; 4] = [
+    "requests_accepted",
+    "requests_completed",
+    "requests_failed",
+    "requests_timed_out",
+];
+
 /// One string literal captured in an audited call context.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct LitUse {
@@ -464,6 +489,8 @@ struct Scan {
     site_uses: Vec<LitUse>,
     site_prefixes: Vec<LitUse>,
     metric_uses: Vec<(LitUse, MetricKind)>,
+    /// `.incr("<LEDGER name>", …)` calls.
+    ledger_writes: Vec<LitUse>,
     deprecations: Vec<Deprecation>,
     /// Every identifier the tree mentions other than as the name a
     /// `fn` item declares (comments and doc-tests are not mentions).
@@ -619,7 +646,14 @@ fn scan_file(rel: &str, toks: &[Spanned], sites_on: bool, metrics_on: bool, scan
         match ctx {
             Ctx::SiteUse if sites_on => scan.site_uses.push(hit),
             Ctx::SitePrefix if sites_on => scan.site_prefixes.push(hit),
-            Ctx::Metric(kind) if metrics_on => scan.metric_uses.push((hit, kind)),
+            Ctx::Metric(kind) if metrics_on => {
+                if toks[i].tok == Tok::Ident("incr".to_string())
+                    && LEDGER.contains(&hit.name.as_str())
+                {
+                    scan.ledger_writes.push(hit.clone());
+                }
+                scan.metric_uses.push((hit, kind));
+            }
             _ => {}
         }
     }
@@ -748,6 +782,22 @@ fn audit_metrics(cfg: &AuditConfig, scan: &Scan, out: &mut Vec<Finding>) {
                     ),
                 )
                 .at(&u.file, u.line),
+            );
+        }
+    }
+    for u in &scan.ledger_writes {
+        if !has_prefix(&u.file, &cfg.ledger_writers) {
+            out.push(
+                Finding::new(
+                    AuditCode::X013,
+                    format!(
+                        "ledger counter \"{}\" is written outside the intake — its one \
+                         writer derives it from the result a request resolves with",
+                        u.name
+                    ),
+                )
+                .at(&u.file, u.line)
+                .hint("hand the request to intake::resolve instead of counting by hand"),
             );
         }
     }
@@ -1030,6 +1080,7 @@ mod tests {
                 ("requests_completed".into(), MetricKind::Counter),
                 ("latency_us".into(), MetricKind::Histogram),
             ],
+            ledger_writers: vec!["intake.rs".into()],
             diag_codes,
             audit_codes,
             design,
@@ -1060,7 +1111,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(
             got,
-            vec!["X001", "X003", "X010", "X012", "X030", "X031", "X032", "X040"],
+            vec!["X001", "X003", "X010", "X012", "X013", "X030", "X031", "X032", "X040"],
             "{}",
             report.render()
         );
