@@ -88,7 +88,7 @@ pub const METRICS: &[MetricSpec] = &[
     MetricSpec {
         name: "requests_dropped_worker_died",
         kind: MetricKind::Counter,
-        help: "requests lost because a router worker died",
+        help: "requests failed because a lane worker died",
     },
     MetricSpec {
         name: "requests_migrated",
@@ -214,16 +214,6 @@ pub const METRICS: &[MetricSpec] = &[
         name: "ack_latency_us",
         kind: MetricKind::Histogram,
         help: "admission-to-ack latency of durable requests",
-    },
-    MetricSpec {
-        name: "concurrency_limit",
-        kind: MetricKind::Gauge,
-        help: "aggregate AIMD concurrency limit across the fleet",
-    },
-    MetricSpec {
-        name: "instance{}_concurrency_limit",
-        kind: MetricKind::Gauge,
-        help: "AIMD concurrency limit of one fleet instance",
     },
     // Overload control & graceful degradation.
     MetricSpec {

@@ -23,8 +23,8 @@ pub trait Retryable {
 
 /// The time source retries sleep on; mockable for tests.
 ///
-/// Beyond sleeping, consumers that make *rate* decisions (the AIMD
-/// admission controller in `condor-queue`) also need to read elapsed
+/// Beyond sleeping, consumers that make *rate* decisions (the circuit
+/// breaker in `condor-queue`) also need to read elapsed
 /// time, so the trait carries a monotonic [`Clock::now`] with a real
 /// default; [`MockClock`] overrides it with a manually advanced
 /// counter, which is what makes controller tests deterministic.

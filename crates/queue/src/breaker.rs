@@ -20,9 +20,9 @@
 //!   successes close the breaker; any probe failure reopens it and
 //!   restarts the timeout.
 //!
-//! Like [`crate::AimdController`], the breaker reads time through the
-//! mockable [`Clock`](condor_faults::retry::Clock) so every transition
-//! is unit-testable with a manually advanced
+//! The breaker reads time through the mockable
+//! [`Clock`](condor_faults::retry::Clock) so every transition is
+//! unit-testable with a manually advanced
 //! [`MockClock`](condor_faults::retry::MockClock) — the deterministic
 //! closed→open→half-open→closed trace below is the acceptance test.
 
@@ -154,10 +154,10 @@ struct BreakerInner {
     trips: u64,
 }
 
-/// One instance's circuit breaker. Thread-safe; routers call
-/// [`CircuitBreaker::admit`] before dispatch and
-/// [`CircuitBreaker::on_success`] / [`CircuitBreaker::on_failure`]
-/// after.
+/// One instance's circuit breaker. Thread-safe; a dispatcher calls
+/// [`CircuitBreaker::admit`] before dispatch, and whichever thread
+/// learns the outcome calls [`CircuitBreaker::on_success`] /
+/// [`CircuitBreaker::on_failure`] after.
 pub struct CircuitBreaker {
     config: BreakerConfig,
     clock: Arc<dyn Clock + Send + Sync>,
@@ -201,7 +201,7 @@ impl CircuitBreaker {
 
     /// The current state, advancing Open → HalfOpen when the timeout
     /// has elapsed (reads are transitions too, so a gauge scrape and a
-    /// router see the same state).
+    /// dispatcher see the same state).
     pub fn state(&self) -> BreakerState {
         let now = self.clock.now();
         let mut inner = self.inner.lock();
@@ -262,8 +262,8 @@ impl CircuitBreaker {
 
     /// Reports one admitted request's failure. Returns `true` when
     /// this report tripped the breaker open (from closed or from a
-    /// failed half-open probe) — the caller's cue to collapse the AIMD
-    /// limit and schedule recovery.
+    /// failed half-open probe) — the caller's cue to schedule
+    /// recovery.
     pub fn on_failure(&self) -> bool {
         let now = self.clock.now();
         let mut inner = self.inner.lock();

@@ -9,7 +9,7 @@
 //! they hold is folded into the acked prefix.
 //!
 //! Ack path: [`DiskQueue::ack`] appends the id to the ack journal and
-//! fsyncs. Acks arrive out of order (whichever router finishes first),
+//! fsyncs. Acks arrive out of order (whichever lane finishes first),
 //! so the queue keeps the contiguous prefix bound `acked_below` plus
 //! the sparse set above it. Every [`DiskQueueConfig::checkpoint_every`]
 //! acks the checkpoint blob is rewritten (tmp + rename, the only

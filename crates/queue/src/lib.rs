@@ -19,9 +19,8 @@
 //!   state machine: append/ack/checkpoint at runtime, full recovery
 //!   (torn-tail truncation, journal replay, segment reclamation) at
 //!   [`DiskQueue::open`].
-//! * [`AimdController`] — adaptive per-backend concurrency: additive
-//!   increase, multiplicative decrease over observed latency, on a
-//!   mockable clock.
+//! * [`CircuitBreaker`] — per-instance closed → open → half-open
+//!   health for the fleet, on a mockable clock.
 //!
 //! Fault injection reaches the queue through `condor-faults` sites
 //! (`queue.append`, `queue.fsync`, `queue.checkpoint`,
@@ -30,13 +29,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aimd;
 pub mod breaker;
 pub mod crash;
 pub mod disk;
 pub mod frame;
 
-pub use aimd::{AimdConfig, AimdController};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use crash::{CrashOp, CrashPoint, CRASH_POINT_ENV};
 pub use disk::{DiskQueue, DiskQueueConfig, PendingRecord, QueueStats, RecoveryReport};

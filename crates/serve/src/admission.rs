@@ -2,7 +2,7 @@
 //! aging, plus CoDel-style adaptive shedding keyed on sojourn time.
 //!
 //! The queue replaces the flat bounded channel between `submit` and
-//! the batcher (and between the fleet front door and its routers).
+//! the batcher (and between the fleet front door and its dispatcher).
 //! Three [`Priority`] classes each get a FIFO lane; dispatch is
 //! strict-priority — `Interactive` before `Standard` before `Batch` —
 //! with an aging escape hatch: every time a non-empty class is
@@ -176,8 +176,8 @@ pub(crate) enum PopOutcome<T> {
     Popped {
         item: T,
         /// Class the item was queued under: items do not carry their
-        /// own, so a consumer that dispatches by class (the fleet
-        /// router) reads it here.
+        /// own, so a consumer that needs it (the fleet's dispatcher)
+        /// reads it here.
         class: Priority,
         /// Time the item spent queued (per the queue's clock).
         sojourn: Duration,
@@ -201,6 +201,9 @@ struct Inner<T> {
     aging: [u32; Priority::COUNT],
     len: usize,
     closed: bool,
+    /// Set by [`AdmissionQueue::interrupt`]; the next pop that would
+    /// block returns instead.
+    interrupted: bool,
     codel: Option<CodelState>,
 }
 
@@ -237,6 +240,7 @@ impl<T> AdmissionQueue<T> {
                 aging: [0; Priority::COUNT],
                 len: 0,
                 closed: false,
+                interrupted: false,
                 codel: codel.map(CodelState::new),
             }),
             ready: Condvar::new(),
@@ -298,6 +302,13 @@ impl<T> AdmissionQueue<T> {
         self.space.notify_all();
     }
 
+    /// Makes the pop blocked now — or, if none is, the next pop that
+    /// would block — return [`PopOutcome::TimedOut`] at once.
+    pub(crate) fn interrupt(&self) {
+        self.lock().interrupted = true;
+        self.ready.notify_all();
+    }
+
     /// Picks the class for the next pop: the *most-aged* class over
     /// the limit jumps the line (ties to higher priority), otherwise
     /// strict priority. Most-aged — not highest-priority-aged — is
@@ -330,7 +341,7 @@ impl<T> AdmissionQueue<T> {
     /// along the way are appended to `sheds`; when sheds drained the
     /// queue (or were produced with nothing left to return) the call
     /// returns [`PopOutcome::TimedOut`] early so the caller resolves
-    /// them promptly.
+    /// them promptly, as it does when [`interrupt`](Self::interrupt)ed.
     pub(crate) fn pop(&self, timeout: Duration, sheds: &mut Vec<Shed<T>>) -> PopOutcome<T> {
         let wait_deadline = std::time::Instant::now() + timeout;
         let mut inner = self.lock();
@@ -387,9 +398,9 @@ impl<T> AdmissionQueue<T> {
             if inner.closed {
                 return PopOutcome::Closed;
             }
-            if !sheds.is_empty() {
-                // Don't sit on shed requests while blocking for more
-                // work: let the caller resolve them first.
+            if !sheds.is_empty() || std::mem::take(&mut inner.interrupted) {
+                // Don't sit on shed requests (or an interrupt) while
+                // blocking for more work: let the caller act first.
                 return PopOutcome::TimedOut;
             }
             let now = std::time::Instant::now();

@@ -26,13 +26,15 @@
 //!   `latency_us`) from the result it delivers.
 //!
 //! What is *not* here is dispatch: the server's replica and the
-//! fleet's routers and breakers pop on their own threads and hand
-//! every request back through [`resolve`].
+//! fleet's dispatcher pop on their own threads, and every lane hands
+//! each request back through [`resolve`] (behind a fleet, after the
+//! fleet's breaker and migration bookkeeping).
 //!
 //! [`InferenceServer`]: crate::InferenceServer
 //! [`Fleet`]: crate::Fleet
 
 use crate::admission::{AdmissionQueue, PopOutcome, PushError, Shed};
+use crate::fleet::Route;
 use crate::{
     durable, BrownoutController, PendingInference, ServeConfig, ServeError, ServeReply, ShedReason,
 };
@@ -48,7 +50,8 @@ use std::time::{Duration, Instant};
 
 /// One admitted inference request. Its priority class lives in the
 /// admission queue's lane (and, durably, the CQR2 frame), not here — a
-/// consumer that needs it takes it from the pop.
+/// consumer that needs it takes it from the pop (the fleet keeps it in
+/// `route`).
 pub(crate) struct Request {
     pub(crate) tensor: Tensor,
     enqueued: Instant,
@@ -58,9 +61,10 @@ pub(crate) struct Request {
     /// request, acked only when the request is resolved.
     ticket: Option<Ticket>,
     /// True for a request an [`Intake`] admitted or redelivered: its
-    /// resolution is a ledger term. False for a refused submission and
-    /// for a fleet router's hop, whose outcome only the router reads.
+    /// resolution is a ledger term. False for a refused submission.
     ledger: bool,
+    /// Where a fleet has tried to serve it; unused behind a server.
+    pub(crate) route: Route,
 }
 
 /// The durable record behind one accepted request.
@@ -87,14 +91,9 @@ impl Request {
             reply,
             ticket,
             ledger,
+            route: Route::default(),
         };
         (request, PendingInference { rx })
-    }
-
-    /// One attempt of a fleet router at one replica: the durable record
-    /// and the ledger term stay with the request the router holds.
-    pub(crate) fn hop(tensor: Tensor, timeout: Duration) -> (Request, PendingInference) {
-        Request::new(tensor, timeout, None, false)
     }
 }
 
@@ -269,6 +268,13 @@ impl Intake {
         }
     }
 
+    /// Makes a consumer blocked in its pop return idle at once: how the
+    /// fleet's dispatcher is woken for a migration it must re-offer.
+    pub(crate) fn interrupter(&self) -> impl Fn() + Send + Sync + 'static {
+        let queue = Arc::clone(&self.queue);
+        move || queue.interrupt()
+    }
+
     /// The registry the intake and its dispatcher both write to.
     pub(crate) fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
@@ -434,4 +440,13 @@ fn spawn_redelivery(
         }
         metrics.set_gauge("disk_queue_depth", log.depth() as f64);
     })
+}
+
+#[cfg(test)]
+impl Request {
+    /// A request no intake admitted (no ticket, no ledger term), for
+    /// driving a replica directly.
+    pub(crate) fn detached(tensor: Tensor, timeout: Duration) -> (Request, PendingInference) {
+        Request::new(tensor, timeout, None, false)
+    }
 }

@@ -61,8 +61,9 @@
 //! redelivery, the one place a request is counted, answered and acked —
 //! and the private `replica` module is the batcher and its lanes.
 //! [`InferenceServer`] is an intake whose queue one replica pops;
-//! [`Fleet`] is an intake whose queue routers pop, handing each request
-//! to one of N replicas, plus breakers and a supervisor ([`fleet`]).
+//! [`Fleet`] is an intake whose queue one dispatcher pops, handing each
+//! request to one of N replicas with room and settling it on the lane
+//! that answers, plus breakers and a supervisor ([`fleet`]).
 //!
 //! Every accepted request receives exactly one reply, and outputs are
 //! bit-identical to calling `infer_batch` directly on the deployment:
@@ -100,16 +101,14 @@ mod replica;
 
 pub use admission::CodelConfig;
 pub use brownout::{BrownoutConfig, BrownoutController, DegradableBackend};
-pub use condor_queue::{
-    AimdConfig, BreakerConfig, BreakerState, DiskQueueConfig, Priority, QueueBackend,
-};
+pub use condor_queue::{BreakerConfig, BreakerState, DiskQueueConfig, Priority, QueueBackend};
 pub use cpu::CpuBackend;
 pub use fleet::{Fleet, FleetConfig, InstanceProvisioner};
 
 use condor::{CondorError, DeployedAccelerator, ExecutionBackend, MetricsSnapshot};
 use condor_faults::{FaultHandle, FaultPlan};
 use condor_tensor::Tensor;
-use intake::Intake;
+use intake::{resolve, Intake};
 use replica::Replica;
 use std::fmt;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -441,7 +440,9 @@ impl InferenceServer {
         let locations = backends.iter().map(|b| b.location()).collect();
         let mut pop = intake.consumer();
         let next = move |timeout| pop(timeout).map(|(request, _class)| request);
-        let replica = Replica::start(backends, &config, intake.metrics(), None, next)?;
+        let metrics = intake.metrics();
+        let settle = Arc::new(move |request, result| resolve(request, result, &metrics));
+        let replica = Replica::start(backends, &config, intake.metrics(), None, next, settle)?;
         Ok(InferenceServer {
             config,
             intake,

@@ -2,19 +2,20 @@
 //!
 //! [`InferenceServer`](crate::InferenceServer) is an intake plus one
 //! replica whose batcher pops the intake; a [`Fleet`](crate::Fleet) slot
-//! is a replica whose batcher receives from a bounded inbox the routers
-//! fill. Nothing is queued, shed, aged or made durable here — that
-//! happened once, in the front end's `intake` — and the lane metrics go
-//! to the front end's registry. The batcher is written against "the
-//! next request, or idle, or closed, within `timeout`": a closure
-//! returning what `Receiver::recv_timeout` returns.
+//! is a replica whose batcher receives from a bounded inbox the fleet's
+//! dispatcher fills. Nothing is queued, shed, aged or made durable here
+//! — that happened once, in the front end's `intake` — and the lane
+//! metrics go to the front end's registry. The batcher is written
+//! against "the next request, or idle, or closed, within `timeout`": a
+//! closure returning what `Receiver::recv_timeout` returns; and every
+//! request is answered through the front end's [`Settle`] callback.
 
-use crate::intake::{resolve, Request};
+use crate::intake::Request;
 use crate::{ServeConfig, ServeError, ServeReply};
 use condor::{CondorError, ExecutionBackend, MetricsRegistry};
 use condor_tensor::Tensor;
 use parking_lot::Mutex;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,6 +45,13 @@ impl LaneState {
     }
 }
 
+/// How a replica answers every request it took: a server hands it to
+/// the intake's ledger, a fleet settles it against the instance that
+/// answered (which may re-offer it elsewhere). Runs on the thread that
+/// has the verdict — a lane, the batcher, or an offerer whose request
+/// the inbox refused — and must not block on another replica.
+pub(crate) type Settle = Arc<dyn Fn(Request, Result<ServeReply, ServeError>) + Send + Sync>;
+
 /// The batcher's end of one dispatch lane.
 struct WorkerHandle {
     tx: SyncSender<Vec<Request>>,
@@ -52,22 +60,24 @@ struct WorkerHandle {
 
 /// A running batcher and its lane threads.
 pub(crate) struct Replica {
-    /// The routers' end of the hand-off; absent on a server's replica,
+    /// The fleet's end of the hand-off; absent on a server's replica,
     /// whose batcher pops the intake instead.
     inbox: Option<SyncSender<Request>>,
+    settle: Settle,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Replica {
     /// Starts one worker thread per backend and the batcher that feeds
     /// them from `next`; `config`'s queue fields are not read. `inbox`
-    /// is the sending end of `next` when that is a channel of hops.
+    /// is the sending end of `next` when that is a channel of requests.
     pub(crate) fn start(
         backends: Vec<Box<dyn ExecutionBackend>>,
         config: &ServeConfig,
         metrics: Arc<MetricsRegistry>,
         inbox: Option<SyncSender<Request>>,
         next: impl FnMut(Duration) -> Result<Request, RecvTimeoutError> + Send + 'static,
+        settle: Settle,
     ) -> Result<Replica, ServeError> {
         if backends.is_empty() {
             return Err(ServeError::NoBackends);
@@ -85,26 +95,35 @@ impl Replica {
                 state: Arc::clone(&state),
             });
             let (config, metrics) = (config.clone(), Arc::clone(&metrics));
+            let settle = Arc::clone(&settle);
             threads.push(std::thread::spawn(move || {
-                worker_loop(idx, backend, rx, state, config, metrics);
+                worker_loop(idx, backend, rx, state, config, metrics, settle);
             }));
         }
         let config = config.clone();
+        let batcher_settle = Arc::clone(&settle);
         threads.push(std::thread::spawn(move || {
-            batcher_loop(next, handles, config, metrics);
+            batcher_loop(next, handles, config, metrics, batcher_settle);
         }));
-        Ok(Replica { inbox, threads })
+        Ok(Replica {
+            inbox,
+            settle,
+            threads,
+        })
     }
 
-    /// Gives this replica one attempt at `tensor`, due in `timeout`, and
-    /// waits for its verdict. A closed inbox reads as a draining
-    /// replica.
-    pub(crate) fn hop(&self, tensor: Tensor, timeout: Duration) -> Result<ServeReply, ServeError> {
-        let (request, pending) = Request::hop(tensor, timeout);
-        match &self.inbox {
-            Some(inbox) if inbox.send(request).is_ok() => pending.wait_reply(),
-            _ => Err(ServeError::ShuttingDown),
-        }
+    /// Hands this replica `request` without blocking. A full or closed
+    /// inbox settles it at once as [`ServeError::ShuttingDown`] — a
+    /// draining replica — on the caller's thread.
+    pub(crate) fn offer(&self, request: Request) {
+        let refused = match &self.inbox {
+            Some(inbox) => match inbox.try_send(request) {
+                Ok(()) => return,
+                Err(TrySendError::Full(request) | TrySendError::Disconnected(request)) => request,
+            },
+            None => request,
+        };
+        (self.settle)(refused, Err(ServeError::ShuttingDown));
     }
 }
 
@@ -123,9 +142,9 @@ impl Drop for Replica {
 
 /// Adds a request to the batch, or answers it with `Timeout` if its
 /// deadline passed while it waited (in the source, or on a lane).
-fn admit(request: Request, batch: &mut Vec<Request>, metrics: &MetricsRegistry) {
+fn admit(request: Request, batch: &mut Vec<Request>, settle: &Settle) {
     if Instant::now() >= request.deadline {
-        resolve(request, Err(ServeError::Timeout), metrics);
+        settle(request, Err(ServeError::Timeout));
     } else {
         batch.push(request);
     }
@@ -147,6 +166,7 @@ fn batcher_loop(
     workers: Vec<WorkerHandle>,
     config: ServeConfig,
     metrics: Arc<MetricsRegistry>,
+    settle: Settle,
 ) {
     'serve: loop {
         // Block for the first request of the next batch; a closed and
@@ -160,7 +180,7 @@ fn batcher_loop(
         };
         let window_closes = Instant::now() + config.batch_window;
         let mut batch = Vec::with_capacity(config.max_batch);
-        admit(first, &mut batch, &metrics);
+        admit(first, &mut batch, &settle);
 
         // Keep coalescing until the batch fills, the window closes or
         // the source has nothing more to give.
@@ -170,7 +190,7 @@ fn batcher_loop(
                 break;
             }
             match next(window_closes - now) {
-                Ok(request) => admit(request, &mut batch, &metrics),
+                Ok(request) => admit(request, &mut batch, &settle),
                 Err(_) => break,
             }
         }
@@ -206,7 +226,7 @@ fn batcher_loop(
             // records are acked rather than left to redeliver forever.
             metrics.incr("requests_dropped_worker_died", 1);
             for request in failed.0 {
-                resolve(request, Err(ServeError::Disconnected), &metrics);
+                settle(request, Err(ServeError::Disconnected));
             }
         }
     }
@@ -225,6 +245,7 @@ fn worker_loop(
     state: Arc<Mutex<LaneState>>,
     config: ServeConfig,
     metrics: Arc<MetricsRegistry>,
+    settle: Settle,
 ) {
     let site = format!("{}serve.backend{idx}", config.site_prefix);
     while let Ok(queued) = rx.recv() {
@@ -233,7 +254,7 @@ fn worker_loop(
         // this lane's channel time out instead of burning backend time.
         let mut batch = Vec::with_capacity(n);
         for request in queued {
-            admit(request, &mut batch, &metrics);
+            admit(request, &mut batch, &settle);
         }
         if batch.is_empty() {
             state.lock().inflight -= n;
@@ -283,7 +304,7 @@ fn worker_loop(
                     .as_ref()
                     .is_some_and(|brownout| brownout.active());
                 for (request, output) in batch.into_iter().zip(outputs) {
-                    resolve(request, Ok(ServeReply { output, degraded }), &metrics);
+                    settle(request, Ok(ServeReply { output, degraded }));
                 }
             }
             Err(e) => {
@@ -298,7 +319,7 @@ fn worker_loop(
                     }
                 }
                 for request in batch {
-                    resolve(request, Err(ServeError::Backend(e.clone())), &metrics);
+                    settle(request, Err(ServeError::Backend(e.clone())));
                 }
             }
         }
@@ -310,6 +331,7 @@ fn worker_loop(
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::intake::resolve;
     use crate::{CpuBackend, PendingInference};
     use condor_dataflow::PipelineModel;
     use condor_nn::{dataset, zoo};
@@ -336,6 +358,12 @@ mod tests {
         }
     }
 
+    /// Answers every request straight to its caller.
+    fn answer() -> Settle {
+        let metrics = MetricsRegistry::new();
+        Arc::new(move |request, result| resolve(request, result, &metrics))
+    }
+
     /// One step of a scripted source: a request, or an idle wait.
     enum Step {
         Request(Request),
@@ -356,7 +384,7 @@ mod tests {
             script.push_back(match timeout {
                 Some(timeout) => {
                     let image = images.next().unwrap().image;
-                    let (request, reply) = Request::hop(image, *timeout);
+                    let (request, reply) = Request::detached(image, *timeout);
                     pending.push(reply);
                     Step::Request(request)
                 }
@@ -382,6 +410,7 @@ mod tests {
                 }
                 None => Err(RecvTimeoutError::Disconnected),
             },
+            answer(),
         )
         .unwrap();
         (replica, pending, sizes)
@@ -433,10 +462,14 @@ mod tests {
 
     #[test]
     fn a_replica_without_an_inbox_refuses_hops() {
+        // A server's replica pops its intake: a request offered to it
+        // is settled at once, as if the replica were draining.
         let (replica, _, _) = scripted(&[], &ServeConfig::default());
         let image = dataset::usps_like(1, 4).remove(0).image;
+        let (request, pending) = Request::detached(image, Duration::from_secs(1));
+        replica.offer(request);
         assert_eq!(
-            replica.hop(image, Duration::from_secs(1)).unwrap_err(),
+            pending.wait_timeout(Duration::ZERO).unwrap_err(),
             ServeError::ShuttingDown
         );
     }
