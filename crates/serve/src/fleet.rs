@@ -846,6 +846,7 @@ fn supervisor_loop(shared: Arc<FleetShared>, rx: Receiver<SupervisorMsg>, backof
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::tests::with_watchdog;
     use crate::CpuBackend;
     use condor_nn::{dataset, zoo};
     use condor_queue::DiskQueue;
@@ -1191,23 +1192,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// Runs `scenario` on its own thread and fails if it has not
-    /// finished within a minute: a dispatcher deadlock fails the test
-    /// instead of hanging the suite.
-    fn with_watchdog(scenario: impl FnOnce() + Send + 'static) {
-        let (done, finished) = channel();
-        let worker = std::thread::spawn(move || {
-            scenario();
-            let _ = done.send(());
-        });
-        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
-            panic!("fleet scenario exceeded the 60 s watchdog (deadlock?)");
-        }
-        if let Err(panic) = worker.join() {
-            std::panic::resume_unwind(panic);
-        }
     }
 
     /// A CPU lane whose first batch blocks inside `infer_batch` until

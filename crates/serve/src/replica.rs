@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// Load and health of one dispatch lane, shared between its worker
 /// (which updates it after every batch) and the batcher (which reads it
 /// when picking a lane).
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct LaneState {
     /// Requests handed to the lane and not yet answered.
     inflight: usize,
@@ -159,8 +159,35 @@ fn publish_brownout(config: &ServeConfig, metrics: &MetricsRegistry) {
     }
 }
 
+/// Picks the lane for the next batch from one look at each lane's
+/// state: the least-loaded *selectable* lane — quarantined lanes are
+/// shed until their quarantine expires, and the next batch sent to an
+/// expired lane is its re-probe — or, if every lane is quarantined, the
+/// one whose quarantine ends soonest: liveness beats health when there
+/// is no healthy choice. Also says whether that lane is idle
+/// (selectable, nothing in flight); a quarantined fallback never is.
+fn pick_lane(workers: &[WorkerHandle]) -> (usize, bool) {
+    let now = Instant::now();
+    let lanes: Vec<LaneState> = workers.iter().map(|w| *w.state.lock()).collect();
+    let healthy = (0..lanes.len())
+        .filter(|&i| lanes[i].selectable(now))
+        .min_by_key(|&i| lanes[i].inflight);
+    match healthy {
+        Some(i) => (i, lanes[i].inflight == 0),
+        None => {
+            let soonest = (0..lanes.len())
+                .min_by_key(|&i| lanes[i].unhealthy_until.unwrap_or(now))
+                .expect("replica has at least one backend");
+            (soonest, false)
+        }
+    }
+}
+
 /// The batcher thread: coalesces requests into batches and hands each
-/// batch to the least-loaded worker lane.
+/// batch to the least-loaded worker lane. It is work-conserving: while
+/// a lane is idle a batch takes only what the source already holds and
+/// leaves at once; only while every lane is busy does it wait up to
+/// `batch_window` for more.
 fn batcher_loop(
     mut next: impl FnMut(Duration) -> Result<Request, RecvTimeoutError>,
     workers: Vec<WorkerHandle>,
@@ -178,18 +205,24 @@ fn batcher_loop(
                 Err(RecvTimeoutError::Disconnected) => break 'serve,
             }
         };
-        let window_closes = Instant::now() + config.batch_window;
         let mut batch = Vec::with_capacity(config.max_batch);
         admit(first, &mut batch, &settle);
 
-        // Keep coalescing until the batch fills, the window closes or
-        // the source has nothing more to give.
+        // Only this thread raises a lane's `inflight`, so a lane found
+        // idle here is still idle when the batch is sent to it.
+        let (mut lane, idle) = pick_lane(&workers);
+        let window = if idle {
+            Duration::ZERO
+        } else {
+            config.batch_window
+        };
+        let window_closes = Instant::now() + window;
+
+        // Keep coalescing until the batch fills or the source has
+        // nothing more to give before the window closes; a closed
+        // window still takes what the source already holds.
         while batch.len() < config.max_batch.max(1) {
-            let now = Instant::now();
-            if now >= window_closes {
-                break;
-            }
-            match next(window_closes - now) {
+            match next(window_closes.saturating_duration_since(Instant::now())) {
                 Ok(request) => admit(request, &mut batch, &settle),
                 Err(_) => break,
             }
@@ -198,26 +231,14 @@ fn batcher_loop(
         if batch.is_empty() {
             continue;
         }
+        if !idle {
+            // Lanes drained while the window was open: look again.
+            lane = pick_lane(&workers).0;
+        }
 
-        // Least-loaded dispatch over *healthy* lanes: quarantined lanes
-        // are shed until their quarantine expires (the next batch sent
-        // to an expired lane is its re-probe). If every lane is
-        // quarantined, fall back to the one whose quarantine ends
-        // soonest — liveness beats health when there is no healthy
-        // choice. The bounded lane makes this send block when every
-        // lane is busy, which is what backs pressure up into the
-        // source.
-        let now = Instant::now();
-        let lane = workers
-            .iter()
-            .filter(|w| w.state.lock().selectable(now))
-            .min_by_key(|w| w.state.lock().inflight)
-            .or_else(|| {
-                workers
-                    .iter()
-                    .min_by_key(|w| w.state.lock().unhealthy_until.unwrap_or(now))
-            })
-            .expect("replica has at least one backend");
+        // The bounded lane makes this send block when every lane is
+        // busy, which is what backs pressure up into the source.
+        let lane = &workers[lane];
         lane.state.lock().inflight += batch.len();
         metrics.observe("batch_size", batch.len() as f64);
         if let Err(failed) = lane.tx.send(batch) {
@@ -332,6 +353,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::intake::resolve;
+    use crate::tests::{with_watchdog, GatedBackend};
     use crate::{CpuBackend, PendingInference};
     use condor_dataflow::PipelineModel;
     use condor_nn::{dataset, zoo};
@@ -364,51 +386,101 @@ mod tests {
         Arc::new(move |request, result| resolve(request, result, &metrics))
     }
 
-    /// One step of a scripted source: a request, or an idle wait.
+    /// One step of a scripted source.
     enum Step {
-        Request(Request),
+        /// A request the source already holds.
+        Ready(Request),
+        /// A request that arrives during the next wait: a zero-wait pop
+        /// finds the source empty, any longer one returns it.
+        Arriving(Request),
+        /// Nothing arrives: the source blocks for as long as allowed.
         Idle,
+        /// Nothing arrives until this request has been answered.
+        Answered(PendingInference),
+    }
+
+    /// A scripted source's steps, and the callers' ends of the requests
+    /// in it in script order.
+    #[derive(Default)]
+    struct Script {
+        steps: VecDeque<Step>,
+        pending: Vec<PendingInference>,
+    }
+
+    impl Script {
+        /// Appends `n` requests with deadline `timeout`, each as `step`.
+        fn requests(mut self, n: usize, timeout: Duration, step: fn(Request) -> Step) -> Self {
+            for sample in dataset::usps_like(n, 3) {
+                let (request, reply) = Request::detached(sample.image, timeout);
+                self.steps.push_back(step(request));
+                self.pending.push(reply);
+            }
+            self
+        }
+
+        /// Appends an idle wait.
+        fn idle(mut self) -> Self {
+            self.steps.push_back(Step::Idle);
+            self
+        }
+
+        /// Holds the source idle until the last request so far has been
+        /// answered; its caller's end moves into the script.
+        fn until_answered(mut self) -> Self {
+            let reply = self.pending.pop().unwrap();
+            self.steps.push_back(Step::Answered(reply));
+            self
+        }
     }
 
     /// Starts a one-lane replica over `script`; the source reports
-    /// closed once the script runs out. Returns the replica, the
-    /// callers' ends in script order and the lane's batch record.
+    /// closed once the script runs out. A `gated` lane holds its batches
+    /// until the source first idles or closes, so it is busy from its
+    /// first batch until then; it can hold two (one in the lane's
+    /// channel), and a third send blocks. Returns the replica, the
+    /// callers' ends and the lane's batch record.
     fn scripted(
-        timeouts: &[Option<Duration>],
+        script: Script,
         config: &ServeConfig,
+        gated: bool,
     ) -> (Replica, Vec<PendingInference>, Arc<Mutex<Vec<usize>>>) {
-        let mut images = dataset::usps_like(timeouts.len(), 3).into_iter();
-        let mut pending = Vec::new();
-        let mut script = VecDeque::new();
-        for timeout in timeouts {
-            script.push_back(match timeout {
-                Some(timeout) => {
-                    let image = images.next().unwrap().image;
-                    let (request, reply) = Request::detached(image, *timeout);
-                    pending.push(reply);
-                    Step::Request(request)
-                }
-                None => Step::Idle,
-            });
-        }
+        let Script { mut steps, pending } = script;
         let sizes = Arc::new(Mutex::new(Vec::new()));
-        let backend = RecordingBackend {
-            inner: CpuBackend::new(&zoo::tc1_weighted(3)).unwrap(),
-            sizes: Arc::clone(&sizes),
+        let gate = Arc::new((std::sync::Mutex::new(!gated), std::sync::Condvar::new()));
+        let backend = GatedBackend {
+            inner: Box::new(RecordingBackend {
+                inner: CpuBackend::new(&zoo::tc1_weighted(3)).unwrap(),
+                sizes: Arc::clone(&sizes),
+            }),
+            gate: Arc::clone(&gate),
         };
         let replica = Replica::start(
             vec![Box::new(backend)],
             config,
             Arc::new(MetricsRegistry::new()),
             None,
-            move |timeout| match script.pop_front() {
-                Some(Step::Request(request)) => Ok(request),
-                // An idle source blocks for as long as it was allowed.
+            move |timeout: Duration| match steps.pop_front() {
+                Some(Step::Ready(request)) => Ok(request),
+                Some(Step::Arriving(request)) if !timeout.is_zero() => Ok(request),
                 Some(Step::Idle) => {
+                    GatedBackend::open(&gate);
                     std::thread::sleep(timeout);
                     Err(RecvTimeoutError::Timeout)
                 }
-                None => Err(RecvTimeoutError::Disconnected),
+                Some(Step::Answered(reply)) => {
+                    if let Err(RecvTimeoutError::Timeout) = reply.rx.recv_timeout(timeout) {
+                        steps.push_front(Step::Answered(reply));
+                    }
+                    Err(RecvTimeoutError::Timeout)
+                }
+                Some(arriving) => {
+                    steps.push_front(arriving);
+                    Err(RecvTimeoutError::Timeout)
+                }
+                None => {
+                    GatedBackend::open(&gate);
+                    Err(RecvTimeoutError::Disconnected)
+                }
             },
             answer(),
         )
@@ -416,34 +488,116 @@ mod tests {
         (replica, pending, sizes)
     }
 
-    const LIVE: Option<Duration> = Some(Duration::from_secs(30));
+    /// Runs `script` to its end through a gated lane and checks that
+    /// every request got an output and the lane was handed batches of
+    /// `expected` sizes. Under the watchdog: a batcher that sends a
+    /// third batch while the lane is held blocks for good.
+    fn assert_gated_batches(script: Script, config: ServeConfig, expected: &'static [usize]) {
+        with_watchdog(move || {
+            let (replica, pending, sizes) = scripted(script, &config, true);
+            drop(replica);
+            for reply in pending {
+                assert_eq!(reply.wait().unwrap().shape().c, 10);
+            }
+            assert_eq!(*sizes.lock(), expected);
+        });
+    }
+
+    const LIVE: Duration = Duration::from_secs(30);
 
     #[test]
     fn max_batch_caps_a_batch_and_an_idle_source_flushes_at_the_window() {
-        // Five back-to-back requests under max_batch 2 (the window is
-        // a scheduler stall away: only the cap can close those
-        // batches), then one more after the source idles through the
-        // rest of a window.
+        // Five requests the source holds under max_batch 2: the first
+        // batch finds the lane idle, the next finds it held busy, and
+        // the window is a scheduler stall away, so only the cap closes
+        // either. The fifth request's batch, at the still-busy lane, is
+        // flushed when the source idles through the rest of its window;
+        // the last leaves when the source closes.
         let config = ServeConfig::default()
             .with_max_batch(2)
             .with_batch_window(Duration::from_millis(100));
-        let (replica, pending, sizes) =
-            scripted(&[LIVE, LIVE, LIVE, LIVE, LIVE, None, LIVE], &config);
+        let script = Script::default()
+            .requests(5, LIVE, Step::Ready)
+            .idle()
+            .requests(1, LIVE, Step::Ready);
+        assert_gated_batches(script, config, &[2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn an_idle_lane_answers_a_lone_request_without_waiting_out_the_window() {
+        // The source stays open and idle behind the request: only the
+        // window could hold it back, and an idle lane skips the window.
+        let config = ServeConfig::default().with_batch_window(Duration::from_secs(30));
+        let script = Script::default().requests(1, LIVE, Step::Ready).idle();
+        let (_replica, mut pending, _) = scripted(script, &config, false);
+        pending
+            .remove(0)
+            .wait_timeout(Duration::from_secs(5))
+            .unwrap();
+    }
+
+    #[test]
+    fn requests_arriving_while_the_only_lane_is_busy_leave_as_one_batch() {
+        // The first request leaves alone at once; the lane then stays
+        // busy, so the four that arrive meanwhile wait under the window
+        // and leave together when the source closes.
+        let config = ServeConfig::default().with_batch_window(Duration::from_secs(30));
+        let script =
+            Script::default()
+                .requests(1, LIVE, Step::Ready)
+                .requests(4, LIVE, Step::Arriving);
+        assert_gated_batches(script, config, &[1, 4]);
+    }
+
+    #[test]
+    fn a_backlog_at_an_idle_lane_leaves_as_a_full_batch() {
+        let config = ServeConfig::default()
+            .with_max_batch(4)
+            .with_batch_window(Duration::from_secs(30));
+        let script = Script::default().requests(6, LIVE, Step::Ready);
+        assert_gated_batches(script, config, &[4, 2]);
+    }
+
+    #[test]
+    fn a_quarantined_lane_with_nothing_in_flight_is_not_idle() {
+        use condor_faults::{FaultPlan, FaultRule};
+        // The first batch fails for good and quarantines the only lane
+        // for longer than the test runs. Once it is answered the lane
+        // holds nothing, yet the next request still waits under the
+        // window for the one arriving behind it; both then go to the
+        // quarantined lane as the last resort.
+        let config = ServeConfig::default()
+            .with_batch_window(Duration::from_secs(30))
+            .with_failure_threshold(1)
+            .with_quarantine(Duration::from_secs(60))
+            .with_fault_plan(
+                FaultPlan::new(5)
+                    .rule(FaultRule::at("serve.backend0").nth_call(0).fail_permanent()),
+            );
+        let script = Script::default()
+            .requests(1, LIVE, Step::Ready)
+            .until_answered()
+            .requests(1, LIVE, Step::Ready)
+            .requests(1, LIVE, Step::Arriving);
+        let (replica, pending, sizes) = scripted(script, &config, false);
         drop(replica);
         for reply in pending {
-            assert_eq!(reply.wait().unwrap().shape().c, 10);
+            reply.wait().unwrap();
         }
-        assert_eq!(*sizes.lock(), vec![2, 2, 1, 1]);
+        // The failed batch never reached the backend.
+        assert_eq!(*sizes.lock(), vec![2]);
     }
 
     #[test]
     fn closed_source_drains_then_drop_joins_every_lane() {
         let config = ServeConfig::default().with_batch_window(Duration::from_secs(30));
-        let (replica, pending, sizes) = scripted(&[LIVE, LIVE, LIVE], &config);
+        let script = Script::default().requests(3, LIVE, Step::Ready);
+        let (replica, pending, sizes) = scripted(script, &config, false);
         drop(replica);
         // Everything the source held before closing was served — in one
-        // batch, since the close (not the 30 s window) ended it — and
-        // the lane thread is gone: it owned the backend's `sizes` clone.
+        // batch, since the lane was idle and the source held all three —
+        // and the lane thread is gone: it owned the backend's `sizes`
+        // clone.
         assert_eq!(*sizes.lock(), vec![3]);
         assert_eq!(Arc::strong_count(&sizes), 1);
         for reply in pending {
@@ -453,8 +607,8 @@ mod tests {
 
     #[test]
     fn request_expired_in_the_source_times_out_before_the_backend() {
-        let (replica, mut pending, sizes) =
-            scripted(&[Some(Duration::ZERO)], &ServeConfig::default());
+        let script = Script::default().requests(1, Duration::ZERO, Step::Ready);
+        let (replica, mut pending, sizes) = scripted(script, &ServeConfig::default(), false);
         drop(replica);
         assert_eq!(pending.remove(0).wait(), Err(ServeError::Timeout));
         assert!(sizes.lock().is_empty(), "an expired request never executes");
@@ -464,7 +618,7 @@ mod tests {
     fn a_replica_without_an_inbox_refuses_hops() {
         // A server's replica pops its intake: a request offered to it
         // is settled at once, as if the replica were draining.
-        let (replica, _, _) = scripted(&[], &ServeConfig::default());
+        let (replica, _, _) = scripted(Script::default(), &ServeConfig::default(), false);
         let image = dataset::usps_like(1, 4).remove(0).image;
         let (request, pending) = Request::detached(image, Duration::from_secs(1));
         replica.offer(request);
