@@ -213,7 +213,7 @@ pub const METRICS: &[MetricSpec] = &[
     MetricSpec {
         name: "ack_latency_us",
         kind: MetricKind::Histogram,
-        help: "admission-to-ack latency of durable requests",
+        help: "admission to ack written for durable requests (durable at the next group sync)",
     },
     // Overload control & graceful degradation.
     MetricSpec {

@@ -9,9 +9,10 @@
 //! the classic three-state machine:
 //!
 //! * **Closed** — traffic flows. Failures feed both a consecutive
-//!   counter and a sliding failure-rate window
+//!   counter and a rolling failure-rate window
 //!   ([`BreakerConfig::window`]); crossing either threshold trips the
-//!   breaker to Open.
+//!   breaker to Open. The window is a fixed ring of time buckets, so a
+//!   breaker's memory does not grow with its request rate.
 //! * **Open** — traffic is refused outright (shed as `BreakerOpen`,
 //!   no dispatch, no retry hammering). After
 //!   [`BreakerConfig::open_timeout`] the breaker admits probes.
@@ -28,9 +29,12 @@
 
 use condor_faults::retry::{Clock, SystemClock};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Buckets of the failure-rate window: outcomes age out one bucket
+/// (`window / WINDOW_BUCKETS`) at a time.
+const WINDOW_BUCKETS: u64 = 10;
 
 /// Tuning knobs of one circuit breaker.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,7 +48,9 @@ pub struct BreakerConfig {
     /// Samples the window must hold before the rate applies, so one
     /// failure out of one sample does not trip a fresh breaker.
     pub min_samples: u32,
-    /// Width of the sliding failure-rate window.
+    /// Width of the rolling failure-rate window. The rate counts the
+    /// outcomes of the current bucket and the nine before it, so an
+    /// outcome never counts once it is older than `window`.
     pub window: Duration,
     /// How long an open breaker refuses traffic before admitting
     /// half-open probes.
@@ -85,7 +91,7 @@ impl BreakerConfig {
         self
     }
 
-    /// Sets the sliding-window width.
+    /// Sets the rolling-window width.
     pub fn with_window(mut self, d: Duration) -> Self {
         self.window = d;
         self
@@ -141,13 +147,23 @@ impl BreakerState {
     }
 }
 
+/// The outcomes of one bucket-wide stretch of time.
+#[derive(Clone, Copy, Default)]
+struct Bucket {
+    /// Clock reading divided by the bucket width.
+    epoch: u64,
+    successes: u32,
+    failures: u32,
+}
+
 struct BreakerInner {
     state: BreakerState,
     /// Clock reading when the breaker last opened.
     opened_at: Duration,
     consecutive_failures: u32,
-    /// Sliding window of `(sample time, failed)` outcomes.
-    samples: VecDeque<(Duration, bool)>,
+    /// The failure-rate window: epoch `e` counts in slot
+    /// `e % WINDOW_BUCKETS`.
+    window: [Bucket; WINDOW_BUCKETS as usize],
     /// Probes admitted but not yet reported while half-open.
     probes_in_flight: u32,
     probe_successes: u32,
@@ -186,7 +202,7 @@ impl CircuitBreaker {
                 state: BreakerState::Closed,
                 opened_at: Duration::ZERO,
                 consecutive_failures: 0,
-                samples: VecDeque::new(),
+                window: Default::default(),
                 probes_in_flight: 0,
                 probe_successes: 0,
                 trips: 0,
@@ -251,7 +267,7 @@ impl CircuitBreaker {
             inner.probe_successes += 1;
             if inner.probe_successes >= self.config.half_open_probes {
                 inner.state = BreakerState::Closed;
-                inner.samples.clear();
+                inner.window = Default::default();
                 inner.probes_in_flight = 0;
                 inner.probe_successes = 0;
                 return true;
@@ -278,8 +294,12 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
                 self.push_sample(&mut inner, now, true);
-                let failed = inner.samples.iter().filter(|(_, f)| *f).count() as u32;
-                let total = inner.samples.len() as u32;
+                let live = self.epoch(now).saturating_sub(WINDOW_BUCKETS - 1);
+                let (mut failed, mut total) = (0u32, 0u32);
+                for b in inner.window.iter().filter(|b| b.epoch >= live) {
+                    failed = failed.saturating_add(b.failures);
+                    total = total.saturating_add(b.failures).saturating_add(b.successes);
+                }
                 let rate_tripped = total >= self.config.min_samples
                     && f64::from(failed) >= self.config.failure_rate * f64::from(total);
                 if inner.consecutive_failures >= self.config.consecutive_failures || rate_tripped {
@@ -300,7 +320,7 @@ impl CircuitBreaker {
         let mut inner = self.inner.lock();
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
-        inner.samples.clear();
+        inner.window = Default::default();
         inner.probes_in_flight = 0;
         inner.probe_successes = 0;
     }
@@ -311,7 +331,7 @@ impl CircuitBreaker {
         inner.consecutive_failures = 0;
         inner.probes_in_flight = 0;
         inner.probe_successes = 0;
-        inner.samples.clear();
+        inner.window = Default::default();
         inner.trips += 1;
     }
 
@@ -325,11 +345,27 @@ impl CircuitBreaker {
         }
     }
 
+    /// The clock reading in bucket widths.
+    fn epoch(&self, now: Duration) -> u64 {
+        let width = (self.config.window.as_nanos() / u128::from(WINDOW_BUCKETS)).max(1);
+        (now.as_nanos() / width) as u64
+    }
+
     fn push_sample(&self, inner: &mut BreakerInner, now: Duration, failed: bool) {
-        inner.samples.push_back((now, failed));
-        let horizon = now.saturating_sub(self.config.window);
-        while inner.samples.front().is_some_and(|(at, _)| *at < horizon) {
-            inner.samples.pop_front();
+        let epoch = self.epoch(now);
+        let bucket = &mut inner.window[(epoch % WINDOW_BUCKETS) as usize];
+        // A slot still holding an older epoch is reused; a reading
+        // taken before a newer one got the lock counts with the newer.
+        if bucket.epoch < epoch {
+            *bucket = Bucket {
+                epoch,
+                ..Bucket::default()
+            };
+        }
+        if failed {
+            bucket.failures = bucket.failures.saturating_add(1);
+        } else {
+            bucket.successes = bucket.successes.saturating_add(1);
         }
     }
 }
@@ -452,6 +488,36 @@ mod tests {
         clock.advance(Duration::from_millis(200));
         // The old failure has aged out; this is 1 failure of 1 sample,
         // below min_samples.
+        assert!(!b.on_failure());
+        assert_eq!(b.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn the_window_rolls_a_bucket_at_a_time() {
+        let clock = Arc::new(MockClock::new());
+        // 100 ms buckets; only the rate path can trip.
+        let b = CircuitBreaker::new(
+            BreakerConfig::default()
+                .with_consecutive_failures(100)
+                .with_failure_rate(0.5)
+                .with_min_samples(4)
+                .with_window(Duration::from_secs(1)),
+            Arc::clone(&clock) as Arc<dyn Clock + Send + Sync>,
+        );
+        assert!(!b.on_failure());
+        assert!(!b.on_failure());
+        // 950 ms later the first bucket is still in the window: the
+        // fourth failure of four samples trips.
+        clock.advance(Duration::from_millis(950));
+        assert!(!b.on_failure());
+        assert!(b.on_failure());
+        b.reset();
+        // Two failures, then a whole window later two more land in the
+        // same ring slot: the slot starts over, so 2 of 2 stay closed.
+        assert!(!b.on_failure());
+        assert!(!b.on_failure());
+        clock.advance(Duration::from_secs(1));
+        assert!(!b.on_failure());
         assert!(!b.on_failure());
         assert_eq!(b.state(), BreakerState::Closed);
     }
