@@ -22,19 +22,13 @@
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
 
-use condor_queue::{CrashOp, DiskQueue, DiskQueueConfig, Priority, CRASH_POINT_ENV};
+mod common;
+
+use common::{child_config, seeds, CHILD_ENV};
+use condor_queue::{CrashOp, DiskQueue, Priority, CRASH_POINT_ENV};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-/// Child-mode switch: set to the queue directory by the parent.
-const CHILD_ENV: &str = "CONDOR_QUEUE_CRASH_CHILD";
-
-fn child_config(dir: &Path) -> DiskQueueConfig {
-    DiskQueueConfig::new(dir)
-        .with_segment_bytes(256)
-        .with_checkpoint_every(8)
-}
 
 /// Deterministic payload so the parent can verify integrity byte for
 /// byte after the crash.
@@ -47,23 +41,6 @@ fn payload_for(id: u64) -> Vec<u8> {
 /// verify the CQR2 class byte survived the crash.
 fn class_for(id: u64) -> Priority {
     Priority::ALL[(id % 3) as usize]
-}
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("CONDOR_CRASH_SEEDS") {
-        Ok(spec) => {
-            let spec = spec.trim();
-            if let Some((lo, hi)) = spec.split_once('-') {
-                let lo: u64 = lo.trim().parse().expect("CONDOR_CRASH_SEEDS range start");
-                let hi: u64 = hi.trim().parse().expect("CONDOR_CRASH_SEEDS range end");
-                (lo..=hi).collect()
-            } else {
-                let n: u64 = spec.parse().expect("CONDOR_CRASH_SEEDS count");
-                (0..n).collect()
-            }
-        }
-        Err(_) => (0..8).collect(),
-    }
 }
 
 /// The workload the child runs until its armed crash point kills it:
