@@ -3,47 +3,51 @@
 //! Computes `C = A · B` for row-major matrices (`A: m×k`, `B: k×n`,
 //! `C: m×n`) one `MR×NR` tile of `C` at a time. The tile's accumulators
 //! are a local `[[f32; NR]; MR]` that LLVM keeps in vector registers for
-//! a whole `k`-slice, so the inner loop is one broadcast of `A`, one load
-//! of `B` and `MR·NR` multiply-adds per `k` step with no traffic to `C`;
-//! the bias/ReLU epilogue is applied to those registers before the
-//! tile's only store. All of it is safe Rust over fixed-size arrays.
+//! a whole `k`-slice, so the inner loop is one broadcast of `A` per row,
+//! one load of `B` and `MR·NR` fused multiply-adds per `k` step with no
+//! traffic to `C`; the bias/ReLU epilogue is applied to those registers
+//! before the tile's only store. All of it is safe Rust over fixed-size
+//! arrays.
 //!
-//! Tile sizes. `NR = 16` is two AVX2 vectors; `MR = 4` gives eight
-//! accumulator registers and leaves room for the two `B` vectors, the
-//! broadcast and the product temporaries in the sixteen `ymm` registers
-//! of the `x86-64-v3` level the workspace compiles for. Measured on the
-//! `vgg56` conv1_2 shape (64×3136×576, one thread): 4×16 and 6×16 tie
-//! within noise, 4×24 and 8×8 lose (see DESIGN.md §4c), and 4 divides
-//! the zoo's channel counts more often than 6 does.
+//! Tile sizes. `NR = 24` is three AVX2 vectors and `MR = 4` rows, so
+//! the twelve accumulators, the three `B` vectors of a `k` step and the
+//! broadcast of `A` fill the sixteen `ymm` registers of the `x86-64-v3`
+//! level the workspace compiles for. A fused multiply-add leaves no
+//! product temporary, which is what makes room for the third column
+//! vector. Measured on the `vgg56` conv1_2 shape (64×3136×576, one and
+//! two threads), 4×24 beats 4×16, 6×16 and 2×32, and 8×16 spills (see
+//! DESIGN.md §4c); 4 also divides the zoo's channel counts more often
+//! than 6 does.
 //!
 //! Packing. Before a column of tiles is computed, the `kc×NR` slice of
-//! `B` under it is copied into a stack array (`KC_MAX·NR·4 B` = 16 KiB),
+//! `B` under it is copied into a stack array (`KC_MAX·NR·4 B` = 24 KiB),
 //! zero-padded to `NR` columns at the right edge, and every row tile
-//! reads that copy. Unpacked, the slice is `kc` separate cache lines a
+//! reads that copy. Unpacked, the slice is `kc` separate 96-byte pieces a
 //! whole row of `B` apart: at `n = 3136` (a 56×56 feature map) the row
-//! stride is 12 544 B = 196 lines, 196 mod 64 = 4, so the 256 lines of
-//! one slice fall onto 16 of an 8-way L1's 64 sets — room for 128 — and
+//! stride is 12 544 B = 196 lines, 196 mod 64 = 4, so the 512 lines of
+//! one slice fall onto 32 of an 8-way L1's 64 sets — room for 256 — and
 //! evict each other on every pass. Packed, the slice is contiguous and
 //! L1-resident. It lives on the stack because its size is a compile-time
 //! constant and each worker thread needs its own: no heap, no
 //! `Workspace` field, nothing to size or share.
 //!
 //! Determinism: each output element accumulates its `k` products in
-//! strictly ascending `k` order as a separate multiply and add —
-//! `acc += a * b`, never `mul_add`, which rounds once instead of twice
-//! (different bits) and calls libm where the target lacks FMA —
+//! strictly ascending `k` order, each as one fused multiply-add
+//! (`acc = a.mul_add(b, acc)`: one rounding per product-sum, not two) —
 //! regardless of blocking parameters or thread count (threads partition
 //! *rows*, never the reduction), so results are bit-identical across
-//! configurations and to the textbook triple loop.
+//! configurations and to the ascending-`k` `mul_add` triple loop.
+//! `mul_add` is correctly rounded on every target, so the bits do not
+//! depend on the CPU level either; only its speed needs FMA hardware.
 
 use std::sync::OnceLock;
 
 /// Rows of the register tile.
 const MR: usize = 4;
-/// Columns of the register tile (two 8-lane vectors).
-const NR: usize = 16;
+/// Columns of the register tile (three 8-lane vectors).
+const NR: usize = 24;
 /// Deepest `k`-slice the packed `B` tile holds: `KC_MAX × NR` floats =
-/// 16 KiB of stack.
+/// 24 KiB of stack.
 const KC_MAX: usize = 256;
 
 /// Accumulators of one `MR×NR` tile of `C`.
@@ -52,7 +56,7 @@ type Tile = [[f32; NR]; MR];
 /// Loop-blocking parameters, shared by the f32 and int8 GEMMs.
 ///
 /// The f32 [`gemm`] reads only `kc`: the depth of the `k`-slice whose
-/// `kc × 16` piece of `B` is packed into the L1-resident stack tile,
+/// `kc × 24` piece of `B` is packed into the L1-resident stack tile,
 /// honoured up to that tile's cap of 256. Its row and column steps are
 /// fixed by the register tile and every row tile reuses one packed
 /// slice, so `mc` and `nc` are idle there. The int8 GEMM
@@ -282,18 +286,19 @@ fn gemm_band(
     }
 }
 
-/// `acc[r][j] + Σ_p a_rows[r][p] · bp[p][j]`, ascending `p`, multiply
-/// then add. The tile is taken and returned by value: a local that is
-/// only ever indexed by the (fully unrolled) constant loops below is
-/// promoted to `MR·NR/8` vector registers for the whole `p` loop, which a
-/// `&mut Tile` the caller also slices dynamically would not be.
+/// `acc[r][j] + Σ_p a_rows[r][p] · bp[p][j]`, ascending `p`, one fused
+/// multiply-add per product. The tile is taken and returned by value: a
+/// local that is only ever indexed by the (fully unrolled) constant
+/// loops below is promoted to `MR·NR/8` vector registers for the whole
+/// `p` loop, which a `&mut Tile` the caller also slices dynamically
+/// would not be.
 #[inline(always)]
 fn micro_kernel(a_rows: &[&[f32]; MR], bp: &[[f32; NR]], mut acc: Tile) -> Tile {
     for (p, brow) in bp.iter().enumerate() {
         for (arow, crow) in a_rows.iter().zip(acc.iter_mut()) {
             let x = arow[p];
             for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += x * bv;
+                *cv = x.mul_add(bv, *cv);
             }
         }
     }
@@ -367,8 +372,9 @@ fn gemv_serial(
     }
 }
 
-/// Vectorisable dot product: eight independent partial sums combined in
-/// a fixed order.
+/// Vectorisable dot product: eight independent partial sums, each a
+/// chain of fused multiply-adds in ascending order, combined in a fixed
+/// order.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     const LANES: usize = 8;
@@ -378,12 +384,12 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         let av = &a[c * LANES..(c + 1) * LANES];
         let bv = &b[c * LANES..(c + 1) * LANES];
         for l in 0..LANES {
-            acc[l] += av[l] * bv[l];
+            acc[l] = av[l].mul_add(bv[l], acc[l]);
         }
     }
     let mut tail = 0.0f32;
     for (x, y) in a[chunks * LANES..].iter().zip(&b[chunks * LANES..]) {
-        tail += x * y;
+        tail = x.mul_add(*y, tail);
     }
     // Fixed combination order for determinism.
     (((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))) + tail
@@ -394,9 +400,9 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
 
-    /// Textbook triple loop: ascending `k`, multiply then add, then the
-    /// epilogue as its own pass — the reduction the kernel must
-    /// reproduce bit for bit.
+    /// Textbook triple loop: ascending `k`, one fused multiply-add per
+    /// product, then the epilogue as its own pass — the reduction the
+    /// kernel must reproduce bit for bit.
     fn naive(
         m: usize,
         n: usize,
@@ -409,7 +415,7 @@ mod tests {
         for i in 0..m {
             for p in 0..k {
                 for j in 0..n {
-                    c[i * n + j] += a[i * k + p] * b[p * n + j];
+                    c[i * n + j] = a[i * k + p].mul_add(b[p * n + j], c[i * n + j]);
                 }
             }
             let (bias, slope) = match epilogue {
@@ -535,6 +541,7 @@ mod tests {
     fn large_parallel_path_matches_serial() {
         // 3 threads over 50 rows: bands of 20, 20 and 10 rows, the last
         // one ending in a 2-row tile; 17 rows per band before rounding.
+        // 70 columns end in a 22-column tile.
         let (m, n, k) = (50, 70, 33);
         let a = ramp(m * k, 0.01);
         let b = ramp(k * n, 0.02);
@@ -592,6 +599,53 @@ mod tests {
         let b = ramp(37, 0.4);
         let want: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - want).abs() < 1e-3);
+    }
+
+    /// `a · b` over `a = [1, 1 + 2⁻¹²]`, `b = [−(1 + 2⁻¹¹), 1 + 2⁻¹²]`.
+    /// The second product is exactly `1 + 2⁻¹¹ + 2⁻²⁴`, half an ulp above
+    /// `1 + 2⁻¹¹`: fused, the sum keeps that `2⁻²⁴`; multiply-then-add
+    /// rounds the product to even first and the sum is `0`.
+    const FUSED_A: [f32; 2] = [1.0, 1.0 + 1.0 / 4096.0];
+    const FUSED_B: [f32; 2] = [-(1.0 + 1.0 / 2048.0), 1.0 + 1.0 / 4096.0];
+    const FUSED_SUM: f32 = 1.0 / 16_777_216.0;
+
+    /// Pins the fused contract by value, so that neither the kernels nor
+    /// the `naive` reference can fall back to `acc += a * b` unnoticed.
+    #[test]
+    fn every_product_sum_rounds_once() {
+        let unfused = FUSED_A[0] * FUSED_B[0] + FUSED_A[1] * FUSED_B[1];
+        assert_eq!(unfused, 0.0, "the case must tell the roundings apart");
+
+        // Every row of A is FUSED_A and every column of B is FUSED_B, so
+        // every element of C is FUSED_SUM. Two tiles and one more row and
+        // column: C has interior tiles and partial bottom/right ones.
+        let (m, n, k) = (2 * MR + 1, 2 * NR + 1, 2);
+        let a: Vec<f32> = (0..m).flat_map(|_| FUSED_A).collect();
+        let b: Vec<f32> = FUSED_B.iter().flat_map(|&v| vec![v; n]).collect();
+        for kc in [1, 256] {
+            let blocking = GemmBlocking {
+                kc,
+                ..GemmBlocking::default()
+            };
+            let mut c = vec![f32::NAN; m * n];
+            gemm(m, n, k, &a, &b, &mut c, blocking, Epilogue::None);
+            for (i, j) in [(MR + 1, NR + 1), (m - 1, n - 1)] {
+                assert_eq!(
+                    c[i * n + j].to_bits(),
+                    FUSED_SUM.to_bits(),
+                    "C[{i}][{j}], kc {kc}"
+                );
+            }
+        }
+
+        let mut y = [f32::NAN];
+        gemv(1, k, &FUSED_A, &FUSED_B, None, None, &mut y);
+        assert_eq!(y[0].to_bits(), FUSED_SUM.to_bits(), "gemv");
+        // Sixteen terms put both products in `dot`'s first lane, not its
+        // tail.
+        let (mut a16, mut b16) = ([0.0f32; 16], [0.0f32; 16]);
+        (a16[0], a16[8], b16[0], b16[8]) = (FUSED_A[0], FUSED_A[1], FUSED_B[0], FUSED_B[1]);
+        assert_eq!(dot(&a16, &b16).to_bits(), FUSED_SUM.to_bits(), "dot lane");
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //!
 //! * [`im2col`] — patch-matrix lowering so convolution becomes one GEMM,
 //!   writing into a reusable workspace buffer;
-//! * [`gemm`] — f32 matrix multiply over 4×16 register tiles: the
+//! * [`gemm`] — f32 matrix multiply over 4×24 register tiles: the
 //!   accumulators stay in registers for a whole `k`-slice, the slice of
 //!   `B` under a tile is packed into an L1-resident stack array, and
 //!   bias/LeakyReLU ([`Epilogue`]) are applied to the accumulators
 //!   before the tile's only store; threads split output rows, and every
-//!   product is a separate multiply and add (no FMA), so results equal
-//!   the textbook triple loop bit for bit;
+//!   product-sum is one fused multiply-add in ascending-`k` order, so
+//!   results equal the ascending-`k` `mul_add` triple loop bit for bit;
 //! * [`ops`] — layer-level kernels (convolution, pooling, activations,
 //!   softmax, fully-connected [`gemv`]) that all write into
 //!   caller-provided buffers, so steady-state inference allocates

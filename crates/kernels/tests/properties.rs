@@ -8,9 +8,9 @@ use condor_kernels::{gemm_f32, gemv, im2col, ConvGeometry, Epilogue, GemmBlockin
 use condor_tensor::{Shape, Tensor, TensorRng};
 use proptest::prelude::*;
 
-/// Textbook `C = epilogue(A·B)`: ascending `k`, multiply then add, the
-/// epilogue as its own pass — the exact reduction the tiled kernel
-/// guarantees, so comparisons against it are bit for bit.
+/// Textbook `C = epilogue(A·B)`: ascending `k`, one fused multiply-add
+/// per product, the epilogue as its own pass — the exact reduction the
+/// tiled kernel guarantees, so comparisons against it are bit for bit.
 fn naive_matmul(
     m: usize,
     n: usize,
@@ -23,7 +23,7 @@ fn naive_matmul(
     for i in 0..m {
         for p in 0..k {
             for j in 0..n {
-                c[i * n + j] += a[i * k + p] * b[p * n + j];
+                c[i * n + j] = a[i * k + p].mul_add(b[p * n + j], c[i * n + j]);
             }
         }
         let (bias, slope) = match epilogue {
@@ -65,14 +65,14 @@ fn geometry(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> ConvG
 
 proptest! {
     /// The tiled GEMM is bit-identical to the naive triple loop for
-    /// every shape (tiles of 4×16: `m`, `n` reach past two of each),
+    /// every shape (tiles of 4×24: `m`, `n` reach past two of each),
     /// every blocking (`kc` below `k` cuts the reduction into slices) and
     /// every epilogue.
     #[test]
     fn gemm_matches_naive_matmul(
         seed in any::<u64>(),
         m in 1usize..24,
-        n in 1usize..40,
+        n in 1usize..56,
         k in 1usize..40,
         mc in 0usize..8,
         nc in 0usize..8,

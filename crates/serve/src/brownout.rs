@@ -3,7 +3,7 @@
 //! When overload control starts shedding requests, dropping work is
 //! the last resort — serving *cheaper* work is better. The quantized
 //! engine executes the same network at a bounded accuracy cost and was
-//! meant to be the cheaper lane (today `perf` measures it at ≈ 0.6× the
+//! meant to be the cheaper lane (today `perf` measures it at ≈ 0.4× the
 //! f32 rate on `vgg56`; ROADMAP, first open item): under sustained
 //! shedding the [`BrownoutController`] latches *active* and every
 //! [`DegradableBackend`] switches its CPU lane from [`FastEngine`] to

@@ -34,7 +34,7 @@
 //! * **Brownout** — with [`ServeConfig::with_brownout`] (and
 //!   [`DegradableBackend`] lanes) sustained shedding switches CPU
 //!   lanes from f32 to INT8 inference (bounded accuracy cost; `perf`
-//!   measures INT8 at ≈ 0.6× the f32 rate on `vgg56`, so today this
+//!   measures INT8 at ≈ 0.4× the f32 rate on `vgg56`, so today this
 //!   sheds no load) and back with hysteresis; affected replies carry
 //!   [`ServeReply::degraded`]` = true`.
 //! * **Timeouts** — every request carries a deadline; requests that expire

@@ -1,6 +1,7 @@
 //! Repo tooling (the `cargo xtask` pattern): a dependency-free
-//! public-API surface check and a workspace-wide static invariant audit
-//! (see [`audit`]).
+//! public-API surface check, a workspace-wide static invariant audit
+//! (see [`audit`]) and a check that the compute kernels still compile to
+//! vector instructions (see [`asm`]).
 //!
 //! `cargo-public-api` is not available offline, so this crate derives a
 //! poor man's item list instead: every `pub` item signature found in a
@@ -25,6 +26,7 @@
 //! too — that is conservative: a diff fires on any candidate surface
 //! change and the reviewer decides.
 
+pub mod asm;
 pub mod audit;
 pub mod lexer;
 

@@ -4,10 +4,14 @@
 //! cargo run -p xtask                  # regenerate committed snapshots
 //! cargo run -p xtask -- audit         # static invariant audit (text)
 //! cargo run -p xtask -- audit --json  # JSON report on stdout
+//! cargo run -p xtask -- asm           # kernels still vectorised (x86_64)
 //! ```
 //!
 //! `audit` exits non-zero when the tree has any finding; the same check
-//! runs as a unit test, so `cargo test -q` gates it too.
+//! runs as a unit test, so `cargo test -q` gates it too. `asm` exits
+//! non-zero when a release build of `condor-kernels` lost the vector
+//! instructions its GEMMs depend on; it builds the crate, so CI runs it
+//! as its own step.
 
 use std::process::ExitCode;
 
@@ -22,8 +26,18 @@ fn main() -> ExitCode {
             }
             audit(json)
         }
+        Some("asm") => match xtask::asm::run(&xtask::repo_root()) {
+            Ok(line) => {
+                println!("xtask asm: {line}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("xtask asm: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Some(other) => {
-            eprintln!("xtask: unknown command `{other}` (supported: audit, or no command to regenerate snapshots)");
+            eprintln!("xtask: unknown command `{other}` (supported: audit, asm, or no command to regenerate snapshots)");
             ExitCode::from(2)
         }
         None => {
