@@ -1,104 +1,24 @@
-//! Regenerates every table and figure of the paper's evaluation and
-//! prints them next to the published numbers.
+//! Regenerates every table and figure of the paper's evaluation and the
+//! ablations, prints them, and splices them into EXPERIMENTS.md between
+//! its `<!-- generated:NAME -->` markers.
 //!
 //! ```text
-//! cargo run --release -p condor-bench --bin tables [table1|table2|figure5|all]
+//! cargo run --release -p condor-bench --bin tables
 //! ```
 
-use condor_bench::{figure5, paper_table1, paper_table2, table1, table2, Figure5Series, Table1Row};
-
-fn print_table1() {
-    println!("== Table 1: AWS F1 deployment results (paper vs reproduced) ==");
-    println!(
-        "{:<8} {:>6} | {:>7} {:>7} {:>7} {:>7} {:>8} {:>9}",
-        "net", "MHz", "LUT%", "FF%", "DSP%", "BRAM%", "GFLOPS", "GFLOPS/W"
-    );
-    let measured = table1();
-    for (paper, ours) in paper_table1().iter().zip(&measured) {
-        print_t1_row("paper", paper);
-        print_t1_row("ours", ours);
-    }
-    println!();
-}
-
-fn print_t1_row(tag: &str, r: &Table1Row) {
-    println!(
-        "{:<8} {:>6.0} | {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>8.2} {:>9.2}   [{tag}]",
-        r.name, r.freq_mhz, r.lut_pct, r.ff_pct, r.dsp_pct, r.bram_pct, r.gflops, r.gflops_per_w
-    );
-}
-
-fn print_table2() {
-    println!("== Table 2: improved methodology, features-extraction GFLOPS ==");
-    println!(
-        "{:<8} {:>14} {:>14}   {:<24}",
-        "net", "paper GFLOPS", "ours GFLOPS", "chosen configuration"
-    );
-    let measured = table2();
-    for ((name, paper_gflops), cell) in paper_table2().iter().zip(&measured) {
-        println!(
-            "{:<8} {:>14.2} {:>14.2}   Pin={} Pout={} @ {:.0} MHz",
-            name,
-            paper_gflops,
-            cell.gflops,
-            cell.parallelism.parallel_in,
-            cell.parallelism.parallel_out,
-            cell.freq_mhz
-        );
-    }
-    println!();
-}
-
-fn print_figure5() {
-    println!("== Figure 5: mean time to process an image vs batch size ==");
-    let series = figure5();
-    print!("{:<7}", "batch");
-    for s in &series {
-        print!(" {:>14}", format!("{} (ms)", s.name));
-    }
-    println!();
-    let batches: Vec<usize> = series[0].points.iter().map(|(b, _)| *b).collect();
-    for (i, b) in batches.iter().enumerate() {
-        print!("{b:<7}");
-        for s in &series {
-            print!(" {:>14.4}", s.points[i].1);
-        }
-        println!();
-    }
-    for s in &series {
-        println!(
-            "-- {}: {} compute layers; convergence expected once batch > {}",
-            s.name, s.layers, s.layers
-        );
-        print_profile(s);
-    }
-    println!();
-}
-
-/// A tiny ASCII rendition of one series, normalised to its slowest point.
-fn print_profile(s: &Figure5Series) {
-    let max = s.points.iter().map(|(_, v)| *v).fold(0.0, f64::max);
-    for (b, v) in &s.points {
-        let frac = if max > 0.0 { v / max } else { 0.0 };
-        let bar = ((frac * 40.0).round() as usize).max(1);
-        println!("   batch {b:>3} |{}", "#".repeat(bar));
-    }
-}
+use condor_bench::{experiments_blocks, splice_blocks, EXPERIMENTS_MD};
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
-        "table1" => print_table1(),
-        "table2" => print_table2(),
-        "figure5" => print_figure5(),
-        "all" => {
-            print_table1();
-            print_table2();
-            print_figure5();
-        }
-        other => {
-            eprintln!("unknown experiment '{other}' (use table1|table2|figure5|all)");
-            std::process::exit(2);
-        }
+    let blocks = experiments_blocks();
+    for (name, body) in &blocks {
+        println!("== {name} ==\n{body}\n");
+    }
+    let result = std::fs::read_to_string(EXPERIMENTS_MD)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| splice_blocks(&doc, &blocks))
+        .and_then(|doc| std::fs::write(EXPERIMENTS_MD, doc).map_err(|e| e.to_string()));
+    if let Err(e) = result {
+        eprintln!("{EXPERIMENTS_MD}: {e}");
+        std::process::exit(1);
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::text::{TextError, TextMessage};
 use crate::wire::{WireError, WireReader, WireType, WireWriter};
-use bytes::Bytes;
 use condor_tensor::{Shape, Tensor};
 
 /// `BlobShape`: N-D extents of a blob (`dim = 1`, packed int64).
@@ -710,7 +709,7 @@ pub struct NetParameter {
 
 impl NetParameter {
     /// Serialises to `caffemodel` bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.string(1, &self.name);
         for i in &self.input {

@@ -5,7 +5,6 @@
 //! to encode and decode Caffe `NetParameter` trees byte-compatibly with the
 //! official implementation for the message subset this workspace models.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Protobuf wire types (tag & 0x7).
@@ -59,7 +58,7 @@ impl std::error::Error for WireError {}
 /// Streaming encoder for the protobuf wire format.
 #[derive(Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -69,8 +68,8 @@ impl WireWriter {
     }
 
     /// Finishes encoding and returns the bytes.
-    pub fn into_bytes(self) -> Bytes {
-        self.buf.freeze()
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Encoded length so far.
@@ -93,10 +92,10 @@ impl WireWriter {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 
@@ -120,7 +119,7 @@ impl WireWriter {
     /// `field: float` (fixed32).
     pub fn float(&mut self, field: u32, v: f32) {
         self.tag(field, WireType::Fixed32);
-        self.buf.put_f32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// `field: string`.
@@ -132,7 +131,7 @@ impl WireWriter {
     pub fn bytes(&mut self, field: u32, v: &[u8]) {
         self.tag(field, WireType::LengthDelimited);
         self.varint(v.len() as u64);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Length-delimited sub-message encoded by `f`.
@@ -151,7 +150,7 @@ impl WireWriter {
         self.tag(field, WireType::LengthDelimited);
         self.varint((vs.len() * 4) as u64);
         for &v in vs {
-            self.buf.put_f32_le(v);
+            self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -224,16 +223,12 @@ impl<'a> WireReader<'a> {
 
     /// Reads a fixed 32-bit float.
     pub fn read_float(&mut self) -> Result<f32, WireError> {
-        let bytes = self.take(4)?;
-        let mut b = bytes;
-        Ok(b.get_f32_le())
+        Ok(f32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a fixed 64-bit scalar.
     pub fn read_fixed64(&mut self) -> Result<u64, WireError> {
-        let bytes = self.take(8)?;
-        let mut b = bytes;
-        Ok(b.get_u64_le())
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a length-delimited payload.
@@ -323,6 +318,13 @@ impl<'a> WireReader<'a> {
         let slice = &self.data[self.pos..self.pos + len];
         self.pos += len;
         Ok(slice)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take returns exactly N bytes"))
     }
 }
 

@@ -226,10 +226,9 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::sdaccel::{xocc_link, XoFile};
-    use bytes::Bytes;
 
     fn staged_xclbin(s3: &S3Client, board: &str) -> (String, String) {
-        let xo = XoFile::package("k", "v", Bytes::from_static(b"IP")).unwrap();
+        let xo = XoFile::package("k", "v", b"IP".as_slice().into()).unwrap();
         let xclbin = xocc_link(&xo, board).unwrap();
         s3.create_bucket("condor-bucket").ok();
         let key = format!("designs/{board}.xclbin");
@@ -298,7 +297,7 @@ mod tests {
         s3.put_object(
             "condor-bucket",
             "bad.bin",
-            Bytes::from_static(b"not-an-xclbin"),
+            b"not-an-xclbin".as_slice().into(),
         )
         .unwrap();
         let reg = AfiRegistry::new();

@@ -204,12 +204,11 @@ mod tests {
     use super::*;
     use crate::s3::S3Client;
     use crate::sdaccel::{xocc_link, XoFile};
-    use bytes::Bytes;
 
     fn available_agfi(reg: &AfiRegistry) -> String {
         let s3 = S3Client::new();
         s3.create_bucket("condor-bucket").unwrap();
-        let xo = XoFile::package("k", "v", Bytes::from_static(b"IP")).unwrap();
+        let xo = XoFile::package("k", "v", b"IP".as_slice().into()).unwrap();
         let xclbin = xocc_link(&xo, "aws-f1").unwrap();
         s3.put_object("condor-bucket", "d.xclbin", xclbin.bytes)
             .unwrap();
@@ -243,7 +242,7 @@ mod tests {
         let reg = AfiRegistry::with_generation_ticks(100);
         let s3 = S3Client::new();
         s3.create_bucket("condor-bucket").unwrap();
-        let xo = XoFile::package("k", "v", Bytes::from_static(b"IP")).unwrap();
+        let xo = XoFile::package("k", "v", b"IP".as_slice().into()).unwrap();
         let xclbin = xocc_link(&xo, "aws-f1").unwrap();
         s3.put_object("condor-bucket", "d.xclbin", xclbin.bytes)
             .unwrap();

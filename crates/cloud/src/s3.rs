@@ -6,10 +6,14 @@
 //! workflow touches, with S3's relevant failure modes.
 
 use crate::CloudError;
-use bytes::Bytes;
 use condor_faults::FaultHandle;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One bucket's objects by key; a body is shared, so a read is a
+/// reference-count bump.
+type Bucket = BTreeMap<String, Arc<[u8]>>;
 
 /// An in-memory S3 endpoint.
 ///
@@ -18,7 +22,7 @@ use std::collections::BTreeMap;
 /// way a real transport failure precedes server-side validation.
 #[derive(Default)]
 pub struct S3Client {
-    buckets: Mutex<BTreeMap<String, BTreeMap<String, Bytes>>>,
+    buckets: Mutex<BTreeMap<String, Bucket>>,
     faults: FaultHandle,
 }
 
@@ -63,7 +67,7 @@ impl S3Client {
     }
 
     /// Uploads an object, creating or overwriting `key`.
-    pub fn put_object(&self, bucket: &str, key: &str, body: Bytes) -> Result<(), CloudError> {
+    pub fn put_object(&self, bucket: &str, key: &str, body: Arc<[u8]>) -> Result<(), CloudError> {
         self.faults.gate("s3.put_object")?;
         if key.is_empty() {
             return Err(CloudError::new("s3", "object key must not be empty"));
@@ -77,7 +81,7 @@ impl S3Client {
     }
 
     /// Downloads an object.
-    pub fn get_object(&self, bucket: &str, key: &str) -> Result<Bytes, CloudError> {
+    pub fn get_object(&self, bucket: &str, key: &str) -> Result<Arc<[u8]>, CloudError> {
         self.faults.gate("s3.get_object")?;
         let buckets = self.buckets.lock();
         let b = buckets
@@ -143,26 +147,20 @@ mod tests {
     fn object_roundtrip() {
         let s3 = S3Client::new();
         s3.create_bucket("b-1").unwrap();
-        s3.put_object("b-1", "afi/lenet.xclbin", Bytes::from_static(b"bits"))
+        s3.put_object("b-1", "afi/lenet.xclbin", b"bits".as_slice().into())
             .unwrap();
-        assert_eq!(
-            s3.get_object("b-1", "afi/lenet.xclbin").unwrap(),
-            Bytes::from_static(b"bits")
-        );
+        assert_eq!(&*s3.get_object("b-1", "afi/lenet.xclbin").unwrap(), b"bits");
         // Overwrite.
-        s3.put_object("b-1", "afi/lenet.xclbin", Bytes::from_static(b"v2"))
+        s3.put_object("b-1", "afi/lenet.xclbin", b"v2".as_slice().into())
             .unwrap();
-        assert_eq!(
-            s3.get_object("b-1", "afi/lenet.xclbin").unwrap(),
-            Bytes::from_static(b"v2")
-        );
+        assert_eq!(&*s3.get_object("b-1", "afi/lenet.xclbin").unwrap(), b"v2");
     }
 
     #[test]
     fn missing_bucket_and_key_errors() {
         let s3 = S3Client::new();
         assert!(s3
-            .put_object("nope", "k", Bytes::new())
+            .put_object("nope", "k", Vec::new().into())
             .unwrap_err()
             .message
             .contains("NoSuchBucket"));
@@ -172,7 +170,7 @@ mod tests {
             .unwrap_err()
             .message
             .contains("NoSuchKey"));
-        assert!(s3.put_object("b-1", "", Bytes::new()).is_err());
+        assert!(s3.put_object("b-1", "", Vec::new().into()).is_err());
     }
 
     #[test]
@@ -180,7 +178,7 @@ mod tests {
         let s3 = S3Client::new();
         s3.create_bucket("b-1").unwrap();
         for k in ["afi/a.xclbin", "afi/b.xclbin", "logs/build.log"] {
-            s3.put_object("b-1", k, Bytes::new()).unwrap();
+            s3.put_object("b-1", k, Vec::new().into()).unwrap();
         }
         assert_eq!(
             s3.list_objects("b-1", "afi/").unwrap(),
@@ -193,7 +191,7 @@ mod tests {
     fn delete_is_idempotent() {
         let s3 = S3Client::new();
         s3.create_bucket("b-1").unwrap();
-        s3.put_object("b-1", "k", Bytes::new()).unwrap();
+        s3.put_object("b-1", "k", Vec::new().into()).unwrap();
         s3.delete_object("b-1", "k").unwrap();
         s3.delete_object("b-1", "k").unwrap();
         assert!(s3.get_object("b-1", "k").is_err());

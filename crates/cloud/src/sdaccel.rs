@@ -2,8 +2,8 @@
 //! and default host code (paper steps 6–7).
 
 use crate::CloudError;
-use bytes::Bytes;
 use condor_fpga::board;
+use std::sync::Arc;
 
 /// Generates the kernel description XML (paper step 6a): "this file
 /// contains basic information of the kernel such as the name and vendor
@@ -40,12 +40,16 @@ pub struct XoFile {
     /// The kernel description XML.
     pub xml: String,
     /// Opaque packaged IP payload.
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
 }
 
 impl XoFile {
     /// Packages an accelerator IP payload with its kernel XML.
-    pub fn package(kernel_name: &str, vendor: &str, ip_payload: Bytes) -> Result<Self, CloudError> {
+    pub fn package(
+        kernel_name: &str,
+        vendor: &str,
+        ip_payload: Arc<[u8]>,
+    ) -> Result<Self, CloudError> {
         if kernel_name.is_empty() {
             return Err(CloudError::new("sdaccel", "kernel name must not be empty"));
         }
@@ -72,7 +76,7 @@ pub struct Xclbin {
     /// Device part on that board.
     pub part: String,
     /// The binary payload (header + packaged IP).
-    pub bytes: Bytes,
+    pub bytes: Arc<[u8]>,
 }
 
 /// Magic prefix identifying simulated xclbin payloads.
@@ -95,7 +99,7 @@ pub fn xocc_link(xo: &XoFile, board_name: &str) -> Result<Xclbin, CloudError> {
         kernel_name: xo.kernel_name.clone(),
         board: b.name.to_string(),
         part: b.device.to_string(),
-        bytes: Bytes::from(bytes),
+        bytes: bytes.into(),
     })
 }
 
@@ -163,7 +167,7 @@ mod tests {
     use super::*;
 
     fn xo() -> XoFile {
-        XoFile::package("condor_lenet", "polimi.it", Bytes::from_static(b"IPIPIP")).unwrap()
+        XoFile::package("condor_lenet", "polimi.it", b"IPIPIP".as_slice().into()).unwrap()
     }
 
     #[test]
@@ -177,8 +181,8 @@ mod tests {
 
     #[test]
     fn xo_packaging_validates_inputs() {
-        assert!(XoFile::package("", "v", Bytes::from_static(b"x")).is_err());
-        assert!(XoFile::package("k", "v", Bytes::new()).is_err());
+        assert!(XoFile::package("", "v", b"x".as_slice().into()).is_err());
+        assert!(XoFile::package("k", "v", Vec::new().into()).is_err());
         let xo = xo();
         assert_eq!(xo.kernel_name, "condor_lenet");
         assert!(xo.xml.contains("condor_lenet"));

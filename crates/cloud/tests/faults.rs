@@ -4,13 +4,12 @@
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
 
-use bytes::Bytes;
 use condor_cloud::{xocc_link, AfiRegistry, AfiState, F1InstanceType, F1Manager, S3Client, XoFile};
 use condor_faults::{FaultPlan, FaultRule};
 use std::time::Duration;
 
 fn stage(s3: &S3Client) -> (String, String) {
-    let xo = XoFile::package("k", "v", Bytes::from_static(b"IP")).unwrap();
+    let xo = XoFile::package("k", "v", b"IP".as_slice().into()).unwrap();
     let xclbin = xocc_link(&xo, "aws-f1").unwrap();
     s3.create_bucket("condor-bucket").ok();
     s3.put_object("condor-bucket", "d.xclbin", xclbin.bytes)
@@ -29,12 +28,12 @@ fn s3_transfer_faults_are_transient_and_logged() {
     s3.create_bucket("b-1").unwrap();
 
     let err = s3
-        .put_object("b-1", "k", Bytes::from_static(b"x"))
+        .put_object("b-1", "k", b"x".as_slice().into())
         .unwrap_err();
     assert_eq!(err.service, "s3");
     assert!(err.transient);
     // Second attempt (the retry) succeeds.
-    s3.put_object("b-1", "k", Bytes::from_static(b"x")).unwrap();
+    s3.put_object("b-1", "k", b"x".as_slice().into()).unwrap();
 
     assert!(s3.get_object("b-1", "k").is_ok());
     let err = s3.get_object("b-1", "k").unwrap_err();

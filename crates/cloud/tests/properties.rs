@@ -2,7 +2,6 @@
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
 
-use bytes::Bytes;
 use condor_cloud::{xocc_link, AfiRegistry, AfiState, S3Client, Xclbin, XoFile};
 use proptest::prelude::*;
 
@@ -20,11 +19,11 @@ proptest! {
             if k.is_empty() {
                 continue;
             }
-            s3.put_object("prop-bucket", k, Bytes::from(b.clone())).unwrap();
+            s3.put_object("prop-bucket", k, b.as_slice().into()).unwrap();
             last.insert(k.clone(), b.clone());
         }
         for (k, b) in &last {
-            prop_assert_eq!(s3.get_object("prop-bucket", k).unwrap(), Bytes::from(b.clone()));
+            prop_assert_eq!(&*s3.get_object("prop-bucket", k).unwrap(), b.as_slice());
         }
         // Listing returns exactly the live keys, sorted.
         let listed = s3.list_objects("prop-bucket", "").unwrap();
@@ -36,7 +35,7 @@ proptest! {
     /// payload always parses back.
     #[test]
     fn xclbin_part_roundtrip(payload in prop::collection::vec(any::<u8>(), 1..128)) {
-        let xo = XoFile::package("k", "v", Bytes::from(payload)).unwrap();
+        let xo = XoFile::package("k", "v", payload.into()).unwrap();
         for board in ["aws-f1", "vc709", "kcu1500", "pynq-z1"] {
             let xclbin = xocc_link(&xo, board).unwrap();
             let part = Xclbin::parse_part(&xclbin.bytes).unwrap();
@@ -50,7 +49,7 @@ proptest! {
     fn afi_lifecycle_is_monotone(ticks in 0u32..12) {
         let s3 = S3Client::new();
         s3.create_bucket("prop-bucket").unwrap();
-        let xo = XoFile::package("k", "v", Bytes::from_static(b"IP")).unwrap();
+        let xo = XoFile::package("k", "v", b"IP".as_slice().into()).unwrap();
         let xclbin = xocc_link(&xo, "aws-f1").unwrap();
         s3.put_object("prop-bucket", "d.xclbin", xclbin.bytes).unwrap();
         let reg = AfiRegistry::with_generation_ticks(ticks);
@@ -76,7 +75,7 @@ proptest! {
     fn afi_ids_unique(n in 1usize..16) {
         let s3 = S3Client::new();
         s3.create_bucket("prop-bucket").unwrap();
-        let xo = XoFile::package("k", "v", Bytes::from_static(b"IP")).unwrap();
+        let xo = XoFile::package("k", "v", b"IP".as_slice().into()).unwrap();
         let xclbin = xocc_link(&xo, "aws-f1").unwrap();
         s3.put_object("prop-bucket", "d.xclbin", xclbin.bytes).unwrap();
         let reg = AfiRegistry::with_generation_ticks(0);

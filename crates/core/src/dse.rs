@@ -576,15 +576,16 @@ mod tests {
             prefilter: false,
             ..small_cfg()
         };
-        // Feasible network: same verdicts and same winner either way.
-        let net = zoo::lenet();
-        let on = explore(&net, f1(), &small_cfg()).unwrap();
-        let off = explore(&net, f1(), &no_prefilter).unwrap();
-        assert_eq!(on.points.len(), off.points.len());
-        for (a, b) in on.points.iter().zip(&off.points) {
-            assert_eq!(a.feasible(), b.feasible());
+        // Feasible networks: same verdicts and same winner either way.
+        for net in [zoo::lenet(), zoo::tc1()] {
+            let on = explore(&net, f1(), &small_cfg()).unwrap();
+            let off = explore(&net, f1(), &no_prefilter).unwrap();
+            assert_eq!(on.points.len(), off.points.len());
+            for (a, b) in on.points.iter().zip(&off.points) {
+                assert_eq!(a.feasible(), b.feasible(), "{}", net.name);
+            }
+            assert_eq!(on.best, off.best, "{}", net.name);
         }
-        assert_eq!(on.best, off.best);
         // Hopeless network: every point is pruned statically, none is
         // simulated, and the verdict matches the unfiltered sweep.
         let net = zoo::vgg16();

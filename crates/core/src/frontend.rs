@@ -647,7 +647,7 @@ mod tests {
                 }
             }
         }
-        let bytes = proto.encode().to_vec();
+        let bytes = proto.encode();
         let model = analyze(FrontendInput::Caffe {
             prototxt: zoo::lenet_prototxt().to_string(),
             caffemodel: Some(bytes),
@@ -665,7 +665,7 @@ mod tests {
     #[test]
     fn missing_caffemodel_layer_is_reported() {
         let proto = NetParameter::from_prototxt(zoo::lenet_prototxt()).unwrap();
-        let empty_model = proto.encode().to_vec(); // no blobs inside
+        let empty_model = proto.encode(); // no blobs inside
         let err = analyze(FrontendInput::Caffe {
             prototxt: zoo::lenet_prototxt().to_string(),
             caffemodel: Some(empty_model),
@@ -896,7 +896,7 @@ mod export_tests {
         // Weights survive the caffemodel path.
         let model = analyze(FrontendInput::Caffe {
             prototxt: text,
-            caffemodel: Some(proto.encode().to_vec()),
+            caffemodel: Some(proto.encode()),
         })
         .unwrap();
         assert!(model.network.fully_weighted());

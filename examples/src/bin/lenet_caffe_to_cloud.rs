@@ -28,7 +28,7 @@ fn fabricate_caffemodel() -> Vec<u8> {
             }
         }
     }
-    proto.encode().to_vec()
+    proto.encode()
 }
 
 fn main() {

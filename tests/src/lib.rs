@@ -19,7 +19,7 @@ pub fn fabricate_lenet_caffemodel(seed: u64) -> (Network, Vec<u8>) {
             }
         }
     }
-    (trained, proto.encode().to_vec())
+    (trained, proto.encode())
 }
 
 /// Deterministically weighted LeNet (re-exported for convenience).
