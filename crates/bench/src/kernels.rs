@@ -1,5 +1,5 @@
-//! Kernel-layer cross-check: every fast compute path — im2col + tiled
-//! GEMM, the f32 and int8 engines, the threaded runtime — against the
+//! Kernel-layer cross-check: every fast compute path — implicit-GEMM
+//! convolution, the f32 and int8 engines, the threaded runtime — against the
 //! golden loop nests, as one `cargo test` case. Timing these paths is the
 //! `perf` package's job (`kernels.*` / `nn.*` rows, see `BENCHMARK.json`).
 
@@ -132,7 +132,7 @@ mod tests {
     /// kernel regression fails `cargo test` without any timing loop.
     #[test]
     fn smoke_checks_pass() {
-        // Single layer: im2col + GEMM vs the sliding-window loop nest.
+        // Single layer: implicit GEMM vs the sliding-window loop nest.
         let case = ConvCase::new();
         let want = golden::convolve(
             &case.input,
@@ -159,7 +159,7 @@ mod tests {
         let got = Tensor::from_vec(case.out_shape(), out);
         assert!(
             got.all_close_tol(&want, 1e-4, 1e-4),
-            "im2col+GEMM convolution diverged from the golden loop nest"
+            "implicit-GEMM convolution diverged from the golden loop nest"
         );
 
         // Whole networks: fast engine vs golden engine.

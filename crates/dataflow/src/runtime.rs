@@ -258,9 +258,9 @@ impl ThreadedRuntime {
 
             // PEs: receive one frame per image and input position, apply
             // the fused layers through the kernel compute layer, send the
-            // output frame to every consumer. Scratch (ping-pong
-            // activations + im2col workspace) is allocated once per PE
-            // and reused across the batch.
+            // output frame to every consumer. Scratch (the ping-pong
+            // activations) is allocated once per PE and reused across the
+            // batch.
             let mut rx_iter = pe_rxs.into_iter();
             let mut tx_iter = pe_txs.into_iter();
             for (idx, pe) in self.plan.pes.iter().enumerate() {
@@ -354,7 +354,6 @@ fn pe_worker(
         .expect("PE has layers");
     let mut ping = vec![0.0f32; max_len];
     let mut pong = vec![0.0f32; max_len];
-    let mut ws = Workspace::new();
     let mut frames: Vec<Vec<f32>> = Vec::with_capacity(rxs.len());
 
     for _ in 0..batch {
@@ -399,7 +398,7 @@ fn pe_worker(
                 layer.input,
                 layer.output,
                 &mut dst[..layer.output.len()],
-                &mut ws,
+                &mut Workspace::new(),
             )
             .is_err()
             {

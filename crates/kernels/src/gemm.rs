@@ -20,16 +20,19 @@
 //! than 6 does.
 //!
 //! Packing. Before a column of tiles is computed, the `kc×NR` slice of
-//! `B` under it is copied into a stack array (`KC_MAX·NR·4 B` = 24 KiB),
+//! `B` under it is written into a stack array (`KC_MAX·NR·4 B` = 24 KiB),
 //! zero-padded to `NR` columns at the right edge, and every row tile
-//! reads that copy. Unpacked, the slice is `kc` separate 96-byte pieces a
-//! whole row of `B` apart: at `n = 3136` (a 56×56 feature map) the row
-//! stride is 12 544 B = 196 lines, 196 mod 64 = 4, so the 512 lines of
-//! one slice fall onto 32 of an 8-way L1's 64 sets — room for 256 — and
-//! evict each other on every pass. Packed, the slice is contiguous and
-//! L1-resident. It lives on the stack because its size is a compile-time
-//! constant and each worker thread needs its own: no heap, no
-//! `Workspace` field, nothing to size or share.
+//! reads that copy. A `PackB` source fills it: `Dense` copies the slice
+//! out of a row-major `B` (the public [`gemm`]), and convolution
+//! ([`crate::ops::conv2d`]) reads it straight from its `C×H×W` input, so no
+//! patch matrix is ever written. Unpacked, a dense slice is `kc` separate
+//! 96-byte pieces a whole row of `B` apart: at `n = 3136` (a 56×56
+//! feature map) the row stride is 12 544 B = 196 lines, 196 mod 64 = 4,
+//! so the 512 lines of one slice fall onto 32 of an 8-way L1's 64 sets —
+//! room for 256 — and evict each other on every pass. Packed, the slice
+//! is contiguous and L1-resident. It lives on the stack because its size
+//! is a compile-time constant and each worker thread needs its own: no
+//! heap, no workspace, nothing to size or share.
 //!
 //! Determinism: each output element accumulates its `k` products in
 //! strictly ascending `k` order, each as one fused multiply-add
@@ -45,7 +48,7 @@ use std::sync::OnceLock;
 /// Rows of the register tile.
 const MR: usize = 4;
 /// Columns of the register tile (three 8-lane vectors).
-const NR: usize = 24;
+pub(crate) const NR: usize = 24;
 /// Deepest `k`-slice the packed `B` tile holds: `KC_MAX × NR` floats =
 /// 24 KiB of stack.
 const KC_MAX: usize = 256;
@@ -157,6 +160,47 @@ pub fn gemm(
     blocking: GemmBlocking,
     epilogue: Epilogue<'_>,
 ) {
+    assert_eq!(b.len(), k * n, "B must be k×n");
+    gemm_packed(m, n, k, a, &Dense { b, n }, c, blocking, epilogue);
+}
+
+/// A source of `B` for the band loop: writes the `dst.len() × NR` slice
+/// of the `k × n` matrix `B` at rows `kb..` and columns `jb..`, zero past
+/// column `n`. Every source must write the same values for the same
+/// matrix, so the result does not depend on where `B` comes from.
+pub(crate) trait PackB: Sync {
+    fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]);
+}
+
+/// A dense row-major `k × n` matrix `B`.
+struct Dense<'a> {
+    b: &'a [f32],
+    n: usize,
+}
+
+impl PackB for Dense<'_> {
+    fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]) {
+        let jw = NR.min(self.n - jb);
+        for (p, row) in dst.iter_mut().enumerate() {
+            let src = (kb + p) * self.n + jb;
+            row[..jw].copy_from_slice(&self.b[src..src + jw]);
+            row[jw..].fill(0.0);
+        }
+    }
+}
+
+/// [`gemm`] with `B` supplied slice by slice by a packer.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &impl PackB,
+    c: &mut [f32],
+    blocking: GemmBlocking,
+    epilogue: Epilogue<'_>,
+) {
     let threads = if m * n * k >= PAR_MACS_THRESHOLD {
         available_threads()
     } else {
@@ -165,21 +209,20 @@ pub fn gemm(
     gemm_on(threads, m, n, k, a, b, c, blocking, epilogue);
 }
 
-/// [`gemm`] over at most `threads` row bands.
+/// [`gemm_packed`] over at most `threads` row bands.
 #[allow(clippy::too_many_arguments)]
-fn gemm_on(
+pub(crate) fn gemm_on(
     threads: usize,
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: &impl PackB,
     c: &mut [f32],
     blocking: GemmBlocking,
     epilogue: Epilogue<'_>,
 ) {
     assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(b.len(), k * n, "B must be k×n");
     assert_eq!(c.len(), m * n, "C must be m×n");
     if let Epilogue::Bias(bias) | Epilogue::BiasRelu(bias, _) = epilogue {
         assert!(bias.len() >= m, "bias shorter than m");
@@ -228,14 +271,14 @@ pub(crate) fn available_threads() -> usize {
 
 /// Single-threaded GEMM over the whole of `c`: for each `NR`-wide column
 /// of tiles and each `kc`-deep slice, pack that piece of `B` once and run
-/// every row tile against it.
+/// every row tile against it. One copy is compiled per source of `B`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_band(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: &impl PackB,
     c: &mut [f32],
     kc: usize,
     epilogue: Epilogue<'_>,
@@ -248,11 +291,7 @@ fn gemm_band(
         loop {
             let kw = kc.min(k - kb);
             let bp = &mut packed[..kw];
-            for (p, row) in bp.iter_mut().enumerate() {
-                let src = (kb + p) * n + jb;
-                row[..jw].copy_from_slice(&b[src..src + jw]);
-                row[jw..].fill(0.0);
-            }
+            b.pack(kb, jb, bp);
             let (first, last) = (kb == 0, kb + kw == k);
             for ib in (0..m).step_by(MR) {
                 let iw = MR.min(m - ib);
@@ -549,9 +588,10 @@ mod tests {
         let epilogue = Epilogue::BiasRelu(&bias, 0.2);
         let bl = GemmBlocking::default();
         let mut par = vec![0.0; m * n];
-        gemm_on(3, m, n, k, &a, &b, &mut par, bl, epilogue);
+        let dense = Dense { b: &b, n };
+        gemm_on(3, m, n, k, &a, &dense, &mut par, bl, epilogue);
         let mut ser = vec![0.0; m * n];
-        gemm_on(1, m, n, k, &a, &b, &mut ser, bl, epilogue);
+        gemm_on(1, m, n, k, &a, &dense, &mut ser, bl, epilogue);
         assert_eq!(
             bits(&par),
             bits(&ser),

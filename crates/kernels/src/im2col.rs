@@ -9,6 +9,11 @@
 //!
 //! The output buffer is caller-provided so a per-engine workspace can be
 //! reused across layers and images with zero steady-state allocation.
+//!
+//! The f32 convolution ([`crate::ops::conv2d`]) does not lower: its GEMM
+//! packs the same values straight from the input. The f32 [`im2col`]
+//! stays as the reference that path is tested against bit for bit; the
+//! int8 convolution lowers through [`im2col_i8_patches`].
 
 /// Geometry of one convolution lowering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -3,23 +3,26 @@
 //! Fast CPU compute kernels for CNN inference — the software analogue of
 //! the paper's hardware acceleration argument. Where the golden engine
 //! (`condor-nn`) transcribes the paper's equations as obvious loop
-//! nests, this crate treats convolution lowering as the central
-//! performance lever, the way fpgaConvNet and Caffeinated FPGAs do for
-//! their FPGA dataflows:
+//! nests, this crate treats convolution as one GEMM, the lowering
+//! fpgaConvNet and Caffeinated FPGAs build their FPGA dataflows around —
+//! without ever writing the patch matrix, as the paper's own PEs never
+//! do:
 //!
-//! * [`im2col`] — patch-matrix lowering so convolution becomes one GEMM,
-//!   writing into a reusable workspace buffer;
 //! * [`gemm`] — f32 matrix multiply over 4×24 register tiles: the
 //!   accumulators stay in registers for a whole `k`-slice, the slice of
-//!   `B` under a tile is packed into an L1-resident stack array, and
+//!   `B` under a tile is packed into an L1-resident stack array (from a
+//!   dense `B`, or straight from a convolution's input), and
 //!   bias/LeakyReLU ([`Epilogue`]) are applied to the accumulators
 //!   before the tile's only store; threads split output rows, and every
 //!   product-sum is one fused multiply-add in ascending-`k` order, so
 //!   results equal the ascending-`k` `mul_add` triple loop bit for bit;
-//! * [`ops`] — layer-level kernels (convolution, pooling, activations,
-//!   softmax, fully-connected [`gemv`]) that all write into
-//!   caller-provided buffers, so steady-state inference allocates
-//!   nothing per layer.
+//! * [`ops`] — layer-level kernels (implicit-GEMM convolution, pooling,
+//!   activations, softmax, fully-connected [`gemv`]) that all write
+//!   into caller-provided buffers, so steady-state inference allocates
+//!   nothing per layer;
+//! * [`im2col`] — the explicit patch-matrix lowering: the reference the
+//!   f32 convolution is tested against bit for bit, and the int8
+//!   path's lowering.
 //!
 //! Thread parallelism uses `std::thread::scope` over disjoint row bands
 //! (band splitting keeps each element's reduction order fixed), so

@@ -1,51 +1,37 @@
-//! Layer-level kernels assembled from the lowering and GEMM primitives.
+//! Layer-level kernels assembled from the GEMM primitive.
 //!
-//! Every kernel writes into a caller-provided output slice and borrows
-//! scratch space from a [`Workspace`], so a steady-state inference loop
-//! performs no heap allocation per layer. Numerical results agree with
-//! the golden loop-nest reference within f32 reassociation tolerance
-//! (the GEMM accumulates each output in ascending-`k` order, the golden
-//! engine in `(c, m, n)` order — same multiset of products).
+//! Every kernel writes into a caller-provided output slice, so a
+//! steady-state inference loop performs no heap allocation per layer.
+//! Convolution is an implicit GEMM: the GEMM packs its `B` operand
+//! straight from the input feature maps ([`conv2d`]), so no patch matrix
+//! and no scratch buffer exist. Numerical results agree with the golden
+//! loop-nest reference within f32 reassociation tolerance (the GEMM
+//! accumulates each output in ascending-`k` order, the golden engine in
+//! `(c, m, n)` order — same multiset of products).
 
-use crate::gemm::{self, Epilogue, GemmBlocking};
-use crate::im2col::{im2col, ConvGeometry};
+use crate::gemm::{self, Epilogue, GemmBlocking, PackB, NR};
+use crate::im2col::ConvGeometry;
 
-/// Reusable scratch buffers for the lowering stage.
+/// Scratch space for the f32 layer kernels, which need none.
 ///
-/// One workspace serves one inference thread: buffers grow to the
-/// high-water mark of the network and are reused for every subsequent
-/// layer and image.
+/// Convolution packs its GEMM operand straight from the input, so a
+/// workspace holds nothing and costs nothing to create. The type and its
+/// constructors stay only because callers of [`conv2d`] — `condor-nn`'s
+/// `forward_layer_fast` and the `perf` benchmark — still pass one.
 #[derive(Debug, Default)]
-pub struct Workspace {
-    cols: Vec<f32>,
-}
+pub struct Workspace {}
 
 impl Workspace {
-    /// A workspace with no buffers allocated yet.
+    /// An (empty) workspace.
     pub fn new() -> Self {
         Workspace::default()
     }
 
-    /// A workspace pre-sized so the first inference already runs
-    /// allocation-free.
+    /// An (empty) workspace; `cols_len` is ignored, since convolution
+    /// no longer lowers into a buffer.
     pub fn with_capacity(cols_len: usize) -> Self {
-        Workspace {
-            cols: vec![0.0; cols_len],
-        }
-    }
-
-    /// Scratch slice of exactly `len` elements, growing the buffer on
-    /// first use.
-    fn cols(&mut self, len: usize) -> &mut [f32] {
-        if self.cols.len() < len {
-            self.cols.resize(len, 0.0);
-        }
-        &mut self.cols[..len]
-    }
-
-    /// Current high-water capacity of the lowering buffer.
-    pub fn cols_capacity(&self) -> usize {
-        self.cols.len()
+        let _ = cols_len;
+        Workspace::default()
     }
 }
 
@@ -60,16 +46,22 @@ pub enum Activation {
     Tanh,
 }
 
-/// Convolution via im2col + tiled GEMM with a fused bias(+ReLU)
-/// epilogue.
+/// Convolution as an implicit GEMM with a fused bias(+ReLU) epilogue.
 ///
 /// * `input` — `C×H×W` row-major (one image),
 /// * `weights` — `F×C×K×K` row-major, which *is* the `F × (C·K·K)` GEMM
 ///   operand, so no weight repacking is needed,
 /// * `out` — `F×outH×outW` row-major, exactly the GEMM result layout.
 ///
-/// A 1×1/stride-1/no-pad convolution skips the lowering entirely: the
-/// input already is the patch matrix.
+/// The `(C·K·K) × (outH·outW)` patch matrix is never written: the GEMM
+/// packs each `kc × 24` slice of it straight from `input`. A slice row
+/// `(c, kh, kw)` over 24 output positions splits into runs at output-row
+/// ends; a run inside the image is one copy of part of an input row, and
+/// only runs that touch the padding, or use stride > 1, are gathered
+/// element by element. The packed values are the ones
+/// [`im2col`](crate::im2col::im2col) would write, so the result is bit
+/// for bit that of `im2col` followed by [`gemm`](crate::gemm::gemm), for
+/// every geometry including 1×1. `ws` is unused (see [`Workspace`]).
 ///
 /// # Panics
 /// Panics when slice lengths disagree with the geometry.
@@ -84,6 +76,8 @@ pub fn conv2d(
     out: &mut [f32],
     ws: &mut Workspace,
 ) {
+    let _ = ws;
+    let patches = ConvPatches::new(input, geo);
     let k_depth = geo.lowered_rows();
     let n_cols = geo.lowered_cols();
     assert_eq!(weights.len(), num_output * k_depth, "weight blob mismatch");
@@ -95,17 +89,94 @@ pub fn conv2d(
         (None, Some(slope)) => Epilogue::Relu(slope),
         (None, None) => Epilogue::None,
     };
-    let blocking = GemmBlocking::default();
-    if geo.is_identity() {
-        gemm::gemm(
-            num_output, n_cols, k_depth, weights, input, out, blocking, epilogue,
+    gemm::gemm_packed(
+        num_output,
+        n_cols,
+        k_depth,
+        weights,
+        &patches,
+        out,
+        GemmBlocking::default(),
+        epilogue,
+    );
+}
+
+/// The patch matrix of a convolution, read from its `C×H×W` input as the
+/// GEMM packs it: row `(c·K + kh)·K + kw`, column `oi·outW + oj` is the
+/// zero-padded `x[c, oi·stride + kh − pad, oj·stride + kw − pad]`.
+struct ConvPatches<'a> {
+    input: &'a [f32],
+    geo: &'a ConvGeometry,
+}
+
+impl<'a> ConvPatches<'a> {
+    fn new(input: &'a [f32], geo: &'a ConvGeometry) -> Self {
+        assert_eq!(
+            input.len(),
+            geo.in_c * geo.in_h * geo.in_w,
+            "input length does not match geometry"
         );
-    } else {
-        let cols = ws.cols(geo.lowered_len());
-        im2col(input, geo, cols);
-        gemm::gemm(
-            num_output, n_cols, k_depth, weights, cols, out, blocking, epilogue,
-        );
+        ConvPatches { input, geo }
+    }
+}
+
+impl PackB for ConvPatches<'_> {
+    fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]) {
+        // A reduction depth of 0 still packs one empty slice, and a 0×0
+        // kernel would divide by zero below.
+        if dst.is_empty() {
+            return;
+        }
+        let g = self.geo;
+        let (k, stride, pad) = (g.kernel, g.stride, g.pad);
+        let (in_h, in_w, out_w) = (g.in_h, g.in_w, g.out_w);
+        let jw = NR.min(g.lowered_cols() - jb);
+        // (first slice column, output row, output column, length).
+        let mut runs = [(0, 0, 0, 0); NR];
+        let mut count = 0;
+        let (mut at, mut oi, mut oj) = (0, jb / out_w, jb % out_w);
+        while at < jw {
+            let len = (out_w - oj).min(jw - at);
+            runs[count] = (at, oi, oj, len);
+            (count, at, oi, oj) = (count + 1, at + len, oi + 1, 0);
+        }
+        let runs = &runs[..count];
+
+        let map_len = in_h * in_w;
+        let (mut c, mut kh, mut kw) = (kb / (k * k), kb / k % k, kb % k);
+        for row in dst.iter_mut() {
+            let map = &self.input[c * map_len..(c + 1) * map_len];
+            for &(at, oi, oj, len) in runs {
+                let out = &mut row[at..at + len];
+                // A coordinate above or left of the image wraps to a huge
+                // value, so one comparison tests both edges.
+                let ih = (oi * stride + kh).wrapping_sub(pad);
+                if ih >= in_h {
+                    out.fill(0.0);
+                    continue;
+                }
+                let line = &map[ih * in_w..(ih + 1) * in_w];
+                let iw = (oj * stride + kw).wrapping_sub(pad);
+                if stride == 1 && iw < in_w && in_w - iw >= len {
+                    out.copy_from_slice(&line[iw..iw + len]);
+                } else {
+                    for (t, v) in out.iter_mut().enumerate() {
+                        let x = iw.wrapping_add(t * stride);
+                        *v = if x < in_w { line[x] } else { 0.0 };
+                    }
+                }
+            }
+            row[jw..].fill(0.0);
+            kw += 1;
+            if kw == k {
+                kw = 0;
+                kh += 1;
+                if kh == k {
+                    kh = 0;
+                    c += 1;
+                }
+            }
+        }
     }
 }
 
@@ -295,10 +366,96 @@ mod tests {
         let mut out = [0.0f32; 9];
         let mut ws = Workspace::new();
         conv2d(&input, &weights, None, 1, &g, None, &mut out, &mut ws);
-        assert_eq!(ws.cols_capacity(), 0, "identity lowering must not allocate");
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, 10.0 * i as f32 + 100.0 * (i + 9) as f32);
         }
+    }
+
+    /// `im2col` followed by the dense GEMM: the explicit lowering the
+    /// implicit one must reproduce bit for bit.
+    fn lowered(
+        input: &[f32],
+        weights: &[f32],
+        f: usize,
+        g: &ConvGeometry,
+        ep: Epilogue,
+    ) -> Vec<u32> {
+        let mut cols = vec![0.0; g.lowered_len()];
+        crate::im2col::im2col(input, g, &mut cols);
+        let (n, k) = (g.lowered_cols(), g.lowered_rows());
+        let mut out = vec![f32::NAN; f * n];
+        gemm::gemm(
+            f,
+            n,
+            k,
+            weights,
+            &cols,
+            &mut out,
+            GemmBlocking::default(),
+            ep,
+        );
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every conv shape of `zoo::lenet`, `zoo::tc1`, the `vgg16` prefix
+    /// at 56×56 and `zoo::resnet_block` (`condor-nn` depends on this
+    /// crate, so the shapes are listed here), on 1, 2 and 3 row bands.
+    /// The `vgg56` layers run with 12 filters instead of 64/128: the
+    /// packed values depend only on the geometry, and 12 rows still make
+    /// three bands of one tile each.
+    #[test]
+    fn implicit_gemm_matches_im2col_on_zoo_shapes() {
+        // (C, H, W, K, stride, pad, F)
+        let shapes = [
+            (1, 28, 28, 5, 1, 0, 20),   // lenet conv1
+            (20, 12, 12, 5, 1, 0, 50),  // lenet conv2
+            (1, 16, 16, 5, 1, 0, 8),    // tc1 conv1
+            (8, 6, 6, 5, 1, 0, 16),     // tc1 conv2
+            (3, 56, 56, 3, 1, 1, 12),   // vgg56 conv1_1
+            (64, 56, 56, 3, 1, 1, 12),  // vgg56 conv1_2
+            (64, 28, 28, 3, 1, 1, 12),  // vgg56 conv2_1
+            (128, 28, 28, 3, 1, 1, 12), // vgg56 conv2_2
+            (3, 8, 8, 3, 1, 1, 8),      // resnet_block conv1
+            (8, 8, 8, 3, 1, 1, 8),      // resnet_block conv2
+        ];
+        for (c, h, w, k, s, p, f) in shapes {
+            let g = geo(c, h, w, k, s, p);
+            let input: Vec<f32> = (0..c * h * w)
+                .map(|v| ((v * 7 % 23) as f32 - 11.0) * 0.1)
+                .collect();
+            let weights: Vec<f32> = (0..f * g.lowered_rows())
+                .map(|v| ((v * 5 % 17) as f32 - 8.0) * 0.03)
+                .collect();
+            let bias: Vec<f32> = (0..f).map(|v| v as f32 * 0.01 - 0.05).collect();
+            let ep = Epilogue::BiasRelu(&bias, 0.1);
+            let want = lowered(&input, &weights, f, &g, ep);
+            let patches = ConvPatches::new(&input, &g);
+            let (n, kd) = (g.lowered_cols(), g.lowered_rows());
+            for bands in 1..=3 {
+                let mut out = vec![f32::NAN; f * n];
+                let bl = GemmBlocking::default();
+                gemm::gemm_on(bands, f, n, kd, &weights, &patches, &mut out, bl, ep);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "({c},{h},{w}) k{k} s{s} p{p} on {bands} bands");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input length does not match geometry")]
+    fn short_input_is_rejected() {
+        let g = geo(2, 4, 4, 3, 1, 0);
+        let mut out = [0.0f32; 4];
+        conv2d(
+            &[0.0; 31],
+            &[0.0; 18],
+            None,
+            1,
+            &g,
+            None,
+            &mut out,
+            &mut Workspace::new(),
+        );
     }
 
     #[test]
@@ -410,31 +567,5 @@ mod tests {
         for (a, b) in p.iter().zip(&lp) {
             assert!((a.ln() - b).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn workspace_reuses_high_water_buffer() {
-        let mut ws = Workspace::new();
-        let g = geo(2, 6, 6, 3, 1, 1);
-        let input = vec![0.5; 72];
-        let weights = vec![0.1; 4 * 18];
-        let mut out = vec![0.0; 4 * 36];
-        conv2d(&input, &weights, None, 4, &g, None, &mut out, &mut ws);
-        let cap = ws.cols_capacity();
-        assert_eq!(cap, g.lowered_len());
-        // A smaller layer must not shrink or grow the buffer.
-        let g2 = geo(1, 4, 4, 3, 1, 0);
-        let mut out2 = vec![0.0; 4];
-        conv2d(
-            &input[..16],
-            &weights[..9],
-            None,
-            1,
-            &g2,
-            None,
-            &mut out2,
-            &mut ws,
-        );
-        assert_eq!(ws.cols_capacity(), cap);
     }
 }

@@ -1,10 +1,14 @@
 //! Property tests for the compute-kernel layer: the tiled GEMM bit for
-//! bit against a textbook triple loop, and the im2col lowering against per-element
-//! padded gathers, across randomly drawn shapes and geometries.
+//! bit against a textbook triple loop, the implicit-GEMM convolution bit
+//! for bit against im2col + GEMM, and the im2col lowering against
+//! per-element padded gathers, across randomly drawn shapes and
+//! geometries.
 
 #![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
 
-use condor_kernels::{gemm_f32, gemv, im2col, ConvGeometry, Epilogue, GemmBlocking};
+use condor_kernels::{
+    conv2d, gemm_f32, gemv, im2col, ConvGeometry, Epilogue, GemmBlocking, Workspace,
+};
 use condor_tensor::{Shape, Tensor, TensorRng};
 use proptest::prelude::*;
 
@@ -131,6 +135,67 @@ proptest! {
             }
         }
         prop_assert_eq!(fused, plain);
+    }
+
+    /// Convolution packs its GEMM operand straight from the input; the
+    /// output must be bit for bit that of the explicit im2col + GEMM.
+    /// `out_w` falls below, at and above the 24-column tile, so slices
+    /// span several output rows and part of one; with `deep`, `C·K·K`
+    /// exceeds the 256-row `k`-slice, which then starts partway through
+    /// a channel when `K` is odd.
+    #[test]
+    fn conv2d_matches_im2col_then_gemm(
+        seed in any::<u64>(),
+        f in 1usize..10,
+        c in 1usize..4,
+        deep in any::<bool>(),
+        h in 1usize..6,
+        out_w in prop_oneof![1usize..24, Just(24usize), 25usize..48],
+        slack in 0usize..3,
+        k in 1usize..=5,
+        s in 1usize..=3,
+        p in 0usize..=2,
+        variant in 0usize..4,
+        slope in 0.0f32..0.5,
+    ) {
+        // The input width that gives `out_w` columns (any of the `s`
+        // widths that do).
+        let wide = (out_w - 1) * s + k + slack % s;
+        prop_assume!(wide > 2 * p && h + 2 * p >= k);
+        let c = if deep { 256 / (k * k) + c } else { c };
+        let geo = geometry(c, h, wide - 2 * p, k, s, p);
+        prop_assert_eq!(geo.out_w, out_w);
+        let mut rng = TensorRng::seeded(seed);
+        let input = rng.uniform(Shape::chw(c, geo.in_h, geo.in_w), -1.0, 1.0);
+        let weights = rng.uniform(Shape::vector(f * geo.lowered_rows()), -1.0, 1.0);
+        let bias = rng.uniform(Shape::vector(f), -0.5, 0.5);
+        let (bias_arg, relu) = match variant {
+            0 => (None, None),
+            1 => (Some(bias.as_slice()), None),
+            2 => (None, Some(slope)),
+            _ => (Some(bias.as_slice()), Some(slope)),
+        };
+        let epilogue = match (bias_arg, relu) {
+            (Some(b), Some(r)) => Epilogue::BiasRelu(b, r),
+            (Some(b), None) => Epilogue::Bias(b),
+            (None, Some(r)) => Epilogue::Relu(r),
+            (None, None) => Epilogue::None,
+        };
+        let (n, kd) = (geo.lowered_cols(), geo.lowered_rows());
+        let mut cols = vec![f32::NAN; geo.lowered_len()];
+        im2col(input.as_slice(), &geo, &mut cols);
+        let mut want = vec![f32::NAN; f * n];
+        gemm_f32(
+            f, n, kd,
+            weights.as_slice(), &cols, &mut want,
+            GemmBlocking::default(), epilogue,
+        );
+        let mut got = vec![f32::NAN; f * n];
+        conv2d(
+            input.as_slice(), weights.as_slice(), bias_arg, f, &geo, relu,
+            &mut got, &mut Workspace::new(),
+        );
+        prop_assert_eq!(bits(&got), bits(&want), "{:?}", geo);
     }
 
     /// The fully-connected GEMV agrees with the naive per-row dot

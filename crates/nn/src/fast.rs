@@ -1,13 +1,14 @@
 //! Fast inference engine over the `condor-kernels` compute layer.
 //!
-//! [`FastEngine`] runs whole networks through im2col + blocked-GEMM
-//! kernels instead of the golden engine's naive loop nests. It executes
-//! the shared compiled schedule (DESIGN.md §4c: ReLUs folded into their
-//! Conv/FC producer's GEMM epilogue, activation slots assigned at
-//! compile time) over an `f32` arena plus an im2col workspace, all sized
-//! to the network's high-water mark at construction. Steady-state
-//! inference therefore performs **zero heap allocation per layer** (only
-//! the returned output tensor is allocated).
+//! [`FastEngine`] runs whole networks through implicit-GEMM convolution
+//! and register-tiled GEMM kernels instead of the golden engine's naive
+//! loop nests. It executes the shared compiled schedule (DESIGN.md §4c:
+//! ReLUs folded into their Conv/FC producer's GEMM epilogue, activation
+//! slots assigned at compile time) over one `f32` arena sized to the
+//! network's high-water mark at construction; convolution packs its GEMM
+//! operand straight from the arena, so there is no lowering buffer.
+//! Steady-state inference therefore performs **zero heap allocation per
+//! layer** (only the returned output tensor is allocated).
 //!
 //! The slice-level primitive, [`forward_layer_fast`], is shared with the
 //! dataflow hardware runtime: its PEs run the same kernels over the same
@@ -27,14 +28,12 @@ use condor_kernels::{activate, conv2d, gemv, pool2d, softmax, Activation, Worksp
 use condor_tensor::{Shape, Tensor};
 use std::sync::Arc;
 
-/// The immutable, shareable part of a compiled engine: network handle,
-/// schedule and the im2col high-water mark.
+/// The immutable, shareable part of a compiled engine: network handle
+/// and schedule.
 #[derive(Debug)]
 struct EnginePlan {
     net: Arc<Network>,
     schedule: Schedule,
-    /// Largest im2col patch-matrix length (workspace size).
-    max_cols: usize,
 }
 
 impl EnginePlan {
@@ -47,26 +46,7 @@ impl EnginePlan {
         }
         // The GEMM epilogue realises any slope, so every foldable ReLU folds.
         let schedule = Schedule::compile(&net, |_| true)?;
-        let mut max_cols = 0usize;
-        for step in &schedule.steps {
-            if let LayerKind::Convolution {
-                kernel,
-                stride,
-                pad,
-                ..
-            } = net.layers[step.node].kind
-            {
-                let geo = conv_geometry(kernel, stride, pad, step.inputs[0].1, step.output);
-                if !geo.is_identity() {
-                    max_cols = max_cols.max(geo.lowered_len());
-                }
-            }
-        }
-        Ok(EnginePlan {
-            net,
-            schedule,
-            max_cols,
-        })
+        Ok(EnginePlan { net, schedule })
     }
 
     /// Negative slope of the ReLU node folded into a step's epilogue
@@ -79,8 +59,8 @@ impl EnginePlan {
     }
 }
 
-/// Fast CPU inference engine: im2col + blocked GEMM with a per-engine
-/// scratch arena.
+/// Fast CPU inference engine: implicit-GEMM convolution and
+/// register-tiled GEMM over a per-engine activation arena.
 ///
 /// ```
 /// use condor_nn::{zoo, FastEngine, GoldenEngine};
@@ -97,7 +77,6 @@ impl EnginePlan {
 pub struct FastEngine {
     plan: Arc<EnginePlan>,
     arena: Arena<f32>,
-    ws: Workspace,
 }
 
 impl Clone for FastEngine {
@@ -124,7 +103,6 @@ impl FastEngine {
     fn from_plan(plan: Arc<EnginePlan>) -> Self {
         FastEngine {
             arena: Arena::new(&plan.schedule),
-            ws: Workspace::with_capacity(plan.max_cols),
             plan,
         }
     }
@@ -150,15 +128,14 @@ impl FastEngine {
     /// Runs one image (`1×c×h×w`) through the whole network.
     ///
     /// Steady-state this allocates only the returned tensor: all
-    /// intermediate activations live in the engine's slot-pool arena and
-    /// the im2col workspace is reused across layers and calls.
+    /// intermediate activations live in the engine's slot-pool arena,
+    /// reused across layers and calls, and convolution needs no scratch.
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let plan = &*self.plan;
         plan.schedule.check_input(input)?;
         self.arena.input_mut().copy_from_slice(input.as_slice());
         for step in &plan.schedule.steps {
             let layer = &plan.net.layers[step.node];
-            let ws = &mut self.ws;
             self.arena.run_step(step, |ins, out| {
                 if layer.kind.is_merge() && ins.len() > 1 {
                     merge_fast(&layer.kind, ins, out);
@@ -173,7 +150,7 @@ impl FastEngine {
                     step.inputs[0].1,
                     step.output,
                     out,
-                    ws,
+                    &mut Workspace::new(),
                 )
             })?;
         }

@@ -17,9 +17,10 @@
 //! * [`golden`] — a straightforward, obviously-correct software inference
 //!   engine (paper Eq. (1), (4), (5)) used as the functional oracle the
 //!   hardware simulator is validated against;
-//! * [`fast`] — the production CPU engine: im2col + blocked-GEMM kernels
-//!   from `condor-kernels`, ReLU fusion and a per-engine scratch arena,
-//!   property-tested against the golden oracle;
+//! * [`fast`] — the production CPU engine: implicit-GEMM convolution and
+//!   register-tiled GEMM kernels from `condor-kernels`, ReLU fusion and a
+//!   per-engine activation arena, property-tested against the golden
+//!   oracle;
 //! * [`quantized`] — the INT8 engine: calibrates activation scales from a
 //!   sample batch, compiles per-layer quantized plans (per-channel
 //!   weights, fused requantize epilogues, LUT-compiled activations) over

@@ -828,6 +828,10 @@ mod tests {
         let a = q.infer(&calib[0]).unwrap();
         let b = q.infer(&calib[0]).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
+        // The lowering plane was sized at construction; inference never
+        // grows it.
+        assert!(q.plan.max_cols > 0);
+        assert_eq!(q.scratch.ws.cols_capacity(), q.plan.max_cols);
     }
 
     #[test]

@@ -68,8 +68,8 @@ proptest! {
         }
     }
 
-    /// The fast engine (im2col + blocked GEMM, fused ReLU, reused scratch
-    /// arena) agrees with the golden oracle on every random weighted
+    /// The fast engine (implicit-GEMM convolution, fused ReLU, reused
+    /// activation arena) agrees with the golden oracle on every random weighted
     /// network, within float tolerance, and keeps agreeing when the same
     /// engine instance is reused (the arena holds no stale state).
     #[test]

@@ -4,8 +4,8 @@
 //! [`ExecutionBackend`] trait; this module provides the software
 //! equivalent so the same server can fall back to (or be benchmarked
 //! against) the host CPU. Each [`CpuBackend`] owns one
-//! [`FastEngine`](condor_nn::FastEngine) — im2col + blocked GEMM with a
-//! reusable scratch arena — behind a mutex, so a backend is exactly one
+//! [`FastEngine`](condor_nn::FastEngine) — implicit-GEMM convolution with
+//! a reusable activation arena — behind a mutex, so a backend is exactly one
 //! serving lane: the server's one-worker-per-backend model provides the
 //! cross-lane parallelism, while each lane's engine reuses its arena
 //! across every batch it executes (no steady-state allocation).

@@ -6,8 +6,11 @@
 //! crate in release with `--emit asm` (into `target/asm`, beside the
 //! normal build) and `check` requires:
 //!
-//! * a packed 256-bit fused multiply-add (`vfmadd…ps` on `ymm`
-//!   registers) in the f32 GEMM's `gemm_band`;
+//! * at least two copies of the f32 GEMM's `gemm_band`, which is generic
+//!   over the source of its `B` slices (the dense matrix of `gemm` and
+//!   the input of an implicit-GEMM convolution), and a packed 256-bit
+//!   fused multiply-add (`vfmadd…ps` on `ymm` registers) in every one of
+//!   them, so that no source can lose its vector FMAs unnoticed;
 //! * a `vpmaddwd` anywhere in the crate (the int8 GEMM's widening dot
 //!   product).
 //!
@@ -17,31 +20,47 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The function whose body must hold packed fused multiply-adds.
+/// The function whose every copy must hold packed fused multiply-adds.
 const GEMM_FN: &str = "gemm_band";
+/// Copies of [`GEMM_FN`] the listing must hold: one per source of `B`.
+const GEMM_COPIES: usize = 2;
 
 /// What `check` counted in one assembly listing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Counts {
-    /// Packed `ymm` `vfmadd…ps` instructions in `gemm_band`.
-    gemm_packed_fma: usize,
+    /// Packed `ymm` `vfmadd…ps` instructions in each copy of
+    /// `gemm_band`, in listing order.
+    gemm_packed_fma: Vec<usize>,
     /// `vpmaddwd` instructions anywhere in the listing.
     vpmaddwd: usize,
 }
 
 /// Counts the vector instructions the kernels depend on in an AT&T
-/// assembly listing of `condor-kernels`, and fails when either count is
-/// zero or `gemm_band` is not in the listing.
+/// assembly listing of `condor-kernels`, and fails when the listing holds
+/// fewer than [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
+/// packed FMA, or when it has no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
-    let body = function_body(asm, GEMM_FN)
-        .ok_or_else(|| format!("no function `{GEMM_FN}` in the listing (inlined or renamed?)"))?;
+    let bodies = function_bodies(asm, GEMM_FN);
+    if bodies.len() < GEMM_COPIES {
+        return Err(format!(
+            "{} copies of `{GEMM_FN}` in the listing, want at least {GEMM_COPIES} \
+             (inlined or renamed?)",
+            bodies.len()
+        ));
+    }
     let counts = Counts {
-        gemm_packed_fma: body.iter().filter(|l| is_packed_ymm_fma(l)).count(),
+        gemm_packed_fma: bodies
+            .iter()
+            .map(|body| body.iter().filter(|l| is_packed_ymm_fma(l)).count())
+            .collect(),
         vpmaddwd: asm.lines().filter(|l| mnemonic(l) == "vpmaddwd").count(),
     };
-    if counts.gemm_packed_fma == 0 {
+    if let Some(copy) = counts.gemm_packed_fma.iter().position(|&n| n == 0) {
         return Err(format!(
-            "`{GEMM_FN}` holds no packed ymm vfmadd…ps: the f32 GEMM lost its vector FMAs"
+            "copy {} of {} of `{GEMM_FN}` holds no packed ymm vfmadd…ps: \
+             the f32 GEMM lost its vector FMAs",
+            copy + 1,
+            bodies.len()
         ));
     }
     if counts.vpmaddwd == 0 {
@@ -53,10 +72,11 @@ fn check(asm: &str) -> Result<Counts, String> {
     Ok(counts)
 }
 
-/// The instruction lines of the function whose symbol has `name` as a
-/// path segment, from its label to its end marker. Both Rust manglings
-/// encode a segment as its length followed by the name.
-fn function_body<'a>(asm: &'a str, name: &str) -> Option<Vec<&'a str>> {
+/// The instruction lines of every function whose symbol has `name` as a
+/// path segment, each from its label to its end marker. Both Rust
+/// manglings encode a segment as its length followed by the name; the
+/// copies of a generic function differ only in their hash suffix.
+fn function_bodies<'a>(asm: &'a str, name: &str) -> Vec<Vec<&'a str>> {
     let segment = format!("{}{name}", name.len());
     let is_label = |line: &str| {
         let Some(label) = line.strip_suffix(':') else {
@@ -67,16 +87,16 @@ fn function_body<'a>(asm: &'a str, name: &str) -> Option<Vec<&'a str>> {
                 .match_indices(&segment)
                 .any(|(at, _)| !label[..at].ends_with(|c: char| c.is_ascii_digit()))
     };
-    let mut lines = asm.lines().skip_while(|l| !is_label(l));
-    lines.next()?;
-    Some(
-        lines
-            .take_while(|l| {
-                let l = l.trim_start();
-                !(l.starts_with(".Lfunc_end") || l.starts_with(".cfi_endproc"))
-            })
-            .collect(),
-    )
+    let is_end = |line: &&str| {
+        let l = line.trim_start();
+        l.starts_with(".Lfunc_end") || l.starts_with(".cfi_endproc")
+    };
+    let mut lines = asm.lines();
+    let mut bodies = Vec::new();
+    while lines.by_ref().any(is_label) {
+        bodies.push(lines.by_ref().take_while(|l| !is_end(l)).collect());
+    }
+    bodies
 }
 
 fn mnemonic(line: &str) -> &str {
@@ -125,7 +145,9 @@ pub fn run(root: &Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read {}: {e}", listing.display()))?;
     let counts = check(&asm)?;
     Ok(format!(
-        "ok: `{GEMM_FN}` holds {} packed ymm FMAs, condor-kernels holds {} vpmaddwd ({})",
+        "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, condor-kernels holds {} \
+         vpmaddwd ({})",
+        counts.gemm_packed_fma.len(),
         counts.gemm_packed_fma,
         counts.vpmaddwd,
         listing.display()
@@ -152,7 +174,8 @@ mod tests {
     use super::*;
 
     /// Shaped like rustc's output: a section line naming the symbol, the
-    /// label, local labels inside the body, and the end markers.
+    /// label, local labels inside the body, and the end markers. It holds
+    /// two copies of `gemm_band`, as a generic function compiles to.
     const LISTING: &str = "\
 \t.section\t.text._ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE,\"ax\",@progbits
 _ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE:
@@ -167,10 +190,16 @@ _ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE:
 .Lfunc_end5:
 \t.size\t_ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE, .Lfunc_end5-_ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE
 \t.cfi_endproc
+_ZN14condor_kernels4gemm9gemm_band17hfedcba9876543210E:
+\t.cfi_startproc
+\tvfmadd231ps\t(%rsi), %ymm4, %ymm5
+\tvaddss\t%xmm1, %xmm2, %xmm3
+.Lfunc_end6:
+\t.cfi_endproc
 _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
 \tvpmaddwd\t(%rdi), %ymm1, %ymm2
 \tvfmadd231ps\t%ymm1, %ymm2, %ymm3
-.Lfunc_end6:
+.Lfunc_end7:
 ";
 
     #[test]
@@ -178,10 +207,24 @@ _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
         assert_eq!(
             check(LISTING),
             Ok(Counts {
-                gemm_packed_fma: 2,
+                gemm_packed_fma: vec![2, 1],
                 vpmaddwd: 1
             })
         );
+    }
+
+    #[test]
+    fn one_scalar_copy_of_two_fails() {
+        let scalar = LISTING.replace("vfmadd231ps\t(%rsi), %ymm4", "vmulss\t(%rsi), %xmm4");
+        let err = check(&scalar).expect_err("the second copy lost its packed FMA");
+        assert!(err.contains("copy 2 of 2"), "{err}");
+    }
+
+    #[test]
+    fn a_single_copy_of_gemm_band_fails() {
+        let one = LISTING.replace("9gemm_band17hfedcba", "9gemm_tile17hfedcba");
+        let err = check(&one).expect_err("only one gemm_band left");
+        assert!(err.contains("1 copies"), "{err}");
     }
 
     #[test]
