@@ -233,10 +233,65 @@ pub fn pool2d(
 type PoolDims = ((usize, usize, usize), (usize, usize, usize), (usize, usize));
 
 /// Reduces every pooling window (clipped to the image) of every feature
-/// map: `finish(fold(… fold(init, v0) …, vn), in-range count)`. Generic
-/// over the reduction, so each pooling method gets its own loop nest
-/// with exactly one reduction in it.
+/// map: `finish(fold(… fold(init, v0) …, vn), in-range count)`, the
+/// window's values folded in row-major order. Generic over the
+/// reduction, so each pooling method gets its own loop nest with
+/// exactly one reduction in it.
+///
+/// Non-overlapping windows that all lie inside the image (kernel ==
+/// stride, no padding: every zoo pooling layer on an even map) take a
+/// row path: an output row reads its `K` input rows as `K` slices, and
+/// its loop over windows has no clipping arithmetic in it, so LLVM
+/// vectorises it across windows. Each window still folds its values in
+/// row-major order, so the output is the general loop's bit for bit.
 fn pool_windows(
+    input: &[f32],
+    dims: PoolDims,
+    out: &mut [f32],
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32, usize) -> f32,
+) {
+    let ((_, in_h, in_w), (kernel, stride, pad), (out_h, out_w)) = dims;
+    let tiles = kernel == stride && pad == 0 && out_h * kernel <= in_h && out_w * kernel <= in_w;
+    match kernel {
+        2 if tiles => pool_rows::<2>(input, dims, out, init, fold, finish),
+        3 if tiles => pool_rows::<3>(input, dims, out, init, fold, finish),
+        _ => pool_clipped(input, dims, out, init, fold, finish),
+    }
+}
+
+/// [`pool_windows`]' row path for `K×K` windows at stride `K`, none of
+/// them clipped.
+fn pool_rows<const K: usize>(
+    input: &[f32],
+    ((channels, in_h, in_w), _, (out_h, out_w)): PoolDims,
+    out: &mut [f32],
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32, usize) -> f32,
+) {
+    let maps = input.chunks_exact(in_h * in_w).take(channels);
+    for (map, omap) in maps.zip(out.chunks_exact_mut(out_h * out_w)) {
+        for (i, orow) in omap.chunks_exact_mut(out_w).enumerate() {
+            let lines: [&[f32]; K] =
+                std::array::from_fn(|r| &map[(i * K + r) * in_w..][..out_w * K]);
+            for (j, o) in orow.iter_mut().enumerate() {
+                let mut acc = init;
+                for line in &lines {
+                    for &v in &line[j * K..j * K + K] {
+                        acc = fold(acc, v);
+                    }
+                }
+                *o = finish(acc, K * K);
+            }
+        }
+    }
+}
+
+/// [`pool_windows`]' general loop: any kernel, stride and padding, each
+/// window clipped to the image.
+fn pool_clipped(
     input: &[f32],
     ((channels, in_h, in_w), (kernel, stride, pad), (out_h, out_w)): PoolDims,
     out: &mut [f32],
@@ -539,6 +594,48 @@ mod tests {
             &mut out,
         );
         assert_eq!(out, [1.0, 2.0, 3.0, 6.0]);
+    }
+
+    /// The row path of non-overlapping pooling against the general loop,
+    /// bit for bit: max and average, 2×2 and 3×3 windows at stride =
+    /// kernel, on maps that tile exactly and on odd sizes whose last
+    /// window is clipped (which must fall back to the general loop).
+    #[test]
+    fn pool_row_path_matches_general_loop() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [2, 3] {
+            for (h, w) in [(4 * k, 6 * k), (2 * k, 2 * k), (2 * k + 1, 3 * k), (5, 7)] {
+                let c = 3;
+                let input: Vec<f32> = (0..c * h * w)
+                    .map(|v| ((v * 37 % 101) as f32 - 50.0) * 0.013)
+                    .collect();
+                let (oh, ow) = (
+                    Shape::pool_out_dim(h, k, k, 0),
+                    Shape::pool_out_dim(w, k, k, 0),
+                );
+                let dims = ((c, h, w), (k, k, 0), (oh, ow));
+                let average = |sum, count: usize| sum / count.max(1) as f32;
+                for method in [PoolMethod::Max, PoolMethod::Average] {
+                    let mut got = vec![f32::NAN; c * oh * ow];
+                    pool2d(&input, c, h, w, method, k, k, 0, oh, ow, &mut got);
+                    let mut want = vec![f32::NAN; c * oh * ow];
+                    match method {
+                        PoolMethod::Max => pool_clipped(
+                            &input,
+                            dims,
+                            &mut want,
+                            f32::NEG_INFINITY,
+                            f32::max,
+                            |max, _| max,
+                        ),
+                        PoolMethod::Average => {
+                            pool_clipped(&input, dims, &mut want, 0.0, |s, v| s + v, average)
+                        }
+                    }
+                    assert_eq!(bits(&got), bits(&want), "{method:?} k{k} {h}×{w}");
+                }
+            }
+        }
     }
 
     #[test]
