@@ -51,7 +51,7 @@ const MR: usize = 4;
 pub(crate) const NR: usize = 24;
 /// Deepest `k`-slice the packed `B` tile holds: `KC_MAX × NR` floats =
 /// 24 KiB of stack.
-const KC_MAX: usize = 256;
+pub(crate) const KC_MAX: usize = 256;
 
 /// Accumulators of one `MR×NR` tile of `C`.
 type Tile = [[f32; NR]; MR];
@@ -137,7 +137,7 @@ impl<'a> Epilogue<'a> {
 
 /// Work threshold (in multiply-accumulates) below which spawning threads
 /// costs more than it saves.
-const PAR_MACS_THRESHOLD: usize = 1 << 21;
+pub(crate) const PAR_MACS_THRESHOLD: usize = 1 << 21;
 
 /// `C = A · B` with an optional fused epilogue.
 ///
@@ -161,7 +161,7 @@ pub fn gemm(
     epilogue: Epilogue<'_>,
 ) {
     assert_eq!(b.len(), k * n, "B must be k×n");
-    gemm_packed(m, n, k, a, &Dense { b, n }, c, blocking, epilogue);
+    gemm_packed(m, n, k, a, &Dense { b, n, ld: n }, c, blocking, epilogue);
 }
 
 /// A source of `B` for the band loop: writes the `dst.len() × NR` slice
@@ -172,17 +172,19 @@ pub(crate) trait PackB: Sync {
     fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]);
 }
 
-/// A dense row-major `k × n` matrix `B`.
-struct Dense<'a> {
-    b: &'a [f32],
-    n: usize,
+/// A dense row-major `k × n` matrix `B` whose rows lie `ld` floats
+/// apart.
+pub(crate) struct Dense<'a> {
+    pub(crate) b: &'a [f32],
+    pub(crate) n: usize,
+    pub(crate) ld: usize,
 }
 
 impl PackB for Dense<'_> {
     fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]) {
         let jw = NR.min(self.n - jb);
         for (p, row) in dst.iter_mut().enumerate() {
-            let src = (kb + p) * self.n + jb;
+            let src = (kb + p) * self.ld + jb;
             row[..jw].copy_from_slice(&self.b[src..src + jw]);
             row[jw..].fill(0.0);
         }
@@ -238,7 +240,7 @@ pub(crate) fn gemm_on(
     // first band itself instead of sleeping on a thread it had to spawn.
     let rows_per = m.div_ceil(threads.clamp(1, m)).next_multiple_of(MR);
     if rows_per >= m {
-        return gemm_band(m, n, k, a, b, c, kc, epilogue);
+        return gemm_band(m, n, k, a, b, c, n, kc, epilogue);
     }
     std::thread::scope(|scope| {
         let mut bands = c
@@ -249,7 +251,7 @@ pub(crate) fn gemm_on(
                 let rows = c_band.len() / n;
                 let a_band = &a[row0 * k..(row0 + rows) * k];
                 let epilogue = epilogue.for_band(row0);
-                move || gemm_band(rows, n, k, a_band, b, c_band, kc, epilogue)
+                move || gemm_band(rows, n, k, a_band, b, c_band, n, kc, epilogue)
             });
         let first = bands.next();
         for band in bands {
@@ -269,17 +271,19 @@ pub(crate) fn available_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Single-threaded GEMM over the whole of `c`: for each `NR`-wide column
-/// of tiles and each `kc`-deep slice, pack that piece of `B` once and run
-/// every row tile against it. One copy is compiled per source of `B`.
+/// Single-threaded GEMM over the whole of `c`, whose rows lie `ldc`
+/// floats apart: for each `NR`-wide column of tiles and each `kc`-deep
+/// slice, pack that piece of `B` once and run every row tile against it.
+/// One copy is compiled per source of `B`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_band(
+pub(crate) fn gemm_band(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
     b: &impl PackB,
     c: &mut [f32],
+    ldc: usize,
     kc: usize,
     epilogue: Epilogue<'_>,
 ) {
@@ -304,7 +308,7 @@ fn gemm_band(
                 let mut acc = [[0.0f32; NR]; MR];
                 if !first {
                     for (r, row) in acc.iter_mut().enumerate().take(iw) {
-                        let at = (ib + r) * n + jb;
+                        let at = (ib + r) * ldc + jb;
                         row[..jw].copy_from_slice(&c[at..at + jw]);
                     }
                 }
@@ -313,7 +317,7 @@ fn gemm_band(
                     epilogue.apply(&mut acc, ib, iw);
                 }
                 for (r, row) in acc.iter().enumerate().take(iw) {
-                    let at = (ib + r) * n + jb;
+                    let at = (ib + r) * ldc + jb;
                     c[at..at + jw].copy_from_slice(&row[..jw]);
                 }
             }
@@ -588,7 +592,7 @@ mod tests {
         let epilogue = Epilogue::BiasRelu(&bias, 0.2);
         let bl = GemmBlocking::default();
         let mut par = vec![0.0; m * n];
-        let dense = Dense { b: &b, n };
+        let dense = Dense { b: &b, n, ld: n };
         gemm_on(3, m, n, k, &a, &dense, &mut par, bl, epilogue);
         let mut ser = vec![0.0; m * n];
         gemm_on(1, m, n, k, &a, &dense, &mut ser, bl, epilogue);

@@ -20,6 +20,12 @@
 //!   activations, softmax, fully-connected [`gemv`]) that all write
 //!   into caller-provided buffers, so steady-state inference allocates
 //!   nothing per layer;
+//! * [`winograd`] — Winograd F(2×2, 3×3) convolution for the wide
+//!   stride-1 3×3 layers ([`takes_winograd`]): 16 multiplies per 2×2
+//!   output tile where the direct convolution needs 36, run as 16 GEMMs
+//!   on the same register tile between two add-only transforms, in
+//!   blocks of tiles inside caller-provided scratch. It agrees with
+//!   [`conv2d`] within rounding error, not bit for bit;
 //! * [`im2col`] — the explicit patch-matrix lowering: the reference the
 //!   f32 convolution is tested against bit for bit, and the int8
 //!   path's lowering.
@@ -27,7 +33,7 @@
 //! Thread parallelism uses `std::thread::scope` over disjoint row bands
 //! (band splitting keeps each element's reduction order fixed), so
 //! results are bit-identical
-//! across thread counts and blocking parameters. `condor-nn`'s
+//! across thread counts and blocking parameters (Winograd's included). `condor-nn`'s
 //! `FastEngine` drives these kernels for whole networks and
 //! property-tests them against the golden oracle.
 //!
@@ -60,6 +66,7 @@ pub mod ops;
 pub mod qgemm;
 pub mod qops;
 pub mod quant;
+pub mod winograd;
 
 pub use gemm::{dot, gemm as gemm_f32, gemv, Epilogue, GemmBlocking};
 pub use im2col::{im2col, im2col_i8, im2col_i8_patches, ConvGeometry};
@@ -69,4 +76,7 @@ pub use qops::{qconv2d, qpool2d};
 pub use quant::{
     dequantize_into, quantize_into, quantize_weights_per_channel, MinMaxObserver,
     MovingAvgObserver, QuantParams, QMAX,
+};
+pub use winograd::{
+    conv2d_winograd, takes_winograd, winograd_scratch_len, WinogradFilters, WINOGRAD_MIN_CHANNELS,
 };

@@ -7,13 +7,21 @@
 //! slots assigned at compile time) over one `f32` arena sized to the
 //! network's high-water mark at construction; convolution packs its GEMM
 //! operand straight from the arena, so there is no lowering buffer.
-//! Steady-state inference therefore performs **zero heap allocation per
-//! layer** (only the returned output tensor is allocated).
+//! Wide 3×3, stride-1 convolutions (the kernels' `takes_winograd`: at
+//! least 32 input channels and 24 output tiles) run through Winograd
+//! F(2×2, 3×3) instead, on filters transformed once at construction and
+//! in block scratch the engine sizes then. Steady-state inference
+//! therefore performs **no heap allocation for activations or scratch**
+//! (only the returned output tensor and, per Winograd layer, the short
+//! table of output rows each of its threads writes are allocated).
 //!
 //! The slice-level primitive, [`forward_layer_fast`], is shared with the
 //! dataflow hardware runtime: its PEs run the same kernels over the same
 //! buffers-in/buffers-out contract, so the functional simulation and the
-//! production CPU path cannot drift apart.
+//! production CPU path cannot drift apart. They agree bit for bit on
+//! every layer but the Winograd ones: `forward_layer_fast` keeps the
+//! direct convolution, so there the two agree within Winograd's rounding
+//! bound, not bitwise.
 //!
 //! [`GoldenEngine`](crate::GoldenEngine) remains the functional oracle;
 //! the workspace property suites assert `FastEngine == GoldenEngine`
@@ -23,21 +31,70 @@
 
 use crate::layer::{EltwiseOp, LayerKind};
 use crate::network::{Network, NnError, NnErrorKind};
-use crate::schedule::{conv_geometry, pool_method, Arena, Schedule};
-use condor_kernels::{activate, conv2d, gemv, pool2d, softmax, Activation, Workspace};
+use crate::schedule::{conv_geometry, pool_method, Arena, Schedule, ScheduledStep};
+use condor_kernels::{
+    activate, conv2d, conv2d_winograd, gemv, pool2d, softmax, takes_winograd, winograd_scratch_len,
+    Activation, ConvGeometry, WinogradFilters, Workspace,
+};
 use condor_tensor::{Shape, Tensor};
 use std::sync::Arc;
 
-/// The immutable, shareable part of a compiled engine: network handle
-/// and schedule.
+/// The immutable, shareable part of a compiled engine: network handle,
+/// schedule and the Winograd form of the convolutions that take it.
 #[derive(Debug)]
 struct EnginePlan {
     net: Arc<Network>,
     schedule: Schedule,
+    /// Per step: the Winograd form of a convolution that takes it.
+    winograd: Vec<Option<WinogradStep>>,
+    /// Scratch floats the largest Winograd step needs (0 with none).
+    scratch_len: usize,
+}
+
+/// A convolution step run through Winograd F(2×2, 3×3): its transformed
+/// filters and bias stand in for the layer's weights.
+#[derive(Debug)]
+struct WinogradStep {
+    filters: WinogradFilters,
+    bias: Option<Vec<f32>>,
+    geo: ConvGeometry,
+    scratch_len: usize,
+}
+
+impl WinogradStep {
+    /// The Winograd form of `step`, when it is a convolution that takes
+    /// it.
+    fn of(net: &Network, step: &ScheduledStep) -> Result<Option<Self>, NnError> {
+        let layer = &net.layers[step.node];
+        let LayerKind::Convolution {
+            num_output,
+            kernel,
+            stride,
+            pad,
+            ..
+        } = layer.kind
+        else {
+            return Ok(None);
+        };
+        let geo = conv_geometry(kernel, stride, pad, step.inputs[0].1, step.output);
+        if !takes_winograd(&geo) {
+            return Ok(None);
+        }
+        let lw = net.weights_or_err(&layer.name)?;
+        Ok(Some(WinogradStep {
+            filters: WinogradFilters::new(lw.weights.as_slice(), num_output, geo.in_c),
+            bias: lw.bias.as_ref().map(|b| b.as_slice().to_vec()),
+            scratch_len: winograd_scratch_len(&geo, num_output),
+            geo,
+        }))
+    }
 }
 
 impl EnginePlan {
-    fn compile(net: Arc<Network>) -> Result<Self, NnError> {
+    /// Lowers `net` and transforms the filters of every convolution that
+    /// takes Winograd; `hold` then gets the names of those layers and
+    /// returns the network the plan keeps.
+    fn compile(net: &Network, hold: impl FnOnce(&[&str]) -> Arc<Network>) -> Result<Self, NnError> {
         if !net.fully_weighted() {
             return Err(NnError::net(
                 "cannot run inference: some layers have no weights installed",
@@ -45,8 +102,26 @@ impl EnginePlan {
             .with_kind(NnErrorKind::MissingWeights));
         }
         // The GEMM epilogue realises any slope, so every foldable ReLU folds.
-        let schedule = Schedule::compile(&net, |_| true)?;
-        Ok(EnginePlan { net, schedule })
+        let schedule = Schedule::compile(net, |_| true)?;
+        let winograd = schedule
+            .steps
+            .iter()
+            .map(|step| WinogradStep::of(net, step))
+            .collect::<Result<Vec<_>, _>>()?;
+        let replaced: Vec<&str> = schedule
+            .steps
+            .iter()
+            .zip(&winograd)
+            .filter(|(_, w)| w.is_some())
+            .map(|(step, _)| net.layers[step.node].name.as_str())
+            .collect();
+        let scratch_len = winograd.iter().flatten().map(|w| w.scratch_len).max();
+        Ok(EnginePlan {
+            net: hold(&replaced),
+            scratch_len: scratch_len.unwrap_or(0),
+            schedule,
+            winograd,
+        })
     }
 
     /// Negative slope of the ReLU node folded into a step's epilogue
@@ -77,6 +152,8 @@ impl EnginePlan {
 pub struct FastEngine {
     plan: Arc<EnginePlan>,
     arena: Arena<f32>,
+    /// Winograd block scratch, shared by the steps in turn.
+    scratch: Vec<f32>,
 }
 
 impl Clone for FastEngine {
@@ -88,28 +165,29 @@ impl Clone for FastEngine {
 }
 
 impl FastEngine {
-    /// Compiles an engine for a fully-weighted network (cloned into a
-    /// shared handle).
+    /// Compiles an engine for a fully-weighted network. The engine keeps
+    /// its own copy of the weights, except those of the convolutions it
+    /// runs through Winograd, whose transformed filters replace them.
     pub fn new(net: &Network) -> Result<Self, NnError> {
-        FastEngine::from_shared(Arc::new(net.clone()))
+        let plan = EnginePlan::compile(net, |replaced| {
+            Arc::new(net.clone_without_weights(|name| replaced.contains(&name)))
+        })?;
+        Ok(FastEngine::from_plan(Arc::new(plan)))
     }
 
     /// Compiles an engine from a shared network handle without copying
     /// weights.
     pub fn from_shared(net: Arc<Network>) -> Result<Self, NnError> {
-        Ok(FastEngine::from_plan(Arc::new(EnginePlan::compile(net)?)))
+        let plan = EnginePlan::compile(&net, |_| Arc::clone(&net))?;
+        Ok(FastEngine::from_plan(Arc::new(plan)))
     }
 
     fn from_plan(plan: Arc<EnginePlan>) -> Self {
         FastEngine {
             arena: Arena::new(&plan.schedule),
+            scratch: vec![0.0; plan.scratch_len],
             plan,
         }
-    }
-
-    /// The network this engine executes.
-    pub fn network(&self) -> &Network {
-        &self.plan.net
     }
 
     /// Number of compiled steps (< layer count when ReLUs were fused
@@ -127,16 +205,25 @@ impl FastEngine {
 
     /// Runs one image (`1×c×h×w`) through the whole network.
     ///
-    /// Steady-state this allocates only the returned tensor: all
+    /// Steady-state this allocates only the returned tensor and, per
+    /// Winograd layer, a table of output rows per thread: all
     /// intermediate activations live in the engine's slot-pool arena,
-    /// reused across layers and calls, and convolution needs no scratch.
+    /// reused across layers and calls, and Winograd convolutions block
+    /// their work inside the engine's scratch.
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let plan = &*self.plan;
         plan.schedule.check_input(input)?;
         self.arena.input_mut().copy_from_slice(input.as_slice());
-        for step in &plan.schedule.steps {
+        let scratch = &mut self.scratch;
+        for (step, winograd) in plan.schedule.steps.iter().zip(&plan.winograd) {
             let layer = &plan.net.layers[step.node];
             self.arena.run_step(step, |ins, out| {
+                if let Some(w) = winograd {
+                    let slope = plan.fused_slope(step.fused_relu);
+                    let bias = w.bias.as_deref();
+                    conv2d_winograd(ins[0], &w.filters, bias, &w.geo, slope, out, scratch);
+                    return Ok(());
+                }
                 if layer.kind.is_merge() && ins.len() > 1 {
                     merge_fast(&layer.kind, ins, out);
                     return Ok(());
@@ -341,7 +428,7 @@ mod tests {
     use super::*;
     use crate::arbitrary::random_weighted_chain;
     use crate::{zoo, GoldenEngine};
-    use condor_tensor::{AllClose, TensorRng};
+    use condor_tensor::{max_abs_diff, AllClose, TensorRng};
 
     #[test]
     fn lenet_matches_golden() {
@@ -534,6 +621,102 @@ mod tests {
             b.as_slice(),
             "arena reuse must not leak state"
         );
+    }
+
+    /// The layers of `zoo::vgg16()` up to `pool2`, rebuilt at 3×56×56
+    /// with random weights (the `perf` benchmark's `vgg56`).
+    fn vgg56(seed: u64) -> Network {
+        let full = zoo::vgg16();
+        let end = full.layers.iter().position(|l| l.name == "pool2").unwrap();
+        let layers = full.layers[..=end].to_vec();
+        let mut net = crate::NetworkBuilder::chain("vgg56", Shape::chw(3, 56, 56), layers).unwrap();
+        net.attach_random_weights(seed).unwrap();
+        net
+    }
+
+    /// Names of the layers the engine runs through Winograd.
+    fn winograd_layers(engine: &FastEngine) -> Vec<&str> {
+        let plan = &engine.plan;
+        plan.schedule
+            .steps
+            .iter()
+            .zip(&plan.winograd)
+            .filter(|(_, w)| w.is_some())
+            .map(|(step, _)| plan.net.layers[step.node].name.as_str())
+            .collect()
+    }
+
+    /// On the `vgg16` prefix exactly the three wide 3×3 convolutions take
+    /// Winograd, and the engine keeps none of their 3×3 weights. LeNet
+    /// and TC1 (the serving lanes' networks) take none and get no
+    /// scratch.
+    #[test]
+    fn winograd_routing_on_zoo_networks() {
+        let net = vgg56(1);
+        let fast = FastEngine::new(&net).unwrap();
+        let wide = ["conv1_2", "conv2_1", "conv2_2"];
+        assert_eq!(winograd_layers(&fast), wide);
+        assert!(fast.plan.scratch_len > 0);
+        for name in wide {
+            assert!(!fast.plan.net.weights.contains_key(name), "{name} kept");
+        }
+        assert!(fast.plan.net.weights.contains_key("conv1_1"));
+        for net in [zoo::lenet_weighted(1), zoo::tc1_weighted(1)] {
+            let fast = FastEngine::new(&net).unwrap();
+            assert!(winograd_layers(&fast).is_empty(), "{}", net.name);
+            assert_eq!(fast.plan.scratch_len, 0, "{}", net.name);
+            assert!(fast.scratch.is_empty(), "{}", net.name);
+        }
+    }
+
+    /// `FastEngine` against the golden oracle within 1e-4 (the `perf`
+    /// set-up check) where Winograd runs: the `vgg16` prefix, and a net
+    /// with odd map sizes, pad 0 and 1, F not a multiple of 4 and a
+    /// leaky ReLU, whose Winograd tiles overhang the right and bottom
+    /// edges.
+    #[test]
+    fn winograd_layers_match_golden() {
+        use crate::layer::Layer;
+        let conv = |name: &str, f: usize, pad: usize| {
+            Layer::new(
+                name,
+                LayerKind::Convolution {
+                    num_output: f,
+                    kernel: 3,
+                    stride: 1,
+                    pad,
+                    bias: true,
+                },
+            )
+        };
+        let leaky = LayerKind::ReLU {
+            negative_slope: 0.1,
+        };
+        let layers = vec![
+            Layer::new("data", LayerKind::Input),
+            conv("conv1", 37, 1),
+            Layer::new("relu1", leaky.clone()),
+            conv("conv2", 33, 0),
+            Layer::new("relu2", leaky),
+            conv("conv3", 6, 1),
+        ];
+        let mut odd = crate::NetworkBuilder::chain("odd", Shape::chw(35, 13, 11), layers).unwrap();
+        odd.attach_random_weights(4).unwrap();
+        let mut fast = FastEngine::new(&odd).unwrap();
+        assert_eq!(winograd_layers(&fast), ["conv1", "conv2", "conv3"]);
+        let golden = GoldenEngine::new(&odd).unwrap();
+        for seed in 0..3 {
+            let img = TensorRng::seeded(seed).uniform(odd.input_shape, -1.0, 1.0);
+            let diff = max_abs_diff(&fast.infer(&img).unwrap(), &golden.infer(&img).unwrap());
+            assert!(diff <= 1e-4, "odd maps, image {seed}: max |diff| {diff}");
+        }
+
+        let net = vgg56(2);
+        let mut fast = FastEngine::new(&net).unwrap();
+        let img = TensorRng::seeded(3).uniform(net.input_shape, 0.0, 1.0);
+        let g = GoldenEngine::new(&net).unwrap().infer(&img).unwrap();
+        let diff = max_abs_diff(&fast.infer(&img).unwrap(), &g);
+        assert!(diff <= 1e-4, "vgg56: max |diff| {diff}");
     }
 
     #[test]

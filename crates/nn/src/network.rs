@@ -161,6 +161,23 @@ pub struct Network {
 }
 
 impl Network {
+    /// A copy of this network without the weights of the layers `drop`
+    /// names, whose weights are never cloned.
+    pub(crate) fn clone_without_weights(&self, drop: impl Fn(&str) -> bool) -> Network {
+        Network {
+            name: self.name.clone(),
+            input_shape: self.input_shape,
+            layers: self.layers.clone(),
+            weights: self
+                .weights
+                .iter()
+                .filter(|(name, _)| !drop(name))
+                .map(|(name, w)| (name.clone(), w.clone()))
+                .collect(),
+            edges: self.edges.clone(),
+        }
+    }
+
     /// Creates a linear-chain network and validates its structure.
     ///
     /// This is a thin wrapper over [`NetworkBuilder::chain`]; use

@@ -11,10 +11,15 @@
 //!   the input of an implicit-GEMM convolution), and a packed 256-bit
 //!   fused multiply-add (`vfmadd…ps` on `ymm` registers) in every one of
 //!   them, so that no source can lose its vector FMAs unnoticed;
+//! * a packed 256-bit add or subtract (`vaddps` / `vsubps` on `ymm`
+//!   registers) in each of the Winograd convolution's two transforms,
+//!   `input_transform` and `output_transform`: they are additions only,
+//!   and a scalar transform passes every test while running several
+//!   times slower;
 //! * a `vpmaddwd` anywhere in the crate (the int8 GEMM's widening dot
 //!   product).
 //!
-//! Both are x86_64 mnemonics; on any other target the check is skipped.
+//! All are x86_64 mnemonics; on any other target the check is skipped.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,6 +29,9 @@ use std::process::Command;
 const GEMM_FN: &str = "gemm_band";
 /// Copies of [`GEMM_FN`] the listing must hold: one per source of `B`.
 const GEMM_COPIES: usize = 2;
+/// The Winograd transforms, each of which must hold packed adds or
+/// subtracts.
+const TRANSFORM_FNS: [&str; 2] = ["input_transform", "output_transform"];
 
 /// What `check` counted in one assembly listing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,6 +39,9 @@ struct Counts {
     /// Packed `ymm` `vfmadd…ps` instructions in each copy of
     /// `gemm_band`, in listing order.
     gemm_packed_fma: Vec<usize>,
+    /// Packed `ymm` `vaddps` / `vsubps` instructions in each of
+    /// [`TRANSFORM_FNS`], in that order.
+    transform_packed_add: [usize; 2],
     /// `vpmaddwd` instructions anywhere in the listing.
     vpmaddwd: usize,
 }
@@ -38,7 +49,8 @@ struct Counts {
 /// Counts the vector instructions the kernels depend on in an AT&T
 /// assembly listing of `condor-kernels`, and fails when the listing holds
 /// fewer than [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
-/// packed FMA, or when it has no `vpmaddwd`.
+/// packed FMA, when a Winograd transform is missing or has no packed add
+/// or subtract, or when it has no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
     let bodies = function_bodies(asm, GEMM_FN);
     if bodies.len() < GEMM_COPIES {
@@ -48,11 +60,27 @@ fn check(asm: &str) -> Result<Counts, String> {
             bodies.len()
         ));
     }
+    let mut transform_packed_add = [0; 2];
+    for (count, name) in transform_packed_add.iter_mut().zip(TRANSFORM_FNS) {
+        let bodies = function_bodies(asm, name);
+        let [body] = bodies.as_slice() else {
+            return Err(format!(
+                "want one copy of `{name}` in the listing (inlined, renamed or generic?)"
+            ));
+        };
+        *count = body.iter().filter(|l| is_packed_ymm_add(l)).count();
+        if *count == 0 {
+            return Err(format!(
+                "`{name}` holds no packed ymm vaddps/vsubps: the Winograd transform went scalar"
+            ));
+        }
+    }
     let counts = Counts {
         gemm_packed_fma: bodies
             .iter()
             .map(|body| body.iter().filter(|l| is_packed_ymm_fma(l)).count())
             .collect(),
+        transform_packed_add,
         vpmaddwd: asm.lines().filter(|l| mnemonic(l) == "vpmaddwd").count(),
     };
     if let Some(copy) = counts.gemm_packed_fma.iter().position(|&n| n == 0) {
@@ -108,6 +136,10 @@ fn is_packed_ymm_fma(line: &str) -> bool {
     op.starts_with("vfmadd") && op.ends_with("ps") && line.contains("%ymm")
 }
 
+fn is_packed_ymm_add(line: &str) -> bool {
+    matches!(mnemonic(line), "vaddps" | "vsubps") && line.contains("%ymm")
+}
+
 /// Builds `condor-kernels` in release with `--emit asm` under
 /// `<root>/target/asm` and runs `check` on the listing. Returns the
 /// line to print on success.
@@ -145,10 +177,13 @@ pub fn run(root: &Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read {}: {e}", listing.display()))?;
     let counts = check(&asm)?;
     Ok(format!(
-        "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, condor-kernels holds {} \
-         vpmaddwd ({})",
+        "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, `{}` and `{}` hold {:?} \
+         packed ymm adds and subtracts, condor-kernels holds {} vpmaddwd ({})",
         counts.gemm_packed_fma.len(),
         counts.gemm_packed_fma,
+        TRANSFORM_FNS[0],
+        TRANSFORM_FNS[1],
+        counts.transform_packed_add,
         counts.vpmaddwd,
         listing.display()
     ))
@@ -200,6 +235,17 @@ _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
 \tvpmaddwd\t(%rdi), %ymm1, %ymm2
 \tvfmadd231ps\t%ymm1, %ymm2, %ymm3
 .Lfunc_end7:
+_ZN14condor_kernels8winograd15input_transform17h0123456789abcdefE:
+\t.cfi_startproc
+\tvsubps\t(%rdx,%rcx,4), %ymm1, %ymm2
+\tvaddps\t%ymm3, %ymm4, %ymm5
+\tvsubss\t%xmm1, %xmm2, %xmm3
+.Lfunc_end8:
+_ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
+\t.cfi_startproc
+\tvaddps\t(%r10,%rcx,4), %ymm2, %ymm3
+\tvaddss\t%xmm1, %xmm2, %xmm3
+.Lfunc_end9:
 ";
 
     #[test]
@@ -208,6 +254,7 @@ _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
             check(LISTING),
             Ok(Counts {
                 gemm_packed_fma: vec![2, 1],
+                transform_packed_add: [2, 1],
                 vpmaddwd: 1
             })
         );
@@ -233,6 +280,33 @@ _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
         let scalar = scalar.replace("vfmadd231ps\t32(%rdx), %ymm12", "vaddss\t32(%rdx), %xmm12");
         let err = check(&scalar).expect_err("no packed FMA left in gemm_band");
         assert!(err.contains("gemm_band"), "{err}");
+    }
+
+    /// Both transforms compiled to scalar code, as a first version of
+    /// them was: every add and subtract on one `xmm` lane.
+    #[test]
+    fn a_scalar_winograd_transform_fails() {
+        let scalar = LISTING
+            .replace(
+                "vsubps\t(%rdx,%rcx,4), %ymm1, %ymm2",
+                "vsubss\t(%rdx,%rcx,4), %xmm1, %xmm2",
+            )
+            .replace("vaddps\t%ymm3, %ymm4, %ymm5", "vaddss\t%xmm3, %xmm4, %xmm5");
+        let err = check(&scalar).expect_err("the input transform went scalar");
+        assert!(err.contains("`input_transform`"), "{err}");
+        let scalar = LISTING.replace(
+            "vaddps\t(%r10,%rcx,4), %ymm2, %ymm3",
+            "vaddss\t(%r10,%rcx,4), %xmm2, %xmm3",
+        );
+        let err = check(&scalar).expect_err("the output transform went scalar");
+        assert!(err.contains("`output_transform`"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_winograd_transform_fails() {
+        let inlined = LISTING.replace("16output_transform17h", "12winograd_on17h");
+        let err = check(&inlined).expect_err("no output_transform left");
+        assert!(err.contains("`output_transform`"), "{err}");
     }
 
     #[test]
