@@ -242,11 +242,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "circuit-breaker state of one fleet instance (0 closed, 1 open, 2 half-open)",
     },
     MetricSpec {
-        name: "brownout_active",
-        kind: MetricKind::Gauge,
-        help: "1 while the INT8 brownout lane is serving, else 0",
-    },
-    MetricSpec {
         name: "queue_sojourn_us",
         kind: MetricKind::Histogram,
         help: "time requests spend in the classed admission queue",

@@ -124,11 +124,6 @@ pub const SITES: &[SiteSpec] = &[
         layer: "serve",
         doc: "suppresses half-open breaker probes while firing (holds a breaker open)",
     },
-    SiteSpec {
-        name: "brownout.switch",
-        layer: "serve",
-        doc: "forces brownout mode active on the next controller poll",
-    },
 ];
 
 /// Collapses every `{...}` placeholder (named format captures included)

@@ -8,7 +8,7 @@
 //!
 //! * [`resources`] — the LUT/FF/DSP/BRAM/URAM resource vector with
 //!   checked arithmetic and utilisation reporting;
-//! * [`device`] — a catalog of devices and boards with real public
+//! * [`mod@device`] — a catalog of devices and boards with real public
 //!   resource inventories, including the F1 instance's `xcvu9p`;
 //! * [`power`] — an analytic power model (static + per-resource dynamic
 //!   terms scaled by clock frequency) used for the GFLOPS/W column.

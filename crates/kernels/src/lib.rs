@@ -26,7 +26,7 @@
 //!   on the same register tile between two add-only transforms, in
 //!   blocks of tiles inside caller-provided scratch. It agrees with
 //!   [`conv2d`] within rounding error, not bit for bit;
-//! * [`im2col`] — the explicit patch-matrix lowering: the reference the
+//! * [`im2col()`] — the explicit patch-matrix lowering: the reference the
 //!   f32 convolution is tested against bit for bit, and the int8
 //!   path's lowering.
 //!

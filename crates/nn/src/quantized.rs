@@ -13,11 +13,10 @@
 //! ## Calibration
 //!
 //! [`QuantizedEngine::calibrate`] drives the golden engine over a sample
-//! batch, observes every node's activation range
-//! ([`MinMaxObserver`](condor_kernels::MinMaxObserver) by default,
-//! [`MovingAvgObserver`](condor_kernels::MovingAvgObserver) via
-//! [`Calibration::MovingAvg`]) and freezes one [`QuantParams`] per node
-//! value. Weights are quantized **per output channel**.
+//! batch, observes every node's activation range ([`MinMaxObserver`] by
+//! default, [`MovingAvgObserver`] via [`Calibration::MovingAvg`]) and
+//! freezes one [`QuantParams`] per node value. Weights are quantized
+//! **per output channel**.
 //!
 //! ## Compilation
 //!
@@ -482,14 +481,6 @@ struct QScratch {
     ws: QWorkspace,
     fbuf_a: Vec<f32>,
     fbuf_b: Vec<f32>,
-}
-
-impl Clone for QuantizedEngine {
-    /// Clones share the calibrated plan (weights, scales, budgets) but
-    /// get a fresh arena.
-    fn clone(&self) -> Self {
-        QuantizedEngine::from_plan(Arc::clone(&self.plan))
-    }
 }
 
 impl QuantizedEngine {

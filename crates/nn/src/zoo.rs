@@ -1,6 +1,6 @@
 //! Model zoo: the three networks the paper's evaluation uses.
 //!
-//! * **TC1** — "the CNN used in [25] trained on the USPS dataset". The
+//! * **TC1** — "the CNN used in \[25\] trained on the USPS dataset". The
 //!   paper never prints TC1's topology, so we reconstruct a USPS-scale
 //!   CNN consistent with the earlier work's description (16×16 grey
 //!   input, two small convolution/pooling stages, a compact MLP, 10

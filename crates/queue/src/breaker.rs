@@ -21,9 +21,8 @@
 //!   successes close the breaker; any probe failure reopens it and
 //!   restarts the timeout.
 //!
-//! The breaker reads time through the mockable
-//! [`Clock`](condor_faults::retry::Clock) so every transition is
-//! unit-testable with a manually advanced
+//! The breaker reads time through the mockable [`Clock`] so every
+//! transition is unit-testable with a manually advanced
 //! [`MockClock`](condor_faults::retry::MockClock) — the deterministic
 //! closed→open→half-open→closed trace below is the acceptance test.
 

@@ -3,12 +3,12 @@
 //! The paper's serving story assumes an FPGA on the other side of the
 //! [`ExecutionBackend`] trait; this module provides the software
 //! equivalent so the same server can fall back to (or be benchmarked
-//! against) the host CPU. Each [`CpuBackend`] owns one
-//! [`FastEngine`](condor_nn::FastEngine) — implicit-GEMM convolution with
-//! a reusable activation arena — behind a mutex, so a backend is exactly one
-//! serving lane: the server's one-worker-per-backend model provides the
-//! cross-lane parallelism, while each lane's engine reuses its arena
-//! across every batch it executes (no steady-state allocation).
+//! against) the host CPU. Each [`CpuBackend`] owns one [`FastEngine`] —
+//! implicit-GEMM convolution with a reusable activation arena — behind a
+//! mutex, so a backend is exactly one serving lane: the server's
+//! one-worker-per-backend model provides the cross-lane parallelism,
+//! while each lane's engine reuses its arena across every batch it
+//! executes (no steady-state allocation).
 //!
 //! [`CpuBackend::replicas`] mirrors
 //! [`DeployedAccelerator::into_replicas`](condor::DeployedAccelerator):

@@ -17,8 +17,7 @@
 //!   records failed and acked instead of served;
 //! * **one pop** — the closure [`Intake::consumer`] returns is the only
 //!   way a request leaves the queue: it resolves the CoDel sheds the
-//!   pop produced, feeds the brownout controller and observes
-//!   `queue_sojourn_us`;
+//!   pop produced and observes `queue_sojourn_us`;
 //! * **one ledger** — `requests_accepted`, the rejection and shed
 //!   counters, `queue_depth`, `ack_latency_us` and `disk_queue_depth`
 //!   are written here, and [`resolve`] derives the closing terms
@@ -35,9 +34,7 @@
 
 use crate::admission::{AdmissionQueue, PopOutcome, PushError, Shed};
 use crate::fleet::Route;
-use crate::{
-    durable, BrownoutController, PendingInference, ServeConfig, ServeError, ServeReply, ShedReason,
-};
+use crate::{durable, PendingInference, ServeConfig, ServeError, ServeReply, ShedReason};
 use condor::{CondorError, MetricsRegistry, MetricsSnapshot};
 use condor_faults::retry::SystemClock;
 use condor_queue::{DiskQueue, Priority, QueueBackend, RecoveryReport};
@@ -146,19 +143,11 @@ pub(crate) fn count_shed(metrics: &MetricsRegistry, class: Priority) {
 }
 
 /// Resolves every request the admission queue shed since the last pop:
-/// shed counters tick (aggregate and per class), the brownout
-/// controller — when one is configured — hears about the overload, and
-/// the caller gets the typed rejection with its retry hint.
-fn resolve_sheds(
-    sheds: &mut Vec<Shed<Request>>,
-    brownout: Option<&BrownoutController>,
-    metrics: &MetricsRegistry,
-) {
+/// shed counters tick (aggregate and per class) and the caller gets the
+/// typed rejection with its retry hint.
+fn resolve_sheds(sheds: &mut Vec<Shed<Request>>, metrics: &MetricsRegistry) {
     for shed in sheds.drain(..) {
         count_shed(metrics, shed.class);
-        if let Some(brownout) = brownout {
-            brownout.on_shed();
-        }
         resolve(
             shed.item,
             Err(ServeError::Overloaded(ShedReason::CoDelShed {
@@ -186,7 +175,6 @@ pub(crate) struct Intake {
     accepting: AtomicBool,
     queue: Arc<AdmissionQueue<Request>>,
     metrics: Arc<MetricsRegistry>,
-    brownout: Option<Arc<BrownoutController>>,
     started: Instant,
     durable: Option<Arc<DiskQueue>>,
     redelivery: Option<JoinHandle<()>>,
@@ -194,7 +182,7 @@ pub(crate) struct Intake {
 
 impl Intake {
     /// Opens the intake: `backend` and `capacity` are the front end's
-    /// own, the aging, CoDel, brownout and fault knobs come from `serve`.
+    /// own, the aging, CoDel and fault knobs come from `serve`.
     ///
     /// In disk-queue mode this opens the log (running crash recovery)
     /// and starts re-injecting every record the previous process
@@ -234,7 +222,6 @@ impl Intake {
             accepting: AtomicBool::new(true),
             queue,
             metrics,
-            brownout: serve.brownout.clone(),
             started: Instant::now(),
             durable,
             redelivery,
@@ -242,17 +229,15 @@ impl Intake {
     }
 
     /// One consumer thread's pop, waiting up to the `timeout` it is
-    /// called with: sheds are resolved (and fed to the brownout
-    /// controller) and `queue_sojourn_us` observed before the
-    /// dispatcher sees a request.
+    /// called with: sheds are resolved and `queue_sojourn_us` observed
+    /// before the dispatcher sees a request.
     pub(crate) fn consumer(&self) -> impl FnMut(Duration) -> Popped + Send + 'static {
         let queue = Arc::clone(&self.queue);
         let metrics = Arc::clone(&self.metrics);
-        let brownout = self.brownout.clone();
         let mut sheds = Vec::new();
         move |timeout| {
             let outcome = queue.pop(timeout, &mut sheds);
-            resolve_sheds(&mut sheds, brownout.as_deref(), &metrics);
+            resolve_sheds(&mut sheds, &metrics);
             match outcome {
                 PopOutcome::Popped {
                     item,

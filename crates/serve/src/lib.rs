@@ -23,20 +23,14 @@
 //! * **Priority classes** — every request carries a
 //!   [`Priority`] (`Interactive`/`Standard`/`Batch`); the admission
 //!   queue dispatches strict-priority with aging, so interactive
-//!   traffic goes first but batch work can never starve (see
-//!   [`admission`](crate::admission) internals).
+//!   traffic goes first but batch work can never starve (see the
+//!   private `admission` module).
 //! * **Backpressure & shedding** — the request queue is bounded; when
 //!   it is full, [`InferenceServer::submit`] fails fast with
 //!   [`ServeError::Overloaded`]`(`[`ShedReason::QueueFull`]`)`. With
 //!   [`ServeConfig::with_codel`] the queue additionally sheds under
 //!   sustained sojourn-time overload, lowest class first, attaching a
 //!   `retry_after` hint ([`ShedReason::CoDelShed`]).
-//! * **Brownout** — with [`ServeConfig::with_brownout`] (and
-//!   [`DegradableBackend`] lanes) sustained shedding switches CPU
-//!   lanes from f32 to INT8 inference (bounded accuracy cost; `perf`
-//!   measures INT8 at ≈ 0.4× the f32 rate on `vgg56`, so today this
-//!   sheds no load) and back with hysteresis; affected replies carry
-//!   [`ServeReply::degraded`]` = true`.
 //! * **Timeouts** — every request carries a deadline; requests that expire
 //!   while queued are answered with [`ServeError::Timeout`].
 //! * **Graceful drain** — [`InferenceServer::shutdown`] stops accepting
@@ -95,7 +89,6 @@
 #![forbid(unsafe_code)]
 
 mod admission;
-pub mod brownout;
 pub mod cpu;
 mod durable;
 pub mod fleet;
@@ -103,7 +96,6 @@ mod intake;
 mod replica;
 
 pub use admission::CodelConfig;
-pub use brownout::{BrownoutConfig, BrownoutController, DegradableBackend};
 pub use condor_queue::{BreakerConfig, BreakerState, DiskQueueConfig, Priority, QueueBackend};
 pub use cpu::CpuBackend;
 pub use fleet::{Fleet, FleetConfig, InstanceProvisioner};
@@ -160,9 +152,6 @@ pub struct ServeConfig {
     /// Pops a lower class may be bypassed before it jumps the strict
     /// priority order (starvation freedom).
     pub aging_limit: u32,
-    /// Brownout controller shared with [`DegradableBackend`] lanes;
-    /// absent by default (no degradation, replies never `degraded`).
-    pub brownout: Option<Arc<BrownoutController>>,
 }
 
 impl Default for ServeConfig {
@@ -181,7 +170,6 @@ impl Default for ServeConfig {
             queue: QueueBackend::InMemory,
             codel: None,
             aging_limit: 16,
-            brownout: None,
         }
     }
 }
@@ -263,16 +251,6 @@ impl ServeConfig {
     /// here: non-zero target, interval ≥ target).
     pub fn with_codel(mut self, codel: CodelConfig) -> Self {
         self.codel = Some(codel.normalized());
-        self
-    }
-
-    /// Shares a brownout controller with this server: CoDel sheds feed
-    /// it, the batcher exports its `brownout_active` gauge, and worker
-    /// replies carry `degraded` while it is active. Pass the same
-    /// handle to [`DegradableBackend::replicas`] so lanes actually
-    /// change gears.
-    pub fn with_brownout(mut self, controller: Arc<BrownoutController>) -> Self {
-        self.brownout = Some(controller);
         self
     }
 }
@@ -362,14 +340,11 @@ impl condor_faults::retry::Retryable for ServeError {
     }
 }
 
-/// A completed inference: the output plus how it was produced.
+/// A completed inference.
 #[derive(Clone, Debug)]
 pub struct ServeReply {
     /// The network's output tensor.
     pub output: Tensor,
-    /// True when the answer was produced while brownout mode was
-    /// active (INT8 lane, bounded accuracy cost).
-    pub degraded: bool,
 }
 
 /// A ticket for a request the server accepted.
@@ -387,8 +362,7 @@ impl PendingInference {
         self.wait_reply().map(|r| r.output)
     }
 
-    /// Blocks until the server answers, returning the full reply
-    /// (output plus the `degraded` brownout flag).
+    /// Blocks until the server answers, returning the full reply.
     pub fn wait_reply(self) -> Result<ServeReply, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Disconnected)?
     }
@@ -1080,7 +1054,7 @@ mod tests {
     }
 
     #[test]
-    fn interactive_class_round_trips_with_undegraded_reply() {
+    fn interactive_class_round_trips_through_wait_reply() {
         let server = InferenceServer::from_deployment(
             deployed_lenet(),
             ServeConfig::default().with_default_timeout(Duration::from_secs(30)),
@@ -1095,27 +1069,19 @@ mod tests {
             .unwrap()
             .wait_reply()
             .unwrap();
-        assert!(!reply.degraded, "no brownout controller: never degraded");
         assert_eq!(reply.output.shape().c, 10);
         server.shutdown();
     }
 
     #[test]
-    fn forced_codel_sheds_reject_with_retry_hint_and_feed_brownout() {
+    fn forced_codel_sheds_reject_with_retry_hint_before_batching() {
         use condor_faults::{FaultPlan, FaultRule};
         // `shed.codel` forced on: every admitted request is shed before
-        // it can batch, with the typed reason and per-class counters,
-        // and the brownout controller hears every shed.
-        let controller = Arc::new(BrownoutController::with_system_clock(
-            BrownoutConfig::new()
-                .with_engage_sheds(2)
-                .with_disengage_quiet(Duration::from_secs(60)),
-        ));
+        // it can batch, with the typed reason and per-class counters.
         let server = InferenceServer::from_deployment(
             deployed_lenet(),
             ServeConfig::default()
                 .with_default_timeout(Duration::from_secs(30))
-                .with_brownout(Arc::clone(&controller))
                 .with_fault_plan(
                     FaultPlan::new(41).rule(FaultRule::at("shed.codel").always().fail_transient()),
                 ),
@@ -1130,14 +1096,11 @@ mod tests {
                 other => panic!("expected a CoDel shed, got {other:?}"),
             }
         }
-        assert!(controller.active(), "sustained sheds engage brownout");
-        assert_eq!(controller.engages(), 1);
         let snap = server.shutdown();
         assert_eq!(snap.counter("requests_shed"), 3);
         assert_eq!(snap.counter("requests_shed_standard"), 3);
         assert_eq!(snap.counter("requests_shed_interactive"), 0);
         assert_eq!(snap.counter("requests_completed"), 0);
-        assert_eq!(snap.gauge("brownout_active"), Some(1.0));
         assert!(snap.histogram("queue_sojourn_us").is_none());
     }
 

@@ -150,15 +150,6 @@ fn admit(request: Request, batch: &mut Vec<Request>, settle: &Settle) {
     }
 }
 
-/// Polls the brownout controller (time-based disengage) and exports its
-/// state as the `brownout_active` gauge.
-fn publish_brownout(config: &ServeConfig, metrics: &MetricsRegistry) {
-    if let Some(brownout) = &config.brownout {
-        let active = brownout.poll();
-        metrics.set_gauge("brownout_active", if active { 1.0 } else { 0.0 });
-    }
-}
-
 /// Picks the lane for the next batch from one look at each lane's
 /// state: the least-loaded *selectable* lane — quarantined lanes are
 /// shed until their quarantine expires, and the next batch sent to an
@@ -201,7 +192,7 @@ fn batcher_loop(
         let first = loop {
             match next(Duration::from_millis(20)) {
                 Ok(request) => break request,
-                Err(RecvTimeoutError::Timeout) => publish_brownout(&config, &metrics),
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break 'serve,
             }
         };
@@ -227,7 +218,6 @@ fn batcher_loop(
                 Err(_) => break,
             }
         }
-        publish_brownout(&config, &metrics);
         if batch.is_empty() {
             continue;
         }
@@ -320,12 +310,8 @@ fn worker_loop(
                     lane.consecutive_failures = 0;
                     lane.unhealthy_until = None;
                 }
-                let degraded = config
-                    .brownout
-                    .as_ref()
-                    .is_some_and(|brownout| brownout.active());
                 for (request, output) in batch.into_iter().zip(outputs) {
-                    settle(request, Ok(ServeReply { output, degraded }));
+                    settle(request, Ok(ServeReply { output }));
                 }
             }
             Err(e) => {

@@ -339,7 +339,7 @@ pub struct AuditConfig {
     pub sites: Vec<String>,
     /// The metric-name registry with instrument kinds.
     pub metrics: Vec<(String, MetricKind)>,
-    /// Prefixes allowed to `incr` a [`LEDGER`] counter.
+    /// Prefixes allowed to `incr` a `LEDGER` counter.
     pub ledger_writers: Vec<String>,
     /// condor-check's diagnostic catalogue.
     pub diag_codes: Vec<CodeSpec>,

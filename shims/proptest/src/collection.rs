@@ -54,7 +54,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,
