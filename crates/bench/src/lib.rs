@@ -51,7 +51,7 @@ impl Table1Row {
 }
 
 /// The paper's published Table 1, for side-by-side reporting.
-pub fn paper_table1() -> Vec<Table1Row> {
+fn paper_table1() -> Vec<Table1Row> {
     vec![
         Table1Row {
             name: "TC1".into(),
@@ -81,7 +81,7 @@ pub fn paper_table1() -> Vec<Table1Row> {
 /// intra-layers parallelism" — 1:1 layer→PE mapping, sequential feature
 /// maps (fc SIMD 2 is the calibration knob documented in
 /// EXPERIMENTS.md).
-pub fn deploy_table1_network(net: Network, freq_mhz: f64) -> DeployedAccelerator {
+fn deploy_table1_network(net: Network, freq_mhz: f64) -> DeployedAccelerator {
     let ctx = CloudContext::new("condor-eval-bucket");
     Condor::from_network(net)
         .board("aws-f1")
@@ -98,7 +98,7 @@ pub fn deploy_table1_network(net: Network, freq_mhz: f64) -> DeployedAccelerator
 }
 
 /// Regenerates Table 1.
-pub fn table1() -> Vec<Table1Row> {
+fn table1() -> Vec<Table1Row> {
     let points = [
         (zoo::tc1_weighted(1), 100.0),
         (zoo::lenet_weighted(1), 180.0),
@@ -139,7 +139,7 @@ pub struct Table2Cell {
 }
 
 /// The paper's published Table 2.
-pub fn paper_table2() -> Vec<(&'static str, f64)> {
+fn paper_table2() -> Vec<(&'static str, f64)> {
     vec![("TC1", 16.56), ("LeNet", 53.51), ("VGG-16", 113.30)]
 }
 
@@ -150,7 +150,7 @@ pub fn paper_table2() -> Vec<(&'static str, f64)> {
 /// parallelism at 2×4 (the largest degree for which VGG-16's thirteen
 /// concurrent convolution PEs still fit the VU9P DSP budget) and request
 /// 250 MHz, letting the synthesis model derate the clock per design.
-pub fn table2_parallelism() -> PeParallelism {
+fn table2_parallelism() -> PeParallelism {
     PeParallelism {
         parallel_in: 2,
         parallel_out: 4,
@@ -160,7 +160,7 @@ pub fn table2_parallelism() -> PeParallelism {
 
 /// The DSE space used by the per-network exploration variant
 /// ([`table2_dse`]) and the VGG-16 example.
-pub fn table2_dse_space() -> DseConfig {
+fn table2_dse_space() -> DseConfig {
     DseConfig {
         freqs_mhz: vec![150.0, 200.0, 250.0, 300.0],
         fusions: vec![1],
@@ -175,7 +175,7 @@ pub fn table2_dse_space() -> DseConfig {
 
 /// Regenerates Table 2: the uniform improved methodology applied to each
 /// network's feature-extraction prefix.
-pub fn table2() -> Vec<Table2Cell> {
+fn table2() -> Vec<Table2Cell> {
     [zoo::tc1(), zoo::lenet(), zoo::vgg16()]
         .into_iter()
         .map(|net| {
@@ -207,7 +207,7 @@ pub fn table2() -> Vec<Table2Cell> {
 /// Small networks parallelise disproportionately well under this
 /// objective (LeNet overtakes VGG-16), which is why the headline Table 2
 /// uses the uniform methodology — see EXPERIMENTS.md.
-pub fn table2_dse() -> Vec<Table2Cell> {
+fn table2_dse() -> Vec<Table2Cell> {
     [zoo::tc1(), zoo::lenet(), zoo::vgg16()]
         .into_iter()
         .map(|net| {
@@ -242,12 +242,12 @@ pub struct Figure5Series {
 }
 
 /// The batch sizes swept by Figure 5.
-pub fn figure5_batches() -> Vec<usize> {
+fn figure5_batches() -> Vec<usize> {
     vec![1, 2, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64]
 }
 
 /// Regenerates Figure 5 for TC1 and LeNet at their Table 1 clocks.
-pub fn figure5() -> Vec<Figure5Series> {
+fn figure5() -> Vec<Figure5Series> {
     let points = [
         (zoo::tc1_weighted(1), 100.0),
         (zoo::lenet_weighted(1), 180.0),

@@ -100,7 +100,7 @@ impl BlobProto {
     }
 
     /// The blob's 4-D shape from either encoding.
-    pub fn resolved_shape(&self) -> Result<Shape, WireError> {
+    fn resolved_shape(&self) -> Result<Shape, WireError> {
         if let Some(shape) = &self.shape {
             return shape.to_shape();
         }
@@ -793,7 +793,7 @@ impl NetParameter {
     /// blob names). Now that blob wiring *is* the topology, a dangling
     /// bottom is a typed error naming the offending layer
     /// ([`crate::text::TextErrorKind::UndeclaredBottom`]).
-    pub fn check_blob_wiring(&self) -> Result<(), TextError> {
+    fn check_blob_wiring(&self) -> Result<(), TextError> {
         let mut declared: std::collections::BTreeSet<&str> =
             self.input.iter().map(String::as_str).collect();
         for l in &self.layer {

@@ -233,7 +233,7 @@ impl TextMessage {
     }
 
     /// Appends a scalar field.
-    pub fn push_scalar(&mut self, name: &str, value: TextScalar) {
+    fn push_scalar(&mut self, name: &str, value: TextScalar) {
         self.fields
             .push((name.to_string(), TextValue::Scalar(value)));
     }

@@ -87,7 +87,7 @@ impl WireWriter {
     }
 
     /// Writes a raw base-128 varint.
-    pub fn varint(&mut self, mut v: u64) {
+    fn varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -180,7 +180,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// True when the payload is exhausted.
-    pub fn is_at_end(&self) -> bool {
+    fn is_at_end(&self) -> bool {
         self.pos >= self.data.len()
     }
 
@@ -224,11 +224,6 @@ impl<'a> WireReader<'a> {
     /// Reads a fixed 32-bit float.
     pub fn read_float(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads a fixed 64-bit scalar.
-    pub fn read_fixed64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a length-delimited payload.

@@ -254,7 +254,7 @@ impl Code {
     }
 
     /// Maps a typed dataflow error onto its diagnostic code.
-    pub fn from_dataflow_kind(kind: DataflowErrorKind) -> Code {
+    fn from_dataflow_kind(kind: DataflowErrorKind) -> Code {
         match kind {
             DataflowErrorKind::Plan => Code::C021,
             DataflowErrorKind::Nn(k) => Code::from_nn_kind(k),
@@ -374,11 +374,6 @@ impl Diagnostics {
     /// Records a finding.
     pub fn push(&mut self, d: Diagnostic) {
         self.items.push(d);
-    }
-
-    /// Appends every finding from another collection.
-    pub fn merge(&mut self, other: Diagnostics) {
-        self.items.extend(other.items);
     }
 
     /// All findings in discovery order.

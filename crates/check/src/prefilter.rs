@@ -131,16 +131,12 @@ impl PlanBounds {
 
     /// Sound lower bound on the synthesis estimate of *any* plan built
     /// from this network with parallelism directive `p` at datapath
-    /// `precision`, under `model`. Narrowing to INT8 widens the feasible
+    /// `precision`, under the default [`SynthModel`]. Narrowing to INT8 widens the feasible
     /// region the DSE explores: one DSP48E2 packs two int8 MACs and
     /// weight buffers shrink to a byte per word, so points the f32 bound
     /// prunes can survive at int8.
-    pub fn lower_bound(
-        &self,
-        p: PeParallelism,
-        precision: Precision,
-        model: &SynthModel,
-    ) -> Resources {
+    pub fn lower_bound(&self, p: PeParallelism, precision: Precision) -> Resources {
+        let model = SynthModel::default();
         let wbyte = precision.bytes_per_word();
         let mut lut: u64 = 0;
         let mut dsp: u64 = 0;
@@ -224,10 +220,9 @@ impl PlanBounds {
         &self,
         p: PeParallelism,
         precision: Precision,
-        model: &SynthModel,
         budget: &Resources,
     ) -> Option<String> {
-        let lb = self.lower_bound(p, precision, model);
+        let lb = self.lower_bound(p, precision);
         if lb.fits_in(budget) {
             None
         } else {
@@ -255,7 +250,6 @@ mod tests {
     /// tried.
     #[test]
     fn bound_is_sound_across_fusion_parallelism_and_precision() {
-        let model = SynthModel::default();
         for net in [zoo::tc1(), zoo::lenet(), zoo::vgg16()] {
             let bounds = PlanBounds::analyze(&net).unwrap();
             let device = condor_fpga::board("aws-f1").unwrap().device();
@@ -274,7 +268,7 @@ mod tests {
                             .build()
                             .unwrap();
                         let real = synthesize_plan(&plan, device).total;
-                        let lb = bounds.lower_bound(p, precision, &model);
+                        let lb = bounds.lower_bound(p, precision);
                         assert!(
                             lb.fits_in(&real),
                             "{} fusion {fusion} p=({pin},{pout},{simd}) {precision}: \
@@ -293,27 +287,26 @@ mod tests {
     #[test]
     fn int8_admits_points_f32_rejects_under_the_same_dsp_budget() {
         let bounds = PlanBounds::analyze(&zoo::lenet()).unwrap();
-        let model = SynthModel::default();
         let p = PeParallelism {
             parallel_in: 8,
             parallel_out: 8,
             fc_simd: 4,
         };
-        let f32_lb = bounds.lower_bound(p, Precision::F32, &model);
-        let int8_lb = bounds.lower_bound(p, Precision::Int8, &model);
+        let f32_lb = bounds.lower_bound(p, Precision::F32);
+        let int8_lb = bounds.lower_bound(p, Precision::Int8);
         // Pick a budget strictly between the two DSP bounds: generous
         // everywhere else so DSP is the only binding constraint.
         let budget = Resources::new(u64::MAX, u64::MAX, (int8_lb.dsp + f32_lb.dsp) / 2, u64::MAX);
         assert!(
             bounds
-                .infeasible_reason(p, Precision::F32, &model, &budget)
+                .infeasible_reason(p, Precision::F32, &budget)
                 .is_some(),
             "f32 should be pruned at {} DSPs",
             budget.dsp
         );
         assert!(
             bounds
-                .infeasible_reason(p, Precision::Int8, &model, &budget)
+                .infeasible_reason(p, Precision::Int8, &budget)
                 .is_none(),
             "int8 should fit at {} DSPs (bound {})",
             budget.dsp,
@@ -336,12 +329,7 @@ mod tests {
     fn vgg16_is_pruned_on_f1() {
         let bounds = PlanBounds::analyze(&zoo::vgg16()).unwrap();
         let reason = bounds
-            .infeasible_reason(
-                PeParallelism::default(),
-                Precision::F32,
-                &SynthModel::default(),
-                &f1_budget(),
-            )
+            .infeasible_reason(PeParallelism::default(), Precision::F32, &f1_budget())
             .expect("VGG-16 FC layers cannot fit on-chip");
         assert!(reason.contains("budget"), "{reason}");
     }
@@ -350,12 +338,7 @@ mod tests {
     fn lenet_is_not_pruned_on_f1() {
         let bounds = PlanBounds::analyze(&zoo::lenet()).unwrap();
         assert!(bounds
-            .infeasible_reason(
-                PeParallelism::default(),
-                Precision::F32,
-                &SynthModel::default(),
-                &f1_budget()
-            )
+            .infeasible_reason(PeParallelism::default(), Precision::F32, &f1_budget())
             .is_none());
     }
 
@@ -368,15 +351,14 @@ mod tests {
             parallel_out: 16,
             fc_simd: 1,
         };
-        let reason = bounds.infeasible_reason(p, Precision::F32, &SynthModel::default(), &budget);
+        let reason = bounds.infeasible_reason(p, Precision::F32, &budget);
         assert!(reason.is_some());
     }
 
     #[test]
     fn bound_grows_with_parallelism() {
         let bounds = PlanBounds::analyze(&zoo::lenet()).unwrap();
-        let model = SynthModel::default();
-        let lo = bounds.lower_bound(PeParallelism::default(), Precision::F32, &model);
+        let lo = bounds.lower_bound(PeParallelism::default(), Precision::F32);
         let hi = bounds.lower_bound(
             PeParallelism {
                 parallel_in: 8,
@@ -384,7 +366,6 @@ mod tests {
                 fc_simd: 4,
             },
             Precision::F32,
-            &model,
         );
         assert!(hi.dsp > lo.dsp);
         assert!(hi.lut > lo.lut);

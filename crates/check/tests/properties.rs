@@ -15,7 +15,7 @@
 
 use condor_check::{check, check_defect, corpus, PlanBounds, Severity};
 use condor_dataflow::{PeParallelism, PlanBuilder, Precision};
-use condor_hls::{synthesize_plan, SynthModel};
+use condor_hls::synthesize_plan;
 use condor_nn::arbitrary::{random_chain, random_weighted_chain};
 use proptest::prelude::*;
 
@@ -79,7 +79,7 @@ proptest! {
             .unwrap();
         let device = condor_fpga::board("aws-f1").unwrap().device();
         let real = synthesize_plan(&plan, device).total;
-        let lb = bounds.lower_bound(p, precision, &SynthModel::default());
+        let lb = bounds.lower_bound(p, precision);
         prop_assert!(
             lb.fits_in(&real),
             "seed {}: bound {} exceeds real {}", seed, lb, real

@@ -61,14 +61,6 @@ pub fn req_usize(v: &Value, path: &str, key: &str) -> Result<usize, AccessError>
         .map_err(|_| AccessError::new(&join(path, key), format!("must be non-negative, got {n}")))
 }
 
-/// Required finite float field (integers accepted).
-pub fn req_f64(v: &Value, path: &str, key: &str) -> Result<f64, AccessError> {
-    let field = req(v, path, key)?;
-    field
-        .as_f64()
-        .ok_or_else(|| type_err(path, key, "number", field))
-}
-
 /// Required array field.
 pub fn req_array<'a>(v: &'a Value, path: &str, key: &str) -> Result<&'a [Value], AccessError> {
     let field = req(v, path, key)?;
@@ -158,7 +150,6 @@ mod tests {
         let d = doc();
         assert_eq!(req_str(&d, "", "name").unwrap(), "lenet");
         assert_eq!(req_usize(&d, "", "kernel").unwrap(), 5);
-        assert_eq!(req_f64(&d, "", "freq").unwrap(), 180.5);
         assert_eq!(req_array(&d, "", "layers").unwrap().len(), 2);
     }
 

@@ -39,15 +39,6 @@ impl Environment {
         }
     }
 
-    /// A workstation with full on-premise licences (the "some tweaking"
-    /// path).
-    pub fn licensed_workstation() -> Self {
-        Environment {
-            fpga_developer_ami: false,
-            on_premise_licenses: true,
-        }
-    }
-
     /// Checks that cloud (AFI) deployment is possible from here.
     pub fn check_cloud_deploy(&self) -> Result<(), CloudError> {
         if self.fpga_developer_ami || self.on_premise_licenses {
@@ -59,12 +50,6 @@ impl Environment {
                  (or an on-premise Xilinx licence); see the deployment guide",
             ))
         }
-    }
-
-    /// Checks that on-premise (xclbin) deployment is possible — always,
-    /// since XOCC ships with SDAccel.
-    pub fn check_onpremise_deploy(&self) -> Result<(), CloudError> {
-        Ok(())
     }
 }
 
@@ -87,16 +72,12 @@ mod tests {
 
     #[test]
     fn licensed_workstation_takes_the_tweaked_path() {
-        assert!(Environment::licensed_workstation()
-            .check_cloud_deploy()
-            .is_ok());
-    }
-
-    #[test]
-    fn onpremise_always_allowed() {
-        assert!(Environment::workstation().check_onpremise_deploy().is_ok());
-        assert!(Environment::developer_ami()
-            .check_onpremise_deploy()
-            .is_ok());
+        // A workstation with full on-premise licences (the "some
+        // tweaking" path).
+        let licensed = Environment {
+            fpga_developer_ami: false,
+            on_premise_licenses: true,
+        };
+        assert!(licensed.check_cloud_deploy().is_ok());
     }
 }

@@ -136,22 +136,6 @@ impl F1Manager {
         Ok(())
     }
 
-    /// Loads an AFI onto every slot of an instance and returns the slot
-    /// indices, so multi-slot instances serve the same accelerator from
-    /// all their FPGAs.
-    pub fn load_afi_all_slots(
-        &self,
-        registry: &AfiRegistry,
-        instance_id: &str,
-        agfi_id: &str,
-    ) -> Result<Vec<usize>, CloudError> {
-        let n_slots = self.describe(instance_id)?.slots.len();
-        for slot in 0..n_slots {
-            self.load_afi(registry, instance_id, slot, agfi_id)?;
-        }
-        Ok((0..n_slots).collect())
-    }
-
     /// The AGFI currently loaded on a slot, if any.
     pub fn loaded_afi(&self, instance_id: &str, slot: usize) -> Result<Option<String>, CloudError> {
         let instances = self.instances.lock();
@@ -177,15 +161,6 @@ impl F1Manager {
             .ok_or_else(|| CloudError::new("f1", format!("slot {slot} out of range")))?;
         *slot_ref = None;
         Ok(())
-    }
-
-    /// Terminates an instance.
-    pub fn terminate(&self, instance_id: &str) -> Result<(), CloudError> {
-        self.instances
-            .lock()
-            .remove(instance_id)
-            .map(|_| ())
-            .ok_or_else(|| CloudError::new("f1", format!("no such instance: {instance_id}")))
     }
 
     /// Snapshot of an instance.
@@ -266,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_terminate() {
+    fn clear_slot_unloads_the_afi() {
         let reg = AfiRegistry::new();
         let agfi = available_agfi(&reg);
         let mgr = F1Manager::new();
@@ -274,9 +249,6 @@ mod tests {
         mgr.load_afi(&reg, &id, 1, &agfi).unwrap();
         mgr.clear_slot(&id, 1).unwrap();
         assert_eq!(mgr.loaded_afi(&id, 1).unwrap(), None);
-        mgr.terminate(&id).unwrap();
-        assert!(mgr.describe(&id).is_err());
-        assert!(mgr.terminate(&id).is_err());
     }
 
     #[test]
@@ -285,9 +257,12 @@ mod tests {
         let agfi = available_agfi(&reg);
         let mgr = F1Manager::new();
         let id = mgr.launch(F1InstanceType::F1_16xlarge);
-        let slots = mgr.load_afi_all_slots(&reg, &id, &agfi).unwrap();
-        assert_eq!(slots, (0..8).collect::<Vec<_>>());
-        for slot in slots {
+        let slots = mgr.describe(&id).unwrap().slots.len();
+        assert_eq!(slots, 8);
+        for slot in 0..slots {
+            mgr.load_afi(&reg, &id, slot, &agfi).unwrap();
+        }
+        for slot in 0..slots {
             assert_eq!(
                 mgr.loaded_afi(&id, slot).unwrap().as_deref(),
                 Some(agfi.as_str())

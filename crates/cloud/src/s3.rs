@@ -104,16 +104,6 @@ impl S3Client {
             .collect())
     }
 
-    /// Deletes an object (idempotent, as on real S3).
-    pub fn delete_object(&self, bucket: &str, key: &str) -> Result<(), CloudError> {
-        let mut buckets = self.buckets.lock();
-        let b = buckets
-            .get_mut(bucket)
-            .ok_or_else(|| CloudError::new("s3", format!("NoSuchBucket: {bucket}")))?;
-        b.remove(key);
-        Ok(())
-    }
-
     /// True when the bucket exists.
     pub fn bucket_exists(&self, bucket: &str) -> bool {
         self.buckets.lock().contains_key(bucket)
@@ -185,15 +175,5 @@ mod tests {
             vec!["afi/a.xclbin", "afi/b.xclbin"]
         );
         assert_eq!(s3.list_objects("b-1", "").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn delete_is_idempotent() {
-        let s3 = S3Client::new();
-        s3.create_bucket("b-1").unwrap();
-        s3.put_object("b-1", "k", Vec::new().into()).unwrap();
-        s3.delete_object("b-1", "k").unwrap();
-        s3.delete_object("b-1", "k").unwrap();
-        assert!(s3.get_object("b-1", "k").is_err());
     }
 }

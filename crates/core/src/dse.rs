@@ -17,9 +17,9 @@
 
 use crate::error::CondorError;
 use condor_check::PlanBounds;
-use condor_dataflow::{AcceleratorPlan, PeParallelism, PipelineModel, PlanBuilder, Precision};
+use condor_dataflow::{PeParallelism, PipelineModel, PlanBuilder, Precision};
 use condor_fpga::{Board, Resources, Utilization};
-use condor_hls::{synthesize_plan, PlanSynthesis, SynthModel};
+use condor_hls::{synthesize_plan, PlanSynthesis};
 use condor_nn::Network;
 
 /// Candidate axes of the exploration.
@@ -188,18 +188,16 @@ fn evaluate(
 /// Builds the record of a statically-pruned point: no plan, no
 /// simulation — the synthesis slot carries the lower bound itself so
 /// reports can still show how far over budget the point was.
-#[allow(clippy::too_many_arguments)]
 fn pruned_point(
     fusion: usize,
     parallelism: PeParallelism,
     precision: Precision,
     freq_mhz: f64,
     bounds: &PlanBounds,
-    model: &SynthModel,
     budget: &Resources,
     reason: String,
 ) -> DsePoint {
-    let lb = bounds.lower_bound(parallelism, precision, model);
+    let lb = bounds.lower_bound(parallelism, precision);
     DsePoint {
         fusion,
         parallelism,
@@ -254,15 +252,14 @@ pub fn explore(net: &Network, board: &Board, cfg: &DseConfig) -> Result<DseOutco
     } else {
         None
     };
-    let model = SynthModel::default();
     let budget = board.usable_resources();
     let points: Vec<DsePoint> = combos
         .iter()
         .map(|&(fusion, par, precision, freq)| {
             if let Some(b) = &bounds {
-                if let Some(reason) = b.infeasible_reason(par, precision, &model, &budget) {
+                if let Some(reason) = b.infeasible_reason(par, precision, &budget) {
                     return Ok(pruned_point(
-                        fusion, par, precision, freq, b, &model, &budget, reason,
+                        fusion, par, precision, freq, b, &budget, reason,
                     ));
                 }
             }
@@ -282,73 +279,6 @@ pub fn explore(net: &Network, board: &Board, cfg: &DseConfig) -> Result<DseOutco
         })
         .map(|(i, _)| i);
     Ok(DseOutcome { points, best })
-}
-
-/// Result of [`trade_precision_per_layer`].
-#[derive(Clone, Debug)]
-pub struct PrecisionTrade {
-    /// Layer names narrowed to int8, in the order they were flipped.
-    pub int8_layers: Vec<String>,
-    /// The final plan with the per-layer precision overrides applied.
-    pub plan: AcceleratorPlan,
-    /// Synthesis estimate of the final plan, converters included.
-    pub synthesis: PlanSynthesis,
-    /// True when the final plan fits the budget.
-    pub fits: bool,
-}
-
-/// Greedily trades per-layer precision against a resource budget.
-///
-/// Starts from an all-f32 plan at the given configuration and, while the
-/// synthesized design exceeds `budget`, narrows the f32 PE with the
-/// largest DSP bill to int8 (every layer fused into that PE flips at
-/// once, so no PE is ever internally mixed). Each iteration re-prices the
-/// whole plan, so the format converters that appear on the new
-/// mixed-precision edges are charged against the saving they enable. The
-/// loop stops as soon as the plan fits, or once every PE is int8 — the
-/// `fits` flag then reports whether full narrowing was enough.
-pub fn trade_precision_per_layer(
-    net: &Network,
-    board: &Board,
-    fusion: usize,
-    parallelism: PeParallelism,
-    freq_mhz: f64,
-    budget: &Resources,
-) -> Result<PrecisionTrade, CondorError> {
-    let device = board.device();
-    let model = SynthModel::default();
-    let mut int8_layers: Vec<String> = Vec::new();
-    loop {
-        let mut builder = PlanBuilder::new(net)
-            .board(board.name)
-            .freq_mhz(freq_mhz)
-            .fusion(fusion)
-            .parallelism(parallelism);
-        for name in &int8_layers {
-            builder = builder.layer_precision(name.as_str(), Precision::Int8);
-        }
-        let plan = builder.build()?;
-        let synthesis = synthesize_plan(&plan, device);
-        let fits = synthesis.total.fits_in(budget);
-        let victim = plan
-            .pes
-            .iter()
-            .filter(|pe| pe.precision == Precision::F32)
-            .max_by_key(|pe| model.synthesize_pe(pe).resources.dsp);
-        match (fits, victim) {
-            (true, _) | (false, None) => {
-                return Ok(PrecisionTrade {
-                    int8_layers,
-                    plan,
-                    synthesis,
-                    fits,
-                });
-            }
-            (false, Some(pe)) => {
-                int8_layers.extend(pe.layers.iter().map(|l| l.name.clone()));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -487,68 +417,6 @@ mod tests {
                 .unwrap();
             assert!(p.synthesis.total.dsp < twin.synthesis.total.dsp);
         }
-    }
-
-    #[test]
-    fn precision_trade_narrows_only_what_the_budget_demands() {
-        let net = zoo::lenet();
-        let board = f1();
-        let par = PeParallelism {
-            parallel_in: 4,
-            parallel_out: 4,
-            fc_simd: 4,
-        };
-        let device = board.device();
-        let f32_plan = PlanBuilder::new(&net)
-            .board(board.name)
-            .freq_mhz(200.0)
-            .fusion(1)
-            .parallelism(par)
-            .build()
-            .unwrap();
-        let f32_total = synthesize_plan(&f32_plan, device).total;
-        let int8_plan = PlanBuilder::new(&net)
-            .board(board.name)
-            .freq_mhz(200.0)
-            .fusion(1)
-            .parallelism(par)
-            .precision(Precision::Int8)
-            .build()
-            .unwrap();
-        let int8_total = synthesize_plan(&int8_plan, device).total;
-        assert!(int8_total.dsp < f32_total.dsp);
-        // Generous budget: nothing flips.
-        let roomy = board.usable_resources();
-        let trade = trade_precision_per_layer(&net, board, 1, par, 200.0, &roomy).unwrap();
-        assert!(trade.fits);
-        assert!(trade.int8_layers.is_empty());
-        // A DSP budget strictly between the all-int8 and all-f32 bills
-        // forces some layers down to int8 — but not necessarily all.
-        let tight = Resources {
-            dsp: (int8_total.dsp + f32_total.dsp) / 2,
-            ..roomy
-        };
-        let trade = trade_precision_per_layer(&net, board, 1, par, 200.0, &tight).unwrap();
-        assert!(trade.fits);
-        assert!(!trade.int8_layers.is_empty());
-        assert!(trade
-            .plan
-            .pes
-            .iter()
-            .any(|pe| pe.precision == Precision::Int8));
-        assert!(trade.synthesis.total.dsp <= tight.dsp);
-        // An impossible budget narrows everything and reports the miss.
-        let hopeless = Resources {
-            dsp: int8_total.dsp / 4,
-            ..roomy
-        };
-        let trade = trade_precision_per_layer(&net, board, 1, par, 200.0, &hopeless).unwrap();
-        assert!(!trade.fits);
-        assert!(trade
-            .plan
-            .pes
-            .iter()
-            .all(|pe| pe.precision == Precision::Int8));
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn resolve_bottoms(
 /// — branchy topologies (`Eltwise` joins, `Concat` merges) translate to
 /// DAG-shaped [`Network`]s, while plain chains canonicalise to the linear
 /// representation exactly as before.
-pub fn caffe_to_network(proto: &NetParameter) -> Result<Network, CondorError> {
+fn caffe_to_network(proto: &NetParameter) -> Result<Network, CondorError> {
     let mut input_shape: Option<Shape> = None;
     // Nodes in insertion (topological) order with resolved input indices.
     let mut nodes: Vec<(Layer, Vec<usize>)> = Vec::new();
@@ -335,7 +335,7 @@ pub fn caffe_to_network(proto: &NetParameter) -> Result<Network, CondorError> {
 }
 
 /// Installs the blobs of a trained `caffemodel` into the network.
-pub fn install_caffe_weights(net: &mut Network, trained: &NetParameter) -> Result<(), CondorError> {
+fn install_caffe_weights(net: &mut Network, trained: &NetParameter) -> Result<(), CondorError> {
     let weighted: Vec<String> = net
         .layers
         .iter()
@@ -381,9 +381,9 @@ fn reshape_bias_blob(t: Tensor) -> Tensor {
 /// Exports a network back to Caffe artifacts: the topology as a
 /// `NetParameter` (serialisable to prototxt or, with the installed
 /// weights attached as blobs, to `caffemodel` bytes). This is the
-/// inverse of [`caffe_to_network`] and closes the interoperability loop:
-/// models authored in the Condor format can be handed back to Caffe
-/// users.
+/// inverse of [`analyze`]'s Caffe import and closes the
+/// interoperability loop: models authored in the Condor format can be
+/// handed back to Caffe users.
 pub fn network_to_caffe(net: &Network) -> NetParameter {
     use condor_caffe::{BlobProto, BlobShape, InputParameter};
     let mut proto = NetParameter {
@@ -594,13 +594,10 @@ impl<'a> Cursor<'a> {
         let h = self.u32()? as usize;
         let w = self.u32()? as usize;
         let shape = Shape::new(n, c, h, w);
-        let len = shape.len();
-        if len > 512 * 1024 * 1024 {
-            return Err(CondorError::new(
-                "frontend",
-                "weights tensor implausibly large",
-            ));
-        }
+        let len = shape
+            .checked_len()
+            .filter(|&len| len <= 512 * 1024 * 1024)
+            .ok_or_else(|| CondorError::new("frontend", "weights tensor implausibly large"))?;
         let raw = self.take(len * 4)?;
         let data = raw
             .chunks_exact(4)
@@ -829,6 +826,23 @@ layer { name: "prob" type: "Softmax" bottom: "ip" top: "prob" }
         let mut padded = write_weights(&trained);
         padded.push(0);
         assert!(read_weights(&mut zoo::tc1(), &padded).is_err());
+    }
+
+    #[test]
+    fn condor_weights_reject_overflowing_tensor_dimensions() {
+        // 65536⁴ = 2⁶⁴ wraps to 0 elements unless the product is
+        // checked, and would then match the empty body that follows.
+        for dim in [65_536u32, u32::MAX] {
+            let mut bytes = WEIGHTS_MAGIC.to_vec();
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&5u32.to_le_bytes());
+            bytes.extend_from_slice(b"conv1");
+            for _ in 0..4 {
+                bytes.extend_from_slice(&dim.to_le_bytes());
+            }
+            let err = read_weights(&mut zoo::tc1(), &bytes).unwrap_err();
+            assert!(err.message.contains("implausibly large"), "{dim}: {err}");
+        }
     }
 
     #[test]

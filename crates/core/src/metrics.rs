@@ -423,20 +423,6 @@ impl MetricsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
         self.histograms.get(name)
     }
-
-    /// Merges another snapshot into this one (counters add, gauges and
-    /// histograms overwrite), for combining layers into one report.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.insert(k.clone(), v.clone());
-        }
-    }
 }
 
 impl fmt::Display for MetricsSnapshot {
@@ -518,20 +504,6 @@ mod tests {
         let h = snap.histogram("x").unwrap();
         assert_eq!(h.count, 100_000);
         assert!(h.p50 > 25.0 && h.p50 < 75.0, "p50 {}", h.p50);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_overwrites_gauges() {
-        let a = MetricsRegistry::new();
-        a.incr("n", 2);
-        a.set_gauge("g", 1.0);
-        let b = MetricsRegistry::new();
-        b.incr("n", 3);
-        b.set_gauge("g", 9.0);
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
-        assert_eq!(snap.counter("n"), 5);
-        assert_eq!(snap.gauge("g"), Some(9.0));
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl NetworkRepresentation {
     }
 
     /// Builds from a parsed JSON value.
-    pub fn from_json(doc: &Value) -> Result<Self, CondorError> {
+    fn from_json(doc: &Value) -> Result<Self, CondorError> {
         let version = access::usize_or(doc, "", "condor_version", 1)?;
         if version != 1 && version != 2 {
             return Err(CondorError::new(

@@ -121,7 +121,7 @@ impl PipelineModel {
     /// Builds a model over an explicit stage graph (for tests and
     /// ablations): `stage_inputs[s]` lists the stages whose output
     /// stage `s` consumes; every predecessor must come earlier.
-    pub fn from_stage_graph(
+    fn from_stage_graph(
         stage_cycles: Vec<u64>,
         stage_inputs: Vec<Vec<usize>>,
         freq_mhz: f64,

@@ -405,11 +405,6 @@ impl AcceleratorPlan {
         done.into_iter().max().unwrap_or(dm)
     }
 
-    /// Number of pipeline stages (datamover + PEs).
-    pub fn stage_count(&self) -> usize {
-        self.pes.len() + 1
-    }
-
     /// The bottleneck stage: `(name, cycles_per_image)` of the slowest
     /// pipeline stage — what the DSE must attack to raise throughput.
     pub fn bottleneck(&self) -> (String, u64) {
@@ -885,7 +880,6 @@ mod tests {
         assert_eq!(plan.input_words_per_image, 256);
         assert_eq!(plan.datamover_cycles_per_image(), 16);
         assert!(plan.image_latency() > plan.initiation_interval());
-        assert_eq!(plan.stage_count(), plan.pes.len() + 1);
     }
 
     #[test]

@@ -41,6 +41,8 @@ use std::sync::Arc;
 pub struct ThreadedRuntime {
     net: Arc<Network>,
     plan: Arc<AcceleratorPlan>,
+    /// Inter-PE channel depth, measured in *frames* (feature-map
+    /// payloads).
     channel_depth: usize,
     faults: FaultHandle,
 }
@@ -106,14 +108,6 @@ impl ThreadedRuntime {
     /// The plan this runtime executes.
     pub fn plan(&self) -> &AcceleratorPlan {
         &self.plan
-    }
-
-    /// Overrides the inter-PE channel depth, measured in *frames*
-    /// (feature-map payloads), default 4. Depth 1 still completes — the
-    /// channels are blocking, not lossy — just with maximal back-pressure.
-    pub fn with_channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = depth.max(1);
-        self
     }
 
     /// Arms fault injection (disabled by default). Sites:
@@ -564,12 +558,12 @@ mod tests {
     #[test]
     fn tiny_channels_still_complete() {
         // Depth-1 channels maximise back-pressure but must not deadlock:
-        // the pipeline is acyclic and every consumer drains its input.
+        // the channels are blocking, not lossy, the pipeline is acyclic
+        // and every consumer drains its input.
         let net = zoo::tc1_weighted(3);
         let plan = PlanBuilder::new(&net).build().unwrap();
-        let rt = ThreadedRuntime::new(&net, &plan)
-            .unwrap()
-            .with_channel_depth(1);
+        let mut rt = ThreadedRuntime::new(&net, &plan).unwrap();
+        rt.channel_depth = 1;
         let images: Vec<Tensor> = dataset::usps_like(2, 4)
             .into_iter()
             .map(|s| s.image)

@@ -120,7 +120,7 @@ impl FilterChain {
     }
 
     /// Total stream elements expected for one feature map.
-    pub fn stream_len(&self) -> usize {
+    fn stream_len(&self) -> usize {
         self.padded_h * self.padded_w
     }
 

@@ -263,7 +263,7 @@ impl FaultRule {
     }
 
     /// Timing fault: slowdown given directly in per-mille (1500 = ×1.5).
-    pub fn slowdown_permille(mut self, permille: u32) -> Self {
+    fn slowdown_permille(mut self, permille: u32) -> Self {
         self.action = FaultAction::Slowdown(permille.max(1000));
         self
     }
@@ -438,7 +438,7 @@ pub struct TimingPerturbation {
 
 impl TimingPerturbation {
     /// The slowdown as a factor (≥ 1.0).
-    pub fn slowdown_factor(&self) -> f64 {
+    fn slowdown_factor(&self) -> f64 {
         self.slowdown_permille as f64 / 1000.0
     }
 
@@ -659,9 +659,8 @@ impl FaultHandle {
         }
     }
 
-    /// Re-arms or clears the injector at runtime; chaos tests call
-    /// `set_enabled(false)` to model "the fault window ends".
-    pub fn set_enabled(&self, enabled: bool) {
+    /// Re-arms or clears the injector at runtime.
+    fn set_enabled(&self, enabled: bool) {
         if let Some(inj) = &self.0 {
             inj.enabled.store(enabled, Ordering::Relaxed);
         }

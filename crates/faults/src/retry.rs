@@ -122,14 +122,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, no sleeping).
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Same policy, different attempt bound.
     pub fn with_max_attempts(mut self, n: u32) -> Self {
         self.max_attempts = n.max(1);
@@ -321,10 +313,12 @@ mod tests {
     fn no_retry_policy_makes_one_attempt() {
         let clock = MockClock::new();
         let calls = Cell::new(0u32);
-        let out: Result<(), TestError> = RetryPolicy::no_retry().run_with_clock(&clock, || {
-            calls.set(calls.get() + 1);
-            Err(TestError { transient: true })
-        });
+        let out: Result<(), TestError> = RetryPolicy::default()
+            .with_max_attempts(1)
+            .run_with_clock(&clock, || {
+                calls.set(calls.get() + 1);
+                Err(TestError { transient: true })
+            });
         assert!(out.is_err());
         assert_eq!(calls.get(), 1);
     }

@@ -129,7 +129,7 @@ pub const SITES: &[SiteSpec] = &[
 /// Collapses every `{...}` placeholder (named format captures included)
 /// to the canonical bare `{}`, so `"dataflow.pe{idx}"` compares equal
 /// to the registered `"dataflow.pe{}"`.
-pub fn normalize(s: &str) -> String {
+fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -186,16 +186,6 @@ fn match_impl(s: &[u8], t: &[u8], prefix: bool) -> bool {
     } else {
         s[0] == t[0] && match_impl(&s[1..], &t[1..], prefix)
     }
-}
-
-/// True when `site` is an instance of some registered site.
-pub fn is_registered(site: &str) -> bool {
-    SITES.iter().any(|s| template_matches(site, s.name))
-}
-
-/// True when the rule prefix `p` can match at least one registered site.
-pub fn prefix_is_registered(p: &str) -> bool {
-    SITES.iter().any(|s| template_prefix_matches(p, s.name))
 }
 
 #[cfg(test)]
@@ -269,6 +259,9 @@ mod tests {
 
     #[test]
     fn registry_lookups() {
+        let is_registered = |site: &str| SITES.iter().any(|s| template_matches(site, s.name));
+        let prefix_is_registered =
+            |p: &str| SITES.iter().any(|s| template_prefix_matches(p, s.name));
         assert!(is_registered("s3.put_object"));
         assert!(is_registered("dataflow.pe4"));
         assert!(!is_registered("s3.putobject"));

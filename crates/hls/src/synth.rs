@@ -55,7 +55,7 @@ pub struct PlanSynthesis {
     pub requested_fmax_mhz: f64,
 }
 
-/// Calibrated model coefficients. Exposed so ablations can perturb them.
+/// Calibrated model coefficients.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SynthModel {
     /// Base LUTs of any PE (control, stream glue).
@@ -151,7 +151,7 @@ impl SynthModel {
     /// INT8 PEs pay fewer DSPs per MAC and store weights at one byte per
     /// word; bias and partial-sum buffers keep their 32-bit accumulator
     /// width regardless of precision.
-    pub fn synthesize_pe(&self, pe: &PePlan) -> ModuleSynthesis {
+    fn synthesize_pe(&self, pe: &PePlan) -> ModuleSynthesis {
         let p = pe.parallelism;
         // Weight/stream word width; accumulators are always 4 bytes.
         let wbyte = pe.precision.bytes_per_word();
@@ -279,7 +279,7 @@ impl SynthModel {
     }
 
     /// Achievable clock for a design of the given total size.
-    pub fn achievable_fmax(&self, device: &Device, total: &Resources) -> f64 {
+    fn achievable_fmax(&self, device: &Device, total: &Resources) -> f64 {
         device.fmax_mhz
             / (1.0 + total.lut as f64 / self.lut_scale + total.dsp as f64 / self.dsp_scale)
     }
@@ -287,15 +287,7 @@ impl SynthModel {
 
 /// Runs the synthesis model over a whole plan.
 pub fn synthesize_plan(plan: &AcceleratorPlan, device: &Device) -> PlanSynthesis {
-    synthesize_plan_with(plan, device, &SynthModel::default())
-}
-
-/// [`synthesize_plan`] with explicit model coefficients (ablations).
-pub fn synthesize_plan_with(
-    plan: &AcceleratorPlan,
-    device: &Device,
-    model: &SynthModel,
-) -> PlanSynthesis {
+    let model = SynthModel::default();
     let mut modules = Vec::new();
     for pe in &plan.pes {
         modules.push(model.synthesize_pe(pe));

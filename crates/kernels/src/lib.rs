@@ -41,8 +41,7 @@
 //! following the ACCEL-v1-style narrow-precision dataflow:
 //!
 //! * [`quant`] — symmetric per-channel weight quantization, per-tensor
-//!   activation scales and the min/max + moving-average calibration
-//!   observers;
+//!   activation scales and the min/max calibration observer;
 //! * [`qgemm`] — packed GEMM over `i8` operands (4× denser than f32) in
 //!   the patch-major layout the int8 im2col emits directly, widened once
 //!   into `i16` staging planes so the reduction runs as
@@ -74,8 +73,7 @@ pub use ops::{activate, conv2d, pool2d, softmax, Activation, PoolMethod, Workspa
 pub use qgemm::{gemm_i8, gemm_i8_requant, qgemv_i8, requantize_into, QWorkspace};
 pub use qops::{qconv2d, qpool2d};
 pub use quant::{
-    dequantize_into, quantize_into, quantize_weights_per_channel, MinMaxObserver,
-    MovingAvgObserver, QuantParams, QMAX,
+    dequantize_into, quantize_into, quantize_weights_per_channel, MinMaxObserver, QuantParams, QMAX,
 };
 pub use winograd::{
     conv2d_winograd, takes_winograd, winograd_scratch_len, WinogradFilters, WINOGRAD_MIN_CHANNELS,

@@ -8,11 +8,8 @@
 //! pairs of products in `i16` without overflow). Weights are quantized
 //! **per output channel** (each filter gets its own scale, recovering
 //! most of the accuracy lost to outlier filters), activations **per
-//! tensor** with scales chosen by calibration observers:
-//!
-//! * [`MinMaxObserver`] — tracks the exact extrema of everything it saw;
-//! * [`MovingAvgObserver`] — exponential moving average of per-batch
-//!   extrema, the classic smoothed calibration for streaming data.
+//! tensor** with scales chosen by a [`MinMaxObserver`], which tracks the
+//! exact extrema of everything it saw.
 //!
 //! Real values map as `q = clamp(round(x / scale), -127, 127)` and back
 //! as `x ≈ q · scale`; for inputs inside the calibrated range the
@@ -153,59 +150,9 @@ impl MinMaxObserver {
         }
     }
 
-    /// The observed range (`None` before any finite observation).
-    pub fn range(&self) -> Option<(f32, f32)> {
-        self.seen.then_some((self.min, self.max))
-    }
-
     /// Symmetric parameters covering the observed range.
     pub fn params(&self) -> QuantParams {
         QuantParams::from_abs_max(self.min.abs().max(self.max.abs()))
-    }
-}
-
-/// Moving-average calibration observer.
-///
-/// Each [`MovingAvgObserver::observe`] call is one calibration batch:
-/// its absolute maximum is folded into an exponential moving average
-/// (`ema = momentum · ema + (1 − momentum) · batch_max`), which smooths
-/// single-batch outliers the way streaming calibration pipelines do.
-#[derive(Clone, Copy, Debug)]
-pub struct MovingAvgObserver {
-    momentum: f32,
-    ema: Option<f32>,
-}
-
-impl MovingAvgObserver {
-    /// An observer with the given momentum in `[0, 1)` (clamped); 0.9 is
-    /// the conventional default.
-    pub fn new(momentum: f32) -> Self {
-        MovingAvgObserver {
-            momentum: momentum.clamp(0.0, 0.999_999),
-            ema: None,
-        }
-    }
-
-    /// Folds one batch's absolute maximum into the moving average.
-    pub fn observe(&mut self, values: &[f32]) {
-        let batch_max = values
-            .iter()
-            .filter(|v| v.is_finite())
-            .fold(0.0f32, |m, &v| m.max(v.abs()));
-        self.ema = Some(match self.ema {
-            None => batch_max,
-            Some(e) => self.momentum * e + (1.0 - self.momentum) * batch_max,
-        });
-    }
-
-    /// The smoothed absolute maximum (`None` before any observation).
-    pub fn abs_max(&self) -> Option<f32> {
-        self.ema
-    }
-
-    /// Symmetric parameters covering the smoothed range.
-    pub fn params(&self) -> QuantParams {
-        QuantParams::from_abs_max(self.ema.unwrap_or(0.0))
     }
 }
 
@@ -280,30 +227,18 @@ mod tests {
         let mut obs = MinMaxObserver::new();
         obs.observe(&ramp(64, 0.25));
         obs.observe(&[9.5, -2.0]);
-        let (lo, hi) = obs.range().unwrap();
-        assert_eq!(hi, 9.5);
-        assert!(lo <= -3.0);
+        assert!(obs.seen);
+        assert_eq!(obs.max, 9.5);
+        assert!(obs.min <= -3.0);
         let p = obs.params();
         assert!((p.scale - 9.5 / 127.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn moving_average_smooths_batch_outliers() {
-        let mut obs = MovingAvgObserver::new(0.9);
-        obs.observe(&[1.0, -1.0]);
-        obs.observe(&[100.0]); // single outlier batch
-        let ema = obs.abs_max().unwrap();
-        assert!(ema < 15.0, "outlier should be damped, got {ema}");
-        assert!(ema > 1.0);
     }
 
     #[test]
     fn observers_ignore_non_finite_values() {
         let mut mm = MinMaxObserver::new();
         mm.observe(&[f32::NAN, f32::INFINITY, 2.0]);
-        assert_eq!(mm.range().unwrap(), (2.0, 2.0));
-        let mut ma = MovingAvgObserver::new(0.5);
-        ma.observe(&[f32::NAN, 3.0]);
-        assert_eq!(ma.abs_max().unwrap(), 3.0);
+        assert!(mm.seen);
+        assert_eq!((mm.min, mm.max), (2.0, 2.0));
     }
 }

@@ -46,7 +46,7 @@ pub struct Sample {
 /// `size` is the square image extent (16 for USPS-like, 28 for
 /// MNIST-like); `jitter` shifts the glyph by up to ±1 pixel and `noise`
 /// adds uniform pixel noise, both driven by `rng`.
-pub fn render_digit(digit: usize, size: usize, rng: &mut TensorRng) -> Tensor {
+fn render_digit(digit: usize, size: usize, rng: &mut TensorRng) -> Tensor {
     assert!(digit < 10, "digit out of range");
     assert!(size >= 8, "image too small to render a glyph");
     let mut img = Tensor::zeros(Shape::chw(1, size, size));
@@ -103,7 +103,7 @@ pub fn render_digit(digit: usize, size: usize, rng: &mut TensorRng) -> Tensor {
 }
 
 /// Generates `n` labelled digits cycling through classes 0–9.
-pub fn synthetic_digits(n: usize, size: usize, seed: u64) -> Vec<Sample> {
+fn synthetic_digits(n: usize, size: usize, seed: u64) -> Vec<Sample> {
     let mut rng = TensorRng::seeded(seed);
     (0..n)
         .map(|i| {

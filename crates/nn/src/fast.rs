@@ -190,12 +190,6 @@ impl FastEngine {
         }
     }
 
-    /// Number of compiled steps (< layer count when ReLUs were fused
-    /// into their producers).
-    pub fn step_count(&self) -> usize {
-        self.plan.schedule.steps.len()
-    }
-
     /// Number of activation slots the compile-time refcounting scan
     /// settled on: 2 for every linear chain (the classic ping-pong
     /// pair), more for branchy graphs whose widest live cut is wider.
@@ -251,35 +245,6 @@ impl FastEngine {
     /// allocation), preserving order.
     pub fn infer_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>, NnError> {
         inputs.iter().map(|img| self.infer(img)).collect()
-    }
-
-    /// Runs a batch in parallel across threads, each with its own scratch
-    /// arena, preserving order. Falls back to the sequential path for
-    /// single-image batches.
-    pub fn par_infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, NnError> {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if inputs.len() <= 1 || threads <= 1 {
-            return self.clone().infer_batch(inputs);
-        }
-        let per = inputs.len().div_ceil(threads.min(inputs.len()));
-        let chunk_results = std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(per)
-                .map(|chunk| {
-                    let mut engine = self.clone();
-                    scope.spawn(move || engine.infer_batch(chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("inference worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut outputs = Vec::with_capacity(inputs.len());
-        for r in chunk_results {
-            outputs.extend(r?);
-        }
-        Ok(outputs)
     }
 }
 
@@ -451,7 +416,7 @@ mod tests {
         let fast = FastEngine::new(&net).unwrap();
         // LeNet has no standalone ReLU after conv, but TC1 does; at
         // minimum the step count never exceeds the layer count.
-        assert!(fast.step_count() <= net.layers.len());
+        assert!(fast.plan.schedule.steps.len() <= net.layers.len());
 
         let tc1 = zoo::tc1_weighted(1);
         let fused = FastEngine::new(&tc1).unwrap();
@@ -465,7 +430,10 @@ mod tests {
                 ) && matches!(w[1].kind, LayerKind::ReLU { .. })
             })
             .count();
-        assert_eq!(fused.step_count(), tc1.layers.len() - relu_after_weighted);
+        assert_eq!(
+            fused.plan.schedule.steps.len(),
+            tc1.layers.len() - relu_after_weighted
+        );
     }
 
     #[test]
@@ -567,7 +535,11 @@ mod tests {
         let mut net = b.build().unwrap();
         net.attach_random_weights(3).unwrap();
         let mut fast = FastEngine::new(&net).unwrap();
-        assert_eq!(fast.step_count(), net.layers.len(), "no fusion expected");
+        assert_eq!(
+            fast.plan.schedule.steps.len(),
+            net.layers.len(),
+            "no fusion expected"
+        );
         let img = TensorRng::seeded(9).uniform(net.input_shape, -1.0, 1.0);
         let f = fast.infer(&img).unwrap();
         let g = GoldenEngine::new(&net).unwrap().infer(&img).unwrap();
@@ -586,25 +558,6 @@ mod tests {
             assert!(
                 f.all_close_tol(&g, 1e-4, 1e-4),
                 "seed {seed}: fast and golden disagree"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_and_parallel_batch_match_sequential() {
-        let net = zoo::tc1_weighted(9);
-        let mut fast = FastEngine::new(&net).unwrap();
-        let imgs: Vec<Tensor> = (0..6)
-            .map(|i| TensorRng::seeded(100 + i).uniform(net.input_shape, -1.0, 1.0))
-            .collect();
-        let seq = fast.infer_batch(&imgs).unwrap();
-        let par = fast.par_infer_batch(&imgs).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                a.as_slice(),
-                b.as_slice(),
-                "parallel batch must be bit-identical"
             );
         }
     }

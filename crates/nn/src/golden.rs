@@ -263,7 +263,7 @@ pub fn pool(
 /// does not match the flattened input length (previously a
 /// `debug_assert!`, which release builds silently skipped before reading
 /// out of bounds through `Tensor::at`'s panic).
-pub fn inner_product(
+fn inner_product(
     input: &Tensor,
     weights: &Tensor,
     bias: Option<&Tensor>,
@@ -311,7 +311,7 @@ pub fn concat(inputs: &[&Tensor]) -> Tensor {
 /// Element-wise merge (Caffe `Eltwise`): folds the inputs with the
 /// operator, left to right. Callers guarantee at least one input and
 /// identical shapes (enforced by shape inference).
-pub fn eltwise(op: EltwiseOp, inputs: &[&Tensor]) -> Tensor {
+fn eltwise(op: EltwiseOp, inputs: &[&Tensor]) -> Tensor {
     let first = inputs.first().expect("eltwise needs at least one input");
     let mut out = (*first).clone();
     for t in &inputs[1..] {

@@ -52,4 +52,4 @@ pub use golden::GoldenEngine;
 pub use graph::{NetworkBuilder, NodeId};
 pub use layer::{EltwiseOp, Layer, LayerKind, PoolKind, ShapeError, ShapeErrorKind, Stage};
 pub use network::{LayerCost, Network, NnError, NnErrorKind};
-pub use quantized::{Calibration, LayerAccuracy, QuantAccuracyReport, QuantizedEngine};
+pub use quantized::{LayerAccuracy, QuantAccuracyReport, QuantizedEngine};

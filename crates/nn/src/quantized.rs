@@ -13,9 +13,8 @@
 //! ## Calibration
 //!
 //! [`QuantizedEngine::calibrate`] drives the golden engine over a sample
-//! batch, observes every node's activation range ([`MinMaxObserver`] by
-//! default, [`MovingAvgObserver`] via [`Calibration::MovingAvg`]) and
-//! freezes one [`QuantParams`] per node value. Weights are quantized
+//! batch, observes every node's exact activation range with a
+//! [`MinMaxObserver`] and freezes one [`QuantParams`] per node value. Weights are quantized
 //! **per output channel**.
 //!
 //! ## Compilation
@@ -52,54 +51,10 @@ use crate::schedule::{conv_geometry, pool_method, Arena, Schedule, ScheduledStep
 use crate::GoldenEngine;
 use condor_kernels::{
     dequantize_into, qconv2d, qgemv_i8, qpool2d, quantize_into, quantize_weights_per_channel,
-    softmax, MinMaxObserver, MovingAvgObserver, QWorkspace, QuantParams, QMAX,
+    softmax, MinMaxObserver, QWorkspace, QuantParams, QMAX,
 };
 use condor_tensor::Tensor;
 use std::sync::Arc;
-
-/// Activation-range calibration strategy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Calibration {
-    /// Exact extrema of everything the calibration batch produced — the
-    /// default; budgets are then guaranteed on the calibration inputs.
-    MinMax,
-    /// Exponential moving average of per-image absolute maxima — the
-    /// streaming calibration that damps single-image outliers (ranges
-    /// may then clip outlier activations, trading budget guarantees for
-    /// robustness to calibration noise).
-    MovingAvg {
-        /// EMA momentum in `[0, 1)`; 0.9 is conventional.
-        momentum: f32,
-    },
-}
-
-enum Obs {
-    MinMax(MinMaxObserver),
-    Avg(MovingAvgObserver),
-}
-
-impl Obs {
-    fn new(method: Calibration) -> Self {
-        match method {
-            Calibration::MinMax => Obs::MinMax(MinMaxObserver::new()),
-            Calibration::MovingAvg { momentum } => Obs::Avg(MovingAvgObserver::new(momentum)),
-        }
-    }
-
-    fn observe(&mut self, values: &[f32]) {
-        match self {
-            Obs::MinMax(o) => o.observe(values),
-            Obs::Avg(o) => o.observe(values),
-        }
-    }
-
-    fn params(&self) -> QuantParams {
-        match self {
-            Obs::MinMax(o) => o.params(),
-            Obs::Avg(o) => o.params(),
-        }
-    }
-}
 
 /// What compilation precomputes for a step beyond its layer kind.
 #[derive(Debug)]
@@ -149,7 +104,7 @@ fn slacked(bound: f32) -> f32 {
 }
 
 impl QPlan {
-    fn compile(net: Arc<Network>, calib: &[Tensor], method: Calibration) -> Result<Self, NnError> {
+    fn compile(net: Arc<Network>, calib: &[Tensor]) -> Result<Self, NnError> {
         if calib.is_empty() {
             return Err(
                 NnError::net("quantized calibration needs at least one sample input")
@@ -161,8 +116,8 @@ impl QPlan {
 
         // Observe every node's activation range (and the input's) over
         // the calibration batch.
-        let mut node_obs: Vec<Obs> = (0..n).map(|_| Obs::new(method)).collect();
-        let mut input_obs = Obs::new(method);
+        let mut node_obs = vec![MinMaxObserver::new(); n];
+        let mut input_obs = MinMaxObserver::new();
         for img in calib {
             input_obs.observe(img.as_slice());
             let all = golden.infer_all_layers(img)?;
@@ -170,7 +125,7 @@ impl QPlan {
                 obs.observe(out.as_slice());
             }
         }
-        let node_params: Vec<QuantParams> = node_obs.iter().map(Obs::params).collect();
+        let node_params: Vec<QuantParams> = node_obs.iter().map(MinMaxObserver::params).collect();
         let input_params = input_obs.params();
 
         // Plain ReLU only: the one form the integer epilogue's
@@ -487,16 +442,7 @@ impl QuantizedEngine {
     /// Calibrates with exact min/max observers over the sample batch and
     /// compiles the quantized plan.
     pub fn calibrate(net: &Network, calib: &[Tensor]) -> Result<Self, NnError> {
-        QuantizedEngine::calibrate_with(net, calib, Calibration::MinMax)
-    }
-
-    /// Calibrates with an explicit strategy.
-    pub fn calibrate_with(
-        net: &Network,
-        calib: &[Tensor],
-        method: Calibration,
-    ) -> Result<Self, NnError> {
-        let plan = QPlan::compile(Arc::new(net.clone()), calib, method)?;
+        let plan = QPlan::compile(Arc::new(net.clone()), calib)?;
         Ok(QuantizedEngine::from_plan(Arc::new(plan)))
     }
 
@@ -516,11 +462,6 @@ impl QuantizedEngine {
     /// The network this engine executes.
     pub fn network(&self) -> &Network {
         &self.plan.net
-    }
-
-    /// Number of compiled steps (< layer count when ReLUs were fused).
-    pub fn step_count(&self) -> usize {
-        self.plan.steps.len()
     }
 
     /// Number of `i8` activation slots the arena holds (2 for chains —
@@ -798,17 +739,6 @@ mod tests {
     fn empty_calibration_batch_refused() {
         let net = zoo::lenet_weighted(1);
         assert!(QuantizedEngine::calibrate(&net, &[]).is_err());
-    }
-
-    #[test]
-    fn moving_average_calibration_runs_end_to_end() {
-        let net = zoo::lenet_weighted(2);
-        let calib = calib_batch(net.input_shape, 4, 60);
-        let mut q =
-            QuantizedEngine::calibrate_with(&net, &calib, Calibration::MovingAvg { momentum: 0.9 })
-                .unwrap();
-        let out = q.infer(&calib[0]).unwrap();
-        assert_eq!(out.shape(), Shape::vector(10));
     }
 
     #[test]

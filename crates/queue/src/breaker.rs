@@ -2,8 +2,7 @@
 //! threshold → half-open probe → closed.
 //!
 //! The fleet used to count consecutive failures and fail an instance
-//! over once the count crossed `instance_failure_threshold` — a
-//! one-way door with no recovery short of reprovisioning, and no
+//! over once the count crossed a threshold — a one-way door with no recovery short of reprovisioning, and no
 //! memory: one success reset the count even when 9 of the last 10
 //! dispatches failed. A [`CircuitBreaker`] replaces the counter with
 //! the classic three-state machine:
@@ -39,7 +38,7 @@ const WINDOW_BUCKETS: u64 = 10;
 #[derive(Clone, Debug, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip the breaker regardless of rate
-    /// (the legacy `instance_failure_threshold` semantics; at least 1).
+    /// (at least 1).
     pub consecutive_failures: u32,
     /// Failure rate over [`BreakerConfig::window`] that trips the
     /// breaker (clamped to `(0, 1]`).
@@ -78,33 +77,9 @@ impl BreakerConfig {
         self
     }
 
-    /// Sets the failure-rate trip threshold.
-    pub fn with_failure_rate(mut self, rate: f64) -> Self {
-        self.failure_rate = rate;
-        self
-    }
-
-    /// Sets the minimum window population before the rate applies.
-    pub fn with_min_samples(mut self, n: u32) -> Self {
-        self.min_samples = n;
-        self
-    }
-
-    /// Sets the rolling-window width.
-    pub fn with_window(mut self, d: Duration) -> Self {
-        self.window = d;
-        self
-    }
-
     /// Sets the open → half-open timeout.
     pub fn with_open_timeout(mut self, d: Duration) -> Self {
         self.open_timeout = d;
-        self
-    }
-
-    /// Sets the probe-success count that closes the breaker.
-    pub fn with_half_open_probes(mut self, n: u32) -> Self {
-        self.half_open_probes = n;
         self
     }
 
@@ -222,11 +197,6 @@ impl CircuitBreaker {
         let mut inner = self.inner.lock();
         self.tick(&mut inner, now);
         inner.state
-    }
-
-    /// How many times the breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.inner.lock().trips
     }
 
     /// Asks to dispatch one request. `true` means go (either the
@@ -376,13 +346,14 @@ mod tests {
 
     fn breaker(clock: &Arc<MockClock>) -> CircuitBreaker {
         CircuitBreaker::new(
-            BreakerConfig::default()
-                .with_consecutive_failures(3)
-                .with_failure_rate(0.5)
-                .with_min_samples(4)
-                .with_window(Duration::from_secs(10))
-                .with_open_timeout(Duration::from_millis(500))
-                .with_half_open_probes(2),
+            BreakerConfig {
+                consecutive_failures: 3,
+                failure_rate: 0.5,
+                min_samples: 4,
+                window: Duration::from_secs(10),
+                open_timeout: Duration::from_millis(500),
+                half_open_probes: 2,
+            },
             Arc::clone(clock) as Arc<dyn Clock + Send + Sync>,
         )
     }
@@ -429,7 +400,7 @@ mod tests {
                 (BreakerState::Closed, true),
             ]
         );
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.inner.lock().trips, 1);
     }
 
     #[test]
@@ -443,7 +414,7 @@ mod tests {
         assert!(b.admit(), "half-open probe admitted");
         assert!(b.on_failure(), "probe failure re-trips");
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
+        assert_eq!(b.inner.lock().trips, 2);
         // The timeout restarts from the re-trip.
         clock.advance(Duration::from_millis(499));
         assert!(!b.admit());
@@ -455,11 +426,13 @@ mod tests {
     fn failure_rate_trips_without_consecutive_failures() {
         let clock = Arc::new(MockClock::new());
         let b = CircuitBreaker::new(
-            BreakerConfig::default()
-                .with_consecutive_failures(100)
-                .with_failure_rate(0.5)
-                .with_min_samples(4)
-                .with_window(Duration::from_secs(10)),
+            BreakerConfig {
+                consecutive_failures: 100,
+                failure_rate: 0.5,
+                min_samples: 4,
+                window: Duration::from_secs(10),
+                ..BreakerConfig::default()
+            },
             Arc::clone(&clock) as Arc<dyn Clock + Send + Sync>,
         );
         // Alternating outcomes never build a consecutive streak, but
@@ -476,11 +449,13 @@ mod tests {
     fn stale_samples_age_out_of_the_window() {
         let clock = Arc::new(MockClock::new());
         let b = CircuitBreaker::new(
-            BreakerConfig::default()
-                .with_consecutive_failures(100)
-                .with_failure_rate(0.5)
-                .with_min_samples(2)
-                .with_window(Duration::from_millis(100)),
+            BreakerConfig {
+                consecutive_failures: 100,
+                failure_rate: 0.5,
+                min_samples: 2,
+                window: Duration::from_millis(100),
+                ..BreakerConfig::default()
+            },
             Arc::clone(&clock) as Arc<dyn Clock + Send + Sync>,
         );
         assert!(!b.on_failure());
@@ -496,11 +471,13 @@ mod tests {
         let clock = Arc::new(MockClock::new());
         // 100 ms buckets; only the rate path can trip.
         let b = CircuitBreaker::new(
-            BreakerConfig::default()
-                .with_consecutive_failures(100)
-                .with_failure_rate(0.5)
-                .with_min_samples(4)
-                .with_window(Duration::from_secs(1)),
+            BreakerConfig {
+                consecutive_failures: 100,
+                failure_rate: 0.5,
+                min_samples: 4,
+                window: Duration::from_secs(1),
+                ..BreakerConfig::default()
+            },
             Arc::clone(&clock) as Arc<dyn Clock + Send + Sync>,
         );
         assert!(!b.on_failure());
@@ -527,9 +504,11 @@ mod tests {
         // Rate path disabled (min_samples out of reach): only the
         // consecutive streak can trip.
         let b = CircuitBreaker::new(
-            BreakerConfig::default()
-                .with_consecutive_failures(3)
-                .with_min_samples(100),
+            BreakerConfig {
+                consecutive_failures: 3,
+                min_samples: 100,
+                ..BreakerConfig::default()
+            },
             Arc::clone(&clock) as Arc<dyn Clock + Send + Sync>,
         );
         b.on_failure();
@@ -551,7 +530,7 @@ mod tests {
         b.reset();
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.admit());
-        assert_eq!(b.trips(), 1, "history survives the reset");
+        assert_eq!(b.inner.lock().trips, 1, "history survives the reset");
         // The window restarts empty: two failures are not enough to
         // re-trip via the consecutive path (threshold 3).
         b.on_failure();
@@ -561,12 +540,12 @@ mod tests {
 
     #[test]
     fn config_normalization_enforces_bounds() {
-        let b = CircuitBreaker::with_system_clock(
-            BreakerConfig::default()
-                .with_consecutive_failures(0)
-                .with_failure_rate(f64::NAN)
-                .with_half_open_probes(0),
-        );
+        let b = CircuitBreaker::with_system_clock(BreakerConfig {
+            consecutive_failures: 0,
+            failure_rate: f64::NAN,
+            half_open_probes: 0,
+            ..BreakerConfig::default()
+        });
         // consecutive_failures floored to 1: one failure trips.
         assert!(b.on_failure());
         assert_eq!(b.state(), BreakerState::Open);

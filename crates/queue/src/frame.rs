@@ -52,7 +52,7 @@ pub const ACK_FRAME_LEN: usize = 20;
 pub const CHECKPOINT_LEN: usize = 32;
 
 /// 64-bit FNV-1a over a sequence of byte slices.
-pub fn fnv1a64(parts: &[&[u8]]) -> u64 {
+fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {

@@ -77,8 +77,8 @@ pub(crate) fn decode_request(bytes: &[u8]) -> Option<(Tensor, Duration, u64)> {
     let timeout_us = u64::from_le_bytes(bytes[16..24].try_into().ok()?);
     let deadline_epoch_us = u64::from_le_bytes(bytes[24..32].try_into().ok()?);
     let body = &bytes[HEADER..];
-    let count = shape.n * shape.c * shape.h * shape.w;
-    if body.len() != count * 4 {
+    let count = shape.checked_len()?;
+    if body.len() != count.checked_mul(4)? {
         return None;
     }
     let data: Vec<f32> = body
@@ -127,6 +127,15 @@ mod tests {
         grown.extend_from_slice(&[0u8; 4]);
         assert!(decode_request(&grown).is_none());
         assert!(decode_request(&[]).is_none());
+        // Dimensions whose product overflows are refused, not wrapped:
+        // 65536⁴ = 2⁶⁴ would wrap to 0 and match an empty body.
+        for dim in [65_536u32, u32::MAX] {
+            let mut huge = bytes[..HEADER].to_vec();
+            for i in 0..4 {
+                huge[i * 4..i * 4 + 4].copy_from_slice(&dim.to_le_bytes());
+            }
+            assert!(decode_request(&huge).is_none(), "dim {dim}");
+        }
     }
 
     #[test]

@@ -132,12 +132,6 @@ pub struct FleetConfig {
     /// Pause before re-provisioning a failed instance (real AFIs load
     /// in seconds; tests use milliseconds).
     pub reprovision_backoff: Duration,
-    /// Consecutive terminal failures before an instance fails over —
-    /// the trip threshold of the default circuit breaker when
-    /// [`FleetConfig::breaker`] is unset. Must be ≥ 1: the builder
-    /// clamps, and a struct-literal constructor is responsible for
-    /// keeping it so (debug builds assert at startup).
-    pub instance_failure_threshold: usize,
     /// Not read. A fleet dispatches from one thread that never waits on
     /// a reply, and an instance's concurrency is its room
     /// (`serve.max_batch` × its lanes), not a thread count. Kept so
@@ -160,11 +154,11 @@ pub struct FleetConfig {
     /// Which admission queue backs [`Fleet::submit`]: in-memory
     /// (default) or a crash-safe disk queue.
     pub queue: QueueBackend,
-    /// Explicit per-instance circuit-breaker tuning. When unset, a
-    /// default breaker trips after `instance_failure_threshold`
-    /// consecutive failures (the legacy semantics, plus rate tripping
-    /// and half-open recovery).
-    pub breaker: Option<BreakerConfig>,
+    /// Per-instance circuit-breaker tuning. The default trips after one
+    /// consecutive terminal failure, so an instance fails over on its
+    /// first, and otherwise keeps [`BreakerConfig::default`]'s rate
+    /// tripping and half-open recovery.
+    pub breaker: BreakerConfig,
 }
 
 impl Default for FleetConfig {
@@ -173,12 +167,11 @@ impl Default for FleetConfig {
             replicas: 2,
             min_healthy: 1,
             reprovision_backoff: Duration::from_millis(10),
-            instance_failure_threshold: 1,
             router_threads: 4,
             queue_capacity: 256,
             serve: ServeConfig::default(),
             queue: QueueBackend::InMemory,
-            breaker: None,
+            breaker: BreakerConfig::default().with_consecutive_failures(1),
         }
     }
 }
@@ -199,12 +192,6 @@ impl FleetConfig {
     /// Sets the pause before re-provisioning a failed instance.
     pub fn with_reprovision_backoff(mut self, d: Duration) -> Self {
         self.reprovision_backoff = d;
-        self
-    }
-
-    /// Sets the consecutive-failure threshold for instance failover.
-    pub fn with_instance_failure_threshold(mut self, n: usize) -> Self {
-        self.instance_failure_threshold = n.max(1);
         self
     }
 
@@ -233,20 +220,10 @@ impl FleetConfig {
         self
     }
 
-    /// Sets explicit per-instance circuit-breaker tuning.
+    /// Sets the per-instance circuit-breaker tuning.
     pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
-        self.breaker = Some(config);
+        self.breaker = config;
         self
-    }
-
-    /// The breaker config every instance starts with: the explicit one
-    /// when set, otherwise the legacy consecutive-failure threshold.
-    fn breaker_config(&self) -> BreakerConfig {
-        self.breaker.clone().unwrap_or_else(|| {
-            BreakerConfig::default().with_consecutive_failures(
-                u32::try_from(self.instance_failure_threshold).unwrap_or(u32::MAX),
-            )
-        })
     }
 }
 
@@ -611,10 +588,6 @@ impl Fleet {
         // owns the same contract, checked here once instead of being
         // silently re-clamped at every use site.
         debug_assert!(config.queue_capacity >= 1, "queue_capacity must be ≥ 1");
-        debug_assert!(
-            config.instance_failure_threshold >= 1,
-            "instance_failure_threshold must be ≥ 1"
-        );
         // Before any instance is provisioned: a failed open must leave
         // no replica, dispatcher or supervisor running. The queue is
         // the same classed one the single server uses — strict priority
@@ -622,7 +595,6 @@ impl Fleet {
         // it — and the only one a fleet request ever waits in.
         let intake = Intake::open(&config.queue, config.queue_capacity, &config.serve)?;
         let (supervisor_tx, supervisor_rx) = channel::<SupervisorMsg>();
-        let breaker_config = config.breaker_config();
         let shared = Arc::new(FleetShared {
             slots: (0..config.replicas)
                 .map(|_| Mutex::new(InstanceSlot::default()))
@@ -634,7 +606,7 @@ impl Fleet {
             supervisor_tx,
             rr: AtomicUsize::new(0),
             breakers: (0..config.replicas)
-                .map(|_| CircuitBreaker::with_system_clock(breaker_config.clone()))
+                .map(|_| CircuitBreaker::with_system_clock(config.breaker.clone()))
                 .collect(),
             provisioner: Box::new(provisioner),
             serve: config.serve.clone(),
@@ -1014,6 +986,56 @@ mod tests {
         assert!(snap.counter("instance_reprovisioned") >= 1);
         // The reset breaker reads Closed on the final snapshot.
         assert_eq!(snap.gauge("breaker0_state"), Some(0.0));
+        handle.clear();
+    }
+
+    #[test]
+    fn default_breaker_fails_an_instance_over_after_one_terminal_failure() {
+        use condor_faults::{FaultPlan, FaultRule};
+        assert_eq!(FleetConfig::default().breaker.consecutive_failures, 1);
+        // One instance whose only generation fails terminally, on the
+        // default breaker: the first failure fails it over, so the
+        // second request is refused without a dispatch.
+        let handle = FaultPlan::new(0xB3)
+            .rule(
+                FaultRule::at("fleet0g0.serve.backend0")
+                    .always()
+                    .fail_permanent(),
+            )
+            .install();
+        let net = zoo::tc1_weighted(13);
+        let fleet = Fleet::new(
+            move |_: usize, generation: u64| {
+                if generation == 0 {
+                    CpuBackend::replicas(&net, 1)
+                } else {
+                    Err(CondorError::new("deploy", "no capacity"))
+                }
+            },
+            FleetConfig::default()
+                .with_replicas(1)
+                .with_min_healthy(0)
+                .with_reprovision_backoff(Duration::from_millis(50))
+                .with_serve(
+                    ServeConfig::default()
+                        .with_batch_window(Duration::from_millis(1))
+                        .with_default_timeout(Duration::from_secs(20))
+                        .with_faults(handle.clone()),
+                ),
+        )
+        .unwrap();
+        let mut samples = dataset::usps_like(2, 13);
+        let first = fleet.submit(samples.remove(0).image).unwrap().wait();
+        assert!(matches!(first, Err(ServeError::Backend(_))));
+        let second = fleet.submit(samples.remove(0).image).unwrap().wait();
+        assert!(matches!(
+            second,
+            Err(ServeError::Overloaded(ShedReason::BreakerOpen))
+        ));
+        let snap = fleet.shutdown();
+        assert_eq!(snap.counter("instance_failed_over"), 1);
+        assert_eq!(snap.counter("requests_failed"), 1);
+        assert_ledger_balances(&snap);
         handle.clear();
     }
 

@@ -20,7 +20,7 @@
 use condor_faults::journal;
 use condor_faults::{FaultPlan, FaultRule};
 use condor_nn::{dataset, zoo};
-use condor_serve::{CpuBackend, Fleet, FleetConfig, ServeConfig, ServeError};
+use condor_serve::{BreakerConfig, CpuBackend, Fleet, FleetConfig, ServeConfig, ServeError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ fn fleet_survives_a_permanent_instance_kill_mid_stream() {
                 .with_replicas(REPLICAS)
                 .with_min_healthy(1)
                 .with_reprovision_backoff(Duration::from_millis(5))
-                .with_instance_failure_threshold(1)
+                .with_breaker(BreakerConfig::default().with_consecutive_failures(1))
                 .with_serve(
                     ServeConfig::default()
                         .with_max_batch(4)

@@ -41,6 +41,15 @@ impl Shape {
         self.n * self.c * self.h * self.w
     }
 
+    /// Total number of elements, or `None` when the product overflows
+    /// `usize` — for shapes read from untrusted bytes.
+    pub fn checked_len(&self) -> Option<usize> {
+        self.n
+            .checked_mul(self.c)?
+            .checked_mul(self.h)?
+            .checked_mul(self.w)
+    }
+
     /// True when the shape holds no elements.
     pub const fn is_empty(&self) -> bool {
         self.len() == 0

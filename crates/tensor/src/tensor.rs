@@ -39,19 +39,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Builds a `1×c×h×w` tensor from a nested `[[row; w]; h]`-style slice,
-    /// useful in tests.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        let h = rows.len();
-        let w = rows.first().map_or(0, |r| r.len());
-        assert!(rows.iter().all(|r| r.len() == w), "ragged rows");
-        let mut data = Vec::with_capacity(h * w);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        Tensor::from_vec(Shape::chw(1, h, w), data)
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> Shape {
         self.shape
@@ -75,11 +62,6 @@ impl Tensor {
     /// Mutable view of the backing storage.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element access by 4-D coordinate.
@@ -235,7 +217,7 @@ mod tests {
 
     #[test]
     fn padded_reads_return_zero_in_halo() {
-        let t = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let t = Tensor::from_vec(Shape::chw(1, 2, 2), vec![1.0, 2.0, 3.0, 4.0]);
         // pad=1: padded coordinate (0,0) is halo, (1,1) is the (0,0) value.
         assert_eq!(t.at_padded(0, 0, 0, 0, 1), 0.0);
         assert_eq!(t.at_padded(0, 0, 1, 1, 1), 1.0);

@@ -23,9 +23,9 @@
 //!   moves past `since`, and rejects future-dated or unparseable
 //!   `since` versions (`X030`–`X032`).
 //!
-//! One more rule reuses the same token scan: a `pub fn` of a crate under
-//! API-snapshot review whose name the tree mentions nowhere but in its
-//! own declaration is surface nobody calls (`X040`).
+//! One more rule reuses the same token scan: a `pub fn` of a library
+//! crate under `crates/` whose name no file but its own mentions is
+//! surface nobody else calls (`X040`).
 //!
 //! Violations render as stable `X0xx` diagnostics (text and JSON),
 //! mirroring condor-check's `C0xx` reporting idiom. The audit runs as a
@@ -37,7 +37,7 @@ use crate::lexer::{lex, Spanned, Tok};
 use condor::MetricKind;
 use condor_cjson::Value;
 use condor_faults::sites::{template_matches, template_prefix_matches};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -83,7 +83,7 @@ pub enum AuditCode {
     X031,
     /// An expired deprecation shim: the one-release grace period passed.
     X032,
-    /// A snapshotted `pub fn` that nothing in the tree ever names.
+    /// A library `pub fn` that no file but its own names.
     X040,
 }
 
@@ -151,7 +151,7 @@ impl AuditCode {
             AuditCode::X030 => "deprecation without a parseable `since` version",
             AuditCode::X031 => "future-dated deprecation",
             AuditCode::X032 => "expired deprecation shim",
-            AuditCode::X040 => "public function never named outside its declaration",
+            AuditCode::X040 => "public function named by no file but its own",
         }
     }
 
@@ -351,7 +351,7 @@ pub struct AuditConfig {
     pub snapshot: String,
     /// The workspace version `#[deprecated(since)]` is judged against.
     pub version: (u64, u64, u64),
-    /// Public-API surfaces checked for dead functions, as `(src dir
+    /// Public surfaces checked for dead functions, as `(src dir
     /// relative to root, surface text in [`crate::surface`]'s form)`.
     pub api: Vec<(String, String)>,
 }
@@ -368,14 +368,13 @@ impl AuditConfig {
         let version = workspace_version(&manifest)
             .expect("workspace Cargo.toml declares [workspace.package] version");
         AuditConfig {
-            root,
             skip: vec![
                 "target".into(),
                 ".git".into(),
                 "shims".into(),
-                // xtask's own sources and fixtures contain deliberately
-                // broken literals (this module's tests).
-                "crates/xtask".into(),
+                // The fixtures contain deliberately broken literals
+                // (this module's tests).
+                "crates/xtask/fixtures".into(),
             ],
             site_exempt: vec!["crates/faults".into()],
             metric_exempt: vec!["crates/core/src/metrics.rs".into()],
@@ -412,17 +411,41 @@ impl AuditConfig {
             design,
             snapshot,
             version,
-            api: crate::TRACKED
-                .iter()
-                .map(|(_, dir)| (dir.to_string(), crate::surface(dir)))
-                .collect(),
+            api: library_surfaces(&root),
+            root,
         }
     }
 }
 
+/// The surfaces X040 reads: every library crate under `root/crates/`
+/// (a `src/lib.rs`), as `(src dir relative to root, surface)`. Binaries
+/// are not library surface, so `src/main.rs` and everything under
+/// `src/bin/` (which holds the `perf` package) are left out; `shims/`
+/// sits outside `crates/`.
+fn library_surfaces(root: &Path) -> Vec<(String, String)> {
+    let mut dirs: Vec<String> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.path().join("src/lib.rs").is_file())
+        .map(|e| format!("crates/{}/src", e.file_name().to_string_lossy()))
+        .collect();
+    dirs.sort();
+    dirs.into_iter()
+        .map(|dir| {
+            let surface = crate::surface(&root.join(&dir))
+                .lines()
+                .filter(|l| !l.starts_with("bin/") && !l.starts_with("main.rs: "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            (dir, surface)
+        })
+        .collect()
+}
+
 /// Extracts `version = "x.y.z"` from a workspace manifest's
 /// `[workspace.package]` section.
-pub fn workspace_version(manifest: &str) -> Option<(u64, u64, u64)> {
+fn workspace_version(manifest: &str) -> Option<(u64, u64, u64)> {
     let mut in_section = false;
     for line in manifest.lines() {
         let line = line.trim();
@@ -445,7 +468,7 @@ pub fn workspace_version(manifest: &str) -> Option<(u64, u64, u64)> {
 
 /// Parses `"major.minor.patch"`; pre-release/build suffixes are
 /// rejected (the workspace does not use them).
-pub fn parse_semver(s: &str) -> Option<(u64, u64, u64)> {
+fn parse_semver(s: &str) -> Option<(u64, u64, u64)> {
     let mut parts = s.split('.');
     let major = parts.next()?.parse().ok()?;
     let minor = parts.next()?.parse().ok()?;
@@ -493,8 +516,9 @@ struct Scan {
     ledger_writes: Vec<LitUse>,
     deprecations: Vec<Deprecation>,
     /// Every identifier the tree mentions other than as the name a
-    /// `fn` item declares (comments and doc-tests are not mentions).
-    mentioned: BTreeSet<String>,
+    /// `fn` item declares (comments and doc-tests are not mentions),
+    /// with the files that mention it.
+    mentioned: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Runs the full audit under `cfg`.
@@ -526,7 +550,10 @@ fn scan_tree(cfg: &AuditConfig) -> Scan {
         for pair in toks.windows(2) {
             if let (before, Tok::Ident(name)) = (&pair[0].tok, &pair[1].tok) {
                 if !matches!(before, Tok::Ident(keyword) if keyword == "fn") {
-                    scan.mentioned.insert(name.clone());
+                    scan.mentioned
+                        .entry(name.clone())
+                        .or_default()
+                        .insert(rel.clone());
                 }
             }
         }
@@ -1006,19 +1033,23 @@ fn audit_dead_items(cfg: &AuditConfig, scan: &Scan, out: &mut Vec<Finding>) {
             let Some(name) = declared_fn(signature) else {
                 continue;
             };
-            if !scan.mentioned.contains(name) {
-                let defined_in = if dir.is_empty() {
-                    file.to_string()
-                } else {
-                    format!("{dir}/{file}")
-                };
+            let defined_in = if dir.is_empty() {
+                file.to_string()
+            } else {
+                format!("{dir}/{file}")
+            };
+            let named_elsewhere = scan
+                .mentioned
+                .get(name)
+                .is_some_and(|files| files.iter().any(|f| *f != defined_in));
+            if !named_elsewhere {
                 out.push(
                     Finding::new(
                         AuditCode::X040,
-                        format!("`{signature}` is declared but named nowhere else in the tree"),
+                        format!("`{signature}` is named by no file but its own"),
                     )
                     .at(defined_in, 0)
-                    .hint("delete it: no crate, test, bench or example calls it"),
+                    .hint("delete it, or drop `pub` if its own file still calls it"),
                 );
             }
         }
@@ -1086,10 +1117,7 @@ mod tests {
             design,
             snapshot,
             version: (0, 1, 0),
-            api: vec![(
-                String::new(),
-                crate::surface(&format!("crates/xtask/fixtures/{case}")),
-            )],
+            api: vec![(String::new(), crate::surface(&fixtures(case)))],
         }
     }
 
@@ -1131,6 +1159,66 @@ mod tests {
             .find(|f| f.code == AuditCode::X040)
             .unwrap();
         assert!(dead.message.contains("fn orphaned("), "{}", dead.message);
+    }
+
+    /// The `workspace` fixture: `crates/core` (a directory the real tree
+    /// snapshots), `crates/hls` (one it does not, plus a binary),
+    /// `crates/tool` (no `lib.rs`) and `shims/fake`, read the way the
+    /// real tree is.
+    fn workspace_config() -> AuditConfig {
+        let mut cfg = fixture_config("workspace");
+        cfg.sites.clear();
+        cfg.metrics.clear();
+        cfg.api = library_surfaces(&cfg.root);
+        cfg
+    }
+
+    /// `(file, message)` of every X040 finding.
+    fn dead_fns(report: &Report) -> Vec<(String, String)> {
+        report
+            .findings
+            .iter()
+            .filter(|f| f.code == AuditCode::X040)
+            .map(|f| (f.file.clone().unwrap_or_default(), f.message.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn x040_flags_a_pub_fn_named_only_by_its_own_tests() {
+        let dead = dead_fns(&run(&workspace_config()));
+        assert!(
+            dead.iter()
+                .any(|(file, msg)| file == "crates/core/src/lib.rs"
+                    && msg.contains("fn self_tested(")),
+            "{dead:?}"
+        );
+    }
+
+    #[test]
+    fn x040_keeps_a_pub_fn_another_crate_names() {
+        let dead = dead_fns(&run(&workspace_config()));
+        assert!(
+            dead.iter().all(|(_, msg)| !msg.contains("fn shared_api(")),
+            "{dead:?}"
+        );
+    }
+
+    #[test]
+    fn x040_reads_library_crates_without_an_api_snapshot() {
+        let report = run(&workspace_config());
+        // Binaries, crates without a `lib.rs` and shims are not library
+        // surface: the two findings are the whole report.
+        assert_eq!(codes(&report), vec!["X040", "X040"], "{}", report.render());
+        let dead = dead_fns(&report);
+        assert!(
+            dead.iter()
+                .any(|(file, msg)| file == "crates/hls/src/lib.rs"
+                    && msg.contains("fn unsnapshotted_dead(")),
+            "{dead:?}"
+        );
+        assert!(!crate::TRACKED
+            .iter()
+            .any(|(_, dir)| *dir == "crates/hls/src"));
     }
 
     #[test]

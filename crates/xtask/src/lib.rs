@@ -61,19 +61,18 @@ pub fn snapshot_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Extracts the public surface of the crate rooted at `src_dir`
-/// (relative to the repo root) as one line per item:
+/// Extracts the public surface of the crate whose sources live under
+/// `src_dir` as one line per item:
 /// `<file relative to src_dir>: <signature>`.
-pub fn surface(src_dir: &str) -> String {
-    let root = repo_root().join(src_dir);
+pub fn surface(src_dir: &Path) -> String {
     let mut files = Vec::new();
-    collect_rs_files(&root, &mut files);
+    collect_rs_files(src_dir, &mut files);
     files.sort();
 
     let mut out = String::new();
     for file in &files {
         let rel = file
-            .strip_prefix(&root)
+            .strip_prefix(src_dir)
             .expect("collected under root")
             .to_string_lossy()
             .replace('\\', "/");
@@ -111,7 +110,7 @@ const QUALIFIERS: &[&str] = &["unsafe", "const", "async", "default", "extern"];
 /// Returns the signatures of all `pub` items in one source file, in
 /// order of appearance. A signature runs from `pub` to the first body
 /// brace or terminating semicolon, whitespace-collapsed.
-pub fn extract_items(text: &str) -> Vec<String> {
+fn extract_items(text: &str) -> Vec<String> {
     let mut items = Vec::new();
     let mut lines = text.lines();
     while let Some(line) = lines.next() {
@@ -205,33 +204,33 @@ pub fn diag_code_snapshot() -> String {
         .collect()
 }
 
-/// Renders a human-oriented diff between the committed snapshot and the
-/// freshly extracted surface.
-pub fn render_diff(name: &str, committed: &str, current: &str) -> String {
-    let old: Vec<&str> = committed.lines().collect();
-    let new: Vec<&str> = current.lines().collect();
-    let mut out = format!("public API surface of `{name}` changed:\n");
-    for line in &new {
-        if !old.contains(line) {
-            let _ = writeln!(out, "  + {line}");
-        }
-    }
-    for line in &old {
-        if !new.contains(line) {
-            let _ = writeln!(out, "  - {line}");
-        }
-    }
-    out.push_str(
-        "if the change is intentional, regenerate the snapshot with \
-         `cargo run -p xtask` (or `XTASK_BLESS=1 cargo test -p xtask`) \
-         and commit the updated crates/xtask/api/*.txt",
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Renders a human-oriented diff between the committed snapshot and the
+    /// freshly extracted surface.
+    fn render_diff(name: &str, committed: &str, current: &str) -> String {
+        let old: Vec<&str> = committed.lines().collect();
+        let new: Vec<&str> = current.lines().collect();
+        let mut out = format!("public API surface of `{name}` changed:\n");
+        for line in &new {
+            if !old.contains(line) {
+                let _ = writeln!(out, "  + {line}");
+            }
+        }
+        for line in &old {
+            if !new.contains(line) {
+                let _ = writeln!(out, "  - {line}");
+            }
+        }
+        out.push_str(
+            "if the change is intentional, regenerate the snapshot with \
+             `cargo run -p xtask` (or `XTASK_BLESS=1 cargo test -p xtask`) \
+             and commit the updated crates/xtask/api/*.txt",
+        );
+        out
+    }
 
     #[test]
     fn extractor_finds_public_items_and_skips_restricted_ones() {
@@ -280,7 +279,7 @@ pub const LIMIT: usize = 4;
     #[test]
     fn public_api_surface_matches_committed_snapshots() {
         for (name, src_dir) in TRACKED {
-            let current = surface(src_dir);
+            let current = surface(&repo_root().join(src_dir));
             let path = snapshot_path(name);
             if std::env::var_os("XTASK_BLESS").is_some() {
                 fs::write(&path, &current).expect("snapshot dir is writable");

@@ -69,7 +69,7 @@ fn bless() {
     std::fs::create_dir_all(xtask::repo_root().join("crates/xtask/api"))
         .expect("api snapshot dir is creatable");
     for (name, src_dir) in xtask::TRACKED {
-        let current = xtask::surface(src_dir);
+        let current = xtask::surface(&xtask::repo_root().join(src_dir));
         let path = xtask::snapshot_path(name);
         std::fs::write(&path, &current).expect("snapshot file is writable");
         println!(
