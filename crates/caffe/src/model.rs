@@ -113,7 +113,8 @@ impl BlobProto {
     }
 
     /// Converts to a tensor, validating data length against the shape.
-    pub fn to_tensor(&self) -> Result<Tensor, WireError> {
+    /// The decoded values move into the tensor; nothing is copied.
+    pub fn into_tensor(self) -> Result<Tensor, WireError> {
         let shape = self.resolved_shape()?;
         if shape.len() != self.data.len() {
             return Err(WireError::new(format!(
@@ -122,7 +123,7 @@ impl BlobProto {
                 self.data.len()
             )));
         }
-        Ok(Tensor::from_vec(shape, self.data.clone()))
+        Ok(Tensor::from_vec(shape, self.data))
     }
 
     fn encode(&self, w: &mut WireWriter) {
@@ -780,11 +781,6 @@ impl NetParameter {
         Ok(net)
     }
 
-    /// The layer with the given name, if any.
-    pub fn layer_by_name(&self, name: &str) -> Option<&LayerParameter> {
-        self.layer.iter().find(|l| l.name == name)
-    }
-
     /// Checks that every layer's `bottom` names a blob declared by an
     /// earlier layer's `top` or a top-level `input`.
     ///
@@ -985,7 +981,7 @@ mod tests {
     fn blob_tensor_roundtrip() {
         let t = linspace(Shape::new(2, 3, 4, 5), -1.0, 0.25);
         let blob = BlobProto::from_tensor(&t);
-        assert_eq!(blob.to_tensor().unwrap(), t);
+        assert_eq!(blob.into_tensor().unwrap(), t);
     }
 
     #[test]
@@ -999,7 +995,7 @@ mod tests {
             ..BlobProto::default()
         };
         assert_eq!(blob.resolved_shape().unwrap(), Shape::new(1, 2, 3, 4));
-        assert!(blob.to_tensor().is_ok());
+        assert!(blob.into_tensor().is_ok());
     }
 
     #[test]
@@ -1009,7 +1005,47 @@ mod tests {
             data: vec![1.0; 3],
             ..BlobProto::default()
         };
-        assert!(blob.to_tensor().is_err());
+        assert!(blob.into_tensor().is_err());
+    }
+
+    /// proto2 lets a repeated float arrive in any mix of packed runs and
+    /// single `fixed32` values; the decoder appends them in wire order.
+    #[test]
+    fn blob_data_in_packed_and_unpacked_pieces_decodes_in_order() {
+        let mut w = WireWriter::new();
+        w.packed_floats(5, &[1.0, -2.5]);
+        w.float(5, 3.25);
+        w.packed_floats(5, &[4.0, f32::MIN_POSITIVE, -6.0]);
+        w.float(5, 7.5);
+        w.message(7, |inner| BlobShape { dim: vec![7] }.encode(inner));
+        let t = BlobProto::decode(&w.into_bytes())
+            .unwrap()
+            .into_tensor()
+            .unwrap();
+        let want = [1.0f32, -2.5, 3.25, 4.0, f32::MIN_POSITIVE, -6.0, 7.5];
+        assert_eq!(t.shape(), Shape::vector(7));
+        assert_eq!(
+            t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn packed_float_payload_of_odd_length_rejected() {
+        let mut w = WireWriter::new();
+        w.bytes(5, &[0u8; 6]);
+        let err = BlobProto::decode(&w.into_bytes()).unwrap_err();
+        assert!(err.message.contains("multiple of 4"), "{err}");
+    }
+
+    #[test]
+    fn decoded_blob_with_short_data_rejected_by_into_tensor() {
+        let mut w = WireWriter::new();
+        w.packed_floats(5, &[1.0, 2.0, 3.0]);
+        w.message(7, |inner| BlobShape::nchw(1, 1, 2, 2).encode(inner));
+        let blob = BlobProto::decode(&w.into_bytes()).unwrap();
+        let err = blob.into_tensor().unwrap_err();
+        assert!(err.message.contains("expects 4 values, found 3"), "{err}");
     }
 
     #[test]
@@ -1091,13 +1127,6 @@ mod tests {
         let bytes = net2.encode();
         let back2 = NetParameter::decode(&bytes).unwrap();
         assert_eq!(back2.layer[0].relu_negative_slope, 0.0);
-    }
-
-    #[test]
-    fn layer_by_name_lookup() {
-        let net = sample_net();
-        assert!(net.layer_by_name("conv1").is_some());
-        assert!(net.layer_by_name("nope").is_none());
     }
 
     #[test]

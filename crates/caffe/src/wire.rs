@@ -249,10 +249,11 @@ impl<'a> WireReader<'a> {
                 if payload.len() % 4 != 0 {
                     return Err(WireError::new("packed float payload not multiple of 4"));
                 }
-                out.reserve(payload.len() / 4);
-                for chunk in payload.chunks_exact(4) {
-                    out.push(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
-                }
+                out.extend(
+                    payload
+                        .chunks_exact(4)
+                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                );
             }
             other => {
                 return Err(WireError::new(format!(

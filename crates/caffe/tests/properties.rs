@@ -137,7 +137,7 @@ proptest! {
         let back = NetParameter::decode(&net.encode()).unwrap();
         prop_assert_eq!(&back.layer[0].blobs[0], &blob);
         // And the tensor view agrees.
-        let t = blob.to_tensor().unwrap();
+        let t = blob.clone().into_tensor().unwrap();
         prop_assert_eq!(t.as_slice(), &blob.data[..]);
     }
 

@@ -12,7 +12,7 @@
 use crate::deploy::{DeployTarget, DeployedAccelerator};
 use crate::dse::{explore, DseConfig};
 use crate::error::CondorError;
-use crate::frontend::{analyze, FrontendInput};
+use crate::frontend::{analyze_caffe, analyze_condor, LoadedModel};
 use crate::repr::{DeploymentTarget, HardwareConfig, NetworkRepresentation};
 use condor_cloud::{host_code, XoFile};
 use condor_dataflow::{AcceleratorPlan, PeParallelism, PlanBuilder, Precision};
@@ -42,15 +42,7 @@ impl Condor {
 
     /// Starts from Caffe artifacts (paper input method 2).
     pub fn from_caffe(prototxt: &str, caffemodel: Option<&[u8]>) -> Result<Self, CondorError> {
-        let model = analyze(FrontendInput::Caffe {
-            prototxt: prototxt.to_string(),
-            caffemodel: caffemodel.map(<[u8]>::to_vec),
-        })?;
-        Ok(Condor {
-            network: model.network,
-            hardware: model.representation.hardware,
-            dse: None,
-        })
+        analyze_caffe(prototxt, caffemodel).map(Condor::from_model)
     }
 
     /// Starts from the Condor internal specification (paper input
@@ -59,15 +51,15 @@ impl Condor {
         representation: &str,
         weights: Option<&[u8]>,
     ) -> Result<Self, CondorError> {
-        let model = analyze(FrontendInput::Condor {
-            representation: representation.to_string(),
-            weights: weights.map(<[u8]>::to_vec),
-        })?;
-        Ok(Condor {
+        analyze_condor(representation, weights).map(Condor::from_model)
+    }
+
+    fn from_model(model: LoadedModel) -> Self {
+        Condor {
             network: model.network,
             hardware: model.representation.hardware,
             dse: None,
-        })
+        }
     }
 
     /// Sets the target board.
@@ -218,7 +210,7 @@ impl Condor {
         let host = host_code(&accelerator.name, 64);
 
         let representation =
-            NetworkRepresentation::new(self.network.clone(), self.hardware.clone());
+            NetworkRepresentation::new(self.network.topology(), self.hardware.clone());
         Ok(BuiltAccelerator {
             network: self.network,
             representation,

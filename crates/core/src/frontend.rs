@@ -53,35 +53,46 @@ pub fn analyze(input: FrontendInput) -> Result<LoadedModel, CondorError> {
         FrontendInput::Caffe {
             prototxt,
             caffemodel,
-        } => {
-            let proto = NetParameter::from_prototxt(&prototxt)?;
-            let mut network = caffe_to_network(&proto)?;
-            if let Some(bytes) = caffemodel {
-                let trained = NetParameter::decode(&bytes)?;
-                install_caffe_weights(&mut network, &trained)?;
-            }
-            let representation =
-                NetworkRepresentation::new(network.clone(), HardwareConfig::default());
-            Ok(LoadedModel {
-                representation,
-                network,
-            })
-        }
+        } => analyze_caffe(&prototxt, caffemodel.as_deref()),
         FrontendInput::Condor {
             representation,
             weights,
-        } => {
-            let repr = NetworkRepresentation::parse(&representation)?;
-            let mut network = repr.network.clone();
-            if let Some(bytes) = weights {
-                read_weights(&mut network, &bytes)?;
-            }
-            Ok(LoadedModel {
-                representation: repr,
-                network,
-            })
-        }
+        } => analyze_condor(&representation, weights.as_deref()),
     }
+}
+
+/// Caffe input analysis over borrowed files. The weights are decoded
+/// once, straight into the tensors the network keeps; the
+/// representation gets the topology only.
+pub(crate) fn analyze_caffe(
+    prototxt: &str,
+    caffemodel: Option<&[u8]>,
+) -> Result<LoadedModel, CondorError> {
+    let proto = NetParameter::from_prototxt(prototxt)?;
+    let mut network = caffe_to_network(&proto)?;
+    if let Some(bytes) = caffemodel {
+        install_caffe_weights(&mut network, NetParameter::decode(bytes)?)?;
+    }
+    Ok(LoadedModel {
+        representation: NetworkRepresentation::new(network.topology(), HardwareConfig::default()),
+        network,
+    })
+}
+
+/// Condor-format input analysis over borrowed files.
+pub(crate) fn analyze_condor(
+    representation: &str,
+    weights: Option<&[u8]>,
+) -> Result<LoadedModel, CondorError> {
+    let representation = NetworkRepresentation::parse(representation)?;
+    let mut network = representation.network.clone();
+    if let Some(bytes) = weights {
+        read_weights(&mut network, bytes)?;
+    }
+    Ok(LoadedModel {
+        representation,
+        network,
+    })
 }
 
 /// Resolves a layer's `bottom` blob names to producing node indices.
@@ -334,8 +345,9 @@ fn caffe_to_network(proto: &NetParameter) -> Result<Network, CondorError> {
     Ok(b.build()?)
 }
 
-/// Installs the blobs of a trained `caffemodel` into the network.
-fn install_caffe_weights(net: &mut Network, trained: &NetParameter) -> Result<(), CondorError> {
+/// Installs the blobs of a trained `caffemodel` into the network, moving
+/// each blob's decoded values into its tensor.
+fn install_caffe_weights(net: &mut Network, mut trained: NetParameter) -> Result<(), CondorError> {
     let weighted: Vec<String> = net
         .layers
         .iter()
@@ -343,21 +355,26 @@ fn install_caffe_weights(net: &mut Network, trained: &NetParameter) -> Result<()
         .map(|l| l.name.clone())
         .collect();
     for name in weighted {
-        let lp: &LayerParameter = trained.layer_by_name(&name).ok_or_else(|| {
+        let lp = trained
+            .layer
+            .iter_mut()
+            .find(|l| l.name == name)
+            .ok_or_else(|| {
+                CondorError::new(
+                    "frontend",
+                    format!("caffemodel has no weights for layer '{name}'"),
+                )
+            })?;
+        let mut blobs = std::mem::take(&mut lp.blobs).into_iter();
+        let weights = blobs.next().ok_or_else(|| {
             CondorError::new(
                 "frontend",
-                format!("caffemodel has no weights for layer '{name}'"),
+                format!("caffemodel layer '{name}' carries no blobs"),
             )
         })?;
-        if lp.blobs.is_empty() {
-            return Err(CondorError::new(
-                "frontend",
-                format!("caffemodel layer '{name}' carries no blobs"),
-            ));
-        }
-        let weights = reshape_weight_blob(lp.blobs[0].to_tensor()?, net, &name)?;
-        let bias = match lp.blobs.get(1) {
-            Some(b) => Some(reshape_bias_blob(b.to_tensor()?)),
+        let weights = reshape_weight_blob(weights.into_tensor()?, net, &name)?;
+        let bias = match blobs.next() {
+            Some(b) => Some(reshape_bias_blob(b.into_tensor()?)),
             None => None,
         };
         net.set_weights(&name, weights, bias)?;

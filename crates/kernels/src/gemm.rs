@@ -352,9 +352,10 @@ fn micro_kernel(a_rows: &[&[f32]; MR], bp: &[[f32; NR]], mut acc: Tile) -> Tile 
 /// fused leaky-ReLU — the fully-connected layer kernel. `w` is
 /// `m × k` row-major.
 ///
-/// Each dot product runs over eight partial accumulators so the
-/// reduction vectorises; the accumulator combination order is fixed, so
-/// results are deterministic.
+/// Rows are reduced eight at a time, sharing each load of `x`. Each dot
+/// product runs over eight partial accumulators so the reduction
+/// vectorises; the accumulator combination order is fixed, so results
+/// are deterministic and equal [`dot`] row by row.
 ///
 /// # Panics
 /// Panics when slice lengths disagree with `m`/`k`.
@@ -392,6 +393,11 @@ pub fn gemv(
     }
 }
 
+/// Rows of `W` one pass of [`gemv_serial`] reduces together.
+const GEMV_ROWS: usize = 8;
+/// Partial sums of one dot product.
+const DOT_LANES: usize = 8;
+
 fn gemv_serial(
     k: usize,
     w: &[f32],
@@ -401,8 +407,7 @@ fn gemv_serial(
     y: &mut [f32],
     row_off: usize,
 ) {
-    for (i, yv) in y.iter_mut().enumerate() {
-        let mut acc = dot(&w[i * k..(i + 1) * k], x);
+    let finish = |i: usize, mut acc: f32| {
         if let Some(b) = bias {
             acc += b[row_off + i];
         }
@@ -411,8 +416,52 @@ fn gemv_serial(
                 acc *= slope;
             }
         }
-        *yv = acc;
+        acc
+    };
+    let mut bands = y.chunks_exact_mut(GEMV_ROWS);
+    let mut i0 = 0;
+    for band in &mut bands {
+        let sums = dot_rows(k, &w[i0 * k..(i0 + GEMV_ROWS) * k], x);
+        for (r, (yv, acc)) in band.iter_mut().zip(sums).enumerate() {
+            *yv = finish(i0 + r, acc);
+        }
+        i0 += GEMV_ROWS;
     }
+    for (i, yv) in (i0..).zip(bands.into_remainder()) {
+        *yv = finish(i, dot(&w[i * k..(i + 1) * k], x));
+    }
+}
+
+/// [`dot`] of each of the [`GEMV_ROWS`] `k`-long rows of `w` with `x`.
+/// Every row is reduced exactly as [`dot`] reduces it — the same lanes,
+/// tail and combination order — so each sum is bit-identical to it; the
+/// rows share each load of `x`, and their partial sums stay in registers
+/// for the whole pass. Kept out of line so that it has a symbol, which
+/// `xtask asm` reads.
+#[inline(never)]
+fn dot_rows(k: usize, w: &[f32], x: &[f32]) -> [f32; GEMV_ROWS] {
+    let rows: [&[f32]; GEMV_ROWS] = std::array::from_fn(|r| &w[r * k..(r + 1) * k]);
+    let chunks = k / DOT_LANES;
+    let mut acc = [[0.0f32; DOT_LANES]; GEMV_ROWS];
+    for c in 0..chunks {
+        let xv = &x[c * DOT_LANES..(c + 1) * DOT_LANES];
+        for (lanes, row) in acc.iter_mut().zip(&rows) {
+            let rv = &row[c * DOT_LANES..(c + 1) * DOT_LANES];
+            for l in 0..DOT_LANES {
+                lanes[l] = rv[l].mul_add(xv[l], lanes[l]);
+            }
+        }
+    }
+    std::array::from_fn(|r| {
+        let mut tail = 0.0f32;
+        for (p, q) in rows[r][chunks * DOT_LANES..]
+            .iter()
+            .zip(&x[chunks * DOT_LANES..])
+        {
+            tail = p.mul_add(*q, tail);
+        }
+        combine(&acc[r], tail)
+    })
 }
 
 /// Vectorisable dot product: eight independent partial sums, each a
@@ -420,21 +469,26 @@ fn gemv_serial(
 /// order.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    const LANES: usize = 8;
-    let mut acc = [0.0f32; LANES];
-    let chunks = a.len() / LANES;
+    let mut acc = [0.0f32; DOT_LANES];
+    let chunks = a.len() / DOT_LANES;
     for c in 0..chunks {
-        let av = &a[c * LANES..(c + 1) * LANES];
-        let bv = &b[c * LANES..(c + 1) * LANES];
-        for l in 0..LANES {
+        let av = &a[c * DOT_LANES..(c + 1) * DOT_LANES];
+        let bv = &b[c * DOT_LANES..(c + 1) * DOT_LANES];
+        for l in 0..DOT_LANES {
             acc[l] = av[l].mul_add(bv[l], acc[l]);
         }
     }
     let mut tail = 0.0f32;
-    for (x, y) in a[chunks * LANES..].iter().zip(&b[chunks * LANES..]) {
+    for (x, y) in a[chunks * DOT_LANES..].iter().zip(&b[chunks * DOT_LANES..]) {
         tail = x.mul_add(*y, tail);
     }
-    // Fixed combination order for determinism.
+    combine(&acc, tail)
+}
+
+/// The fixed order in which a dot product's partial sums and tail are
+/// added, for determinism.
+#[inline(always)]
+fn combine(acc: &[f32; DOT_LANES], tail: f32) -> f32 {
     (((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))) + tail
 }
 
@@ -625,6 +679,52 @@ mod tests {
         );
         for (a, b) in y.iter().zip(&c) {
             assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    /// The multi-row pass reduces every row exactly as `dot` does: the
+    /// full passes, the leftover rows and the `k` tails, with and without
+    /// the fused bias and ReLU, bit for bit.
+    #[test]
+    fn gemv_rows_are_bit_identical_to_dot() {
+        let noise = |len: usize, salt: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i * 7919 + salt * 104_729) % 2003) as f32 / 1001.0 - 1.0)
+                .collect()
+        };
+        for m in [1, 7, 8, 9, 500] {
+            for k in [5, 8, 800, 803] {
+                let w = noise(m * k, 1);
+                let x = noise(k, 2);
+                let b = noise(m, 3);
+                for (bias, slope) in [
+                    (None, None),
+                    (Some(&b[..]), None),
+                    (None, Some(0.0)),
+                    (Some(&b[..]), Some(0.1)),
+                ] {
+                    let want: Vec<f32> = (0..m)
+                        .map(|i| {
+                            let mut acc = dot(&w[i * k..(i + 1) * k], &x);
+                            if let Some(b) = bias {
+                                acc += b[i];
+                            }
+                            match slope {
+                                Some(s) if acc < 0.0 => acc * s,
+                                _ => acc,
+                            }
+                        })
+                        .collect();
+                    let mut y = vec![f32::NAN; m];
+                    gemv(m, k, &w, &x, bias, slope, &mut y);
+                    assert_eq!(
+                        bits(&y),
+                        bits(&want),
+                        "m {m}, k {k}, bias {}, slope {slope:?}",
+                        bias.is_some()
+                    );
+                }
+            }
         }
     }
 

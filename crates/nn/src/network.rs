@@ -178,6 +178,12 @@ impl Network {
         }
     }
 
+    /// This network without any weights: the topology alone, as a
+    /// network representation document describes it.
+    pub fn topology(&self) -> Network {
+        self.clone_without_weights(|_| true)
+    }
+
     /// Creates a linear-chain network and validates its structure.
     ///
     /// This is a thin wrapper over [`NetworkBuilder::chain`]; use

@@ -122,7 +122,8 @@ impl Tensor {
 
     /// Reinterprets the tensor with a new shape of identical length
     /// (e.g. flattening `1×50×4×4` to `1×800×1×1` before an FC layer).
-    pub fn reshape(&self, shape: Shape) -> Tensor {
+    /// The data moves into the result; nothing is copied.
+    pub fn reshape(self, shape: Shape) -> Tensor {
         assert_eq!(
             self.len(),
             shape.len(),
@@ -130,7 +131,7 @@ impl Tensor {
         );
         Tensor {
             shape,
-            data: self.data.clone(),
+            data: self.data,
         }
     }
 
@@ -240,7 +241,7 @@ mod tests {
     #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(Shape::new(1, 2, 2, 2), (0..8).map(|v| v as f32).collect());
-        let f = t.reshape(Shape::vector(8));
+        let f = t.clone().reshape(Shape::vector(8));
         assert_eq!(f.as_slice(), t.as_slice());
         assert_eq!(f.shape(), Shape::vector(8));
     }

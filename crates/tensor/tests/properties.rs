@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn reshape_is_data_preserving(shape in shape_strategy(), seed in any::<u64>()) {
         let t = TensorRng::seeded(seed).uniform(shape, -1.0, 1.0);
-        let flat = t.reshape(Shape::vector(shape.len()));
+        let flat = t.clone().reshape(Shape::vector(shape.len()));
         prop_assert_eq!(flat.as_slice(), t.as_slice());
         prop_assert_eq!(flat.reshape(shape), t);
     }

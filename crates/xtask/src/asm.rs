@@ -11,6 +11,9 @@
 //!   the input of an implicit-GEMM convolution), and a packed 256-bit
 //!   fused multiply-add (`vfmadd…ps` on `ymm` registers) in every one of
 //!   them, so that no source can lose its vector FMAs unnoticed;
+//! * a packed 256-bit fused multiply-add in `dot_rows`, the multi-row
+//!   loop of the fully-connected layer's GEMV, which reduces eight rows
+//!   of the weight matrix per pass;
 //! * a packed 256-bit add or subtract (`vaddps` / `vsubps` on `ymm`
 //!   registers) in each of the Winograd convolution's two transforms,
 //!   `input_transform` and `output_transform`: they are additions only,
@@ -29,6 +32,8 @@ use std::process::Command;
 const GEMM_FN: &str = "gemm_band";
 /// Copies of [`GEMM_FN`] the listing must hold: one per source of `B`.
 const GEMM_COPIES: usize = 2;
+/// The multi-row GEMV loop, which must hold packed fused multiply-adds.
+const GEMV_FN: &str = "dot_rows";
 /// The Winograd transforms, each of which must hold packed adds or
 /// subtracts.
 const TRANSFORM_FNS: [&str; 2] = ["input_transform", "output_transform"];
@@ -39,6 +44,8 @@ struct Counts {
     /// Packed `ymm` `vfmadd…ps` instructions in each copy of
     /// `gemm_band`, in listing order.
     gemm_packed_fma: Vec<usize>,
+    /// Packed `ymm` `vfmadd…ps` instructions in `dot_rows`.
+    gemv_packed_fma: usize,
     /// Packed `ymm` `vaddps` / `vsubps` instructions in each of
     /// [`TRANSFORM_FNS`], in that order.
     transform_packed_add: [usize; 2],
@@ -49,8 +56,9 @@ struct Counts {
 /// Counts the vector instructions the kernels depend on in an AT&T
 /// assembly listing of `condor-kernels`, and fails when the listing holds
 /// fewer than [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
-/// packed FMA, when a Winograd transform is missing or has no packed add
-/// or subtract, or when it has no `vpmaddwd`.
+/// packed FMA, when `dot_rows` is missing or has no packed FMA, when a
+/// Winograd transform is missing or has no packed add or subtract, or
+/// when it has no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
     let bodies = function_bodies(asm, GEMM_FN);
     if bodies.len() < GEMM_COPIES {
@@ -60,15 +68,21 @@ fn check(asm: &str) -> Result<Counts, String> {
             bodies.len()
         ));
     }
+    let gemv_packed_fma = only_body(asm, GEMV_FN)?
+        .iter()
+        .filter(|l| is_packed_ymm_fma(l))
+        .count();
+    if gemv_packed_fma == 0 {
+        return Err(format!(
+            "`{GEMV_FN}` holds no packed ymm vfmadd…ps: the multi-row GEMV went scalar"
+        ));
+    }
     let mut transform_packed_add = [0; 2];
     for (count, name) in transform_packed_add.iter_mut().zip(TRANSFORM_FNS) {
-        let bodies = function_bodies(asm, name);
-        let [body] = bodies.as_slice() else {
-            return Err(format!(
-                "want one copy of `{name}` in the listing (inlined, renamed or generic?)"
-            ));
-        };
-        *count = body.iter().filter(|l| is_packed_ymm_add(l)).count();
+        *count = only_body(asm, name)?
+            .iter()
+            .filter(|l| is_packed_ymm_add(l))
+            .count();
         if *count == 0 {
             return Err(format!(
                 "`{name}` holds no packed ymm vaddps/vsubps: the Winograd transform went scalar"
@@ -80,6 +94,7 @@ fn check(asm: &str) -> Result<Counts, String> {
             .iter()
             .map(|body| body.iter().filter(|l| is_packed_ymm_fma(l)).count())
             .collect(),
+        gemv_packed_fma,
         transform_packed_add,
         vpmaddwd: asm.lines().filter(|l| mnemonic(l) == "vpmaddwd").count(),
     };
@@ -125,6 +140,18 @@ fn function_bodies<'a>(asm: &'a str, name: &str) -> Vec<Vec<&'a str>> {
         bodies.push(lines.by_ref().take_while(|l| !is_end(l)).collect());
     }
     bodies
+}
+
+/// The body of the one function in the listing named `name`; an error
+/// when there is none or more than one.
+fn only_body<'a>(asm: &'a str, name: &str) -> Result<Vec<&'a str>, String> {
+    let mut bodies = function_bodies(asm, name);
+    match bodies.pop() {
+        Some(body) if bodies.is_empty() => Ok(body),
+        _ => Err(format!(
+            "want one copy of `{name}` in the listing (inlined, renamed or generic?)"
+        )),
+    }
 }
 
 fn mnemonic(line: &str) -> &str {
@@ -177,10 +204,12 @@ pub fn run(root: &Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read {}: {e}", listing.display()))?;
     let counts = check(&asm)?;
     Ok(format!(
-        "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, `{}` and `{}` hold {:?} \
-         packed ymm adds and subtracts, condor-kernels holds {} vpmaddwd ({})",
+        "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, `{GEMV_FN}` holds {}, \
+         `{}` and `{}` hold {:?} packed ymm adds and subtracts, condor-kernels holds {} \
+         vpmaddwd ({})",
         counts.gemm_packed_fma.len(),
         counts.gemm_packed_fma,
+        counts.gemv_packed_fma,
         TRANSFORM_FNS[0],
         TRANSFORM_FNS[1],
         counts.transform_packed_add,
@@ -210,7 +239,8 @@ mod tests {
 
     /// Shaped like rustc's output: a section line naming the symbol, the
     /// label, local labels inside the body, and the end markers. It holds
-    /// two copies of `gemm_band`, as a generic function compiles to.
+    /// two copies of `gemm_band`, as a generic function compiles to, and
+    /// one `dot_rows`.
     const LISTING: &str = "\
 \t.section\t.text._ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE,\"ax\",@progbits
 _ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE:
@@ -235,6 +265,12 @@ _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
 \tvpmaddwd\t(%rdi), %ymm1, %ymm2
 \tvfmadd231ps\t%ymm1, %ymm2, %ymm3
 .Lfunc_end7:
+_ZN14condor_kernels4gemm8dot_rows17h0123456789abcdefE:
+\t.cfi_startproc
+\tvfmadd231ps\t(%rdi,%rcx,4), %ymm8, %ymm0
+\tvfmadd231ps\t(%rsi,%rcx,4), %ymm8, %ymm1
+\tvfmadd231ss\t%xmm1, %xmm2, %xmm3
+.Lfunc_end10:
 _ZN14condor_kernels8winograd15input_transform17h0123456789abcdefE:
 \t.cfi_startproc
 \tvsubps\t(%rdx,%rcx,4), %ymm1, %ymm2
@@ -254,6 +290,7 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
             check(LISTING),
             Ok(Counts {
                 gemm_packed_fma: vec![2, 1],
+                gemv_packed_fma: 2,
                 transform_packed_add: [2, 1],
                 vpmaddwd: 1
             })
@@ -280,6 +317,24 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
         let scalar = scalar.replace("vfmadd231ps\t32(%rdx), %ymm12", "vaddss\t32(%rdx), %xmm12");
         let err = check(&scalar).expect_err("no packed FMA left in gemm_band");
         assert!(err.contains("gemm_band"), "{err}");
+    }
+
+    #[test]
+    fn a_scalar_or_missing_dot_rows_fails() {
+        let scalar = LISTING
+            .replace(
+                "vfmadd231ps\t(%rdi,%rcx,4), %ymm8, %ymm0",
+                "vfmadd231ss\t(%rdi,%rcx,4), %xmm8, %xmm0",
+            )
+            .replace(
+                "vfmadd231ps\t(%rsi,%rcx,4), %ymm8, %ymm1",
+                "vfmadd231ss\t(%rsi,%rcx,4), %xmm8, %xmm1",
+            );
+        let err = check(&scalar).expect_err("the multi-row GEMV went scalar");
+        assert!(err.contains("`dot_rows`"), "{err}");
+        let inlined = LISTING.replace("8dot_rows17h", "10gemv_serial17h");
+        let err = check(&inlined).expect_err("no dot_rows left");
+        assert!(err.contains("`dot_rows`"), "{err}");
     }
 
     /// Both transforms compiled to scalar code, as a first version of
