@@ -86,11 +86,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "requests rejected at admission (queue full)",
     },
     MetricSpec {
-        name: "requests_dropped_worker_died",
-        kind: MetricKind::Counter,
-        help: "requests failed because a lane worker died",
-    },
-    MetricSpec {
         name: "requests_migrated",
         kind: MetricKind::Counter,
         help: "in-flight requests moved to another fleet instance",

@@ -2,7 +2,7 @@
 //! aging, plus CoDel-style adaptive shedding keyed on sojourn time.
 //!
 //! The queue replaces the flat bounded channel between `submit` and
-//! the batcher (and between the fleet front door and its dispatcher).
+//! the lanes (and between the fleet front door and its dispatcher).
 //! Three [`Priority`] classes each get a FIFO lane; dispatch is
 //! strict-priority — `Interactive` before `Standard` before `Batch` —
 //! with an aging escape hatch: every time a non-empty class is

@@ -7,12 +7,12 @@
 //! runs several, because an instance can be lost whole — a crashed
 //! host, a wedged FPGA slot, a revoked spot reservation — taking every
 //! one of its lanes with it. This module promotes the health model one
-//! level: where a replica's batcher quarantines a *lane*, the [`Fleet`]
+//! level: where a replica quarantines a *lane*, the [`Fleet`]
 //! quarantines an *instance* behind a [`CircuitBreaker`], migrates the
 //! requests that were riding on it to a healthy peer, and asks its
 //! [`InstanceProvisioner`] for a fresh deployment in the background.
 //!
-//! An instance is a `replica` — a batcher and its lanes, the code the
+//! An instance is a `replica` — lanes sharing one source, the code the
 //! single server runs behind its intake — not a second server: it has
 //! no queue, shedding law or registry of its own.
 //!
@@ -23,8 +23,8 @@
 //!    settled than `serve.max_batch` × its lane count — and hands the
 //!    admitted request itself to the least-loaded healthy instance *k*
 //!    through a non-blocking send into *k*'s inbox. Nothing is copied
-//!    and nothing waits on a reply: the instance's batcher sees as many
-//!    requests as it has room for, so it can batch;
+//!    and nothing waits on a reply: the instance's lanes see as many
+//!    requests as it has room for, so they can batch;
 //! 2. the lane that answers runs the settle callback of *k*'s current
 //!    generation on its own thread. A success feeds *k*'s breaker,
 //!    counts `instance{k}_completed` and resolves the request there —
@@ -143,7 +143,7 @@ pub struct FleetConfig {
     /// keeping it so (debug builds assert at startup).
     pub queue_capacity: usize,
     /// Serving configuration: the dispatch knobs of every replica's
-    /// batcher and lanes (`site_prefix` is overwritten per instance
+    /// lanes (`site_prefix` is overwritten per instance
     /// generation, and `max_batch` also sizes each instance's room),
     /// plus `codel`, `aging_limit` and `default_timeout`
     /// for the fleet's one admission queue. Unused by a fleet:
@@ -480,8 +480,8 @@ impl FleetShared {
     }
 
     /// Settles a request generation `generation` of instance `replica`
-    /// answered, on the thread that has the verdict (a lane, its
-    /// batcher, or the dispatcher when the inbox refused it). Never
+    /// answered, on the thread that has the verdict (a lane, or the
+    /// dispatcher when the inbox refused it). Never
     /// blocks on another replica: a failed request goes to the retry
     /// list. A success is resolved before its room is freed, so when
     /// nothing is in flight every reply and ack has landed.
@@ -823,11 +823,8 @@ mod tests {
     use condor_queue::DiskQueue;
 
     fn quick_config() -> FleetConfig {
-        FleetConfig::default().with_serve(
-            ServeConfig::default()
-                .with_batch_window(Duration::from_millis(1))
-                .with_default_timeout(Duration::from_secs(20)),
-        )
+        FleetConfig::default()
+            .with_serve(ServeConfig::default().with_default_timeout(Duration::from_secs(20)))
     }
 
     /// `accepted == completed + failed + timed_out + shed`.
@@ -962,7 +959,6 @@ mod tests {
             move |_: usize, _: u64| CpuBackend::replicas(&net, 1),
             quick_config().with_replicas(2).with_serve(
                 ServeConfig::default()
-                    .with_batch_window(Duration::from_millis(1))
                     .with_default_timeout(Duration::from_secs(20))
                     .with_faults(handle.clone()),
             ),
@@ -1018,7 +1014,6 @@ mod tests {
                 .with_reprovision_backoff(Duration::from_millis(50))
                 .with_serve(
                     ServeConfig::default()
-                        .with_batch_window(Duration::from_millis(1))
                         .with_default_timeout(Duration::from_secs(20))
                         .with_faults(handle.clone()),
                 ),
@@ -1073,7 +1068,6 @@ mod tests {
                 )
                 .with_serve(
                     ServeConfig::default()
-                        .with_batch_window(Duration::from_millis(1))
                         .with_default_timeout(Duration::from_secs(20))
                         .with_faults(handle.clone()),
                 ),
@@ -1113,7 +1107,6 @@ mod tests {
             move |_: usize, _: u64| CpuBackend::replicas(&net, 1),
             quick_config().with_replicas(1).with_serve(
                 ServeConfig::default()
-                    .with_batch_window(Duration::from_millis(1))
                     .with_default_timeout(Duration::from_secs(20))
                     .with_faults(handle.clone()),
             ),
@@ -1158,7 +1151,6 @@ mod tests {
             move |_: usize, _: u64| CpuBackend::replicas(&net, 1),
             quick_config().with_replicas(2).with_serve(
                 ServeConfig::default()
-                    .with_batch_window(Duration::from_millis(1))
                     .with_default_timeout(Duration::from_secs(20))
                     .with_faults(handle.clone()),
             ),
@@ -1240,7 +1232,6 @@ mod tests {
                     .with_serve(
                         ServeConfig::default()
                             .with_max_batch(8)
-                            .with_batch_window(Duration::from_millis(200))
                             .with_default_timeout(Duration::from_secs(30)),
                     ),
             )
@@ -1250,7 +1241,7 @@ mod tests {
             let mut pending = vec![fleet.submit(images.next().unwrap()).unwrap()];
             entered.recv().unwrap();
             // ...while seven more arrive: the replica has room for them
-            // whatever `router_threads` says, so they reach its batcher
+            // whatever `router_threads` says, so they reach its inbox
             // while the lane is held and leave as one batch.
             pending.extend(images.map(|image| fleet.submit(image).unwrap()));
             release.send(()).unwrap();
@@ -1288,7 +1279,6 @@ mod tests {
                 .with_serve(
                     ServeConfig::default()
                         .with_max_batch(4)
-                        .with_batch_window(Duration::from_millis(1))
                         .with_default_timeout(Duration::from_secs(30))
                         .with_faults(handle.clone()),
                 ),

@@ -39,7 +39,7 @@ use condor::{CondorError, MetricsRegistry, MetricsSnapshot};
 use condor_faults::retry::SystemClock;
 use condor_queue::{DiskQueue, Priority, QueueBackend, RecoveryReport};
 use condor_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,6 +54,7 @@ pub(crate) struct Request {
     enqueued: Instant,
     pub(crate) deadline: Instant,
     reply: SyncSender<Result<ServeReply, ServeError>>,
+    claim: Claim,
     /// Present in disk-queue mode: the durable record backing this
     /// request, acked only when the request is resolved.
     ticket: Option<Ticket>,
@@ -62,6 +63,37 @@ pub(crate) struct Request {
     ledger: bool,
     /// Where a fleet has tried to serve it; unused behind a server.
     pub(crate) route: Route,
+}
+
+/// Who answers a request: a lane that took it into a batch, or the
+/// resolution that answered it some other way — or else its caller,
+/// who gives up on it at its deadline rather than wait behind busy
+/// lanes for one to pop it. Whichever side claims it first decides;
+/// the other then knows what to do.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Claim(Arc<AtomicU8>);
+
+const WAITING: u8 = 0;
+const TAKEN: u8 = 1;
+const ABANDONED: u8 = 2;
+
+impl Claim {
+    /// Takes the request for a lane or a resolution: false if its
+    /// caller has already given up on it. Taking it again is a no-op.
+    fn take(&self) -> bool {
+        let state = self
+            .0
+            .compare_exchange(WAITING, TAKEN, Ordering::AcqRel, Ordering::Acquire);
+        state != Err(ABANDONED)
+    }
+
+    /// The caller gives up on a request nothing has taken yet: false if
+    /// something has, and its reply is on the way.
+    pub(crate) fn abandon(&self) -> bool {
+        self.0
+            .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
 }
 
 /// The durable record behind one accepted request.
@@ -81,16 +113,30 @@ impl Request {
     ) -> (Request, PendingInference) {
         let (reply, rx) = sync_channel(1);
         let now = Instant::now();
+        let claim = Claim::default();
         let request = Request {
             tensor,
             enqueued: now,
             deadline: now + timeout,
             reply,
+            claim: claim.clone(),
             ticket,
             ledger,
             route: Route::default(),
         };
-        (request, PendingInference { rx })
+        let pending = PendingInference {
+            rx,
+            deadline: request.deadline,
+            claim,
+        };
+        (request, pending)
+    }
+
+    /// Takes the request into a lane's batch: false, and it must be
+    /// answered [`ServeError::Timeout`] instead, once its deadline has
+    /// passed or its caller gave up on it there.
+    pub(crate) fn take(&self) -> bool {
+        Instant::now() < self.deadline && self.claim.take()
     }
 }
 
@@ -118,6 +164,9 @@ pub(crate) fn resolve(
             Err(_) => metrics.incr("requests_failed", 1),
         }
     }
+    // Claimed before the send, so a caller at its deadline waits for
+    // this answer instead of giving up on a request already answered.
+    request.claim.take();
     let _ = request.reply.send(result);
     if let Some(ticket) = request.ticket {
         // A refused double ack (redelivery raced the original) or a

@@ -119,7 +119,6 @@ fn chaos_scenario_inner(seed: u64, handle: FaultHandle, queue_dir: Option<PathBu
     let backends = CpuBackend::replicas(&net, LANES).unwrap();
     let mut config = ServeConfig::default()
         .with_max_batch(4)
-        .with_batch_window(Duration::from_millis(1))
         .with_default_timeout(Duration::from_secs(20))
         .with_backend_attempts(3)
         .with_backend_backoff(Duration::from_micros(200))
@@ -285,7 +284,6 @@ fn chaos_dataflow_faults_surface_and_recover() {
         deployed,
         ServeConfig::default()
             .with_max_batch(2)
-            .with_batch_window(Duration::from_millis(1))
             .with_default_timeout(Duration::from_secs(20))
             .with_backend_attempts(3),
     )

@@ -48,11 +48,7 @@ fn fleet_on(dir: &Path) -> Fleet {
         FleetConfig::default()
             .with_replicas(2)
             .with_queue(QueueBackend::Disk(queue_config(dir)))
-            .with_serve(
-                ServeConfig::default()
-                    .with_batch_window(Duration::from_millis(1))
-                    .with_default_timeout(Duration::from_secs(20)),
-            ),
+            .with_serve(ServeConfig::default().with_default_timeout(Duration::from_secs(20))),
     )
     .unwrap()
 }

@@ -73,7 +73,6 @@ fn fleet_survives_a_permanent_instance_kill_mid_stream() {
                 .with_serve(
                     ServeConfig::default()
                         .with_max_batch(4)
-                        .with_batch_window(Duration::from_millis(1))
                         .with_default_timeout(Duration::from_secs(20))
                         .with_backend_attempts(2)
                         .with_failure_threshold(1)

@@ -81,7 +81,6 @@ fn overload_sheds_batch_first_and_keeps_interactive_under_deadline() {
             CpuBackend::replicas(&net, 1).unwrap(),
             ServeConfig::default()
                 .with_max_batch(1)
-                .with_batch_window(Duration::from_millis(1))
                 .with_queue_capacity(512)
                 .with_default_timeout(Duration::from_secs(30))
                 .with_codel(

@@ -55,7 +55,6 @@ proptest! {
         let server = InferenceServer::from_deployment(
             deployed,
             ServeConfig::default()
-                .with_batch_window(Duration::from_millis(2))
                 .with_default_timeout(Duration::from_secs(60)),
         )
         .unwrap();
@@ -129,7 +128,6 @@ fn eight_clients_against_two_f1_slots_form_real_batches() {
         deployed,
         ServeConfig::default()
             .with_max_batch(16)
-            .with_batch_window(Duration::from_millis(10))
             .with_default_timeout(Duration::from_secs(60)),
     )
     .unwrap();

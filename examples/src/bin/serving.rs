@@ -1,5 +1,5 @@
 //! Serving LeNet from both FPGA slots of an f1.4xlarge: concurrent
-//! clients, dynamic batching, least-loaded dispatch, live metrics.
+//! clients, dynamic batching on whichever slot is free, live metrics.
 //!
 //! ```text
 //! cargo run --release -p condor-examples --bin serving
@@ -7,11 +7,10 @@
 //!
 //! The paper's host runtime stops at "load the AFI and run a batch";
 //! this example puts that handle behind `condor-serve`: 8 client
-//! threads fire single-image requests, the batcher coalesces them into
-//! hardware batches (the Figure 5 economics — per-image cost falls as
-//! the pipeline fills), and the scheduler spreads batches across both
-//! F1 slots. The printed snapshot shows the batch-size distribution and
-//! latency percentiles.
+//! threads fire single-image requests, and each of the two F1 slots
+//! takes them as hardware batches whenever it is free (the Figure 5
+//! economics — per-image cost falls as the pipeline fills). The printed
+//! snapshot shows the batch-size distribution and latency percentiles.
 
 use condor::{CloudContext, Condor, DeployTarget, Deployment};
 use condor_cloud::F1InstanceType;
@@ -51,7 +50,6 @@ fn main() {
         deployed,
         ServeConfig::default()
             .with_max_batch(16)
-            .with_batch_window(Duration::from_millis(5))
             .with_default_timeout(Duration::from_secs(10)),
     )
     .expect("server starts");
