@@ -56,6 +56,9 @@ pub(crate) const KC_MAX: usize = 256;
 /// Accumulators of one `MR×NR` tile of `C`.
 type Tile = [[f32; NR]; MR];
 
+/// The packed `kc×NR` slice of `B` a band's row tiles read.
+pub(crate) type Packed = [[f32; NR]; KC_MAX];
+
 /// Loop-blocking parameters, shared by the f32 and int8 GEMMs.
 ///
 /// The f32 [`gemm`] reads only `kc`: the depth of the `k`-slice whose
@@ -185,8 +188,13 @@ impl PackB for Dense<'_> {
         let jw = NR.min(self.n - jb);
         for (p, row) in dst.iter_mut().enumerate() {
             let src = (kb + p) * self.ld + jb;
-            row[..jw].copy_from_slice(&self.b[src..src + jw]);
-            row[jw..].fill(0.0);
+            // As for the stores of `C`: a fixed width copies inline.
+            if jw == NR {
+                row.copy_from_slice(&self.b[src..src + NR]);
+            } else {
+                row[..jw].copy_from_slice(&self.b[src..src + jw]);
+                row[jw..].fill(0.0);
+            }
         }
     }
 }
@@ -240,7 +248,8 @@ pub(crate) fn gemm_on(
     // first band itself instead of sleeping on a thread it had to spawn.
     let rows_per = m.div_ceil(threads.clamp(1, m)).next_multiple_of(MR);
     if rows_per >= m {
-        return gemm_band(m, n, k, a, b, c, n, kc, epilogue);
+        let mut packed = [[0.0; NR]; KC_MAX];
+        return gemm_band(m, n, k, a, b, c, n, kc, epilogue, &mut packed);
     }
     std::thread::scope(|scope| {
         let mut bands = c
@@ -251,7 +260,10 @@ pub(crate) fn gemm_on(
                 let rows = c_band.len() / n;
                 let a_band = &a[row0 * k..(row0 + rows) * k];
                 let epilogue = epilogue.for_band(row0);
-                move || gemm_band(rows, n, k, a_band, b, c_band, n, kc, epilogue)
+                move || {
+                    let mut packed = [[0.0; NR]; KC_MAX];
+                    gemm_band(rows, n, k, a_band, b, c_band, n, kc, epilogue, &mut packed)
+                }
             });
         let first = bands.next();
         for band in bands {
@@ -273,8 +285,10 @@ pub(crate) fn available_threads() -> usize {
 
 /// Single-threaded GEMM over the whole of `c`, whose rows lie `ldc`
 /// floats apart: for each `NR`-wide column of tiles and each `kc`-deep
-/// slice, pack that piece of `B` once and run every row tile against it.
-/// One copy is compiled per source of `B`.
+/// slice, pack that piece of `B` once into `packed` and run every row
+/// tile against it. The caller owns `packed`, so a caller that runs many
+/// small GEMMs zeroes its 24 KiB once and not per call. One copy is
+/// compiled per source of `B`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_band(
     m: usize,
@@ -286,8 +300,8 @@ pub(crate) fn gemm_band(
     ldc: usize,
     kc: usize,
     epilogue: Epilogue<'_>,
+    packed: &mut Packed,
 ) {
-    let mut packed = [[0.0f32; NR]; KC_MAX];
     for jb in (0..n).step_by(NR) {
         let jw = NR.min(n - jb);
         let mut kb = 0;
@@ -318,7 +332,13 @@ pub(crate) fn gemm_band(
                 }
                 for (r, row) in acc.iter().enumerate().take(iw) {
                     let at = (ib + r) * ldc + jb;
-                    c[at..at + jw].copy_from_slice(&row[..jw]);
+                    // A full-width row stores as three vectors, where a
+                    // copy of run-time length is a call to `memcpy`.
+                    if jw == NR {
+                        c[at..at + NR].copy_from_slice(row);
+                    } else {
+                        c[at..at + jw].copy_from_slice(&row[..jw]);
+                    }
                 }
             }
             kb += kw;

@@ -20,12 +20,14 @@
 //!   activations, softmax, fully-connected [`gemv`]) that all write
 //!   into caller-provided buffers, so steady-state inference allocates
 //!   nothing per layer;
-//! * [`winograd`] — Winograd F(2×2, 3×3) convolution for the wide
-//!   stride-1 3×3 layers ([`takes_winograd`]): 16 multiplies per 2×2
-//!   output tile where the direct convolution needs 36, run as 16 GEMMs
-//!   on the same register tile between two add-only transforms, in
-//!   blocks of tiles inside caller-provided scratch. It agrees with
-//!   [`conv2d`] within rounding error, not bit for bit;
+//! * [`winograd`] — Winograd F(4×4, 3×3) convolution for the wide
+//!   stride-1 3×3 layers ([`takes_winograd`]): 36 multiplies per 4×4
+//!   output tile where the direct convolution needs 144, run as 36 GEMMs
+//!   on the same register tile (tiles down its 4-row side, output
+//!   channels along its 24-wide side) between two transforms that
+//!   vectorise over channels, in blocks of tiles inside caller-provided
+//!   scratch. It agrees with [`conv2d`] within rounding error, not bit
+//!   for bit;
 //! * [`im2col()`] — the explicit patch-matrix lowering: the reference the
 //!   f32 convolution is tested against bit for bit, and the int8
 //!   path's lowering.

@@ -58,7 +58,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// Largest |Winograd − direct| accepted on an output, per unit of the
 /// magnitude Σ|w·x| (+ |bias|) it was summed from: 16 ulps of 1. Over
-/// 256 random cases the worst seen was 1.8 ulps.
+/// 256 random cases the worst seen was 10.2 ulps (7.1 over the default
+/// 64); both convolutions round, and the direct one's share of that is
+/// not Winograd's (against an `f64` reference, F(4×4, 3×3) alone stays
+/// within 8 ulps: `winograd::tests::error_within_8_ulps_of_f64`).
 const WINOGRAD_TOLERANCE: f32 = 16.0 * f32::EPSILON;
 
 fn geometry(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> ConvGeometry {
@@ -205,7 +208,7 @@ proptest! {
         prop_assert_eq!(bits(&got), bits(&want), "{:?}", geo);
     }
 
-    /// Winograd F(2×2, 3×3) against the direct convolution, with C at
+    /// Winograd F(4×4, 3×3) against the direct convolution, with C at
     /// and above the threshold, odd and even output sizes (partial tiles
     /// at the right and bottom edges), pad 0 and 1, F not a multiple of
     /// 4 and every epilogue. The two round differently, so each output

@@ -8,12 +8,13 @@
 //! network's high-water mark at construction; convolution packs its GEMM
 //! operand straight from the arena, so there is no lowering buffer.
 //! Wide 3×3, stride-1 convolutions (the kernels' `takes_winograd`: at
-//! least 32 input channels and 24 output tiles) run through Winograd
-//! F(2×2, 3×3) instead, on filters transformed once at construction and
-//! in block scratch the engine sizes then. Steady-state inference
-//! therefore performs **no heap allocation for activations or scratch**
-//! (only the returned output tensor and, per Winograd layer, the short
-//! table of output rows each of its threads writes are allocated).
+//! least 32 input channels and 25 output tiles of 4×4) run through
+//! Winograd F(4×4, 3×3) instead, on filters transformed once at
+//! construction and in block scratch the engine sizes then.
+//! Steady-state inference therefore performs **no heap allocation for
+//! activations or scratch** (only the returned output tensor and, per
+//! Winograd layer, the short table of output row slices each of its
+//! threads writes are allocated).
 //!
 //! The slice-level primitive, [`forward_layer_fast`], is shared with the
 //! dataflow hardware runtime: its PEs run the same kernels over the same
@@ -51,8 +52,9 @@ struct EnginePlan {
     scratch_len: usize,
 }
 
-/// A convolution step run through Winograd F(2×2, 3×3): its transformed
-/// filters and bias stand in for the layer's weights.
+/// A convolution step run through Winograd F(4×4, 3×3): its transformed
+/// filters (36/9 of the 3×3 weights) and bias stand in for the layer's
+/// weights.
 #[derive(Debug)]
 struct WinogradStep {
     filters: WinogradFilters,
@@ -626,7 +628,9 @@ mod tests {
     /// set-up check) where Winograd runs: the `vgg16` prefix, and a net
     /// with odd map sizes, pad 0 and 1, F not a multiple of 4 and a
     /// leaky ReLU, whose Winograd tiles overhang the right and bottom
-    /// edges.
+    /// edges: its outputs of 23×21, 21×19 and 21×19 are 36, 30 and 30
+    /// tiles of 4×4, enough to take Winograd, and no side is a multiple
+    /// of 4.
     #[test]
     fn winograd_layers_match_golden() {
         use crate::layer::Layer;
@@ -653,7 +657,7 @@ mod tests {
             Layer::new("relu2", leaky),
             conv("conv3", 6, 1),
         ];
-        let mut odd = crate::NetworkBuilder::chain("odd", Shape::chw(35, 13, 11), layers).unwrap();
+        let mut odd = crate::NetworkBuilder::chain("odd", Shape::chw(35, 23, 21), layers).unwrap();
         odd.attach_random_weights(4).unwrap();
         let mut fast = FastEngine::new(&odd).unwrap();
         assert_eq!(winograd_layers(&fast), ["conv1", "conv2", "conv3"]);

@@ -14,11 +14,13 @@
 //! * a packed 256-bit fused multiply-add in `dot_rows`, the multi-row
 //!   loop of the fully-connected layer's GEMV, which reduces eight rows
 //!   of the weight matrix per pass;
-//! * a packed 256-bit add or subtract (`vaddps` / `vsubps` on `ymm`
-//!   registers) in each of the Winograd convolution's two transforms,
-//!   `input_transform` and `output_transform`: they are additions only,
-//!   and a scalar transform passes every test while running several
-//!   times slower;
+//! * packed 256-bit arithmetic in each of the Winograd convolution's
+//!   two transforms, `input_transform` and `output_transform`: at least
+//!   one add or subtract (`vaddps` / `vsubps`) and at least one multiply
+//!   or fused multiply-add (`vmulps` / `vf…madd…ps` / `vf…msub…ps`), all
+//!   on `ymm` registers. F(4×4, 3×3) transforms scale by 2, 3, 4, 5 and 8
+//!   as well as add, and a scalar transform passes every test while
+//!   running several times slower;
 //! * a `vpmaddwd` anywhere in the crate (the int8 GEMM's widening dot
 //!   product).
 //!
@@ -35,7 +37,7 @@ const GEMM_COPIES: usize = 2;
 /// The multi-row GEMV loop, which must hold packed fused multiply-adds.
 const GEMV_FN: &str = "dot_rows";
 /// The Winograd transforms, each of which must hold packed adds or
-/// subtracts.
+/// subtracts and packed multiplies or fused multiply-adds.
 const TRANSFORM_FNS: [&str; 2] = ["input_transform", "output_transform"];
 
 /// What `check` counted in one assembly listing.
@@ -49,6 +51,9 @@ struct Counts {
     /// Packed `ymm` `vaddps` / `vsubps` instructions in each of
     /// [`TRANSFORM_FNS`], in that order.
     transform_packed_add: [usize; 2],
+    /// Packed `ymm` multiplies and fused multiply-adds in each of
+    /// [`TRANSFORM_FNS`], in that order.
+    transform_packed_mul: [usize; 2],
     /// `vpmaddwd` instructions anywhere in the listing.
     vpmaddwd: usize,
 }
@@ -57,8 +62,8 @@ struct Counts {
 /// assembly listing of `condor-kernels`, and fails when the listing holds
 /// fewer than [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
 /// packed FMA, when `dot_rows` is missing or has no packed FMA, when a
-/// Winograd transform is missing or has no packed add or subtract, or
-/// when it has no `vpmaddwd`.
+/// Winograd transform is missing or lacks a packed add or subtract or a
+/// packed multiply or fused multiply-add, or when it has no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
     let bodies = function_bodies(asm, GEMM_FN);
     if bodies.len() < GEMM_COPIES {
@@ -77,15 +82,19 @@ fn check(asm: &str) -> Result<Counts, String> {
             "`{GEMV_FN}` holds no packed ymm vfmadd…ps: the multi-row GEMV went scalar"
         ));
     }
-    let mut transform_packed_add = [0; 2];
-    for (count, name) in transform_packed_add.iter_mut().zip(TRANSFORM_FNS) {
-        *count = only_body(asm, name)?
-            .iter()
-            .filter(|l| is_packed_ymm_add(l))
-            .count();
-        if *count == 0 {
+    let (mut transform_packed_add, mut transform_packed_mul) = ([0; 2], [0; 2]);
+    for (at, name) in TRANSFORM_FNS.into_iter().enumerate() {
+        let body = only_body(asm, name)?;
+        transform_packed_add[at] = body.iter().filter(|l| is_packed_ymm_add(l)).count();
+        transform_packed_mul[at] = body.iter().filter(|l| is_packed_ymm_mul(l)).count();
+        if transform_packed_add[at] == 0 {
             return Err(format!(
                 "`{name}` holds no packed ymm vaddps/vsubps: the Winograd transform went scalar"
+            ));
+        }
+        if transform_packed_mul[at] == 0 {
+            return Err(format!(
+                "`{name}` holds no packed ymm vmulps/vfmadd…ps: the Winograd transform went scalar"
             ));
         }
     }
@@ -96,6 +105,7 @@ fn check(asm: &str) -> Result<Counts, String> {
             .collect(),
         gemv_packed_fma,
         transform_packed_add,
+        transform_packed_mul,
         vpmaddwd: asm.lines().filter(|l| mnemonic(l) == "vpmaddwd").count(),
     };
     if let Some(copy) = counts.gemm_packed_fma.iter().position(|&n| n == 0) {
@@ -167,6 +177,16 @@ fn is_packed_ymm_add(line: &str) -> bool {
     matches!(mnemonic(line), "vaddps" | "vsubps") && line.contains("%ymm")
 }
 
+/// A packed `ymm` multiply or fused multiply-add of any sign
+/// (`vmulps`, `vfmadd…ps`, `vfnmadd…ps`, `vfmsub…ps`, `vfnmsub…ps`).
+fn is_packed_ymm_mul(line: &str) -> bool {
+    let op = mnemonic(line);
+    let fused = ["vfmadd", "vfnmadd", "vfmsub", "vfnmsub"]
+        .iter()
+        .any(|p| op.starts_with(p));
+    (op == "vmulps" || fused && op.ends_with("ps")) && line.contains("%ymm")
+}
+
 /// Builds `condor-kernels` in release with `--emit asm` under
 /// `<root>/target/asm` and runs `check` on the listing. Returns the
 /// line to print on success.
@@ -205,14 +225,15 @@ pub fn run(root: &Path) -> Result<String, String> {
     let counts = check(&asm)?;
     Ok(format!(
         "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, `{GEMV_FN}` holds {}, \
-         `{}` and `{}` hold {:?} packed ymm adds and subtracts, condor-kernels holds {} \
-         vpmaddwd ({})",
+         `{}` and `{}` hold {:?} packed ymm adds and subtracts and {:?} multiplies and \
+         FMAs, condor-kernels holds {} vpmaddwd ({})",
         counts.gemm_packed_fma.len(),
         counts.gemm_packed_fma,
         counts.gemv_packed_fma,
         TRANSFORM_FNS[0],
         TRANSFORM_FNS[1],
         counts.transform_packed_add,
+        counts.transform_packed_mul,
         counts.vpmaddwd,
         listing.display()
     ))
@@ -276,11 +297,16 @@ _ZN14condor_kernels8winograd15input_transform17h0123456789abcdefE:
 \tvsubps\t(%rdx,%rcx,4), %ymm1, %ymm2
 \tvaddps\t%ymm3, %ymm4, %ymm5
 \tvsubss\t%xmm1, %xmm2, %xmm3
+\tvfnmadd231ps\t-288(%rcx), %ymm13, %ymm0
+\tvfmadd231ps\t-224(%rcx), %ymm14, %ymm0
+\tvfmadd231ss\t%xmm1, %xmm2, %xmm3
 .Lfunc_end8:
 _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
 \t.cfi_startproc
 \tvaddps\t(%r10,%rcx,4), %ymm2, %ymm3
 \tvaddss\t%xmm1, %xmm2, %xmm3
+\tvmulps\t%ymm8, %ymm9, %ymm10
+\tvmulss\t%xmm8, %xmm9, %xmm10
 .Lfunc_end9:
 ";
 
@@ -292,6 +318,7 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
                 gemm_packed_fma: vec![2, 1],
                 gemv_packed_fma: 2,
                 transform_packed_add: [2, 1],
+                transform_packed_mul: [2, 1],
                 vpmaddwd: 1
             })
         );
@@ -337,8 +364,9 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
         assert!(err.contains("`dot_rows`"), "{err}");
     }
 
-    /// Both transforms compiled to scalar code, as a first version of
-    /// them was: every add and subtract on one `xmm` lane.
+    /// Both transforms compiled to scalar code, as first versions of
+    /// them were: every add, subtract and fused multiply-add on one `xmm`
+    /// lane.
     #[test]
     fn a_scalar_winograd_transform_fails() {
         let scalar = LISTING
@@ -346,15 +374,57 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
                 "vsubps\t(%rdx,%rcx,4), %ymm1, %ymm2",
                 "vsubss\t(%rdx,%rcx,4), %xmm1, %xmm2",
             )
-            .replace("vaddps\t%ymm3, %ymm4, %ymm5", "vaddss\t%xmm3, %xmm4, %xmm5");
+            .replace("vaddps\t%ymm3, %ymm4, %ymm5", "vaddss\t%xmm3, %xmm4, %xmm5")
+            .replace(
+                "vfnmadd231ps\t-288(%rcx), %ymm13, %ymm0",
+                "vfnmadd231ss\t-288(%rcx), %xmm13, %xmm0",
+            )
+            .replace(
+                "vfmadd231ps\t-224(%rcx), %ymm14, %ymm0",
+                "vfmadd231ss\t-224(%rcx), %xmm14, %xmm0",
+            );
         let err = check(&scalar).expect_err("the input transform went scalar");
         assert!(err.contains("`input_transform`"), "{err}");
-        let scalar = LISTING.replace(
-            "vaddps\t(%r10,%rcx,4), %ymm2, %ymm3",
-            "vaddss\t(%r10,%rcx,4), %xmm2, %xmm3",
-        );
+        let scalar = LISTING
+            .replace(
+                "vaddps\t(%r10,%rcx,4), %ymm2, %ymm3",
+                "vaddss\t(%r10,%rcx,4), %xmm2, %xmm3",
+            )
+            .replace(
+                "vmulps\t%ymm8, %ymm9, %ymm10",
+                "vmulss\t%xmm8, %xmm9, %xmm10",
+            );
         let err = check(&scalar).expect_err("the output transform went scalar");
         assert!(err.contains("`output_transform`"), "{err}");
+    }
+
+    /// Packed adds alone do not pass: the transforms' multiplies and
+    /// fused multiply-adds must be packed too.
+    #[test]
+    fn a_winograd_transform_with_scalar_multiplies_fails() {
+        let scalar = LISTING
+            .replace(
+                "vfnmadd231ps\t-288(%rcx), %ymm13, %ymm0",
+                "vfnmadd231ss\t-288(%rcx), %xmm13, %xmm0",
+            )
+            .replace(
+                "vfmadd231ps\t-224(%rcx), %ymm14, %ymm0",
+                "vfmadd231ss\t-224(%rcx), %xmm14, %xmm0",
+            );
+        let err = check(&scalar).expect_err("the input transform's FMAs went scalar");
+        assert!(
+            err.contains("`input_transform`") && err.contains("vmulps"),
+            "{err}"
+        );
+        let scalar = LISTING.replace(
+            "vmulps\t%ymm8, %ymm9, %ymm10",
+            "vmulss\t%xmm8, %xmm9, %xmm10",
+        );
+        let err = check(&scalar).expect_err("the output transform's multiplies went scalar");
+        assert!(
+            err.contains("`output_transform`") && err.contains("vmulps"),
+            "{err}"
+        );
     }
 
     #[test]
