@@ -411,11 +411,8 @@ impl DeployedAccelerator {
         if let Some(rt) = self.runtime.get() {
             return Ok(rt);
         }
-        let rt = ThreadedRuntime::from_shared(
-            Arc::new(self.built.network.clone()),
-            Arc::new(self.built.plan.clone()),
-        )?
-        .with_faults(self.faults.clone());
+        let rt = ThreadedRuntime::new(&self.built.network, &self.built.plan)?
+            .with_faults(self.faults.clone());
         // A concurrent caller may have won the race; either runtime is
         // equivalent, so keep whichever landed first.
         Ok(self.runtime.get_or_init(|| rt))

@@ -15,32 +15,35 @@
 //! which dwarfed the arithmetic. A frame per send keeps the FIFO semantics
 //! (blocking, bounded, order-preserving) at per-image granularity.
 //!
-//! Numerical behaviour per PE uses the `condor-kernels` compute layer via
-//! [`condor_nn::fast::forward_layer_fast`] — the same slice-level
-//! primitive `FastEngine` is built on — applied layer-by-layer over the
-//! PE's fused layers. A full-network run therefore cross-checks the plan's
-//! topology, fusion grouping, stream wiring and ordering against
-//! [`condor_nn::GoldenEngine`], which the kernels are property-tested
-//! against.
+//! The runtime compiles the network once into a [`FastEngine`]. Each PE
+//! thread runs its own clone (shared plan and weights, private arena)
+//! over the PE's run of nodes through [`FastEngine::run_nodes`], the
+//! engine's own step loop: ReLUs folded into epilogues, Winograd on the
+//! wide 3×3 layers. The pipeline therefore computes `FastEngine`'s bits
+//! exactly, and a full-network run cross-checks the plan's topology,
+//! fusion grouping, stream wiring and ordering against it.
 
-use crate::plan::{AcceleratorPlan, DataflowError, DataflowErrorKind, PePlan};
+use crate::plan::{AcceleratorPlan, DataflowError, DataflowErrorKind};
 use condor_faults::{FaultAction, FaultHandle};
-use condor_kernels::Workspace;
-use condor_nn::fast::{forward_layer_fast, merge_fast};
-use condor_nn::Network;
-use condor_tensor::Tensor;
+use condor_nn::{FastEngine, Network, NnErrorKind};
+use condor_tensor::{Shape, Tensor};
+use std::ops::RangeInclusive;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 
 /// The threaded accelerator runtime.
 ///
-/// Owns shared handles to the network and plan so one wired runtime can
-/// be cached and reused across batches (and shared between concurrent
-/// callers — `run_batch` takes `&self` and each call spawns its own
-/// channel pipeline, so overlapping batches do not interfere).
+/// One wired runtime can be cached and reused across batches (and shared
+/// between concurrent callers — `run_batch` takes `&self` and each call
+/// spawns its own channel pipeline, so overlapping batches do not
+/// interfere).
 pub struct ThreadedRuntime {
-    net: Arc<Network>,
-    plan: Arc<AcceleratorPlan>,
+    /// The compiled network each PE thread runs a clone of.
+    engine: FastEngine,
+    plan: AcceleratorPlan,
+    input_shape: Shape,
+    /// Per PE: the stage feeding each input of its first layer, in
+    /// fan-in order — the producing PE, or the datamover (`None`).
+    feeds: Vec<Vec<Option<usize>>>,
     /// Inter-PE channel depth, measured in *frames* (feature-map
     /// payloads).
     channel_depth: usize,
@@ -50,7 +53,7 @@ pub struct ThreadedRuntime {
 impl std::fmt::Debug for ThreadedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadedRuntime")
-            .field("network", &self.net.name)
+            .field("network", &self.plan.network)
             .field("pes", &self.plan.pes.len())
             .field("channel_depth", &self.channel_depth)
             .finish()
@@ -60,49 +63,51 @@ impl std::fmt::Debug for ThreadedRuntime {
 impl ThreadedRuntime {
     /// Wires a runtime for a fully-weighted network and its plan.
     pub fn new(net: &Network, plan: &AcceleratorPlan) -> Result<Self, DataflowError> {
-        ThreadedRuntime::from_shared(Arc::new(net.clone()), Arc::new(plan.clone()))
-    }
-
-    /// Wires a runtime from shared handles without copying weights —
-    /// the constructor for callers that keep the runtime alive across
-    /// many batches (deployment handles, the inference server).
-    pub fn from_shared(
-        net: Arc<Network>,
-        plan: Arc<AcceleratorPlan>,
-    ) -> Result<Self, DataflowError> {
-        if !net.fully_weighted() {
-            return Err(DataflowError::kinded(
-                DataflowErrorKind::Execution,
-                "network must be fully weighted before hardware execution",
-            ));
-        }
         if plan.pes.is_empty() {
             return Err(DataflowError::new("plan has no PEs"));
         }
         if plan.pes.iter().any(|pe| pe.layers.is_empty()) {
             return Err(DataflowError::new("plan has a PE with no layers"));
         }
-        for pe in &plan.pes {
+        let mut pe_of_node = vec![None; net.node_count()];
+        for (pi, pe) in plan.pes.iter().enumerate() {
             for layer in &pe.layers {
-                if layer.kind.has_weights() && net.weights_of(&layer.name).is_none() {
-                    return Err(DataflowError::kinded(
-                        DataflowErrorKind::Execution,
-                        format!("plan layer '{}' has no weights in the network", layer.name),
-                    ));
+                let node = layer.node.index();
+                if net.layers.get(node).map(|l| &l.name) != Some(&layer.name) {
+                    return Err(DataflowError::new(format!(
+                        "plan layer '{}' is not node {} of the network",
+                        layer.name, layer.node
+                    )));
                 }
+                pe_of_node[node] = Some(pi);
             }
         }
+        // Which stage feeds each input position of each PE: the PE
+        // hosting the first layer's predecessor node, or the datamover
+        // when the predecessor is the network input or an `Input` node.
+        // On a linear chain this is `[[None], [Some(0)], [Some(1)], …]`.
+        let feeds = plan
+            .pes
+            .iter()
+            .map(|pe| match net.inputs_of(pe.layers[0].node).as_slice() {
+                [] => vec![None],
+                preds => preds.iter().map(|p| pe_of_node[p.index()]).collect(),
+            })
+            .collect();
+        let engine = FastEngine::new(net).map_err(|e| match e.kind {
+            NnErrorKind::MissingWeights => {
+                DataflowError::kinded(DataflowErrorKind::Execution, e.to_string())
+            }
+            _ => e.into(),
+        })?;
         Ok(ThreadedRuntime {
-            net,
-            plan,
+            engine,
+            plan: plan.clone(),
+            input_shape: net.input_shape,
+            feeds,
             channel_depth: 4,
             faults: FaultHandle::disabled(),
         })
-    }
-
-    /// The network this runtime executes.
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 
     /// The plan this runtime executes.
@@ -126,13 +131,13 @@ impl ThreadedRuntime {
     /// the outputs in order.
     pub fn run_batch(&self, images: &[Tensor]) -> Result<Vec<Tensor>, DataflowError> {
         for img in images {
-            if img.shape() != self.net.input_shape {
+            if img.shape() != self.input_shape {
                 return Err(DataflowError::kinded(
                     DataflowErrorKind::Execution,
                     format!(
                         "input shape {} does not match network input {}",
                         img.shape(),
-                        self.net.input_shape
+                        self.input_shape
                     ),
                 ));
             }
@@ -152,62 +157,13 @@ impl ThreadedRuntime {
             .expect("PE has layers")
             .output;
 
-        // Which stage feeds each input position of each PE: the PE
-        // hosting the first layer's predecessor node, or the datamover
-        // (`None`) when the predecessor is the network input. On a
-        // linear chain this is `[[None], [Some(0)], [Some(1)], …]`.
-        let mut pe_of_node = vec![usize::MAX; self.net.node_count()];
-        for (pi, pe) in self.plan.pes.iter().enumerate() {
-            for l in &pe.layers {
-                pe_of_node[l.node.index()] = pi;
-            }
-        }
-        let feeds: Vec<Vec<Option<usize>>> = self
-            .plan
-            .pes
-            .iter()
-            .map(|pe| {
-                let first = pe.layers.first().expect("PE has layers");
-                let preds = self.net.inputs_of(first.node);
-                if preds.is_empty() {
-                    vec![None]
-                } else {
-                    preds
-                        .iter()
-                        .map(|p| {
-                            let src = pe_of_node.get(p.index()).copied().unwrap_or(usize::MAX);
-                            (src != usize::MAX).then_some(src)
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-        // Per-position frame lengths (a join receives one frame per
-        // upstream branch, each with its own shape).
-        let ins_multi = self
-            .net
-            .input_shapes_multi()
-            .map_err(|e| DataflowError::kinded(DataflowErrorKind::Execution, e.message.clone()))?;
-        let in_lens: Vec<Vec<usize>> = self
-            .plan
-            .pes
-            .iter()
-            .map(|pe| {
-                let first = pe.layers.first().expect("PE has layers");
-                ins_multi
-                    .get(first.node.index())
-                    .map(|shapes| shapes.iter().map(|s| s.len()).collect())
-                    .unwrap_or_else(|| vec![first.input.len()])
-            })
-            .collect();
-
         // One bounded channel per graph edge: each (PE, input position)
         // pair gets its own FIFO, registered with the producing stage.
         // Each message is one whole frame.
         let mut pe_rxs: Vec<Vec<Receiver<Vec<f32>>>> = Vec::with_capacity(n_pes);
         let mut dm_txs: Vec<SyncSender<Vec<f32>>> = Vec::new();
         let mut pe_txs: Vec<Vec<SyncSender<Vec<f32>>>> = vec![Vec::new(); n_pes];
-        for feed in &feeds {
+        for feed in &self.feeds {
             let mut rxs = Vec::with_capacity(feed.len());
             for &src in feed {
                 let (tx, rx) = sync_channel::<Vec<f32>>(self.channel_depth);
@@ -250,28 +206,30 @@ impl ThreadedRuntime {
                 // Dropping dm_txs closes the streams.
             });
 
-            // PEs: receive one frame per image and input position, apply
-            // the fused layers through the kernel compute layer, send the
-            // output frame to every consumer. Scratch (the ping-pong
-            // activations) is allocated once per PE and reused across the
-            // batch.
+            // PEs: receive one frame per image and input position, run
+            // the PE's nodes on an engine clone, send the output frame to
+            // every consumer.
             let mut rx_iter = pe_rxs.into_iter();
             let mut tx_iter = pe_txs.into_iter();
             for (idx, pe) in self.plan.pes.iter().enumerate() {
                 let rxs = rx_iter.next().expect("one rx set per PE");
                 let txs = tx_iter.next().expect("one tx set per PE");
-                let lens = in_lens[idx].clone();
-                let net = self.net.as_ref();
+                let nodes = pe.layers[0].node.index()..=pe.layers[pe.layers.len() - 1].node.index();
+                let engine = self.engine.clone();
                 let faults = self.faults.clone();
                 let site = format!("dataflow.pe{idx}");
-                scope.spawn(move || pe_worker(pe, net, &rxs, &txs, &lens, batch, &faults, &site));
+                scope.spawn(move || pe_worker(engine, nodes, &rxs, &txs, batch, &faults, &site));
             }
 
             // Collector (this thread): assemble the batch outputs.
             let rx = col_rx;
             let mut outs = Vec::with_capacity(batch);
             for i in 0..batch {
-                match recv_frame(&rx, out_shape.len()) {
+                match rx
+                    .recv()
+                    .ok()
+                    .filter(|frame| frame.len() == out_shape.len())
+                {
                     Some(frame) => outs.push(Tensor::from_vec(out_shape, frame)),
                     None => {
                         let err = DataflowError::kinded(
@@ -297,13 +255,6 @@ impl ThreadedRuntime {
     }
 }
 
-/// Receives exactly one frame of the expected length, or `None` if the
-/// channel closes first (or an upstream stage sent a malformed frame).
-fn recv_frame(rx: &Receiver<Vec<f32>>, len: usize) -> Option<Vec<f32>> {
-    let frame = rx.recv().ok()?;
-    (frame.len() == len).then_some(frame)
-}
-
 /// Sends one frame to every consumer, cloning for all but the last (the
 /// common single-consumer chain case moves the frame without a copy).
 /// `Err` when every consumer hung up; a dangling PE (no consumers)
@@ -318,42 +269,26 @@ fn send_to_all(txs: &[SyncSender<Vec<f32>>], frame: Vec<f32>) -> Result<(), ()> 
     last.send(frame).map_err(|_| ())
 }
 
-/// One PE thread: drains `batch` frames from each input position, runs
-/// the PE's fused layers over its private scratch arena, and forwards
-/// output frames to every consumer. A PE whose first layer is a
-/// multi-input merge (`Concat`/`Eltwise`) receives one frame per
-/// upstream branch and combines them before the remaining fused layers
-/// run. Returns early (closing its channels) on upstream termination,
-/// downstream termination or a compute error — the collector reports
-/// the resulting truncation.
-#[allow(clippy::too_many_arguments)]
+/// One PE thread: drains `batch` frames from each input position (a
+/// merge head receives one per upstream branch), runs the PE's `nodes`
+/// on its engine clone, and forwards output frames to every consumer.
+/// Returns early (closing its channels) on upstream termination,
+/// downstream termination or a typed engine error — the collector
+/// reports the resulting truncation.
 fn pe_worker(
-    pe: &PePlan,
-    net: &Network,
+    mut engine: FastEngine,
+    nodes: RangeInclusive<usize>,
     rxs: &[Receiver<Vec<f32>>],
     txs: &[SyncSender<Vec<f32>>],
-    in_lens: &[usize],
     batch: usize,
     faults: &FaultHandle,
     site: &str,
 ) {
-    let first = pe.layers.first().expect("PE has layers");
-    let out_len = pe.layers.last().expect("PE has layers").output.len();
-    let merge_head = rxs.len() > 1;
-    let max_len = pe
-        .layers
-        .iter()
-        .map(|l| l.input.len().max(l.output.len()))
-        .max()
-        .expect("PE has layers");
-    let mut ping = vec![0.0f32; max_len];
-    let mut pong = vec![0.0f32; max_len];
     let mut frames: Vec<Vec<f32>> = Vec::with_capacity(rxs.len());
-
     for _ in 0..batch {
         frames.clear();
-        for (rx, &len) in rxs.iter().zip(in_lens) {
-            let Some(frame) = recv_frame(rx, len) else {
+        for rx in rxs {
+            let Ok(frame) = rx.recv() else {
                 return; // upstream closed early
             };
             frames.push(frame);
@@ -367,43 +302,14 @@ fn pe_worker(
             Some(_) => {}
             None => {}
         }
-        let mut src = &mut ping;
-        let mut dst = &mut pong;
-        let rest = if merge_head {
-            // The join combines its branch frames into the first
-            // layer's output, then the fused tail runs as usual.
-            let inputs: Vec<&[f32]> = frames.iter().map(Vec::as_slice).collect();
-            merge_fast(&first.kind, &inputs, &mut src[..first.output.len()]);
-            &pe.layers[1..]
-        } else {
-            src[..in_lens[0]].copy_from_slice(&frames[0]);
-            &pe.layers[..]
+        let inputs: Vec<&[f32]> = frames.iter().map(Vec::as_slice).collect();
+        let Ok(value) = engine.run_nodes(nodes.clone(), &inputs) else {
+            return; // typed engine error ⇒ truncate the stream
         };
-        for layer in rest {
-            // Standalone activation layers stay unfused here: the plan
-            // already groups layers into PEs, and the runtime mirrors
-            // the plan's structure one filter at a time.
-            if forward_layer_fast(
-                net,
-                &layer.name,
-                &layer.kind,
-                None,
-                &src[..layer.input.len()],
-                layer.input,
-                layer.output,
-                &mut dst[..layer.output.len()],
-                &mut Workspace::new(),
-            )
-            .is_err()
-            {
-                return; // typed compute error ⇒ truncate the stream
-            }
-            std::mem::swap(&mut src, &mut dst);
-        }
         // Recycle an incoming frame's allocation for the outgoing one.
         let mut out = frames.swap_remove(0);
-        out.resize(out_len, 0.0);
-        out.copy_from_slice(&src[..out_len]);
+        out.clear();
+        out.extend_from_slice(value);
         if send_to_all(txs, out).is_err() {
             return; // every downstream consumer closed
         }
@@ -416,7 +322,7 @@ mod tests {
     use super::*;
     use crate::plan::{PeParallelism, PlanBuilder};
     use condor_nn::{dataset, zoo, GoldenEngine};
-    use condor_tensor::{AllClose, Shape};
+    use condor_tensor::{AllClose, TensorRng};
 
     fn lenet_setup() -> (Network, AcceleratorPlan) {
         let net = zoo::lenet_weighted(21);
@@ -512,23 +418,71 @@ mod tests {
         }
     }
 
+    /// Values whose bits differ between two equally long outputs.
+    fn differing_bits(a: &Tensor, b: &Tensor) -> usize {
+        assert_eq!(a.shape(), b.shape());
+        let pairs = a.as_slice().iter().zip(b.as_slice());
+        pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count()
+    }
+
+    /// The layers of `zoo::vgg16()` up to `pool2`, rebuilt at 3×56×56
+    /// with random weights: `conv1_2`, `conv2_1` and `conv2_2` take
+    /// Winograd in `FastEngine`.
+    fn vgg56(seed: u64) -> Network {
+        let full = zoo::vgg16();
+        let end = full.layers.iter().position(|l| l.name == "pool2").unwrap();
+        let layers = full.layers[..=end].to_vec();
+        let shape = Shape::chw(3, 56, 56);
+        let mut net = condor_nn::NetworkBuilder::chain("vgg56", shape, layers).unwrap();
+        net.attach_random_weights(seed).unwrap();
+        net
+    }
+
+    /// Runs `images` through `FastEngine` and through the runtime at
+    /// each fusion factor, and asserts the outputs agree in every bit.
+    fn assert_bit_identical(label: &str, net: &Network, images: &[Tensor], fusions: &[usize]) {
+        let sw = FastEngine::new(net).unwrap().infer_batch(images).unwrap();
+        for &fusion in fusions {
+            let plan = PlanBuilder::new(net).fusion(fusion).build().unwrap();
+            let rt = ThreadedRuntime::new(net, &plan).unwrap();
+            let hw = rt.run_batch(images).unwrap();
+            assert_eq!(hw.len(), sw.len(), "{label}");
+            for (i, (h, s)) in hw.iter().zip(&sw).enumerate() {
+                let n = differing_bits(h, s);
+                assert_eq!(n, 0, "{label} fusion {fusion} image {i}: {n} values differ");
+            }
+        }
+    }
+
+    /// Each PE runs `FastEngine`'s own steps over its run of nodes, so
+    /// the pipeline computes the engine's bits: ReLUs folded into
+    /// epilogues, Winograd on the wide 3×3 layers, fork/join wiring,
+    /// at every fusion factor.
     #[test]
-    fn runtime_matches_fast_engine_bitwise() {
-        // The PEs and FastEngine share `forward_layer_fast`, so modulo
-        // ReLU fusion (which changes no values for exact ReLU epilogue
-        // math) the runtime should reproduce the fast engine exactly on
-        // unfused plans.
-        let (net, plan) = lenet_setup();
-        let rt = ThreadedRuntime::new(&net, &plan).unwrap();
-        let mut fast = condor_nn::FastEngine::new(&net).unwrap();
-        let images: Vec<Tensor> = dataset::mnist_like(3, 11)
-            .into_iter()
-            .map(|s| s.image)
-            .collect();
-        let hw = rt.run_batch(&images).unwrap();
-        let sw = fast.infer_batch(&images).unwrap();
-        for (h, s) in hw.iter().zip(&sw) {
-            assert!(h.all_close(s));
+    fn runtime_is_bit_identical_to_fast_engine() {
+        let images = |set: Vec<dataset::Sample>| -> Vec<Tensor> {
+            set.into_iter().map(|s| s.image).collect()
+        };
+        let lenet = zoo::lenet_weighted(21);
+        assert_bit_identical(
+            "lenet",
+            &lenet,
+            &images(dataset::mnist_like(3, 11)),
+            &[1, 4],
+        );
+        let tc1 = zoo::tc1_weighted(33);
+        assert_bit_identical("tc1", &tc1, &images(dataset::usps_like(3, 9)), &[1, 4]);
+        let resnet = zoo::resnet_block_weighted(17);
+        let xavier = |net: &Network, seed: u64| condor_tensor::xavier(net.input_shape, 4, seed);
+        let imgs: Vec<Tensor> = (40..43).map(|s| xavier(&resnet, s)).collect();
+        assert_bit_identical("resnet block", &resnet, &imgs, &[1, 4]);
+        let vgg = vgg56(2);
+        let img = TensorRng::seeded(3).uniform(vgg.input_shape, 0.0, 1.0);
+        assert_bit_identical("vgg56", &vgg, &[img], &[1, 4]);
+        for seed in 0..8u64 {
+            let net = condor_nn::arbitrary::random_weighted_dag(seed);
+            let imgs: Vec<Tensor> = (0..2).map(|i| xavier(&net, seed * 10 + i)).collect();
+            assert_bit_identical(&format!("dag {seed}"), &net, &imgs, &[1, 2, 4]);
         }
     }
 
@@ -551,7 +505,7 @@ mod tests {
             .run_batch(&images)
             .unwrap();
         for (x, y) in a.iter().zip(&b) {
-            assert!(x.all_close(y));
+            assert_eq!(differing_bits(x, y), 0);
         }
     }
 

@@ -121,7 +121,8 @@ proptest! {
         }
     }
 
-    /// Fused and unfused plans compute identical results.
+    /// Fused and unfused plans run the same engine steps, so they
+    /// compute the same bits.
     #[test]
     fn fusion_is_functionally_invisible(seed in 0u64..32, fusion in 2usize..4) {
         let net = random_weighted_chain(seed);
@@ -138,7 +139,10 @@ proptest! {
         .unwrap()
         .run_batch(std::slice::from_ref(&img))
         .unwrap();
-        prop_assert!(a[0].all_close(&b[0]));
+        let bits = |t: &condor_tensor::Tensor| {
+            t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&a[0]), bits(&b[0]));
     }
 
     /// The element-level conv simulation equals the golden convolution

@@ -16,13 +16,11 @@
 //! Winograd layer, the short table of output row slices each of its
 //! threads writes are allocated).
 //!
-//! The slice-level primitive, [`forward_layer_fast`], is shared with the
-//! dataflow hardware runtime: its PEs run the same kernels over the same
-//! buffers-in/buffers-out contract, so the functional simulation and the
-//! production CPU path cannot drift apart. They agree bit for bit on
-//! every layer but the Winograd ones: `forward_layer_fast` keeps the
-//! direct convolution, so there the two agree within Winograd's rounding
-//! bound, not bitwise.
+//! The dataflow hardware runtime runs this same step loop: each of its
+//! PE threads holds a clone of one engine and calls
+//! [`FastEngine::run_nodes`] over the PE's run of nodes, so the
+//! functional simulation computes the production CPU path's bits on
+//! every layer, Winograd ones included.
 //!
 //! [`GoldenEngine`](crate::GoldenEngine) remains the functional oracle;
 //! the workspace property suites assert `FastEngine == GoldenEngine`
@@ -38,6 +36,7 @@ use condor_kernels::{
     Activation, ConvGeometry, WinogradFilters, Workspace,
 };
 use condor_tensor::{Shape, Tensor};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// The immutable, shareable part of a compiled engine: network handle,
@@ -207,11 +206,49 @@ impl FastEngine {
     /// reused across layers and calls, and Winograd convolutions block
     /// their work inside the engine's scratch.
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.plan.schedule.check_input(input)?;
+        let shape = self.plan.schedule.output_shape;
+        let last = self.plan.net.layers.len() - 1;
+        let out = self.run_nodes(0..=last, &[input.as_slice()])?;
+        Ok(Tensor::from_vec(shape, out.to_vec()))
+    }
+
+    /// Runs the compiled steps of the contiguous node run `nodes` (node
+    /// indices in topological order) and returns the value of its last
+    /// node. `inputs` are the values the run's first node reads, in
+    /// fan-in order; they are staged into that step's arena slots. This
+    /// is [`FastEngine::infer`]'s own step loop, so a pipeline of
+    /// engines, each running one run of nodes, computes exactly the
+    /// bits `infer` does.
+    ///
+    /// # Errors
+    /// `BadFanIn` when the run cuts a ReLU from the producer it is
+    /// folded into, or when a later node reads a value from outside the
+    /// run that its first node does not; `InputMismatch` when `inputs`
+    /// disagree in number or length with what the first node reads.
+    pub fn run_nodes(
+        &mut self,
+        nodes: RangeInclusive<usize>,
+        inputs: &[&[f32]],
+    ) -> Result<&[f32], NnError> {
         let plan = &*self.plan;
-        plan.schedule.check_input(input)?;
-        self.arena.input_mut().copy_from_slice(input.as_slice());
+        let (steps, last) = plan.schedule.steps_of(&nodes)?;
+        let reads = &plan.schedule.steps[steps.start].inputs;
+        if inputs.len() != reads.len()
+            || inputs.iter().zip(reads).any(|(x, r)| x.len() != r.1.len())
+        {
+            return Err(NnError::net(format!(
+                "nodes {nodes:?} read {} values; the inputs given differ in number or length",
+                reads.len()
+            ))
+            .with_kind(NnErrorKind::InputMismatch));
+        }
+        for (x, &(slot, shape, _)) in inputs.iter().zip(reads) {
+            self.arena.slot_mut(slot, shape.len()).copy_from_slice(x);
+        }
         let scratch = &mut self.scratch;
-        for (step, winograd) in plan.schedule.steps.iter().zip(&plan.winograd) {
+        let run = plan.schedule.steps[steps.clone()].iter();
+        for (step, winograd) in run.zip(&plan.winograd[steps]) {
             let layer = &plan.net.layers[step.node];
             self.arena.run_step(step, |ins, out| {
                 if let Some(w) = winograd {
@@ -237,10 +274,7 @@ impl FastEngine {
                 )
             })?;
         }
-        Ok(Tensor::from_vec(
-            plan.schedule.output_shape,
-            self.arena.output().to_vec(),
-        ))
+        Ok(self.arena.value(&plan.schedule.steps[last]))
     }
 
     /// Runs a batch sequentially on this engine's arena (zero per-layer
@@ -361,11 +395,7 @@ pub fn forward_layer_fast(
 ///
 /// Both paths match [`crate::golden`]'s merge semantics bit-for-bit —
 /// same copy order, same fold order.
-///
-/// # Panics
-/// Panics when the input lengths do not add up to (Concat) or equal
-/// (Eltwise) the output length.
-pub fn merge_fast(kind: &LayerKind, inputs: &[&[f32]], out: &mut [f32]) {
+fn merge_fast(kind: &LayerKind, inputs: &[&[f32]], out: &mut [f32]) {
     match *kind {
         LayerKind::Concat => {
             let mut off = 0;
@@ -674,6 +704,69 @@ mod tests {
         let g = GoldenEngine::new(&net).unwrap().infer(&img).unwrap();
         let diff = max_abs_diff(&fast.infer(&img).unwrap(), &g);
         assert!(diff <= 1e-4, "vgg56: max |diff| {diff}");
+    }
+
+    /// `run_nodes` refuses a run that cuts a folded ReLU from its
+    /// producer, at either end.
+    #[test]
+    fn run_nodes_refuses_a_run_that_splits_a_step() {
+        let net = zoo::tc1_weighted(1);
+        let mut fast = FastEngine::new(&net).unwrap();
+        let step = fast
+            .plan
+            .schedule
+            .steps
+            .iter()
+            .find(|s| s.fused_relu.is_some());
+        let (conv, relu) = (step.unwrap().node, step.unwrap().fused_relu.unwrap());
+        let x = vec![0.0; net.input_shapes().unwrap()[conv].len()];
+        for nodes in [conv..=conv, relu..=relu + 1] {
+            let err = fast.run_nodes(nodes.clone(), &[&x]).unwrap_err();
+            assert_eq!(err.kind, NnErrorKind::BadFanIn, "{nodes:?}");
+        }
+        assert!(fast.run_nodes(conv..=relu, &[&x]).is_ok());
+    }
+
+    /// `run_nodes` refuses a run whose later node reads a value from
+    /// outside the run that its first node does not read; runs that
+    /// read only staged or inner values agree with `infer` in bits.
+    #[test]
+    fn run_nodes_refuses_a_read_from_outside_the_run() {
+        use crate::layer::{EltwiseOp, Layer};
+        use crate::NetworkBuilder;
+
+        let conv = |name: &str| {
+            let kind = LayerKind::Convolution {
+                num_output: 2,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+                bias: true,
+            };
+            Layer::new(name, kind)
+        };
+        let mut b = NetworkBuilder::new("fork", Shape::chw(1, 6, 6));
+        let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
+        let c1 = b.add(conv("conv1"), &[data]).unwrap();
+        let c2 = b.add(conv("conv2"), &[data]).unwrap();
+        let sum = LayerKind::Eltwise { op: EltwiseOp::Sum };
+        b.add(Layer::new("join", sum), &[c1, c2]).unwrap();
+        let mut net = b.build().unwrap();
+        net.attach_random_weights(5).unwrap();
+        let mut fast = FastEngine::new(&net).unwrap();
+        let img = TensorRng::seeded(2).uniform(net.input_shape, -1.0, 1.0);
+        // conv2 reads `data`, but `join` also reads conv1, outside 2..=3.
+        let err = fast.run_nodes(2..=3, &[img.as_slice()]).unwrap_err();
+        assert_eq!(err.kind, NnErrorKind::BadFanIn);
+        let err = fast.run_nodes(0..=3, &[]).unwrap_err();
+        assert_eq!(err.kind, NnErrorKind::InputMismatch);
+
+        let want = fast.infer(&img).unwrap();
+        let a = fast.run_nodes(1..=1, &[img.as_slice()]).unwrap().to_vec();
+        let b = fast.run_nodes(2..=2, &[img.as_slice()]).unwrap().to_vec();
+        let got = fast.run_nodes(3..=3, &[&a, &b]).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want.as_slice()));
     }
 
     #[test]

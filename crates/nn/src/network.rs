@@ -37,8 +37,9 @@ pub enum NnErrorKind {
     /// Runtime input does not match the network's input shape.
     InputMismatch,
     /// A node's fan-in is impossible for its kind (e.g. an `Input` layer
-    /// given predecessors). Arity violations discovered during shape
-    /// inference carry `Shape(WrongArity)` instead.
+    /// given predecessors), or a run of nodes cannot run on its own
+    /// (`FastEngine::run_nodes`). Arity violations discovered during
+    /// shape inference carry `Shape(WrongArity)` instead.
     BadFanIn,
     /// Unclassified error (external constructors).
     Other,

@@ -477,7 +477,7 @@ impl QuantizedEngine {
         let schedule = &self.plan.schedule;
         let mut out = vec![0.0f32; schedule.output_shape.len()];
         dequantize_into(
-            self.arena.output(),
+            self.arena.value(&schedule.steps[schedule.output_step]),
             self.plan.steps[schedule.output_step].out_params,
             &mut out,
         );
@@ -526,7 +526,8 @@ impl QuantizedEngine {
     fn run(&mut self, input: &Tensor, mut hook: impl FnMut(usize, &[i8])) -> Result<(), NnError> {
         let plan = &*self.plan;
         plan.schedule.check_input(input)?;
-        quantize_into(input.as_slice(), plan.input_params, self.arena.input_mut());
+        let staged = self.arena.slot_mut(plan.schedule.input_slot, input.len());
+        quantize_into(input.as_slice(), plan.input_params, staged);
         for (si, (step, q)) in plan.schedule.steps.iter().zip(&plan.steps).enumerate() {
             let scratch = &mut self.scratch;
             self.arena.run_step(step, |ins, out| {

@@ -6,13 +6,16 @@
 //! slots by a linear scan over the topological order. `FastEngine` and
 //! `QuantizedEngine` differ only in the fusion predicate they pass and
 //! in the per-step payload they attach; [`Arena`] is the one place a
-//! slot buffer is lifted out for writing and put back.
+//! slot buffer is lifted out for writing and put back. The dataflow
+//! runtime's PEs run the same steps, cut by node run
+//! ([`Schedule::steps_of`]).
 
 use crate::graph::NodeId;
 use crate::layer::{LayerKind, PoolKind};
 use crate::network::{Network, NnError, NnErrorKind};
 use condor_kernels::{ConvGeometry, PoolMethod};
 use condor_tensor::{Shape, Tensor};
+use std::ops::{Range, RangeInclusive};
 
 /// Where the value a step reads was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,6 +230,51 @@ impl Schedule {
         })
     }
 
+    /// The steps that compute the contiguous node run `nodes`, and among
+    /// them the step whose output is the value of the run's last node.
+    ///
+    /// The run reads from outside only through its first step's inputs;
+    /// a later step may read a value computed earlier in the run or one
+    /// the first step reads. Refused (`BadFanIn`) when the run cuts a
+    /// folded ReLU from its producer, is empty or out of range, or has a
+    /// step that reads any other value.
+    pub(crate) fn steps_of(
+        &self,
+        nodes: &RangeInclusive<usize>,
+    ) -> Result<(Range<usize>, usize), NnError> {
+        let (start, end) = (*nodes.start(), *nodes.end());
+        let lo = self.steps.partition_point(|s| s.node < start);
+        let hi = self.steps.partition_point(|s| s.node <= end);
+        let run = &self.steps[lo..hi];
+        let split = self.steps.iter().any(|s| {
+            s.fused_relu
+                .is_some_and(|r| nodes.contains(&s.node) != nodes.contains(&r))
+        });
+        let last = run
+            .iter()
+            .position(|s| s.node == end || s.fused_relu == Some(end));
+        let (false, Some(last)) = (split, last) else {
+            return Err(NnError::net(format!(
+                "nodes {start}..={end} are empty or cut a folded ReLU from its producer"
+            ))
+            .with_kind(NnErrorKind::BadFanIn));
+        };
+        let staged = &run[0].inputs;
+        for (i, step) in run.iter().enumerate().skip(1) {
+            for &(_, _, src) in &step.inputs {
+                let inside = matches!(src, Source::Step(k) if (lo..lo + i).contains(&k));
+                if !inside && !staged.iter().any(|&(_, _, s)| s == src) {
+                    return Err(NnError::net(format!(
+                        "node {} reads a value from outside nodes {start}..={end}",
+                        step.node
+                    ))
+                    .with_kind(NnErrorKind::BadFanIn));
+                }
+            }
+        }
+        Ok((lo..hi, lo + last))
+    }
+
     /// Refuses an input whose shape is not the network's.
     pub(crate) fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
         if input.shape() == self.input_shape {
@@ -247,33 +295,23 @@ impl Schedule {
 #[derive(Debug)]
 pub(crate) struct Arena<T> {
     slots: Vec<Vec<T>>,
-    /// Slot and length of the staged network input / the final output.
-    input: (usize, usize),
-    output: (usize, usize),
 }
 
 impl<T: Copy + Default> Arena<T> {
     pub(crate) fn new(schedule: &Schedule) -> Self {
         Arena {
-            slots: (0..schedule.slot_count)
-                .map(|_| vec![T::default(); schedule.max_elems])
-                .collect(),
-            input: (schedule.input_slot, schedule.input_shape.len()),
-            output: (
-                schedule.steps[schedule.output_step].out_slot,
-                schedule.output_shape.len(),
-            ),
+            slots: vec![vec![T::default(); schedule.max_elems]; schedule.slot_count],
         }
     }
 
-    /// Where the network input is staged before the first step.
-    pub(crate) fn input_mut(&mut self) -> &mut [T] {
-        &mut self.slots[self.input.0][..self.input.1]
+    /// The first `len` values of `slot`, where a step's input is staged.
+    pub(crate) fn slot_mut(&mut self, slot: usize, len: usize) -> &mut [T] {
+        &mut self.slots[slot][..len]
     }
 
-    /// The network output, valid once every step has run.
-    pub(crate) fn output(&self) -> &[T] {
-        &self.slots[self.output.0][..self.output.1]
+    /// The value `step` wrote, until a later step reuses its slot.
+    pub(crate) fn value(&self, step: &ScheduledStep) -> &[T] {
+        &self.slots[step.out_slot][..step.output.len()]
     }
 
     /// Runs `f` over the step's input slices (fan-in order) and its

@@ -5,7 +5,8 @@
 //! synthetic caffemodel → frontend → build (static checks pass) →
 //! deploy on-premise AND cloud → infer. All four execution paths
 //! (GoldenEngine, FastEngine, on-premise runtime, cloud runtime) must
-//! agree within the workspace tolerance (1e-4), and a mild fault plan
+//! agree within the workspace tolerance (1e-4), the two runtimes must
+//! match FastEngine bit for bit, and a mild fault plan
 //! over the deployment steps must change *nothing* about the numbers —
 //! retries absorb the faults.
 
@@ -35,6 +36,10 @@ fn build_from_caffe() -> condor::BuiltAccelerator {
     built
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 fn test_images() -> Vec<Tensor> {
     dataset::mnist_like(6, 42)
         .into_iter()
@@ -42,7 +47,8 @@ fn test_images() -> Vec<Tensor> {
         .collect()
 }
 
-/// All four paths agree within 1e-4 on a clean substrate.
+/// All four paths agree within 1e-4 on a clean substrate, and both
+/// hardware paths compute FastEngine's bits.
 #[test]
 fn every_execution_path_agrees_clean() {
     let (reference, _) = fabricate_lenet_caffemodel(SEED);
@@ -75,11 +81,13 @@ fn every_execution_path_agrees_clean() {
             "onprem vs golden, image {i}"
         );
         assert!(cloud[i].all_close(&golden[i]), "cloud vs golden, image {i}");
+        // Both hardware paths run FastEngine's own steps in their PEs.
         assert_eq!(
-            onprem[i].as_slice(),
-            cloud[i].as_slice(),
-            "both hardware paths share the runtime: image {i} must be bit-identical"
+            bits(&onprem[i]),
+            bits(&fast[i]),
+            "onprem vs fast, image {i}"
         );
+        assert_eq!(bits(&cloud[i]), bits(&fast[i]), "cloud vs fast, image {i}");
     }
 }
 
