@@ -41,6 +41,8 @@ pub struct ThreadedRuntime {
     engine: FastEngine,
     plan: AcceleratorPlan,
     input_shape: Shape,
+    /// Per PE: the run of nodes it computes.
+    runs: Vec<RangeInclusive<usize>>,
     /// Per PE: the stage feeding each input of its first layer, in
     /// fan-in order — the producing PE, or the datamover (`None`).
     feeds: Vec<Vec<Option<usize>>>,
@@ -62,6 +64,8 @@ impl std::fmt::Debug for ThreadedRuntime {
 
 impl ThreadedRuntime {
     /// Wires a runtime for a fully-weighted network and its plan.
+    /// Refuses a plan whose PE runs nodes the engine cannot run alone,
+    /// such as a ReLU apart from the producer it is folded into.
     pub fn new(net: &Network, plan: &AcceleratorPlan) -> Result<Self, DataflowError> {
         if plan.pes.is_empty() {
             return Err(DataflowError::new("plan has no PEs"));
@@ -94,15 +98,26 @@ impl ThreadedRuntime {
                 preds => preds.iter().map(|p| pe_of_node[p.index()]).collect(),
             })
             .collect();
-        let engine = FastEngine::new(net).map_err(|e| match e.kind {
+        let mut engine = FastEngine::new(net).map_err(|e| match e.kind {
             NnErrorKind::MissingWeights => {
                 DataflowError::kinded(DataflowErrorKind::Execution, e.to_string())
             }
             _ => e.into(),
         })?;
+        // `run_nodes` checks a run before its inputs, so a call with none
+        // only checks that the engine can run the PE's nodes alone.
+        let mut runs = Vec::with_capacity(plan.pes.len());
+        for pe in &plan.pes {
+            let nodes = pe.layers[0].node.index()..=pe.layers[pe.layers.len() - 1].node.index();
+            match engine.run_nodes(nodes.clone(), &[]) {
+                Err(e) if e.kind != NnErrorKind::InputMismatch => return Err(e.into()),
+                _ => runs.push(nodes),
+            }
+        }
         Ok(ThreadedRuntime {
             engine,
             plan: plan.clone(),
+            runs,
             input_shape: net.input_shape,
             feeds,
             channel_depth: 4,
@@ -147,15 +162,8 @@ impl ThreadedRuntime {
         }
 
         let n_pes = self.plan.pes.len();
-        let out_shape = self
-            .plan
-            .pes
-            .last()
-            .expect("non-empty")
-            .layers
-            .last()
-            .expect("PE has layers")
-            .output;
+        let last = &self.plan.pes[n_pes - 1].layers;
+        let out_shape = last[last.len() - 1].output;
 
         // One bounded channel per graph edge: each (PE, input position)
         // pair gets its own FIFO, registered with the producing stage.
@@ -211,10 +219,10 @@ impl ThreadedRuntime {
             // every consumer.
             let mut rx_iter = pe_rxs.into_iter();
             let mut tx_iter = pe_txs.into_iter();
-            for (idx, pe) in self.plan.pes.iter().enumerate() {
+            for (idx, nodes) in self.runs.iter().enumerate() {
                 let rxs = rx_iter.next().expect("one rx set per PE");
                 let txs = tx_iter.next().expect("one tx set per PE");
-                let nodes = pe.layers[0].node.index()..=pe.layers[pe.layers.len() - 1].node.index();
+                let nodes = nodes.clone();
                 let engine = self.engine.clone();
                 let faults = self.faults.clone();
                 let site = format!("dataflow.pe{idx}");
@@ -484,6 +492,53 @@ mod tests {
             let imgs: Vec<Tensor> = (0..2).map(|i| xavier(&net, seed * 10 + i)).collect();
             assert_bit_identical(&format!("dag {seed}"), &net, &imgs, &[1, 2, 4]);
         }
+    }
+
+    /// `relu_a` reads `conv_a`, but `conv_b` sits between them in node
+    /// order: the plan gives `relu_a` its own PE and the engine keeps it
+    /// out of `conv_a`'s epilogue, so every PE's node run is whole.
+    #[test]
+    fn relu_apart_from_its_producer_runs_at_every_fusion() {
+        use condor_nn::{EltwiseOp, Layer, LayerKind};
+        let conv = |name: &str| {
+            let kind = LayerKind::Convolution {
+                num_output: 2,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+                bias: true,
+            };
+            Layer::new(name, kind)
+        };
+        let mut b = condor_nn::NetworkBuilder::new("interleaved", Shape::chw(1, 6, 6));
+        let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
+        let conv_a = b.add(conv("conv_a"), &[data]).unwrap();
+        let conv_b = b.add(conv("conv_b"), &[data]).unwrap();
+        let relu = LayerKind::ReLU {
+            negative_slope: 0.0,
+        };
+        let relu_a = b.add(Layer::new("relu_a", relu), &[conv_a]).unwrap();
+        let sum = LayerKind::Eltwise { op: EltwiseOp::Sum };
+        b.add(Layer::new("join", sum), &[relu_a, conv_b]).unwrap();
+        let mut net = b.build().unwrap();
+        net.attach_random_weights(6).unwrap();
+        let imgs: Vec<Tensor> = (0..3)
+            .map(|i| TensorRng::seeded(i).uniform(net.input_shape, -1.0, 1.0))
+            .collect();
+        assert_bit_identical("interleaved", &net, &imgs, &[1, 4]);
+    }
+
+    /// A plan whose PE cuts a folded ReLU from its producer is refused
+    /// when the runtime is built, not per batch.
+    #[test]
+    fn plan_that_splits_a_folded_relu_is_refused() {
+        let (net, mut plan) = lenet_setup();
+        let pe = plan.pes.iter().position(|pe| pe.layers.len() > 1).unwrap();
+        assert!(pe + 1 < plan.pes.len());
+        let relu = plan.pes[pe].layers.pop().unwrap();
+        plan.pes[pe + 1].layers.insert(0, relu);
+        let err = ThreadedRuntime::new(&net, &plan).unwrap_err();
+        assert_eq!(err.kind, DataflowErrorKind::Nn(NnErrorKind::BadFanIn));
     }
 
     #[test]

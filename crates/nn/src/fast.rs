@@ -4,13 +4,13 @@
 //! and register-tiled GEMM kernels instead of the golden engine's naive
 //! loop nests. It executes the shared compiled schedule (DESIGN.md §4c:
 //! ReLUs folded into their Conv/FC producer's GEMM epilogue, activation
-//! slots assigned at compile time) over one `f32` arena sized to the
-//! network's high-water mark at construction; convolution packs its GEMM
-//! operand straight from the arena, so there is no lowering buffer.
+//! slots assigned at compile time) over one `f32` arena whose slots grow
+//! on first use to the largest value they hold; convolution packs its
+//! GEMM operand straight from the arena, so there is no lowering buffer.
 //! Wide 3×3, stride-1 convolutions (the kernels' `takes_winograd`: at
 //! least 32 input channels and 25 output tiles of 4×4) run through
 //! Winograd F(4×4, 3×3) instead, on filters transformed once at
-//! construction and in block scratch the engine sizes then.
+//! construction and in block scratch that likewise grows on first use.
 //! Steady-state inference therefore performs **no heap allocation for
 //! activations or scratch** (only the returned output tensor and, per
 //! Winograd layer, the short table of output row slices each of its
@@ -36,7 +36,7 @@ use condor_kernels::{
     Activation, ConvGeometry, WinogradFilters, Workspace,
 };
 use condor_tensor::{Shape, Tensor};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 /// The immutable, shareable part of a compiled engine: network handle,
@@ -47,8 +47,6 @@ struct EnginePlan {
     schedule: Schedule,
     /// Per step: the Winograd form of a convolution that takes it.
     winograd: Vec<Option<WinogradStep>>,
-    /// Scratch floats the largest Winograd step needs (0 with none).
-    scratch_len: usize,
 }
 
 /// A convolution step run through Winograd F(4×4, 3×3): its transformed
@@ -116,10 +114,8 @@ impl EnginePlan {
             .filter(|(_, w)| w.is_some())
             .map(|(step, _)| net.layers[step.node].name.as_str())
             .collect();
-        let scratch_len = winograd.iter().flatten().map(|w| w.scratch_len).max();
         Ok(EnginePlan {
             net: hold(&replaced),
-            scratch_len: scratch_len.unwrap_or(0),
             schedule,
             winograd,
         })
@@ -153,7 +149,8 @@ impl EnginePlan {
 pub struct FastEngine {
     plan: Arc<EnginePlan>,
     arena: Arena<f32>,
-    /// Winograd block scratch, shared by the steps in turn.
+    /// Winograd block scratch, shared by the steps in turn and grown to
+    /// the largest step's need on first use.
     scratch: Vec<f32>,
 }
 
@@ -186,7 +183,7 @@ impl FastEngine {
     fn from_plan(plan: Arc<EnginePlan>) -> Self {
         FastEngine {
             arena: Arena::new(&plan.schedule),
-            scratch: vec![0.0; plan.scratch_len],
+            scratch: Vec::new(),
             plan,
         }
     }
@@ -208,8 +205,7 @@ impl FastEngine {
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.plan.schedule.check_input(input)?;
         let shape = self.plan.schedule.output_shape;
-        let last = self.plan.net.layers.len() - 1;
-        let out = self.run_nodes(0..=last, &[input.as_slice()])?;
+        let out = self.run_steps(0..self.plan.schedule.steps.len(), &[input.as_slice()])?;
         Ok(Tensor::from_vec(shape, out.to_vec()))
     }
 
@@ -221,19 +217,22 @@ impl FastEngine {
     /// engines, each running one run of nodes, computes exactly the
     /// bits `infer` does.
     ///
+    /// The run is checked before `inputs` are, so a call with no inputs
+    /// checks a run and computes nothing.
+    ///
     /// # Errors
-    /// `BadFanIn` when the run cuts a ReLU from the producer it is
-    /// folded into, or when a later node reads a value from outside the
-    /// run that its first node does not; `InputMismatch` when `inputs`
-    /// disagree in number or length with what the first node reads.
+    /// `BadFanIn` when the run is empty, cuts a ReLU from the producer
+    /// it is folded into, or has a later node that reads a value from
+    /// outside the run that its first node does not; `InputMismatch`
+    /// when `inputs` disagree in number or length with what the first
+    /// node reads.
     pub fn run_nodes(
         &mut self,
         nodes: RangeInclusive<usize>,
         inputs: &[&[f32]],
     ) -> Result<&[f32], NnError> {
-        let plan = &*self.plan;
-        let (steps, last) = plan.schedule.steps_of(&nodes)?;
-        let reads = &plan.schedule.steps[steps.start].inputs;
+        let steps = self.plan.schedule.steps_of(&nodes)?;
+        let reads = &self.plan.schedule.steps[steps.start].inputs;
         if inputs.len() != reads.len()
             || inputs.iter().zip(reads).any(|(x, r)| x.len() != r.1.len())
         {
@@ -243,15 +242,25 @@ impl FastEngine {
             ))
             .with_kind(NnErrorKind::InputMismatch));
         }
-        for (x, &(slot, shape, _)) in inputs.iter().zip(reads) {
-            self.arena.slot_mut(slot, shape.len()).copy_from_slice(x);
+        self.run_steps(steps, inputs)
+    }
+
+    /// Stages `inputs` into the slots the first of `steps` reads, runs
+    /// the steps and returns the last one's output. The caller has
+    /// checked that the steps form a run (`Schedule::steps_of`) and that
+    /// `inputs` match the first step's reads.
+    fn run_steps(&mut self, steps: Range<usize>, inputs: &[&[f32]]) -> Result<&[f32], NnError> {
+        let plan = &*self.plan;
+        let run = &plan.schedule.steps[steps.clone()];
+        for (x, &(slot, _, _)) in inputs.iter().zip(&run[0].inputs) {
+            self.arena.slot_mut(slot, x.len()).copy_from_slice(x);
         }
         let scratch = &mut self.scratch;
-        let run = plan.schedule.steps[steps.clone()].iter();
-        for (step, winograd) in run.zip(&plan.winograd[steps]) {
+        for (step, winograd) in run.iter().zip(&plan.winograd[steps]) {
             let layer = &plan.net.layers[step.node];
             self.arena.run_step(step, |ins, out| {
                 if let Some(w) = winograd {
+                    scratch.resize(scratch.len().max(w.scratch_len), 0.0);
                     let slope = plan.fused_slope(step.fused_relu);
                     let bias = w.bias.as_deref();
                     conv2d_winograd(ins[0], &w.filters, bias, &w.geo, slope, out, scratch);
@@ -274,7 +283,7 @@ impl FastEngine {
                 )
             })?;
         }
-        Ok(self.arena.value(&plan.schedule.steps[last]))
+        Ok(self.arena.value(&run[run.len() - 1]))
     }
 
     /// Runs a batch sequentially on this engine's arena (zero per-layer
@@ -633,23 +642,25 @@ mod tests {
 
     /// On the `vgg16` prefix exactly the three wide 3×3 convolutions take
     /// Winograd, and the engine keeps none of their 3×3 weights. LeNet
-    /// and TC1 (the serving lanes' networks) take none and get no
-    /// scratch.
+    /// and TC1 (the serving lanes' networks) take none and, after an
+    /// inference, still hold no scratch.
     #[test]
     fn winograd_routing_on_zoo_networks() {
         let net = vgg56(1);
-        let fast = FastEngine::new(&net).unwrap();
+        let mut fast = FastEngine::new(&net).unwrap();
         let wide = ["conv1_2", "conv2_1", "conv2_2"];
         assert_eq!(winograd_layers(&fast), wide);
-        assert!(fast.plan.scratch_len > 0);
         for name in wide {
             assert!(!fast.plan.net.weights.contains_key(name), "{name} kept");
         }
         assert!(fast.plan.net.weights.contains_key("conv1_1"));
+        fast.infer(&Tensor::zeros(net.input_shape)).unwrap();
+        let needs = fast.plan.winograd.iter().flatten().map(|w| w.scratch_len);
+        assert_eq!(Some(fast.scratch.len()), needs.max());
         for net in [zoo::lenet_weighted(1), zoo::tc1_weighted(1)] {
-            let fast = FastEngine::new(&net).unwrap();
+            let mut fast = FastEngine::new(&net).unwrap();
             assert!(winograd_layers(&fast).is_empty(), "{}", net.name);
-            assert_eq!(fast.plan.scratch_len, 0, "{}", net.name);
+            fast.infer(&Tensor::zeros(net.input_shape)).unwrap();
             assert!(fast.scratch.is_empty(), "{}", net.name);
         }
     }
@@ -707,7 +718,7 @@ mod tests {
     }
 
     /// `run_nodes` refuses a run that cuts a folded ReLU from its
-    /// producer, at either end.
+    /// producer, at either end, and a reversed or out-of-range run.
     #[test]
     fn run_nodes_refuses_a_run_that_splits_a_step() {
         let net = zoo::tc1_weighted(1);
@@ -720,7 +731,8 @@ mod tests {
             .find(|s| s.fused_relu.is_some());
         let (conv, relu) = (step.unwrap().node, step.unwrap().fused_relu.unwrap());
         let x = vec![0.0; net.input_shapes().unwrap()[conv].len()];
-        for nodes in [conv..=conv, relu..=relu + 1] {
+        let last = net.layers.len() - 1;
+        for nodes in [conv..=conv, relu..=relu + 1, last..=0, last + 1..=last + 1] {
             let err = fast.run_nodes(nodes.clone(), &[&x]).unwrap_err();
             assert_eq!(err.kind, NnErrorKind::BadFanIn, "{nodes:?}");
         }

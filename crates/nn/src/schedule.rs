@@ -32,7 +32,8 @@ pub(crate) struct ScheduledStep {
     /// Index of the network node this step executes.
     pub node: usize,
     /// Index of a sole-consumer ReLU node folded into this step's
-    /// epilogue; the step's output is then that node's value.
+    /// epilogue (always `node + 1`); the step's output is then that
+    /// node's value.
     pub fused_relu: Option<usize>,
     /// Arena slot, single-item shape and producer of each input, in
     /// fan-in order.
@@ -55,7 +56,7 @@ pub(crate) struct Schedule {
     pub input_slot: usize,
     /// Index in `steps` of the step whose output is the network output.
     pub output_step: usize,
-    /// Largest single-node activation length (per-slot buffer size).
+    /// Largest single-node activation length.
     pub max_elems: usize,
     pub input_shape: Shape,
     pub output_shape: Shape,
@@ -111,28 +112,27 @@ impl Schedule {
         })?;
 
         // A ReLU folds into a Conv/FC producer's epilogue exactly when
-        // it is that producer's *sole* consumer and reads nothing else —
-        // on a linear chain this is "ReLU directly after Conv/FC", and
-        // on a branchy graph it refuses to fuse a ReLU whose producer
-        // also feeds a skip edge (the raw pre-activation value must stay
-        // observable).
+        // it directly follows that producer in node order (so a step is
+        // a contiguous node run, as the dataflow plan's PEs are), is its
+        // *sole* consumer and reads nothing else: a ReLU whose producer
+        // also feeds a skip edge keeps its own step (the raw
+        // pre-activation value must stay observable).
         let mut fused_into: Vec<Option<usize>> = vec![None; n];
         let mut fused_relu: Vec<Option<usize>> = vec![None; n];
-        for (i, layer) in net.layers.iter().enumerate() {
-            if !matches!(
-                layer.kind,
-                LayerKind::Convolution { .. } | LayerKind::InnerProduct { .. }
-            ) {
+        for (i, pair) in net.layers.windows(2).enumerate() {
+            let (j, id) = (i + 1, NodeId::from_index(i + 1));
+            let LayerKind::ReLU { negative_slope } = pair[1].kind else {
                 continue;
-            }
-            if let [j] = net.consumers_of(NodeId::from_index(i)).as_slice() {
-                let j = j.index();
-                if let LayerKind::ReLU { negative_slope } = net.layers[j].kind {
-                    if fuse(negative_slope) && net.inputs_of(NodeId::from_index(j)).len() == 1 {
-                        fused_into[j] = Some(i);
-                        fused_relu[i] = Some(j);
-                    }
-                }
+            };
+            if matches!(
+                pair[0].kind,
+                LayerKind::Convolution { .. } | LayerKind::InnerProduct { .. }
+            ) && fuse(negative_slope)
+                && net.consumers_of(NodeId::from_index(i)) == [id]
+                && net.inputs_of(id).len() == 1
+            {
+                fused_into[j] = Some(i);
+                fused_relu[i] = Some(j);
             }
         }
         // Node whose step produces node `k`'s value: its fused producer
@@ -230,35 +230,32 @@ impl Schedule {
         })
     }
 
-    /// The steps that compute the contiguous node run `nodes`, and among
-    /// them the step whose output is the value of the run's last node.
+    /// The steps that compute the contiguous node run `nodes`; the last
+    /// of them outputs the value of the run's last node.
     ///
     /// The run reads from outside only through its first step's inputs;
     /// a later step may read a value computed earlier in the run or one
     /// the first step reads. Refused (`BadFanIn`) when the run cuts a
     /// folded ReLU from its producer, is empty or out of range, or has a
     /// step that reads any other value.
-    pub(crate) fn steps_of(
-        &self,
-        nodes: &RangeInclusive<usize>,
-    ) -> Result<(Range<usize>, usize), NnError> {
+    pub(crate) fn steps_of(&self, nodes: &RangeInclusive<usize>) -> Result<Range<usize>, NnError> {
         let (start, end) = (*nodes.start(), *nodes.end());
         let lo = self.steps.partition_point(|s| s.node < start);
         let hi = self.steps.partition_point(|s| s.node <= end);
-        let run = &self.steps[lo..hi];
-        let split = self.steps.iter().any(|s| {
-            s.fused_relu
-                .is_some_and(|r| nodes.contains(&s.node) != nodes.contains(&r))
-        });
-        let last = run
-            .iter()
-            .position(|s| s.node == end || s.fused_relu == Some(end));
-        let (false, Some(last)) = (split, last) else {
+        let run = self.steps.get(lo..hi).unwrap_or_default();
+        // A folded ReLU directly follows its producer, so a run keeps
+        // every step whole exactly when it starts on a step's own node
+        // and ends on the value of its last step.
+        let whole = run.first().is_some_and(|s| s.node == start)
+            && run
+                .last()
+                .is_some_and(|s| s.fused_relu.unwrap_or(s.node) == end);
+        if !whole {
             return Err(NnError::net(format!(
                 "nodes {start}..={end} are empty or cut a folded ReLU from its producer"
             ))
             .with_kind(NnErrorKind::BadFanIn));
-        };
+        }
         let staged = &run[0].inputs;
         for (i, step) in run.iter().enumerate().skip(1) {
             for &(_, _, src) in &step.inputs {
@@ -272,7 +269,7 @@ impl Schedule {
                 }
             }
         }
-        Ok((lo..hi, lo + last))
+        Ok(lo..hi)
     }
 
     /// Refuses an input whose shape is not the network's.
@@ -289,9 +286,10 @@ impl Schedule {
     }
 }
 
-/// The activation slots a [`Schedule`] runs over, each sized to the
-/// network's largest activation so steady-state inference allocates
-/// nothing per layer.
+/// The activation slots a [`Schedule`] runs over. A slot grows, on its
+/// first use, to the largest value written into it, so steady-state
+/// inference allocates nothing per layer, and an arena that runs only
+/// some of the steps holds only the values those steps touch.
 #[derive(Debug)]
 pub(crate) struct Arena<T> {
     slots: Vec<Vec<T>>,
@@ -300,13 +298,15 @@ pub(crate) struct Arena<T> {
 impl<T: Copy + Default> Arena<T> {
     pub(crate) fn new(schedule: &Schedule) -> Self {
         Arena {
-            slots: vec![vec![T::default(); schedule.max_elems]; schedule.slot_count],
+            slots: vec![Vec::new(); schedule.slot_count],
         }
     }
 
     /// The first `len` values of `slot`, where a step's input is staged.
     pub(crate) fn slot_mut(&mut self, slot: usize, len: usize) -> &mut [T] {
-        &mut self.slots[slot][..len]
+        let buf = &mut self.slots[slot];
+        buf.resize(buf.len().max(len), T::default());
+        &mut buf[..len]
     }
 
     /// The value `step` wrote, until a later step reuses its slot.
@@ -324,6 +324,7 @@ impl<T: Copy + Default> Arena<T> {
         f: impl FnOnce(&[&[T]], &mut [T]) -> R,
     ) -> R {
         let mut out_buf = std::mem::take(&mut self.slots[step.out_slot]);
+        out_buf.resize(out_buf.len().max(step.output.len()), T::default());
         let out = &mut out_buf[..step.output.len()];
         let slice = |&(slot, shape, _): &(usize, Shape, Source)| &self.slots[slot][..shape.len()];
         let result = match step.inputs.as_slice() {
@@ -401,6 +402,30 @@ mod tests {
         b.add(
             Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum }),
             &[c1, r1],
+        )
+        .unwrap();
+        let net = b.build().unwrap();
+        let schedule = Schedule::compile(&net, ALWAYS).unwrap();
+        assert_eq!(schedule.steps.len(), net.layers.len());
+        assert!(schedule.steps.iter().all(|s| s.fused_relu.is_none()));
+    }
+
+    #[test]
+    fn fusion_refused_when_relu_does_not_directly_follow_its_producer() {
+        // relu_a reads conv_a, but conv_b sits between them in node
+        // order: a step covering conv_a and relu_a would not be a
+        // contiguous node run.
+        let mut b = NetworkBuilder::new("interleaved", Shape::chw(1, 6, 6));
+        let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
+        let ca = b.add(conv("conv_a", 2), &[data]).unwrap();
+        let cb = b.add(conv("conv_b", 2), &[data]).unwrap();
+        let relu = LayerKind::ReLU {
+            negative_slope: 0.0,
+        };
+        let ra = b.add(Layer::new("relu_a", relu), &[ca]).unwrap();
+        b.add(
+            Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum }),
+            &[ra, cb],
         )
         .unwrap();
         let net = b.build().unwrap();
