@@ -19,20 +19,24 @@
 //! DESIGN.md §4c); 4 also divides the zoo's channel counts more often
 //! than 6 does.
 //!
-//! Packing. Before a column of tiles is computed, the `kc×NR` slice of
-//! `B` under it is written into a stack array (`KC_MAX·NR·4 B` = 24 KiB),
-//! zero-padded to `NR` columns at the right edge, and every row tile
-//! reads that copy. A `PackB` source fills it: `Dense` copies the slice
-//! out of a row-major `B` (the public [`gemm`]), and convolution
-//! ([`crate::ops::conv2d`]) reads it straight from its `C×H×W` input, so no
-//! patch matrix is ever written. Unpacked, a dense slice is `kc` separate
-//! 96-byte pieces a whole row of `B` apart: at `n = 3136` (a 56×56
-//! feature map) the row stride is 12 544 B = 196 lines, 196 mod 64 = 4,
-//! so the 512 lines of one slice fall onto 32 of an 8-way L1's 64 sets —
-//! room for 256 — and evict each other on every pass. Packed, the slice
-//! is contiguous and L1-resident. It lives on the stack because its size
-//! is a compile-time constant and each worker thread needs its own: no
-//! heap, no workspace, nothing to size or share.
+//! Packing. A column of tiles reads the `kc×NR` slice of `B` under it
+//! as one contiguous, `NR`-wide, k-major panel, zero-padded to `NR`
+//! columns at the right edge; every row tile of the column reads it. A
+//! `SliceB` source hands that slice to the band loop as a borrowed
+//! slice. `Dense` (the public [`gemm`]) copies it out of a row-major `B`
+//! into a stack array (`KC_MAX·NR·4 B` = 24 KiB) and lends that, and
+//! convolution ([`crate::ops::conv2d`]) fills the array straight from
+//! its `C×H×W` input, so no patch matrix is ever written. Winograd's
+//! transformed filters ([`crate::winograd`]) are stored in this layout
+//! when an engine compiles, so they lend their own memory and their
+//! GEMMs copy nothing. Unpacked, a dense slice is `kc` separate 96-byte
+//! pieces a whole row of `B` apart: at `n = 3136` (a 56×56 feature map)
+//! the row stride is 12 544 B = 196 lines, 196 mod 64 = 4, so the 512
+//! lines of one slice fall onto 32 of an 8-way L1's 64 sets — room for
+//! 256 — and evict each other on every pass. Packed, the slice is
+//! contiguous and L1-resident. The array lives on the stack because its
+//! size is a compile-time constant and each worker thread needs its
+//! own: no heap, no workspace, nothing to size or share.
 //!
 //! Determinism: each output element accumulates its `k` products in
 //! strictly ascending `k` order, each as one fused multiply-add
@@ -55,9 +59,6 @@ pub(crate) const KC_MAX: usize = 256;
 
 /// Accumulators of one `MR×NR` tile of `C`.
 type Tile = [[f32; NR]; MR];
-
-/// The packed `kc×NR` slice of `B` a band's row tiles read.
-pub(crate) type Packed = [[f32; NR]; KC_MAX];
 
 /// Loop-blocking parameters, shared by the f32 and int8 GEMMs.
 ///
@@ -167,12 +168,21 @@ pub fn gemm(
     gemm_packed(m, n, k, a, &Dense { b, n, ld: n }, c, blocking, epilogue);
 }
 
-/// A source of `B` for the band loop: writes the `dst.len() × NR` slice
-/// of the `k × n` matrix `B` at rows `kb..` and columns `jb..`, zero past
-/// column `n`. Every source must write the same values for the same
-/// matrix, so the result does not depend on where `B` comes from.
-pub(crate) trait PackB: Sync {
-    fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]);
+/// A source of `B` for the band loop. `slice` returns the `kw × NR`
+/// slice of the `k × n` matrix `B` at rows `kb..` and columns `jb..`,
+/// zero past column `n`: written into `buf` (at least `kw` rows) and
+/// borrowed from it, or borrowed from the source's own memory when it
+/// holds `B` in that layout. Every source must give the same values for
+/// the same matrix, so the result does not depend on where `B` comes
+/// from.
+pub(crate) trait SliceB: Sync {
+    fn slice<'s>(
+        &'s self,
+        kb: usize,
+        jb: usize,
+        kw: usize,
+        buf: &'s mut [[f32; NR]],
+    ) -> &'s [[f32; NR]];
 }
 
 /// A dense row-major `k × n` matrix `B` whose rows lie `ld` floats
@@ -183,8 +193,15 @@ pub(crate) struct Dense<'a> {
     pub(crate) ld: usize,
 }
 
-impl PackB for Dense<'_> {
-    fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]) {
+impl SliceB for Dense<'_> {
+    fn slice<'s>(
+        &'s self,
+        kb: usize,
+        jb: usize,
+        kw: usize,
+        buf: &'s mut [[f32; NR]],
+    ) -> &'s [[f32; NR]] {
+        let dst = &mut buf[..kw];
         let jw = NR.min(self.n - jb);
         for (p, row) in dst.iter_mut().enumerate() {
             let src = (kb + p) * self.ld + jb;
@@ -196,17 +213,18 @@ impl PackB for Dense<'_> {
                 row[jw..].fill(0.0);
             }
         }
+        dst
     }
 }
 
-/// [`gemm`] with `B` supplied slice by slice by a packer.
+/// [`gemm`] with `B` supplied slice by slice by a source.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: &impl PackB,
+    b: &impl SliceB,
     c: &mut [f32],
     blocking: GemmBlocking,
     epilogue: Epilogue<'_>,
@@ -227,7 +245,7 @@ pub(crate) fn gemm_on(
     n: usize,
     k: usize,
     a: &[f32],
-    b: &impl PackB,
+    b: &impl SliceB,
     c: &mut [f32],
     blocking: GemmBlocking,
     epilogue: Epilogue<'_>,
@@ -244,16 +262,14 @@ pub(crate) fn gemm_on(
 
     // Each thread owns a horizontal band of C and the matching band of
     // A; B is shared read-only. Bands are whole register tiles, so only
-    // the last one can end in a partial tile. The caller computes the
-    // first band itself instead of sleeping on a thread it had to spawn.
+    // the last one can end in a partial tile.
     let rows_per = m.div_ceil(threads.clamp(1, m)).next_multiple_of(MR);
     if rows_per >= m {
         let mut packed = [[0.0; NR]; KC_MAX];
         return gemm_band(m, n, k, a, b, c, n, kc, epilogue, &mut packed);
     }
-    std::thread::scope(|scope| {
-        let mut bands = c
-            .chunks_mut(rows_per * n)
+    run_split(
+        c.chunks_mut(rows_per * n)
             .enumerate()
             .map(|(band, c_band)| {
                 let row0 = band * rows_per;
@@ -264,13 +280,22 @@ pub(crate) fn gemm_on(
                     let mut packed = [[0.0; NR]; KC_MAX];
                     gemm_band(rows, n, k, a_band, b, c_band, n, kc, epilogue, &mut packed)
                 }
-            });
-        let first = bands.next();
-        for band in bands {
-            scope.spawn(band);
+            }),
+    );
+}
+
+/// Runs the first of `parts` on the calling thread and each other one
+/// on a scoped thread of its own, and returns when all have finished:
+/// the caller computes a share instead of sleeping on a thread it had
+/// to spawn.
+pub(crate) fn run_split<F: FnOnce() + Send>(mut parts: impl Iterator<Item = F>) {
+    std::thread::scope(|scope| {
+        let first = parts.next();
+        for part in parts {
+            scope.spawn(part);
         }
-        if let Some(mut band) = first {
-            band();
+        if let Some(part) = first {
+            part();
         }
     });
 }
@@ -285,22 +310,24 @@ pub(crate) fn available_threads() -> usize {
 
 /// Single-threaded GEMM over the whole of `c`, whose rows lie `ldc`
 /// floats apart: for each `NR`-wide column of tiles and each `kc`-deep
-/// slice, pack that piece of `B` once into `packed` and run every row
-/// tile against it. The caller owns `packed`, so a caller that runs many
-/// small GEMMs zeroes its 24 KiB once and not per call. One copy is
-/// compiled per source of `B`.
+/// slice, take that piece of `B` once from its source and run every row
+/// tile against it. A source that packs writes into `packed`, which must
+/// then hold `kc` rows; one that lends its own memory takes an empty
+/// one. One copy is compiled per source of `B`, each kept out of line
+/// so that it has a symbol, which `xtask asm` reads.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 pub(crate) fn gemm_band(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: &impl PackB,
+    b: &impl SliceB,
     c: &mut [f32],
     ldc: usize,
     kc: usize,
     epilogue: Epilogue<'_>,
-    packed: &mut Packed,
+    packed: &mut [[f32; NR]],
 ) {
     for jb in (0..n).step_by(NR) {
         let jw = NR.min(n - jb);
@@ -308,8 +335,7 @@ pub(crate) fn gemm_band(
         // `k = 0` still runs one (empty) slice: C = epilogue(0).
         loop {
             let kw = kc.min(k - kb);
-            let bp = &mut packed[..kw];
-            b.pack(kb, jb, bp);
+            let bp = b.slice(kb, jb, kw, packed);
             let (first, last) = (kb == 0, kb + kw == k);
             for ib in (0..m).step_by(MR) {
                 let iw = MR.min(m - ib);
@@ -399,15 +425,11 @@ pub fn gemv(
     if threads > 1 && m * k >= PAR_MACS_THRESHOLD && m >= 2 {
         let bands = threads.min(m);
         let rows_per = m.div_ceil(bands);
-        std::thread::scope(|scope| {
-            for (band, y_band) in y.chunks_mut(rows_per).enumerate() {
-                let row0 = band * rows_per;
-                let w_band = &w[row0 * k..(row0 + y_band.len()) * k];
-                scope.spawn(move || {
-                    gemv_serial(k, w_band, x, bias, relu_slope, y_band, row0);
-                });
-            }
-        });
+        run_split(y.chunks_mut(rows_per).enumerate().map(|(band, y_band)| {
+            let row0 = band * rows_per;
+            let w_band = &w[row0 * k..(row0 + y_band.len()) * k];
+            move || gemv_serial(k, w_band, x, bias, relu_slope, y_band, row0)
+        }));
     } else {
         gemv_serial(k, w, x, bias, relu_slope, y, 0);
     }

@@ -9,7 +9,7 @@
 //! accumulates each output in ascending-`k` order, the golden engine in
 //! `(c, m, n)` order — same multiset of products).
 
-use crate::gemm::{self, Epilogue, GemmBlocking, PackB, NR};
+use crate::gemm::{self, Epilogue, GemmBlocking, SliceB, NR};
 use crate::im2col::ConvGeometry;
 
 /// Scratch space for the f32 layer kernels, which need none.
@@ -120,12 +120,19 @@ impl<'a> ConvPatches<'a> {
     }
 }
 
-impl PackB for ConvPatches<'_> {
-    fn pack(&self, kb: usize, jb: usize, dst: &mut [[f32; NR]]) {
+impl SliceB for ConvPatches<'_> {
+    fn slice<'s>(
+        &'s self,
+        kb: usize,
+        jb: usize,
+        depth: usize,
+        buf: &'s mut [[f32; NR]],
+    ) -> &'s [[f32; NR]] {
+        let dst = &mut buf[..depth];
         // A reduction depth of 0 still packs one empty slice, and a 0×0
         // kernel would divide by zero below.
         if dst.is_empty() {
-            return;
+            return dst;
         }
         let g = self.geo;
         let (k, stride, pad) = (g.kernel, g.stride, g.pad);
@@ -177,6 +184,7 @@ impl PackB for ConvPatches<'_> {
                 }
             }
         }
+        dst
     }
 }
 

@@ -43,7 +43,7 @@
 //! in `f64`: accumulators reach ~10⁸, beyond `f32`'s 24-bit exact
 //! integer range, and `f64` keeps the rounding decision exact.
 
-use crate::gemm::{available_threads, GemmBlocking};
+use crate::gemm::{available_threads, run_split, GemmBlocking};
 
 /// Work threshold (in multiply-accumulates) below which spawning threads
 /// costs more than it saves; matches the f32 kernel.
@@ -146,27 +146,29 @@ pub fn gemm_i8(
         let (apack, bpack) = (&ws.apack[..m * k], &ws.bpack[..n * k]);
         let bands = threads.min(m);
         let rows_per = m.div_ceil(bands);
-        std::thread::scope(|scope| {
-            for (band, c_band) in c.chunks_mut(rows_per * n).enumerate() {
-                let row0 = band * rows_per;
-                let rows = c_band.len() / n;
-                let a_band = &apack[row0 * k..(row0 + rows) * k];
-                scope.spawn(move || {
-                    let mut jt = 0;
-                    while jt < n {
-                        let tw = TILE_J.min(n - jt);
-                        for i in 0..rows {
-                            let row = &a_band[i * k..(i + 1) * k];
-                            let crow = &mut c_band[i * n + jt..i * n + jt + tw];
-                            for (j, cv) in crow.iter_mut().enumerate() {
-                                *cv = dot_i16(row, &bpack[(jt + j) * k..(jt + j + 1) * k]);
+        run_split(
+            c.chunks_mut(rows_per * n)
+                .enumerate()
+                .map(|(band, c_band)| {
+                    let row0 = band * rows_per;
+                    let rows = c_band.len() / n;
+                    let a_band = &apack[row0 * k..(row0 + rows) * k];
+                    move || {
+                        let mut jt = 0;
+                        while jt < n {
+                            let tw = TILE_J.min(n - jt);
+                            for i in 0..rows {
+                                let row = &a_band[i * k..(i + 1) * k];
+                                let crow = &mut c_band[i * n + jt..i * n + jt + tw];
+                                for (j, cv) in crow.iter_mut().enumerate() {
+                                    *cv = dot_i16(row, &bpack[(jt + j) * k..(jt + j + 1) * k]);
+                                }
                             }
+                            jt += tw;
                         }
-                        jt += tw;
                     }
-                });
-            }
-        });
+                }),
+        );
     } else {
         // Serial: stage at most `nc` widened patches at a time so the
         // i16 plane stays cache-sized however wide the layer is.
@@ -248,34 +250,36 @@ pub fn gemm_i8_requant(
         let (apack, bpack) = (&ws.apack[..m * k], &ws.bpack[..n * k]);
         let bands = threads.min(m);
         let rows_per = m.div_ceil(bands);
-        std::thread::scope(|scope| {
-            for (band, o_band) in out.chunks_mut(rows_per * n).enumerate() {
-                let row0 = band * rows_per;
-                let rows = o_band.len() / n;
-                let a_band = &apack[row0 * k..(row0 + rows) * k];
-                scope.spawn(move || {
-                    let mut acc_t = [0i32; TILE_J];
-                    let mut jt = 0;
-                    while jt < n {
-                        let tw = TILE_J.min(n - jt);
-                        for i in 0..rows {
-                            let row = &a_band[i * k..(i + 1) * k];
-                            for (j, av) in acc_t[..tw].iter_mut().enumerate() {
-                                *av = dot_i16(row, &bpack[(jt + j) * k..(jt + j + 1) * k]);
+        run_split(
+            out.chunks_mut(rows_per * n)
+                .enumerate()
+                .map(|(band, o_band)| {
+                    let row0 = band * rows_per;
+                    let rows = o_band.len() / n;
+                    let a_band = &apack[row0 * k..(row0 + rows) * k];
+                    move || {
+                        let mut acc_t = [0i32; TILE_J];
+                        let mut jt = 0;
+                        while jt < n {
+                            let tw = TILE_J.min(n - jt);
+                            for i in 0..rows {
+                                let row = &a_band[i * k..(i + 1) * k];
+                                for (j, av) in acc_t[..tw].iter_mut().enumerate() {
+                                    *av = dot_i16(row, &bpack[(jt + j) * k..(jt + j + 1) * k]);
+                                }
+                                let badd = bias.map_or(0, |b| b[row0 + i]) as i64;
+                                let mult = multipliers[row0 + i] as f64;
+                                let orow = &mut o_band[i * n + jt..i * n + jt + tw];
+                                for (o, &v) in orow.iter_mut().zip(&acc_t[..tw]) {
+                                    let q = ((v as i64 + badd) as f64 * mult).round();
+                                    *o = q.clamp(lo, 127.0) as i8;
+                                }
                             }
-                            let badd = bias.map_or(0, |b| b[row0 + i]) as i64;
-                            let mult = multipliers[row0 + i] as f64;
-                            let orow = &mut o_band[i * n + jt..i * n + jt + tw];
-                            for (o, &v) in orow.iter_mut().zip(&acc_t[..tw]) {
-                                let q = ((v as i64 + badd) as f64 * mult).round();
-                                *o = q.clamp(lo, 127.0) as i8;
-                            }
+                            jt += tw;
                         }
-                        jt += tw;
                     }
-                });
-            }
-        });
+                }),
+        );
         return;
     }
 

@@ -11,7 +11,10 @@
 //! and output channels along its 24-wide side, and a block of 25 tiles
 //! wastes 3 of 28 rows where it would waste 23 of 48 columns the other
 //! way round. The multiplies run on the register-tiled GEMM
-//! (`gemm_band` with the dense packer, no new micro-kernel).
+//! (`gemm_band`, no new micro-kernel), whose `B` the filters already are:
+//! [`WinogradFilters`] stores each `Uᵀ[ξ]` as the micro-kernel's 24-wide,
+//! k-major panels, so a GEMM borrows its `kc×24` slices from them and
+//! copies nothing.
 //!
 //! Points. The transforms interpolate at 0, 1, −1, 2, −½ and ∞, not at
 //! Lavin and Gray's 0, ±1, ±2. The inverse transform scales the
@@ -25,10 +28,10 @@
 //! integers; `G` carries the fractions and is applied once, in `f64`,
 //! when the filters are transformed.
 //!
-//! Threads and blocks. [`WinogradFilters`] holds the 36 `Uᵀ[ξ]`
-//! planes, transformed once when an engine compiles. The output's
-//! `⌈outH/4⌉ × ⌈outW/4⌉` tiles are numbered row-major and split flat
-//! across threads, so 49 tiles go 25/24 (a thread's range may start and
+//! Threads and blocks. [`WinogradFilters`] holds the 36 `Uᵀ[ξ]`,
+//! transformed and cut into panels once when an engine compiles. The
+//! output's `⌈outH/4⌉ × ⌈outW/4⌉` tiles are numbered row-major and split
+//! flat across threads, so 49 tiles go 25/24 (a thread's range may start and
 //! end mid tile row; each thread writes its own slices of the output
 //! rows). Each thread cuts its range into equal blocks that fit a
 //! scratch budget. Per block it writes the transformed input `V`, then,
@@ -40,10 +43,13 @@
 //! as the GEMM reads and writes them. The transforms therefore run over
 //! channels, 16 lanes at a time: the input transform first copies the
 //! six input rows under a run of tiles channels last, and the inverse
-//! transform writes each output row of a run as one piece. Every plane
-//! starts an odd number of cache lines after the one before, so the 36
-//! streams a transform walks fall on different L1 sets, not onto one as
-//! planes a multiple of 4 KiB apart would.
+//! transform writes each output row of a run as one piece. Both of
+//! those moves are scalar, one float at a time: 8×8 transposes over
+//! fixed-size arrays compile to vector shuffles, but as many of them as
+//! there are floats, and measured no faster (DESIGN.md §4c). Every
+//! plane starts an odd number of cache lines after the one before, so
+//! the 36 streams a transform walks fall on different L1 sets, not onto
+//! one as planes a multiple of 4 KiB apart would.
 //!
 //! Scratch is the caller's ([`winograd_scratch_len`] floats, split
 //! across threads here), so a call allocates no buffer for it.
@@ -53,7 +59,7 @@
 //! convolution ([`crate::ops::conv2d`]), and agrees with it within
 //! rounding error.
 
-use crate::gemm::{self, available_threads, Dense, Epilogue, KC_MAX, NR, PAR_MACS_THRESHOLD};
+use crate::gemm::{self, available_threads, Epilogue, SliceB, KC_MAX, NR, PAR_MACS_THRESHOLD};
 use crate::im2col::ConvGeometry;
 
 /// Input channels at and above which a 3×3, stride-1 convolution takes
@@ -117,8 +123,12 @@ const G: [[f64; 3]; ALPHA] = [
 /// 416 KiB. On `vgg56` that is blocks of 25 tiles on conv1_2 and
 /// conv2_1 and of 13 on conv2_2, and 811 KB of scratch on 2 threads,
 /// where F(2×2, 3×3) took 786 KB. One block of conv2_2's 25 tiles per
-/// thread would save streaming its 2.4 MB of transformed filters a
-/// second time, but would take 1.27 MB.
+/// thread would save streaming its 2.65 MB of filter panels a second
+/// time, but would take 1.27 MB. Re-measured once the GEMMs stopped
+/// packing (2 threads, four interleaved runs of 300 images): a budget of
+/// 160 Ki floats, which gives that block, read conv2_2 at 1165–1241 µs
+/// against 1205–1321, conv1_2 at 1470–1518 against 1378–1499 and a whole
+/// image at 3664–3888 against 3521–3860, so the budget stays.
 const BLOCK_BUDGET: usize = 104 * 1024;
 
 /// The least the budget may cap a block at, however wide the layer:
@@ -130,8 +140,9 @@ const BLOCK_BUDGET: usize = 104 * 1024;
 const MIN_BLOCK: usize = 16;
 
 /// Output channels per pass of the GEMMs and the inverse transform: two
-/// register tiles wide.
+/// register tiles wide, so every group starts on a filter panel.
 const GROUP: usize = 48;
+const _: () = assert!(GROUP.is_multiple_of(NR));
 
 /// Tiles per pass of either transform.
 const RUN: usize = 8;
@@ -152,13 +163,22 @@ pub fn takes_winograd(geo: &ConvGeometry) -> bool {
     geo.kernel == 3 && geo.stride == 1 && geo.in_c >= WINOGRAD_MIN_CHANNELS && tiles >= MIN_TILES
 }
 
-/// A 3×3 filter bank transformed for F(4×4, 3×3): the 36 `C×F` planes
-/// `Uᵀ[ξ]`, `U = G g Gᵀ`, each a GEMM's right operand.
+/// A 3×3 filter bank transformed for F(4×4, 3×3): the 36 `C×F`
+/// matrices `Uᵀ[ξ]`, `U = G g Gᵀ`, each a GEMM's right operand, stored
+/// as the GEMM's micro-kernel reads them. Each `Uᵀ[ξ]` is cut into
+/// `⌈F/24⌉` panels of 24 output channels, the last one zero-padded; a
+/// panel holds its `C` rows of 24 one after the other, so every
+/// `kc`-deep slice of it is one contiguous piece the GEMM borrows.
 #[derive(Clone, Debug)]
 pub struct WinogradFilters {
     num_output: usize,
     in_c: usize,
-    planes: Vec<f32>,
+    /// Row `c` of panel `j` of `Uᵀ[ξ]` at `panels[ξ][j·C + c]`: one
+    /// allocation per `ξ` (at most 74 KB on `vgg56`), not one of 4.6 MB,
+    /// which glibc maps on its own and, once it is freed, raises its mmap
+    /// threshold to. With one block, `offline_batch`'s peak RSS read
+    /// 1.6 MB above the planes' 29.7 MB; with 36, 0.4 MB.
+    panels: Vec<Vec<[f32; NR]>>,
 }
 
 impl WinogradFilters {
@@ -173,31 +193,55 @@ impl WinogradFilters {
             num_output * in_c * 9,
             "weight blob is not F×C×3×3"
         );
-        let plane = num_output * in_c;
-        let mut planes = vec![0.0; XI * plane];
+        let per_xi = num_output.div_ceil(NR) * in_c;
+        let mut panels = vec![vec![[0.0; NR]; per_xi]; XI];
         for (at, g) in weights.chunks_exact(9).enumerate() {
             let (f, c) = (at / in_c, at % in_c);
+            let row = f / NR * in_c + c;
             // G·g, then (G·g)·Gᵀ.
             let gg: [[f64; 3]; ALPHA] = std::array::from_fn(|i| {
                 std::array::from_fn(|j| (0..3).map(|k| G[i][k] * f64::from(g[3 * k + j])).sum())
             });
-            for (i, row) in gg.iter().enumerate() {
+            for (i, ggi) in gg.iter().enumerate() {
                 for (j, gj) in G.iter().enumerate() {
-                    let u: f64 = row.iter().zip(gj).map(|(a, b)| a * b).sum();
-                    planes[(ALPHA * i + j) * plane + c * num_output + f] = u as f32;
+                    let u: f64 = ggi.iter().zip(gj).map(|(a, b)| a * b).sum();
+                    panels[ALPHA * i + j][row][f % NR] = u as f32;
                 }
             }
         }
         WinogradFilters {
             num_output,
             in_c,
-            planes,
+            panels,
         }
     }
 
-    fn plane(&self, xi: usize) -> &[f32] {
-        let len = self.num_output * self.in_c;
-        &self.planes[xi * len..(xi + 1) * len]
+    /// Columns `g0..` of `Uᵀ[ξ]` as a GEMM's `B`; `g0` is a multiple of
+    /// 24.
+    fn panels(&self, xi: usize, g0: usize) -> Panels<'_> {
+        Panels {
+            panels: &self.panels[xi][g0 / NR * self.in_c..],
+            in_c: self.in_c,
+        }
+    }
+}
+
+/// Panels of transformed filters, which lend each slice the GEMM asks
+/// for from their own memory.
+struct Panels<'a> {
+    panels: &'a [[f32; NR]],
+    in_c: usize,
+}
+
+impl SliceB for Panels<'_> {
+    fn slice<'s>(
+        &'s self,
+        kb: usize,
+        jb: usize,
+        kw: usize,
+        _: &'s mut [[f32; NR]],
+    ) -> &'s [[f32; NR]] {
+        &self.panels[jb / NR * self.in_c + kb..][..kw]
     }
 }
 
@@ -360,20 +404,13 @@ fn winograd_on(
         return layer.run_part(0, only, &mut scratch[..part_len]);
     }
     let layer = &layer;
-    std::thread::scope(|scope| {
-        let mut parts = bands
+    gemm::run_split(
+        bands
             .iter_mut()
             .zip(scratch.chunks_mut(part_len))
             .enumerate()
-            .map(|(part, (band, scratch))| move || layer.run_part(part, band, scratch));
-        let first = parts.next();
-        for part in parts {
-            scope.spawn(part);
-        }
-        if let Some(mut part) = first {
-            part();
-        }
-    });
+            .map(|(part, (band, scratch))| move || layer.run_part(part, band, scratch)),
+    );
 }
 
 /// One layer's operands, shared read-only by its threads.
@@ -476,7 +513,6 @@ impl Layer<'_> {
         let (c, f) = (self.geo.in_c, self.filters.num_output);
         let (t_start, t_end) = plan.range(part);
         let (v, m) = scratch.split_at_mut(XI * plan.v_stride);
-        let mut packed = [[0.0; NR]; KC_MAX];
         let mut t0 = t_start;
         while t0 < t_end {
             let n = plan.block.min(t_end - t0);
@@ -493,13 +529,9 @@ impl Layer<'_> {
                 for xi in 0..XI {
                     // Mᵀ[ξ] = Vᵀ[ξ] · Uᵀ[ξ], on this group's columns.
                     let a = &v[xi * plan.v_stride..][..n * c];
-                    let b = Dense {
-                        b: &self.filters.plane(xi)[g0..],
-                        n: gw,
-                        ld: f,
-                    };
+                    let b = self.filters.panels(xi, g0);
                     let mp = &mut m[xi * plan.m_stride..][..n * ld];
-                    gemm::gemm_band(n, gw, c, a, &b, mp, ld, KC_MAX, Epilogue::None, &mut packed);
+                    gemm::gemm_band(n, gw, c, a, &b, mp, ld, KC_MAX, Epilogue::None, &mut []);
                 }
                 let group = Group {
                     g0,
@@ -825,8 +857,9 @@ mod tests {
     /// The same bits on 1, 2 and 3 threads and on blocks of 24, 7 and 2
     /// tiles (threads and blocks both start and end mid tile row, and on
     /// the 6×30 map a thread's tiles can lie within one tile row), with
-    /// output sizes that are and are not multiples of 4, and with more
-    /// output channels than one group.
+    /// output sizes that are and are not multiples of 4, with more
+    /// output channels than one group, and with C = 300, whose GEMMs
+    /// borrow two `kc` slices (256 + 44 rows) of each filter panel.
     #[test]
     fn bit_identical_across_threads_and_blocks() {
         for (c, h, w, pad, f) in [
@@ -835,6 +868,7 @@ mod tests {
             (5, 12, 10, 0, 9),
             (64, 14, 14, 1, 12),
             (33, 18, 17, 1, 53),
+            (300, 6, 9, 1, 30),
         ] {
             let g = geo(c, h, w, pad);
             let input = ramp(c * h * w, 7, 23, 0.1);
@@ -869,6 +903,46 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The filters are the GEMM's panels and nothing beside them:
+    /// 36 · C · ⌈F/24⌉ · 24 floats, with the columns past F zero.
+    #[test]
+    fn filters_hold_only_their_padded_panels() {
+        for (f, c) in [(1, 1), (24, 3), (25, 2), (53, 33)] {
+            let weights = ramp(f * c * 9, 5, 17, 0.03);
+            let filters = WinogradFilters::new(&weights, f, c);
+            let floats: usize = filters.panels.iter().map(|p| p.len() * NR).sum();
+            assert_eq!(floats, XI * c * f.div_ceil(NR) * NR, "F {f} C {c}");
+            let last = f.div_ceil(NR) - 1;
+            for xi in 0..XI {
+                let panels = filters.panels(xi, 0);
+                let panel = panels.slice(0, last * NR, c, &mut []);
+                let mut pad = panel.iter().flat_map(|row| &row[f - last * NR..]);
+                assert!(pad.all(|&v| v == 0.0), "F {f} C {c} ξ {xi}");
+            }
+        }
+    }
+
+    /// C = 300: each GEMM borrows two `kc` slices of a filter panel, at
+    /// rows 0 and 256, and the layer agrees with the direct convolution
+    /// within rounding.
+    #[test]
+    fn two_kc_slices_agree_with_the_direct_convolution() {
+        let (c, f) = (300, 30);
+        let g = geo(c, 6, 9, 1);
+        let input = ramp(c * 6 * 9, 7, 23, 0.1);
+        let weights = ramp(f * c * 9, 5, 17, 0.03);
+        let filters = WinogradFilters::new(&weights, f, c);
+        let got = run(1, None, &input, &filters, None, &g, f, None);
+        let mut want = vec![0.0; got.len()];
+        let mut ws = crate::ops::Workspace::new();
+        crate::ops::conv2d(&input, &weights, None, f, &g, None, &mut want, &mut ws);
+        // Σ|w·x| over a window is at most 9·C·1.1·0.24.
+        let tol = 64.0 * f32::EPSILON * (9 * c) as f32 * 1.1 * 0.24;
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert!((a - b).abs() <= tol, "output {i}: {a} against {b}");
         }
     }
 

@@ -617,13 +617,14 @@ mod tests {
         );
     }
 
-    /// The layers of `zoo::vgg16()` up to `pool2`, rebuilt at 3×56×56
-    /// with random weights (the `perf` benchmark's `vgg56`).
-    fn vgg56(seed: u64) -> Network {
+    /// The layers of `zoo::vgg16()` up to `last`, rebuilt at `input`
+    /// with random weights; up to `pool2` at 3×56×56 it is the `perf`
+    /// benchmark's `vgg56`.
+    fn vgg_prefix(seed: u64, input: Shape, last: &str) -> Network {
         let full = zoo::vgg16();
-        let end = full.layers.iter().position(|l| l.name == "pool2").unwrap();
+        let end = full.layers.iter().position(|l| l.name == last).unwrap();
         let layers = full.layers[..=end].to_vec();
-        let mut net = crate::NetworkBuilder::chain("vgg56", Shape::chw(3, 56, 56), layers).unwrap();
+        let mut net = crate::NetworkBuilder::chain("vgg", input, layers).unwrap();
         net.attach_random_weights(seed).unwrap();
         net
     }
@@ -646,7 +647,7 @@ mod tests {
     /// inference, still hold no scratch.
     #[test]
     fn winograd_routing_on_zoo_networks() {
-        let net = vgg56(1);
+        let net = vgg_prefix(1, Shape::chw(3, 56, 56), "pool2");
         let mut fast = FastEngine::new(&net).unwrap();
         let wide = ["conv1_2", "conv2_1", "conv2_2"];
         assert_eq!(winograd_layers(&fast), wide);
@@ -666,12 +667,17 @@ mod tests {
     }
 
     /// `FastEngine` against the golden oracle within 1e-4 (the `perf`
-    /// set-up check) where Winograd runs: the `vgg16` prefix, and a net
-    /// with odd map sizes, pad 0 and 1, F not a multiple of 4 and a
-    /// leaky ReLU, whose Winograd tiles overhang the right and bottom
-    /// edges: its outputs of 23×21, 21×19 and 21×19 are 36, 30 and 30
-    /// tiles of 4×4, enough to take Winograd, and no side is a multiple
-    /// of 4.
+    /// set-up check) where Winograd runs: a net with odd map sizes, pad
+    /// 0 and 1, F not a multiple of 4 and a leaky ReLU, whose Winograd
+    /// tiles overhang the right and bottom edges (its outputs of 23×21,
+    /// 21×19 and 21×19 are 36, 30 and 30 tiles of 4×4, enough to take
+    /// Winograd, and no side is a multiple of 4), and the three
+    /// Winograd layers of the `vgg16` prefix with their own channel
+    /// counts. Those run on a 3×2×194 strip up to `relu2_2`: conv1_2 on
+    /// 2×194 is 49 tiles, conv2_1 and conv2_2 on 1×97 are 25, the least
+    /// that takes Winograd. In an unoptimised build the golden engine's
+    /// loop nests take ≈ 2 s over it, against 17 s over the square
+    /// 3×56×56 prefix and 9.6 s over 3×40×40 (conv2_x at 20×20).
     #[test]
     fn winograd_layers_match_golden() {
         use crate::layer::Layer;
@@ -709,12 +715,13 @@ mod tests {
             assert!(diff <= 1e-4, "odd maps, image {seed}: max |diff| {diff}");
         }
 
-        let net = vgg56(2);
+        let net = vgg_prefix(2, Shape::chw(3, 2, 194), "relu2_2");
         let mut fast = FastEngine::new(&net).unwrap();
+        assert_eq!(winograd_layers(&fast), ["conv1_2", "conv2_1", "conv2_2"]);
         let img = TensorRng::seeded(3).uniform(net.input_shape, 0.0, 1.0);
         let g = GoldenEngine::new(&net).unwrap().infer(&img).unwrap();
         let diff = max_abs_diff(&fast.infer(&img).unwrap(), &g);
-        assert!(diff <= 1e-4, "vgg56: max |diff| {diff}");
+        assert!(diff <= 1e-4, "vgg strip: max |diff| {diff}");
     }
 
     /// `run_nodes` refuses a run that cuts a folded ReLU from its

@@ -6,11 +6,13 @@
 //! crate in release with `--emit asm` (into `target/asm`, beside the
 //! normal build) and `check` requires:
 //!
-//! * at least two copies of the f32 GEMM's `gemm_band`, which is generic
-//!   over the source of its `B` slices (the dense matrix of `gemm` and
-//!   the input of an implicit-GEMM convolution), and a packed 256-bit
-//!   fused multiply-add (`vfmadd…ps` on `ymm` registers) in every one of
-//!   them, so that no source can lose its vector FMAs unnoticed;
+//! * exactly three copies of the f32 GEMM's `gemm_band`, which is
+//!   generic over the source of its `B` slices (the dense matrix of
+//!   `gemm`, the input of an implicit-GEMM convolution and the filter
+//!   panels of the Winograd convolution) and kept out of line, and a
+//!   packed 256-bit fused multiply-add (`vfmadd…ps` on `ymm` registers)
+//!   in every one of them, so that no source can be inlined away or lose
+//!   its vector FMAs unnoticed;
 //! * a packed 256-bit fused multiply-add in `dot_rows`, the multi-row
 //!   loop of the fully-connected layer's GEMV, which reduces eight rows
 //!   of the weight matrix per pass;
@@ -33,7 +35,7 @@ use std::process::Command;
 /// The function whose every copy must hold packed fused multiply-adds.
 const GEMM_FN: &str = "gemm_band";
 /// Copies of [`GEMM_FN`] the listing must hold: one per source of `B`.
-const GEMM_COPIES: usize = 2;
+const GEMM_COPIES: usize = 3;
 /// The multi-row GEMV loop, which must hold packed fused multiply-adds.
 const GEMV_FN: &str = "dot_rows";
 /// The Winograd transforms, each of which must hold packed adds or
@@ -59,17 +61,17 @@ struct Counts {
 }
 
 /// Counts the vector instructions the kernels depend on in an AT&T
-/// assembly listing of `condor-kernels`, and fails when the listing holds
-/// fewer than [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
+/// assembly listing of `condor-kernels`, and fails when the listing does
+/// not hold exactly [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
 /// packed FMA, when `dot_rows` is missing or has no packed FMA, when a
 /// Winograd transform is missing or lacks a packed add or subtract or a
 /// packed multiply or fused multiply-add, or when it has no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
     let bodies = function_bodies(asm, GEMM_FN);
-    if bodies.len() < GEMM_COPIES {
+    if bodies.len() != GEMM_COPIES {
         return Err(format!(
-            "{} copies of `{GEMM_FN}` in the listing, want at least {GEMM_COPIES} \
-             (inlined or renamed?)",
+            "{} copies of `{GEMM_FN}` in the listing, want {GEMM_COPIES}, one per source \
+             of B (inlined, renamed or a source added?)",
             bodies.len()
         ));
     }
@@ -260,8 +262,8 @@ mod tests {
 
     /// Shaped like rustc's output: a section line naming the symbol, the
     /// label, local labels inside the body, and the end markers. It holds
-    /// two copies of `gemm_band`, as a generic function compiles to, and
-    /// one `dot_rows`.
+    /// three copies of `gemm_band`, as a generic function compiles to,
+    /// and one `dot_rows`.
     const LISTING: &str = "\
 \t.section\t.text._ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE,\"ax\",@progbits
 _ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE:
@@ -281,6 +283,13 @@ _ZN14condor_kernels4gemm9gemm_band17hfedcba9876543210E:
 \tvfmadd231ps\t(%rsi), %ymm4, %ymm5
 \tvaddss\t%xmm1, %xmm2, %xmm3
 .Lfunc_end6:
+\t.cfi_endproc
+_ZN14condor_kernels4gemm9gemm_band17h00112233aabbccddE:
+\t.cfi_startproc
+\tvfmadd231ps\t64(%r8), %ymm6, %ymm7
+\tvfmadd231ps\t96(%r8), %ymm6, %ymm8
+\tvfmadd231ps\t128(%r8), %ymm6, %ymm9
+.Lfunc_end11:
 \t.cfi_endproc
 _ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
 \tvpmaddwd\t(%rdi), %ymm1, %ymm2
@@ -315,7 +324,7 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
         assert_eq!(
             check(LISTING),
             Ok(Counts {
-                gemm_packed_fma: vec![2, 1],
+                gemm_packed_fma: vec![2, 1, 3],
                 gemv_packed_fma: 2,
                 transform_packed_add: [2, 1],
                 transform_packed_mul: [2, 1],
@@ -324,18 +333,36 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
         );
     }
 
+    /// One copy whose only packed FMA went scalar, while the others
+    /// keep theirs.
     #[test]
     fn one_scalar_copy_of_two_fails() {
         let scalar = LISTING.replace("vfmadd231ps\t(%rsi), %ymm4", "vmulss\t(%rsi), %xmm4");
         let err = check(&scalar).expect_err("the second copy lost its packed FMA");
-        assert!(err.contains("copy 2 of 2"), "{err}");
+        assert!(err.contains("copy 2 of 3"), "{err}");
     }
 
     #[test]
     fn a_single_copy_of_gemm_band_fails() {
-        let one = LISTING.replace("9gemm_band17hfedcba", "9gemm_tile17hfedcba");
+        let one = LISTING
+            .replace("9gemm_band17hfedcba", "9gemm_tile17hfedcba")
+            .replace("9gemm_band17h0011", "9gemm_tile17h0011");
         let err = check(&one).expect_err("only one gemm_band left");
         assert!(err.contains("1 copies"), "{err}");
+    }
+
+    /// The check counts the copies the crate has, one per source of
+    /// `B`: a source whose copy was inlined into its caller fails it,
+    /// and so does a fourth source nobody added to the count.
+    #[test]
+    fn a_copy_of_gemm_band_more_or_less_fails() {
+        let two = LISTING.replace("9gemm_band17h0011", "8run_part17h0011");
+        let err = check(&two).expect_err("the panel copy was inlined");
+        assert!(err.contains("2 copies") && err.contains("want 3"), "{err}");
+        let fourth = "_ZN14condor_kernels4gemm9gemm_band17h99887766aabbccddE:\n\
+                      \tvfmadd231ps\t(%rsi), %ymm4, %ymm5\n.Lfunc_end12:\n";
+        let err = check(&format!("{LISTING}{fourth}")).expect_err("a fourth copy");
+        assert!(err.contains("4 copies"), "{err}");
     }
 
     #[test]
