@@ -552,40 +552,21 @@ impl<'a> PlanBuilder<'a> {
         let stages = self.net.stages();
 
         // Collect the "anchor" layers (those that own a PE slot) and the
-        // trailing operators fused onto them. On a graph, an activation
-        // rides along only when it is the sole consumer of the group's
-        // last layer — an activation whose input also feeds a skip edge
-        // must keep its own stream. On a linear chain the condition
-        // always holds, reproducing the historical grouping exactly.
+        // nodes that ride with their producer (`Network::rides_with_producer`,
+        // the grouping the CPU engines fold ReLUs by).
+        let rides = self.net.rides_with_producer();
         let mut groups: Vec<(Stage, Vec<PlannedLayer>)> = Vec::new();
         for (i, layer) in self.net.layers.iter().enumerate() {
-            let id = NodeId::from_index(i);
             let planned = PlannedLayer {
-                node: id,
+                node: NodeId::from_index(i),
                 name: layer.name.clone(),
                 kind: layer.kind.clone(),
                 input: ins[i],
                 output: outs[i],
             };
-            match layer.kind {
-                LayerKind::Input => continue,
-                LayerKind::ReLU { .. }
-                | LayerKind::Sigmoid
-                | LayerKind::TanH
-                | LayerKind::Softmax { .. } => {
-                    let preds = self.net.inputs_of(id);
-                    let fusable = match (preds.as_slice(), groups.last()) {
-                        ([p], Some((_, layers))) => {
-                            layers.last().map(|l| l.node) == Some(*p)
-                                && self.net.consumers_of(*p) == [id]
-                        }
-                        _ => false,
-                    };
-                    match groups.last_mut() {
-                        Some((_, layers)) if fusable => layers.push(planned),
-                        _ => groups.push((stages[i], vec![planned])),
-                    }
-                }
+            match (&layer.kind, groups.last_mut()) {
+                (LayerKind::Input, _) => {}
+                (_, Some((_, layers))) if rides[i] => layers.push(planned),
                 _ => groups.push((stages[i], vec![planned])),
             }
         }
@@ -750,6 +731,123 @@ mod tests {
         assert_eq!(plan.pes[0].layers[0].name, "conv1");
         assert_eq!(plan.pes[4].layers.len(), 2); // ip1 + relu1
         assert_eq!(plan.pes[5].layers.len(), 2); // ip2 + prob
+    }
+
+    /// The one grouping, `Network::rides_with_producer`, seen from both
+    /// of its users: the PEs of the default plan, and the ReLUs the f32
+    /// engine folds into their producer (a folded ReLU is the one node the
+    /// engine refuses to run alone).
+    #[test]
+    fn plan_groups_and_engine_folds_follow_one_grouping() {
+        use condor_nn::{EltwiseOp, FastEngine, Layer, NetworkBuilder};
+        let conv = |name: &str| {
+            let kind = LayerKind::Convolution {
+                num_output: 2,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+                bias: true,
+            };
+            Layer::new(name, kind)
+        };
+        let relu = |name: &str| {
+            let kind = LayerKind::ReLU {
+                negative_slope: 0.0,
+            };
+            Layer::new(name, kind)
+        };
+        let data = || Layer::new("data", LayerKind::Input);
+        let sum = || Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum });
+        // Each node with the indices of the nodes it reads.
+        let network = |name: &str, nodes: Vec<(Layer, &[usize])>| {
+            let mut b = NetworkBuilder::new(name, Shape::chw(1, 6, 6));
+            let mut ids = Vec::new();
+            for (layer, inputs) in nodes {
+                let inputs: Vec<NodeId> = inputs.iter().map(|&i| ids[i]).collect();
+                ids.push(b.add(layer, &inputs).unwrap());
+            }
+            let mut net = b.build().unwrap();
+            net.attach_random_weights(1).unwrap();
+            net
+        };
+        let sigmoid = Layer::new("sig1", LayerKind::Sigmoid);
+        // (network, the plan's PE groups, the engine's folded ReLUs)
+        let cases = vec![
+            (
+                network(
+                    "chain",
+                    vec![
+                        (data(), &[]),
+                        (conv("conv1"), &[0]),
+                        (relu("relu1"), &[1]),
+                        (conv("conv2"), &[2]),
+                        (relu("relu2"), &[3]),
+                    ],
+                ),
+                vec![vec!["conv1", "relu1"], vec!["conv2", "relu2"]],
+                vec!["relu1", "relu2"],
+            ),
+            // conv1 also feeds the join: relu1 rides with nothing.
+            (
+                network(
+                    "skip",
+                    vec![
+                        (data(), &[]),
+                        (conv("conv1"), &[0]),
+                        (relu("relu1"), &[1]),
+                        (sum(), &[1, 2]),
+                    ],
+                ),
+                vec![vec!["conv1"], vec!["relu1"], vec!["join"]],
+                vec![],
+            ),
+            // conv_b sits between relu_a and its producer in node order.
+            (
+                network(
+                    "interleaved",
+                    vec![
+                        (data(), &[]),
+                        (conv("conv_a"), &[0]),
+                        (conv("conv_b"), &[0]),
+                        (relu("relu_a"), &[1]),
+                        (sum(), &[3, 2]),
+                    ],
+                ),
+                vec![vec!["conv_a"], vec!["conv_b"], vec!["relu_a"], vec!["join"]],
+                vec![],
+            ),
+            // Both activations ride; only the ReLU folds into the conv.
+            (
+                network(
+                    "relu-sigmoid",
+                    vec![
+                        (data(), &[]),
+                        (conv("conv1"), &[0]),
+                        (relu("relu1"), &[1]),
+                        (sigmoid, &[2]),
+                    ],
+                ),
+                vec![vec!["conv1", "relu1", "sig1"]],
+                vec!["relu1"],
+            ),
+        ];
+        for (net, groups, folds) in cases {
+            let plan = PlanBuilder::new(&net).build().unwrap();
+            let got: Vec<Vec<&str>> = (plan.pes.iter())
+                .map(|pe| pe.layers.iter().map(|l| l.name.as_str()).collect())
+                .collect();
+            assert_eq!(got, groups, "{} plan", net.name);
+            let mut engine = FastEngine::new(&net).unwrap();
+            let folded: Vec<&str> = (0..net.layers.len())
+                .filter(|&i| matches!(net.layers[i].kind, LayerKind::ReLU { .. }))
+                .filter(|&i| {
+                    let err = engine.run_nodes(i..=i, &[]).unwrap_err();
+                    err.kind == NnErrorKind::BadFanIn
+                })
+                .map(|i| net.layers[i].name.as_str())
+                .collect();
+            assert_eq!(folded, folds, "{} folds", net.name);
+        }
     }
 
     #[test]

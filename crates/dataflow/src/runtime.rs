@@ -494,6 +494,25 @@ mod tests {
         }
     }
 
+    /// Building the runtime checks every PE's node run against the engine
+    /// and starts no thread, so it accepts the default plan of a network
+    /// at a fusion factor exactly when every PE keeps the engine's folded
+    /// ReLUs whole.
+    #[test]
+    fn runtime_accepts_the_default_plan_of_every_random_network() {
+        use condor_nn::arbitrary::{random_weighted_chain, random_weighted_dag};
+        let dags = (0..64).map(|seed| (format!("dag {seed}"), random_weighted_dag(seed)));
+        let chains = (0..16).map(|seed| (format!("chain {seed}"), random_weighted_chain(seed)));
+        for (label, net) in dags.chain(chains) {
+            for fusion in [1, 2, 4] {
+                let plan = PlanBuilder::new(&net).fusion(fusion).build().unwrap();
+                if let Err(e) = ThreadedRuntime::new(&net, &plan) {
+                    panic!("{label} at fusion {fusion}: {e}");
+                }
+            }
+        }
+    }
+
     /// `relu_a` reads `conv_a`, but `conv_b` sits between them in node
     /// order: the plan gives `relu_a` its own PE and the engine keeps it
     /// out of `conv_a`'s epilogue, so every PE's node run is whole.

@@ -2,19 +2,20 @@
 //!
 //! [`FastEngine`] runs whole networks through implicit-GEMM convolution
 //! and register-tiled GEMM kernels instead of the golden engine's naive
-//! loop nests. It executes the shared compiled schedule (DESIGN.md §4c:
-//! ReLUs folded into their Conv/FC producer's GEMM epilogue, activation
-//! slots assigned at compile time) over one `f32` arena whose slots grow
-//! on first use to the largest value they hold; convolution packs its
-//! GEMM operand straight from the arena, so there is no lowering buffer.
-//! Wide 3×3, stride-1 convolutions (the kernels' `takes_winograd`: at
-//! least 32 input channels and 25 output tiles of 4×4) run through
-//! Winograd F(4×4, 3×3) instead, on filters transformed once at
-//! construction and in block scratch that likewise grows on first use.
-//! Steady-state inference therefore performs **no heap allocation for
-//! activations or scratch** (only the returned output tensor and, per
-//! Winograd layer, the short table of output row slices each of its
-//! threads writes are allocated).
+//! loop nests. It compiles each step of the shared schedule (DESIGN.md
+//! §4c: ReLUs folded into their Conv/FC producer's GEMM epilogue,
+//! activation slots assigned at compile time) once into a resolved op
+//! that holds its geometry and fused slope, and runs the schedule's step
+//! loop over one `f32` arena whose slots grow on first use to the
+//! largest value they hold; convolution packs its GEMM operand straight
+//! from the arena, so there is no lowering buffer. Wide 3×3, stride-1
+//! convolutions (the kernels' `takes_winograd`: at least 32 input
+//! channels and 25 output tiles of 4×4) resolve to Winograd F(4×4, 3×3)
+//! instead, on filters transformed once at construction and in block
+//! scratch that likewise grows on first use. Steady-state inference
+//! therefore performs **no heap allocation for activations or scratch**
+//! (only the returned output tensor and, per Winograd layer, the short
+//! table of output row slices each of its threads writes are allocated).
 //!
 //! The dataflow hardware runtime runs this same step loop: each of its
 //! PE threads holds a clone of one engine and calls
@@ -30,104 +31,226 @@
 
 use crate::layer::{EltwiseOp, LayerKind};
 use crate::network::{Network, NnError, NnErrorKind};
-use crate::schedule::{conv_geometry, pool_method, Arena, Schedule, ScheduledStep};
+use crate::schedule::{conv_geometry, grown, layer_weights, pool_method, Arena, Schedule};
 use condor_kernels::{
     activate, conv2d, conv2d_winograd, gemv, pool2d, softmax, takes_winograd, winograd_scratch_len,
-    Activation, ConvGeometry, WinogradFilters, Workspace,
+    Activation, ConvGeometry, PoolMethod, WinogradFilters, Workspace,
 };
 use condor_tensor::{Shape, Tensor};
 use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
-/// The immutable, shareable part of a compiled engine: network handle,
-/// schedule and the Winograd form of the convolutions that take it.
+/// One step of the f32 engine with its kernel, geometry and fused ReLU
+/// slope resolved. Its code reads the layer's weights by reference
+/// ([`Op::run`]).
+#[derive(Debug)]
+enum Op {
+    /// Input staging and single-input merges.
+    Copy,
+    /// Implicit-GEMM convolution.
+    Conv {
+        num_output: usize,
+        geo: ConvGeometry,
+        slope: Option<f32>,
+    },
+    /// Winograd F(4×4, 3×3) convolution; its transformed filters (36/9
+    /// of the 3×3 weights) stand in for the layer's weights.
+    Winograd {
+        filters: WinogradFilters,
+        geo: ConvGeometry,
+        slope: Option<f32>,
+        scratch_len: usize,
+    },
+    /// Fully-connected layer: an `m × k` GEMV.
+    Gemv {
+        m: usize,
+        k: usize,
+        slope: Option<f32>,
+    },
+    Pool {
+        method: PoolMethod,
+        geo: ConvGeometry,
+    },
+    Activate(Activation),
+    Softmax {
+        log: bool,
+    },
+    /// Channel-axis concatenation of two or more inputs.
+    Concat,
+    /// Element-wise left fold of two or more inputs.
+    Eltwise(EltwiseOp),
+}
+
+impl Op {
+    /// The op of a layer with `fan_in` inputs, the first of shape
+    /// `input`. `slope` is a ReLU folded into a Conv/FC epilogue (ignored
+    /// for other kinds). Convolutions resolve to the direct form.
+    fn resolve(
+        kind: &LayerKind,
+        slope: Option<f32>,
+        fan_in: usize,
+        input: Shape,
+        output: Shape,
+    ) -> Op {
+        match *kind {
+            LayerKind::Convolution {
+                num_output,
+                kernel,
+                stride,
+                pad,
+                ..
+            } => Op::Conv {
+                num_output,
+                geo: conv_geometry(kernel, stride, pad, input, output),
+                slope,
+            },
+            LayerKind::InnerProduct { .. } => Op::Gemv {
+                m: output.item_len(),
+                k: input.item_len(),
+                slope,
+            },
+            LayerKind::Pooling {
+                method,
+                kernel,
+                stride,
+                pad,
+            } => Op::Pool {
+                method: pool_method(method),
+                geo: conv_geometry(kernel, stride, pad, input, output),
+            },
+            LayerKind::ReLU { negative_slope } => Op::Activate(Activation::Relu(negative_slope)),
+            LayerKind::Sigmoid => Op::Activate(Activation::Sigmoid),
+            LayerKind::TanH => Op::Activate(Activation::Tanh),
+            LayerKind::Softmax { log } => Op::Softmax { log },
+            LayerKind::Concat if fan_in > 1 => Op::Concat,
+            LayerKind::Eltwise { op } if fan_in > 1 => Op::Eltwise(op),
+            // Single-input merges are shape-preserving pass-throughs
+            // (mirroring `output_shape_multi`).
+            LayerKind::Input | LayerKind::Concat | LayerKind::Eltwise { .. } => Op::Copy,
+        }
+    }
+
+    /// Computes the step from `ins` (fan-in order) into `out` with the
+    /// layer's `weights` and `bias`. Merges match [`crate::golden`]'s
+    /// semantics bit for bit: same copy order, same fold order.
+    fn run(
+        &self,
+        weights: &[f32],
+        bias: Option<&[f32]>,
+        ins: &[&[f32]],
+        out: &mut [f32],
+        ws: &mut Workspace,
+        winograd: &mut Vec<f32>,
+    ) {
+        let input = ins[0];
+        match *self {
+            Op::Copy => out.copy_from_slice(input),
+            Op::Conv {
+                num_output,
+                ref geo,
+                slope,
+            } => conv2d(input, weights, bias, num_output, geo, slope, out, ws),
+            Op::Winograd {
+                ref filters,
+                ref geo,
+                slope,
+                scratch_len,
+            } => {
+                let scratch = grown(winograd, scratch_len);
+                conv2d_winograd(input, filters, bias, geo, slope, out, scratch);
+            }
+            Op::Gemv { m, k, slope } => gemv(m, k, weights, input, bias, slope, out),
+            Op::Pool { method, ref geo } => {
+                let (c, h, w) = (geo.in_c, geo.in_h, geo.in_w);
+                let (kernel, stride, pad) = (geo.kernel, geo.stride, geo.pad);
+                pool2d(
+                    input, c, h, w, method, kernel, stride, pad, geo.out_h, geo.out_w, out,
+                )
+            }
+            Op::Activate(act) => activate(input, act, out),
+            Op::Softmax { log } => softmax(input, log, out),
+            // Inputs are contiguous `1×c×h×w` items, so stacking channels
+            // is appending slices.
+            Op::Concat => {
+                let mut off = 0;
+                for part in ins {
+                    out[off..off + part.len()].copy_from_slice(part);
+                    off += part.len();
+                }
+                assert_eq!(off, out.len(), "concat output length mismatch");
+            }
+            Op::Eltwise(op) => {
+                out.copy_from_slice(input);
+                for part in &ins[1..] {
+                    let pairs = out.iter_mut().zip(*part);
+                    match op {
+                        EltwiseOp::Sum => pairs.for_each(|(o, &v)| *o += v),
+                        EltwiseOp::Prod => pairs.for_each(|(o, &v)| *o *= v),
+                        EltwiseOp::Max => pairs.for_each(|(o, &v)| *o = o.max(v)),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A resolved op with the weights and bias it reads: empty for ops
+/// without weights, and for Winograd, whose filters replace them.
+#[derive(Debug)]
+struct Step {
+    op: Op,
+    weights: Vec<f32>,
+    bias: Option<Vec<f32>>,
+}
+
+/// The immutable, shareable part of a compiled engine: the schedule and
+/// one resolved step per scheduled step.
 #[derive(Debug)]
 struct EnginePlan {
-    net: Arc<Network>,
     schedule: Schedule,
-    /// Per step: the Winograd form of a convolution that takes it.
-    winograd: Vec<Option<WinogradStep>>,
-}
-
-/// A convolution step run through Winograd F(4×4, 3×3): its transformed
-/// filters (36/9 of the 3×3 weights) and bias stand in for the layer's
-/// weights.
-#[derive(Debug)]
-struct WinogradStep {
-    filters: WinogradFilters,
-    bias: Option<Vec<f32>>,
-    geo: ConvGeometry,
-    scratch_len: usize,
-}
-
-impl WinogradStep {
-    /// The Winograd form of `step`, when it is a convolution that takes
-    /// it.
-    fn of(net: &Network, step: &ScheduledStep) -> Result<Option<Self>, NnError> {
-        let layer = &net.layers[step.node];
-        let LayerKind::Convolution {
-            num_output,
-            kernel,
-            stride,
-            pad,
-            ..
-        } = layer.kind
-        else {
-            return Ok(None);
-        };
-        let geo = conv_geometry(kernel, stride, pad, step.inputs[0].1, step.output);
-        if !takes_winograd(&geo) {
-            return Ok(None);
-        }
-        let lw = net.weights_or_err(&layer.name)?;
-        Ok(Some(WinogradStep {
-            filters: WinogradFilters::new(lw.weights.as_slice(), num_output, geo.in_c),
-            bias: lw.bias.as_ref().map(|b| b.as_slice().to_vec()),
-            scratch_len: winograd_scratch_len(&geo, num_output),
-            geo,
-        }))
-    }
+    steps: Vec<Step>,
 }
 
 impl EnginePlan {
-    /// Lowers `net` and transforms the filters of every convolution that
-    /// takes Winograd; `hold` then gets the names of those layers and
-    /// returns the network the plan keeps.
-    fn compile(net: &Network, hold: impl FnOnce(&[&str]) -> Arc<Network>) -> Result<Self, NnError> {
-        if !net.fully_weighted() {
-            return Err(NnError::net(
-                "cannot run inference: some layers have no weights installed",
-            )
-            .with_kind(NnErrorKind::MissingWeights));
-        }
-        // The GEMM epilogue realises any slope, so every foldable ReLU folds.
+    /// Lowers `net`, resolves every step and copies each layer's weights
+    /// once, except those of the convolutions that take Winograd, whose
+    /// transformed filters replace them. A layer without weights is
+    /// refused (`MissingWeights`).
+    fn compile(net: &Network) -> Result<Self, NnError> {
+        // The GEMM epilogue realises any slope, so every riding ReLU folds.
         let schedule = Schedule::compile(net, |_| true)?;
-        let winograd = schedule
-            .steps
-            .iter()
-            .map(|step| WinogradStep::of(net, step))
-            .collect::<Result<Vec<_>, _>>()?;
-        let replaced: Vec<&str> = schedule
-            .steps
-            .iter()
-            .zip(&winograd)
-            .filter(|(_, w)| w.is_some())
-            .map(|(step, _)| net.layers[step.node].name.as_str())
-            .collect();
+        let steps = schedule.steps.iter().map(|step| {
+            let layer = &net.layers[step.node];
+            let input = step.inputs[0].1;
+            let slope = step.fused_relu.and_then(|r| match net.layers[r].kind {
+                LayerKind::ReLU { negative_slope } => Some(negative_slope),
+                _ => None,
+            });
+            let (weights, bias) = layer_weights(net, &layer.name, &layer.kind, input)?;
+            let op = match Op::resolve(&layer.kind, slope, step.inputs.len(), input, step.output) {
+                Op::Conv {
+                    num_output,
+                    geo,
+                    slope,
+                } if takes_winograd(&geo) => Op::Winograd {
+                    filters: WinogradFilters::new(weights, num_output, geo.in_c),
+                    scratch_len: winograd_scratch_len(&geo, num_output),
+                    geo,
+                    slope,
+                },
+                op => op,
+            };
+            let weights = match op {
+                Op::Winograd { .. } => Vec::new(),
+                _ => weights.to_vec(),
+            };
+            let bias = bias.map(<[f32]>::to_vec);
+            Ok(Step { op, weights, bias })
+        });
         Ok(EnginePlan {
-            net: hold(&replaced),
+            steps: steps.collect::<Result<_, NnError>>()?,
             schedule,
-            winograd,
         })
-    }
-
-    /// Negative slope of the ReLU node folded into a step's epilogue
-    /// (`Some(0.0)` for plain ReLU).
-    fn fused_slope(&self, fused_relu: Option<usize>) -> Option<f32> {
-        match self.net.layers[fused_relu?].kind {
-            LayerKind::ReLU { negative_slope } => Some(negative_slope),
-            _ => None,
-        }
     }
 }
 
@@ -149,14 +272,15 @@ impl EnginePlan {
 pub struct FastEngine {
     plan: Arc<EnginePlan>,
     arena: Arena<f32>,
+    ws: Workspace,
     /// Winograd block scratch, shared by the steps in turn and grown to
     /// the largest step's need on first use.
-    scratch: Vec<f32>,
+    winograd: Vec<f32>,
 }
 
 impl Clone for FastEngine {
-    /// Clones share the compiled plan (and network weights) but get a
-    /// fresh scratch arena, so each clone can run on its own thread.
+    /// Clones share the compiled plan (and weights) but get a fresh
+    /// arena and scratch, so each clone can run on its own thread.
     fn clone(&self) -> Self {
         FastEngine::from_plan(Arc::clone(&self.plan))
     }
@@ -167,23 +291,14 @@ impl FastEngine {
     /// its own copy of the weights, except those of the convolutions it
     /// runs through Winograd, whose transformed filters replace them.
     pub fn new(net: &Network) -> Result<Self, NnError> {
-        let plan = EnginePlan::compile(net, |replaced| {
-            Arc::new(net.clone_without_weights(|name| replaced.contains(&name)))
-        })?;
-        Ok(FastEngine::from_plan(Arc::new(plan)))
-    }
-
-    /// Compiles an engine from a shared network handle without copying
-    /// weights.
-    pub fn from_shared(net: Arc<Network>) -> Result<Self, NnError> {
-        let plan = EnginePlan::compile(&net, |_| Arc::clone(&net))?;
-        Ok(FastEngine::from_plan(Arc::new(plan)))
+        Ok(FastEngine::from_plan(Arc::new(EnginePlan::compile(net)?)))
     }
 
     fn from_plan(plan: Arc<EnginePlan>) -> Self {
         FastEngine {
             arena: Arena::new(&plan.schedule),
-            scratch: Vec::new(),
+            ws: Workspace::new(),
+            winograd: Vec::new(),
             plan,
         }
     }
@@ -205,7 +320,7 @@ impl FastEngine {
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.plan.schedule.check_input(input)?;
         let shape = self.plan.schedule.output_shape;
-        let out = self.run_steps(0..self.plan.schedule.steps.len(), &[input.as_slice()])?;
+        let out = self.run(0..self.plan.steps.len(), &[input.as_slice()]);
         Ok(Tensor::from_vec(shape, out.to_vec()))
     }
 
@@ -242,48 +357,22 @@ impl FastEngine {
             ))
             .with_kind(NnErrorKind::InputMismatch));
         }
-        self.run_steps(steps, inputs)
+        Ok(self.run(steps, inputs))
     }
 
-    /// Stages `inputs` into the slots the first of `steps` reads, runs
-    /// the steps and returns the last one's output. The caller has
-    /// checked that the steps form a run (`Schedule::steps_of`) and that
-    /// `inputs` match the first step's reads.
-    fn run_steps(&mut self, steps: Range<usize>, inputs: &[&[f32]]) -> Result<&[f32], NnError> {
+    /// The schedule's step loop over this engine's arena, each step run
+    /// by its resolved op.
+    fn run(&mut self, steps: Range<usize>, inputs: &[&[f32]]) -> &[f32] {
         let plan = &*self.plan;
-        let run = &plan.schedule.steps[steps.clone()];
-        for (x, &(slot, _, _)) in inputs.iter().zip(&run[0].inputs) {
-            self.arena.slot_mut(slot, x.len()).copy_from_slice(x);
-        }
-        let scratch = &mut self.scratch;
-        for (step, winograd) in run.iter().zip(&plan.winograd[steps]) {
-            let layer = &plan.net.layers[step.node];
-            self.arena.run_step(step, |ins, out| {
-                if let Some(w) = winograd {
-                    scratch.resize(scratch.len().max(w.scratch_len), 0.0);
-                    let slope = plan.fused_slope(step.fused_relu);
-                    let bias = w.bias.as_deref();
-                    conv2d_winograd(ins[0], &w.filters, bias, &w.geo, slope, out, scratch);
-                    return Ok(());
-                }
-                if layer.kind.is_merge() && ins.len() > 1 {
-                    merge_fast(&layer.kind, ins, out);
-                    return Ok(());
-                }
-                forward_layer_fast(
-                    &plan.net,
-                    &layer.name,
-                    &layer.kind,
-                    plan.fused_slope(step.fused_relu),
-                    ins[0],
-                    step.inputs[0].1,
-                    step.output,
-                    out,
-                    &mut Workspace::new(),
-                )
-            })?;
-        }
-        Ok(self.arena.value(&run[run.len() - 1]))
+        let (ws, winograd) = (&mut self.ws, &mut self.winograd);
+        let exec = |i: usize, ins: &[&[f32]], out: &mut [f32]| {
+            let step = &plan.steps[i];
+            let bias = step.bias.as_deref();
+            step.op.run(&step.weights, bias, ins, out, ws, winograd);
+        };
+        let stage = |x: &[f32], slot: &mut [f32]| slot.copy_from_slice(x);
+        self.arena
+            .run(&plan.schedule, steps, inputs, stage, exec, |_, _| {})
     }
 
     /// Runs a batch sequentially on this engine's arena (zero per-layer
@@ -294,12 +383,12 @@ impl FastEngine {
 }
 
 /// Computes one layer from `input` (length `in_shape.len()`) into `out`
-/// (length `out_shape.len()`) using the `condor-kernels` compute layer.
+/// (length `out_shape.len()`) by the op code [`FastEngine`] runs, on the
+/// network's own weights, with the direct (not Winograd) convolution.
 ///
 /// `fused_relu` folds a following ReLU's negative slope into the GEMM
-/// epilogue of a Conv/FC layer (ignored for other kinds). This is the
-/// slice-level primitive shared by [`FastEngine`] and the dataflow
-/// hardware runtime's PEs.
+/// epilogue of a Conv/FC layer (ignored for other kinds). A merge reads
+/// its one `input` as a pass-through.
 ///
 /// # Errors
 /// Typed [`NnError`]s for missing weights or weight-shape mismatches.
@@ -320,112 +409,10 @@ pub fn forward_layer_fast(
 ) -> Result<(), NnError> {
     assert_eq!(input.len(), in_shape.len(), "input length mismatch");
     assert_eq!(out.len(), out_shape.len(), "output length mismatch");
-    match *kind {
-        LayerKind::Input => out.copy_from_slice(input),
-        LayerKind::Convolution {
-            num_output,
-            kernel,
-            stride,
-            pad,
-            ..
-        } => {
-            let lw = net.weights_or_err(name)?;
-            let geo = conv_geometry(kernel, stride, pad, in_shape, out_shape);
-            conv2d(
-                input,
-                lw.weights.as_slice(),
-                lw.bias.as_ref().map(|b| b.as_slice()),
-                num_output,
-                &geo,
-                fused_relu,
-                out,
-                ws,
-            );
-        }
-        LayerKind::Pooling {
-            method,
-            kernel,
-            stride,
-            pad,
-        } => pool2d(
-            input,
-            in_shape.c,
-            in_shape.h,
-            in_shape.w,
-            pool_method(method),
-            kernel,
-            stride,
-            pad,
-            out_shape.h,
-            out_shape.w,
-            out,
-        ),
-        LayerKind::ReLU { negative_slope } => {
-            activate(input, Activation::Relu(negative_slope), out)
-        }
-        LayerKind::Sigmoid => activate(input, Activation::Sigmoid, out),
-        LayerKind::TanH => activate(input, Activation::Tanh, out),
-        LayerKind::InnerProduct { .. } => {
-            let lw = net.weights_or_err(name)?;
-            let (m, k) = (out_shape.item_len(), in_shape.item_len());
-            if lw.weights.shape().c != k {
-                return Err(NnError::at(
-                    name,
-                    format!(
-                        "weight fan-in {} does not match flattened input {k}",
-                        lw.weights.shape().c
-                    ),
-                )
-                .with_kind(NnErrorKind::WeightShape));
-            }
-            gemv(
-                m,
-                k,
-                lw.weights.as_slice(),
-                input,
-                lw.bias.as_ref().map(|b| b.as_slice()),
-                fused_relu,
-                out,
-            );
-        }
-        LayerKind::Softmax { log } => softmax(input, log, out),
-        // Single-input merges are shape-preserving pass-throughs
-        // (mirroring `output_shape_multi`); fan-in ≥ 2 merges are
-        // executed by the engine's dedicated merge path, which reads
-        // several arena slots at once.
-        LayerKind::Concat | LayerKind::Eltwise { .. } => out.copy_from_slice(input),
-    }
+    let (weights, bias) = layer_weights(net, name, kind, in_shape)?;
+    let op = Op::resolve(kind, fused_relu, 1, in_shape, out_shape);
+    op.run(weights, bias, &[input], out, ws, &mut Vec::new());
     Ok(())
-}
-
-/// Executes a fan-in ≥ 2 merge over arena slices: channel-axis
-/// concatenation (inputs are contiguous `1×c×h×w` items, so stacking
-/// channels is appending slices) or an element-wise left fold.
-///
-/// Both paths match [`crate::golden`]'s merge semantics bit-for-bit —
-/// same copy order, same fold order.
-fn merge_fast(kind: &LayerKind, inputs: &[&[f32]], out: &mut [f32]) {
-    match *kind {
-        LayerKind::Concat => {
-            let mut off = 0;
-            for part in inputs {
-                out[off..off + part.len()].copy_from_slice(part);
-                off += part.len();
-            }
-            assert_eq!(off, out.len(), "concat output length mismatch");
-        }
-        LayerKind::Eltwise { op } => {
-            out.copy_from_slice(inputs[0]);
-            for part in &inputs[1..] {
-                match op {
-                    EltwiseOp::Sum => out.iter_mut().zip(*part).for_each(|(o, &v)| *o += v),
-                    EltwiseOp::Prod => out.iter_mut().zip(*part).for_each(|(o, &v)| *o *= v),
-                    EltwiseOp::Max => out.iter_mut().zip(*part).for_each(|(o, &v)| *o = o.max(v)),
-                }
-            }
-        }
-        _ => unreachable!("is_merge covers exactly these kinds"),
-    }
 }
 
 #[cfg(test)]
@@ -485,6 +472,10 @@ mod tests {
         }
     }
 
+    /// Fork/join networks against the golden oracle: `branchy`, whose
+    /// conv1 value stays live across conv2, join and cat, and `skip`,
+    /// whose conv1 feeds both relu1 and the join, so the ReLU keeps its
+    /// own step and the raw pre-activation value reaches the join.
     #[test]
     fn branchy_network_matches_golden() {
         use crate::layer::{EltwiseOp, Layer};
@@ -502,89 +493,43 @@ mod tests {
                 },
             )
         };
+        let sum = || Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum });
         let mut b = NetworkBuilder::new("branchy", Shape::chw(3, 8, 8));
         let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
         let c1 = b.add(conv("conv1", 4), &[data]).unwrap();
         let c2 = b.add(conv("conv2", 4), &[c1]).unwrap();
-        let join = b
-            .add(
-                Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum }),
-                &[c1, c2],
-            )
-            .unwrap();
+        let join = b.add(sum(), &[c1, c2]).unwrap();
         let cat = b
             .add(Layer::new("cat", LayerKind::Concat), &[c1, join])
             .unwrap();
         b.add(conv("conv3", 2), &[cat]).unwrap();
-        let mut net = b.build().unwrap();
-        net.attach_random_weights(11).unwrap();
+        let mut branchy = b.build().unwrap();
+        branchy.attach_random_weights(11).unwrap();
 
-        let mut fast = FastEngine::new(&net).unwrap();
-        // conv1's value stays live across conv2, join and cat, so the
-        // arena needs more than the chain's ping-pong pair.
-        assert!(fast.arena_slot_count() > 2);
-        let golden = GoldenEngine::new(&net).unwrap();
-        for seed in 0..4u64 {
-            let img = TensorRng::seeded(seed).uniform(net.input_shape, -1.0, 1.0);
-            let f = fast.infer(&img).unwrap();
-            let g = golden.infer(&img).unwrap();
-            assert!(f.all_close_tol(&g, 1e-4, 1e-4), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn fusion_refused_when_relu_producer_feeds_a_skip_edge() {
-        use crate::layer::{EltwiseOp, Layer};
-        use crate::NetworkBuilder;
-
-        // conv1 feeds both relu1 and the eltwise join: folding the ReLU
-        // into conv1's epilogue would corrupt the skip branch, so the
-        // compiler must keep them separate (step per layer).
         let mut b = NetworkBuilder::new("skip", Shape::chw(1, 6, 6));
         let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
-        let c1 = b
-            .add(
-                Layer::new(
-                    "conv1",
-                    LayerKind::Convolution {
-                        num_output: 2,
-                        kernel: 3,
-                        stride: 1,
-                        pad: 1,
-                        bias: true,
-                    },
-                ),
-                &[data],
-            )
-            .unwrap();
-        let r1 = b
-            .add(
-                Layer::new(
-                    "relu1",
-                    LayerKind::ReLU {
-                        negative_slope: 0.0,
-                    },
-                ),
-                &[c1],
-            )
-            .unwrap();
-        b.add(
-            Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum }),
-            &[c1, r1],
-        )
-        .unwrap();
-        let mut net = b.build().unwrap();
-        net.attach_random_weights(3).unwrap();
-        let mut fast = FastEngine::new(&net).unwrap();
-        assert_eq!(
-            fast.plan.schedule.steps.len(),
-            net.layers.len(),
-            "no fusion expected"
-        );
-        let img = TensorRng::seeded(9).uniform(net.input_shape, -1.0, 1.0);
-        let f = fast.infer(&img).unwrap();
-        let g = GoldenEngine::new(&net).unwrap().infer(&img).unwrap();
-        assert!(f.all_close_tol(&g, 1e-4, 1e-4));
+        let c1 = b.add(conv("conv1", 2), &[data]).unwrap();
+        let relu = LayerKind::ReLU {
+            negative_slope: 0.0,
+        };
+        let r1 = b.add(Layer::new("relu1", relu), &[c1]).unwrap();
+        b.add(sum(), &[c1, r1]).unwrap();
+        let mut skip = b.build().unwrap();
+        skip.attach_random_weights(3).unwrap();
+
+        for net in [branchy, skip] {
+            let mut fast = FastEngine::new(&net).unwrap();
+            // A value live past its consumer's step needs more than the
+            // chain's ping-pong pair.
+            assert!(fast.arena_slot_count() > 2, "{}", net.name);
+            let golden = GoldenEngine::new(&net).unwrap();
+            for seed in 0..4u64 {
+                let img = TensorRng::seeded(seed).uniform(net.input_shape, -1.0, 1.0);
+                let f = fast.infer(&img).unwrap();
+                let g = golden.infer(&img).unwrap();
+                assert!(f.all_close_tol(&g, 1e-4, 1e-4), "{} seed {seed}", net.name);
+            }
+        }
     }
 
     #[test]
@@ -629,15 +574,15 @@ mod tests {
         net
     }
 
-    /// Names of the layers the engine runs through Winograd.
-    fn winograd_layers(engine: &FastEngine) -> Vec<&str> {
+    /// Names of the layers of `net` the engine runs through Winograd.
+    fn winograd_layers<'a>(engine: &FastEngine, net: &'a Network) -> Vec<&'a str> {
         let plan = &engine.plan;
         plan.schedule
             .steps
             .iter()
-            .zip(&plan.winograd)
-            .filter(|(_, w)| w.is_some())
-            .map(|(step, _)| plan.net.layers[step.node].name.as_str())
+            .zip(&plan.steps)
+            .filter(|(_, s)| matches!(s.op, Op::Winograd { .. }))
+            .map(|(step, _)| net.layers[step.node].name.as_str())
             .collect()
     }
 
@@ -649,20 +594,27 @@ mod tests {
     fn winograd_routing_on_zoo_networks() {
         let net = vgg_prefix(1, Shape::chw(3, 56, 56), "pool2");
         let mut fast = FastEngine::new(&net).unwrap();
-        let wide = ["conv1_2", "conv2_1", "conv2_2"];
-        assert_eq!(winograd_layers(&fast), wide);
-        for name in wide {
-            assert!(!fast.plan.net.weights.contains_key(name), "{name} kept");
+        assert_eq!(
+            winograd_layers(&fast, &net),
+            ["conv1_2", "conv2_1", "conv2_2"]
+        );
+        for step in &fast.plan.steps {
+            let winograd = matches!(step.op, Op::Winograd { .. });
+            let conv = matches!(step.op, Op::Conv { .. });
+            assert_eq!(step.weights.is_empty(), !conv, "{:?}", step.op);
+            assert_eq!(step.bias.is_some(), conv || winograd, "{:?}", step.op);
         }
-        assert!(fast.plan.net.weights.contains_key("conv1_1"));
         fast.infer(&Tensor::zeros(net.input_shape)).unwrap();
-        let needs = fast.plan.winograd.iter().flatten().map(|w| w.scratch_len);
-        assert_eq!(Some(fast.scratch.len()), needs.max());
+        let needs = fast.plan.steps.iter().map(|s| match s.op {
+            Op::Winograd { scratch_len, .. } => scratch_len,
+            _ => 0,
+        });
+        assert_eq!(Some(fast.winograd.len()), needs.max());
         for net in [zoo::lenet_weighted(1), zoo::tc1_weighted(1)] {
             let mut fast = FastEngine::new(&net).unwrap();
-            assert!(winograd_layers(&fast).is_empty(), "{}", net.name);
+            assert!(winograd_layers(&fast, &net).is_empty(), "{}", net.name);
             fast.infer(&Tensor::zeros(net.input_shape)).unwrap();
-            assert!(fast.scratch.is_empty(), "{}", net.name);
+            assert!(fast.winograd.is_empty(), "{}", net.name);
         }
     }
 
@@ -707,7 +659,7 @@ mod tests {
         let mut odd = crate::NetworkBuilder::chain("odd", Shape::chw(35, 23, 21), layers).unwrap();
         odd.attach_random_weights(4).unwrap();
         let mut fast = FastEngine::new(&odd).unwrap();
-        assert_eq!(winograd_layers(&fast), ["conv1", "conv2", "conv3"]);
+        assert_eq!(winograd_layers(&fast, &odd), ["conv1", "conv2", "conv3"]);
         let golden = GoldenEngine::new(&odd).unwrap();
         for seed in 0..3 {
             let img = TensorRng::seeded(seed).uniform(odd.input_shape, -1.0, 1.0);
@@ -717,7 +669,10 @@ mod tests {
 
         let net = vgg_prefix(2, Shape::chw(3, 2, 194), "relu2_2");
         let mut fast = FastEngine::new(&net).unwrap();
-        assert_eq!(winograd_layers(&fast), ["conv1_2", "conv2_1", "conv2_2"]);
+        assert_eq!(
+            winograd_layers(&fast, &net),
+            ["conv1_2", "conv2_1", "conv2_2"]
+        );
         let img = TensorRng::seeded(3).uniform(net.input_shape, 0.0, 1.0);
         let g = GoldenEngine::new(&net).unwrap().infer(&img).unwrap();
         let diff = max_abs_diff(&fast.infer(&img).unwrap(), &g);

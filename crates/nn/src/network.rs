@@ -162,27 +162,16 @@ pub struct Network {
 }
 
 impl Network {
-    /// A copy of this network without the weights of the layers `drop`
-    /// names, whose weights are never cloned.
-    pub(crate) fn clone_without_weights(&self, drop: impl Fn(&str) -> bool) -> Network {
+    /// This network without any weights: the topology alone, as a
+    /// network representation document describes it.
+    pub fn topology(&self) -> Network {
         Network {
             name: self.name.clone(),
             input_shape: self.input_shape,
             layers: self.layers.clone(),
-            weights: self
-                .weights
-                .iter()
-                .filter(|(name, _)| !drop(name))
-                .map(|(name, w)| (name.clone(), w.clone()))
-                .collect(),
+            weights: BTreeMap::new(),
             edges: self.edges.clone(),
         }
-    }
-
-    /// This network without any weights: the topology alone, as a
-    /// network representation document describes it.
-    pub fn topology(&self) -> Network {
-        self.clone_without_weights(|_| true)
     }
 
     /// Creates a linear-chain network and validates its structure.
@@ -296,6 +285,34 @@ impl Network {
         self.node_ids()
             .filter(|&n| self.inputs_of(n).contains(&id))
             .collect()
+    }
+
+    /// Which nodes ride with their producer, one flag per node. Node `j`
+    /// rides when it is a ReLU, Sigmoid, TanH or SoftMax whose only input
+    /// is node `j - 1`, and node `j - 1` is not `Input` and feeds nothing
+    /// else. A riding node adds no stage of its own: the dataflow plan
+    /// puts it in its producer's PE, and the CPU engines fold a riding
+    /// ReLU into a Conv/FC producer's epilogue, so a folded ReLU sits
+    /// inside one PE by construction.
+    pub fn rides_with_producer(&self) -> Vec<bool> {
+        let preds: Vec<Vec<NodeId>> = self.node_ids().map(|id| self.inputs_of(id)).collect();
+        let mut fan_out = vec![0usize; preds.len()];
+        for p in preds.iter().flatten() {
+            fan_out[p.index()] += 1;
+        }
+        let rides = |j: usize| {
+            matches!(
+                self.layers[j].kind,
+                LayerKind::ReLU { .. }
+                    | LayerKind::Sigmoid
+                    | LayerKind::TanH
+                    | LayerKind::Softmax { .. }
+            ) && j > 0
+                && preds[j] == [NodeId::from_index(j - 1)]
+                && fan_out[j - 1] == 1
+                && !matches!(self.layers[j - 1].kind, LayerKind::Input)
+        };
+        (0..preds.len()).map(rides).collect()
     }
 
     /// True when the network is a plain linear chain (every node reads

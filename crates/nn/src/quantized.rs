@@ -19,17 +19,17 @@
 //!
 //! ## Compilation
 //!
-//! The engine executes the shared compiled schedule (DESIGN.md §4c) over
-//! an `i8` arena; ReLU folding is restricted to `negative_slope == 0`,
-//! the form the integer epilogue clamp realises exactly. Each step
-//! carries its quantized payload: conv/FC steps own their `i8` weight
-//! blobs, accumulator-unit biases and per-channel requantize
-//! multipliers; pointwise activations (standalone ReLU, Sigmoid, TanH)
-//! compile to 256-entry `i8 → i8` lookup tables (the dequantize → f(x)
-//! → requantize map is a pure function of one quantized input); merges
-//! requantize every input onto the node's common output scale, so
-//! Concat/Eltwise joins of differently-scaled branches stay well
-//! defined.
+//! The engine runs the shared compiled schedule (DESIGN.md §4c) through
+//! the schedule's step loop over an `i8` arena; ReLU folding is
+//! restricted to `negative_slope == 0`, the form the integer epilogue
+//! clamp realises exactly. Each step compiles to a resolved op: conv/FC
+//! steps own their `i8` weight blobs, accumulator-unit biases,
+//! per-channel requantize multipliers and geometry; pointwise
+//! activations (standalone ReLU, Sigmoid, TanH) compile to 256-entry
+//! `i8 → i8` lookup tables (the dequantize → f(x) → requantize map is a
+//! pure function of one quantized input); merges requantize every input
+//! onto the node's common output scale, so Concat/Eltwise joins of
+//! differently-scaled branches stay well defined.
 //!
 //! ## Error budgets
 //!
@@ -46,40 +46,65 @@
 //! their calibration batch by construction.
 
 use crate::layer::{EltwiseOp, LayerKind, PoolKind};
-use crate::network::{LayerWeights, Network, NnError, NnErrorKind};
-use crate::schedule::{conv_geometry, pool_method, Arena, Schedule, ScheduledStep, Source};
+use crate::network::{Network, NnError, NnErrorKind};
+use crate::schedule::{conv_geometry, grown, layer_weights, pool_method, Arena, Schedule, Source};
 use crate::GoldenEngine;
 use condor_kernels::{
     dequantize_into, qconv2d, qgemv_i8, qpool2d, quantize_into, quantize_weights_per_channel,
-    softmax, MinMaxObserver, QWorkspace, QuantParams, QMAX,
+    softmax, ConvGeometry, MinMaxObserver, PoolMethod, QWorkspace, QuantParams, QMAX,
 };
 use condor_tensor::Tensor;
 use std::sync::Arc;
 
-/// What compilation precomputes for a step beyond its layer kind.
+/// A conv filter bank or FC matrix (both `F × k` row-major) quantized
+/// per channel: `i8` weights, accumulator-unit bias, per-channel
+/// requantize multipliers, and whether a plain ReLU is folded in.
 #[derive(Debug)]
-enum QPayload {
-    /// Nothing: the kind says it all (input staging, pooling, SoftMax,
-    /// merges).
-    None,
-    /// Conv filter bank or FC matrix (both `F × k` row-major):
-    /// per-channel `i8` weights, accumulator-unit bias and per-channel
-    /// requantize multipliers.
-    Linear {
-        weights: Vec<i8>,
-        bias: Option<Vec<i32>>,
-        multipliers: Vec<f32>,
+struct Linear {
+    weights: Vec<i8>,
+    bias: Option<Vec<i32>>,
+    multipliers: Vec<f32>,
+    relu: bool,
+}
+
+/// One step of the int8 engine with its kernel, geometry and scales
+/// resolved at compile time.
+#[derive(Debug)]
+enum QOp {
+    /// Input staging and single-input merges: a quantized copy.
+    Copy,
+    Conv {
+        num_output: usize,
+        geo: ConvGeometry,
+        linear: Linear,
+    },
+    /// Fully-connected layer: an `m × k` GEMV.
+    Gemv { m: usize, k: usize, linear: Linear },
+    Pool {
+        method: PoolMethod,
+        geo: ConvGeometry,
     },
     /// Pointwise unary op compiled to a 256-entry `i8 → i8` table
     /// (standalone ReLU, Sigmoid, TanH).
     Lut(Vec<i8>),
+    /// (Log)SoftMax in f32 between the input's and the output's scale.
+    Softmax { log: bool, input: QuantParams },
+    /// Concatenation of two or more inputs, each requantized by the
+    /// ratio of its scale to the output's.
+    Concat(Vec<f64>),
+    /// Element-wise left fold in f32 of two or more inputs, each
+    /// dequantized at its own scale.
+    Eltwise {
+        op: EltwiseOp,
+        inputs: Vec<QuantParams>,
+    },
 }
 
-/// What the engine adds to one [`ScheduledStep`].
+/// What the engine compiles for one scheduled step.
 #[derive(Debug)]
 struct QStep {
     out_params: QuantParams,
-    payload: QPayload,
+    op: QOp,
     /// Declared bound on `|dequantized − golden|` for this step's output
     /// on inputs within the calibrated ranges.
     budget: f32,
@@ -152,40 +177,60 @@ impl QPlan {
             let in_params = in_scales[0];
             let s_in = in_params.scale;
 
-            // Per-kind payload, output scale and error budget.
-            let (payload, out_params, budget) = match layer.kind {
-                LayerKind::Input => (QPayload::None, in_params, in_errs[0]),
+            let input = step.inputs[0].1;
+            let conv_geo =
+                |kernel, stride, pad| conv_geometry(kernel, stride, pad, input, step.output);
+
+            // Per-kind op, output scale and error budget.
+            let (op, out_params, budget) = match layer.kind {
+                LayerKind::Input => (QOp::Copy, in_params, in_errs[0]),
                 // A single-input merge is a quantized copy.
                 LayerKind::Concat | LayerKind::Eltwise { .. } if step.inputs.len() == 1 => {
-                    (QPayload::None, in_params, in_errs[0])
+                    (QOp::Copy, in_params, in_errs[0])
                 }
                 LayerKind::Convolution { num_output, .. }
                 | LayerKind::InnerProduct { num_output, .. } => {
-                    let lw = net.weights_or_err(&layer.name)?;
-                    let k = step.inputs[0].1.item_len();
-                    let is_fc = matches!(layer.kind, LayerKind::InnerProduct { .. });
-                    if is_fc && lw.weights.shape().c != k {
-                        return Err(NnError::at(
-                            &layer.name,
-                            format!(
-                                "weight fan-in {} does not match flattened input {k}",
-                                lw.weights.shape().c
-                            ),
-                        )
-                        .with_kind(NnErrorKind::WeightShape));
-                    }
+                    let (weights, bias) = layer_weights(&net, &layer.name, &layer.kind, input)?;
                     let p_out = node_params[golden_index];
-                    let (payload, bound) = quantize_linear_layer(
-                        lw,
+                    let (mut linear, bound) = quantize_linear_layer(
+                        weights,
+                        bias,
                         num_output,
                         in_params,
                         p_out,
                         in_errs[0],
                         in_abs(0),
                     );
-                    (payload, p_out, bound)
+                    linear.relu = step.fused_relu.is_some();
+                    let op = match layer.kind {
+                        LayerKind::Convolution {
+                            kernel,
+                            stride,
+                            pad,
+                            ..
+                        } => {
+                            let geo = conv_geo(kernel, stride, pad);
+                            max_cols = max_cols.max(geo.lowered_len());
+                            QOp::Conv {
+                                num_output,
+                                geo,
+                                linear,
+                            }
+                        }
+                        _ => QOp::Gemv {
+                            m: step.output.item_len(),
+                            k: input.item_len(),
+                            linear,
+                        },
+                    };
+                    (op, p_out, bound)
                 }
-                LayerKind::Pooling { method, .. } => {
+                LayerKind::Pooling {
+                    method,
+                    kernel,
+                    stride,
+                    pad,
+                } => {
                     let extra = match method {
                         // Max commutes with monotone dequantization:
                         // exact on the input's scale.
@@ -193,7 +238,11 @@ impl QPlan {
                         // Average rounds its quotient once.
                         PoolKind::Average => s_in / 2.0,
                     };
-                    (QPayload::None, in_params, slacked(in_errs[0] + extra))
+                    let op = QOp::Pool {
+                        method: pool_method(method),
+                        geo: conv_geo(kernel, stride, pad),
+                    };
+                    (op, in_params, slacked(in_errs[0] + extra))
                 }
                 LayerKind::ReLU { negative_slope } => {
                     // Scale-preserving: plain ReLU is exact in the
@@ -215,18 +264,14 @@ impl QPlan {
                         s_in / 2.0
                     };
                     let amp = negative_slope.abs().max(1.0);
-                    (
-                        QPayload::Lut(lut),
-                        in_params,
-                        slacked(in_errs[0] * amp + extra),
-                    )
+                    (QOp::Lut(lut), in_params, slacked(in_errs[0] * amp + extra))
                 }
                 LayerKind::Sigmoid => {
                     let p_out = node_params[step.node];
                     let lut = build_lut(|x| 1.0 / (1.0 + (-x).exp()), in_params, p_out);
                     // Sigmoid is 1/4-Lipschitz.
                     (
-                        QPayload::Lut(lut),
+                        QOp::Lut(lut),
                         p_out,
                         slacked(in_errs[0] / 4.0 + p_out.scale / 2.0),
                     )
@@ -235,24 +280,33 @@ impl QPlan {
                     let p_out = node_params[step.node];
                     let lut = build_lut(f32::tanh, in_params, p_out);
                     (
-                        QPayload::Lut(lut),
+                        QOp::Lut(lut),
                         p_out,
                         slacked(in_errs[0] + p_out.scale / 2.0),
                     )
                 }
-                LayerKind::Softmax { .. } => {
+                LayerKind::Softmax { log } => {
                     let p_out = node_params[step.node];
                     // (Log)SoftMax is 2-Lipschitz in the ∞-norm.
                     (
-                        QPayload::None,
+                        QOp::Softmax {
+                            log,
+                            input: in_params,
+                        },
                         p_out,
                         slacked(2.0 * in_errs[0] + p_out.scale / 2.0),
                     )
                 }
                 LayerKind::Concat => {
                     let p_out = node_params[step.node];
+                    let s_out = p_out.scale as f64;
+                    let ratios = in_scales.iter().map(|p| p.scale as f64 / s_out).collect();
                     let worst = in_errs.iter().fold(0.0f32, |m, &e| m.max(e));
-                    (QPayload::None, p_out, slacked(worst + p_out.scale / 2.0))
+                    (
+                        QOp::Concat(ratios),
+                        p_out,
+                        slacked(worst + p_out.scale / 2.0),
+                    )
                 }
                 LayerKind::Eltwise { op } => {
                     let p_out = node_params[step.node];
@@ -271,23 +325,14 @@ impl QPlan {
                             err
                         }
                     };
-                    (QPayload::None, p_out, slacked(bound + p_out.scale / 2.0))
+                    let inputs = in_scales.clone();
+                    let op = QOp::Eltwise { op, inputs };
+                    (op, p_out, slacked(bound + p_out.scale / 2.0))
                 }
             };
-
-            if let LayerKind::Convolution {
-                kernel,
-                stride,
-                pad,
-                ..
-            } = layer.kind
-            {
-                let geo = conv_geometry(kernel, stride, pad, step.inputs[0].1, step.output);
-                max_cols = max_cols.max(geo.lowered_len());
-            }
             steps.push(QStep {
                 out_params,
-                payload,
+                op,
                 budget,
             });
         }
@@ -299,27 +344,20 @@ impl QPlan {
             max_cols,
         })
     }
-
-    /// Scale of the value a step input carries.
-    fn params_of(&self, source: Source) -> QuantParams {
-        match source {
-            Source::NetworkInput => self.input_params,
-            Source::Step(i) => self.steps[i].out_params,
-        }
-    }
 }
 
 /// Quantizes one linear layer (conv filter bank or FC weight matrix) into
-/// its [`QPayload::Linear`] and the analytic error bound.
+/// its [`Linear`] form, with no ReLU folded in, and the analytic error
+/// bound.
 fn quantize_linear_layer(
-    lw: &LayerWeights,
+    weights: &[f32],
+    bias: Option<&[f32]>,
     num_output: usize,
     p_in: QuantParams,
     p_out: QuantParams,
     err_in: f32,
     abs_in: f32,
-) -> (QPayload, f32) {
-    let weights = lw.weights.as_slice();
+) -> (Linear, f32) {
     let mut qw = vec![0i8; weights.len()];
     let wparams = quantize_weights_per_channel(weights, num_output, &mut qw);
     let s_in = p_in.scale as f64;
@@ -327,9 +365,8 @@ fn quantize_linear_layer(
         .iter()
         .map(|pw| (s_in * pw.scale as f64 / p_out.scale as f64) as f32)
         .collect();
-    let bias = lw.bias.as_ref().map(|b| {
-        b.as_slice()
-            .iter()
+    let bias = bias.map(|b| {
+        b.iter()
             .zip(&wparams)
             .map(|(&bv, pw)| (bv as f64 / (s_in * pw.scale as f64)).round() as i32)
             .collect()
@@ -347,12 +384,13 @@ fn quantize_linear_layer(
             + p_in.scale * pw.scale / 2.0;
         worst = worst.max(e);
     }
-    let payload = QPayload::Linear {
+    let linear = Linear {
         weights: qw,
         bias,
         multipliers,
+        relu: false,
     };
-    (payload, slacked(p_out.scale / 2.0 + worst))
+    (linear, slacked(p_out.scale / 2.0 + worst))
 }
 
 /// Compiles a pointwise unary op into a 256-entry `i8 → i8` table:
@@ -430,7 +468,7 @@ pub struct QuantizedEngine {
 }
 
 /// Per-engine scratch beside the arena: the kernel workspace and the
-/// f32 pair SoftMax and Eltwise steps compute in.
+/// f32 pair SoftMax and Eltwise steps compute in, grown on first use.
 #[derive(Debug)]
 struct QScratch {
     ws: QWorkspace,
@@ -443,20 +481,15 @@ impl QuantizedEngine {
     /// compiles the quantized plan.
     pub fn calibrate(net: &Network, calib: &[Tensor]) -> Result<Self, NnError> {
         let plan = QPlan::compile(Arc::new(net.clone()), calib)?;
-        Ok(QuantizedEngine::from_plan(Arc::new(plan)))
-    }
-
-    fn from_plan(plan: Arc<QPlan>) -> Self {
-        let max_elems = plan.schedule.max_elems;
-        QuantizedEngine {
+        Ok(QuantizedEngine {
             arena: Arena::new(&plan.schedule),
             scratch: QScratch {
                 ws: QWorkspace::with_capacity(plan.max_cols),
-                fbuf_a: vec![0.0; max_elems],
-                fbuf_b: vec![0.0; max_elems],
+                fbuf_a: Vec::new(),
+                fbuf_b: Vec::new(),
             },
-            plan,
-        }
+            plan: Arc::new(plan),
+        })
     }
 
     /// The network this engine executes.
@@ -473,15 +506,11 @@ impl QuantizedEngine {
     /// Runs one image through the quantized network, returning the
     /// dequantized f32 output.
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.run(input, |_, _| {})?;
-        let schedule = &self.plan.schedule;
-        let mut out = vec![0.0f32; schedule.output_shape.len()];
-        dequantize_into(
-            self.arena.value(&schedule.steps[schedule.output_step]),
-            self.plan.steps[schedule.output_step].out_params,
-            &mut out,
-        );
-        Ok(Tensor::from_vec(schedule.output_shape, out))
+        let shape = self.plan.schedule.output_shape;
+        let params = self.plan.steps[self.plan.steps.len() - 1].out_params;
+        let mut out = vec![0.0f32; shape.len()];
+        dequantize_into(self.run(input, |_, _| {})?, params, &mut out);
+        Ok(Tensor::from_vec(shape, out))
     }
 
     /// Replays a batch through both engines and reports every layer's
@@ -521,123 +550,86 @@ impl QuantizedEngine {
         })
     }
 
-    /// Quantizes the input, executes every step, and hands each step's
-    /// quantized output to `hook`.
-    fn run(&mut self, input: &Tensor, mut hook: impl FnMut(usize, &[i8])) -> Result<(), NnError> {
+    /// Quantizes the input and runs every step through the schedule's
+    /// step loop, handing each step's quantized output to `hook`;
+    /// returns the network output.
+    fn run(&mut self, input: &Tensor, hook: impl FnMut(usize, &[i8])) -> Result<&[i8], NnError> {
         let plan = &*self.plan;
         plan.schedule.check_input(input)?;
-        let staged = self.arena.slot_mut(plan.schedule.input_slot, input.len());
-        quantize_into(input.as_slice(), plan.input_params, staged);
-        for (si, (step, q)) in plan.schedule.steps.iter().zip(&plan.steps).enumerate() {
-            let scratch = &mut self.scratch;
-            self.arena.run_step(step, |ins, out| {
-                plan.execute(step, q, ins, out, scratch);
-                hook(si, out);
-            });
-        }
-        Ok(())
+        let scratch = &mut self.scratch;
+        let stage = |x: &[f32], slot: &mut [i8]| quantize_into(x, plan.input_params, slot);
+        let exec = |si: usize, ins: &[&[i8]], out: &mut [i8]| {
+            let step = &plan.steps[si];
+            step.op.run(ins, out, step.out_params, scratch);
+        };
+        let steps = 0..plan.steps.len();
+        Ok(self.arena.run(
+            &plan.schedule,
+            steps,
+            &[input.as_slice()],
+            stage,
+            exec,
+            hook,
+        ))
     }
 }
 
-impl QPlan {
-    fn execute(
-        &self,
-        step: &ScheduledStep,
-        q: &QStep,
-        ins: &[&[i8]],
-        out: &mut [i8],
-        scratch: &mut QScratch,
-    ) {
-        let (_, in_shape, in_source) = step.inputs[0];
-        let in_params = self.params_of(in_source);
+impl QOp {
+    /// Computes the step from `ins` (fan-in order) into `out`, which is
+    /// quantized at `out_params`.
+    fn run(&self, ins: &[&[i8]], out: &mut [i8], out_params: QuantParams, scratch: &mut QScratch) {
         let input = ins[0];
-        let fused_relu = step.fused_relu.is_some();
-        match (&self.net.layers[step.node].kind, &q.payload) {
-            (
-                LayerKind::Convolution {
-                    num_output,
-                    kernel,
-                    stride,
-                    pad,
-                    ..
-                },
-                QPayload::Linear {
-                    weights,
-                    bias,
-                    multipliers,
-                },
-            ) => {
-                let geo = conv_geometry(*kernel, *stride, *pad, in_shape, step.output);
-                qconv2d(
-                    input,
-                    weights,
-                    bias.as_deref(),
-                    *num_output,
-                    &geo,
-                    multipliers,
-                    fused_relu,
-                    out,
-                    &mut scratch.ws,
-                );
-            }
-            (
-                LayerKind::InnerProduct { .. },
-                QPayload::Linear {
-                    weights,
-                    bias,
-                    multipliers,
-                },
-            ) => {
-                let (m, k) = (step.output.item_len(), in_shape.item_len());
-                qgemv_i8(
-                    m,
-                    k,
-                    weights,
-                    input,
-                    bias.as_deref(),
-                    multipliers,
-                    fused_relu,
-                    out,
-                    &mut scratch.ws,
-                );
-            }
-            (
-                LayerKind::Pooling {
-                    method,
-                    kernel,
-                    stride,
-                    pad,
-                },
-                _,
-            ) => qpool2d(
+        match self {
+            QOp::Copy => out.copy_from_slice(input),
+            QOp::Conv {
+                num_output,
+                geo,
+                linear: l,
+            } => qconv2d(
                 input,
-                in_shape.c,
-                in_shape.h,
-                in_shape.w,
-                pool_method(*method),
-                *kernel,
-                *stride,
-                *pad,
-                step.output.h,
-                step.output.w,
+                &l.weights,
+                l.bias.as_deref(),
+                *num_output,
+                geo,
+                &l.multipliers,
+                l.relu,
                 out,
+                &mut scratch.ws,
             ),
-            (_, QPayload::Lut(table)) => {
+            QOp::Gemv { m, k, linear: l } => qgemv_i8(
+                *m,
+                *k,
+                &l.weights,
+                input,
+                l.bias.as_deref(),
+                &l.multipliers,
+                l.relu,
+                out,
+                &mut scratch.ws,
+            ),
+            QOp::Pool { method, geo } => {
+                let (c, h, w) = (geo.in_c, geo.in_h, geo.in_w);
+                let (kernel, stride, pad) = (geo.kernel, geo.stride, geo.pad);
+                qpool2d(
+                    input, c, h, w, *method, kernel, stride, pad, geo.out_h, geo.out_w, out,
+                )
+            }
+            QOp::Lut(table) => {
                 for (o, &q) in out.iter_mut().zip(input) {
                     *o = table[(q as i16 + 128) as usize];
                 }
             }
-            (LayerKind::Softmax { log }, _) => {
-                let n = in_shape.len();
-                dequantize_into(input, in_params, &mut scratch.fbuf_a[..n]);
-                softmax(&scratch.fbuf_a[..n], *log, &mut scratch.fbuf_b[..n]);
-                quantize_into(&scratch.fbuf_b[..n], q.out_params, out);
+            QOp::Softmax { log, input: p_in } => {
+                let n = input.len();
+                let x = grown(&mut scratch.fbuf_a, n);
+                let y = grown(&mut scratch.fbuf_b, n);
+                dequantize_into(input, *p_in, x);
+                softmax(x, *log, y);
+                quantize_into(y, out_params, out);
             }
-            (LayerKind::Concat, _) if ins.len() > 1 => {
+            QOp::Concat(ratios) => {
                 let mut off = 0;
-                let s_out = q.out_params.scale as f64;
-                for (part, &(_, _, source)) in ins.iter().zip(&step.inputs) {
-                    let ratio = self.params_of(source).scale as f64 / s_out;
+                for (part, &ratio) in ins.iter().zip(ratios) {
                     for (o, &q) in out[off..off + part.len()].iter_mut().zip(*part) {
                         *o = ((q as f64 * ratio).round()).clamp(-127.0, 127.0) as i8;
                     }
@@ -645,36 +637,20 @@ impl QPlan {
                 }
                 assert_eq!(off, out.len(), "concat output length mismatch");
             }
-            (LayerKind::Eltwise { op }, _) if ins.len() > 1 => {
-                let acc = &mut scratch.fbuf_a[..step.output.len()];
-                dequantize_into(input, in_params, acc);
-                for (part, &(_, _, source)) in ins.iter().zip(&step.inputs).skip(1) {
-                    let scale = self.params_of(source).scale;
+            QOp::Eltwise { op, inputs } => {
+                let acc = grown(&mut scratch.fbuf_a, out.len());
+                dequantize_into(input, inputs[0], acc);
+                for (part, p) in ins.iter().zip(inputs).skip(1) {
+                    let pairs = acc.iter_mut().zip(*part);
+                    let scale = p.scale;
                     match op {
-                        EltwiseOp::Sum => {
-                            for (a, &q) in acc.iter_mut().zip(*part) {
-                                *a += q as f32 * scale;
-                            }
-                        }
-                        EltwiseOp::Prod => {
-                            for (a, &q) in acc.iter_mut().zip(*part) {
-                                *a *= q as f32 * scale;
-                            }
-                        }
-                        EltwiseOp::Max => {
-                            for (a, &q) in acc.iter_mut().zip(*part) {
-                                *a = a.max(q as f32 * scale);
-                            }
-                        }
+                        EltwiseOp::Sum => pairs.for_each(|(a, &q)| *a += q as f32 * scale),
+                        EltwiseOp::Prod => pairs.for_each(|(a, &q)| *a *= q as f32 * scale),
+                        EltwiseOp::Max => pairs.for_each(|(a, &q)| *a = a.max(q as f32 * scale)),
                     }
                 }
-                quantize_into(acc, q.out_params, out);
+                quantize_into(acc, out_params, out);
             }
-            // Input staging and single-input merges: a quantized copy.
-            (LayerKind::Input | LayerKind::Concat | LayerKind::Eltwise { .. }, _) => {
-                out.copy_from_slice(input)
-            }
-            _ => unreachable!("compile attaches a payload to every Conv/FC/activation step"),
         }
     }
 }
@@ -747,13 +723,16 @@ mod tests {
         let net = zoo::lenet_weighted(3);
         let calib = calib_batch(net.input_shape, 2, 11);
         let mut q = QuantizedEngine::calibrate(&net, &calib).unwrap();
+        assert!(q.scratch.fbuf_a.is_empty() && q.scratch.fbuf_b.is_empty());
         let a = q.infer(&calib[0]).unwrap();
         let b = q.infer(&calib[0]).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
         // The lowering plane was sized at construction; inference never
-        // grows it.
+        // grows it. The f32 pair grew, on first use, to the SoftMax.
         assert!(q.plan.max_cols > 0);
         assert_eq!(q.scratch.ws.cols_capacity(), q.plan.max_cols);
+        assert_eq!(q.scratch.fbuf_a.len(), 10);
+        assert_eq!(q.scratch.fbuf_b.len(), 10);
     }
 
     #[test]

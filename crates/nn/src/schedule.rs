@@ -1,13 +1,15 @@
-//! The compiled schedule both CPU engines execute, and the slot arena
-//! they execute it over (DESIGN.md §4c).
+//! The compiled schedule both CPU engines execute, the slot arena they
+//! execute it over, and the one step loop they run (DESIGN.md §4c).
 //!
-//! [`Schedule::compile`] lowers a network once: it decides which ReLUs
-//! fold into their producer, refcounts every value and assigns arena
-//! slots by a linear scan over the topological order. `FastEngine` and
+//! [`Schedule::compile`] lowers a network once: it folds into a Conv/FC
+//! producer each ReLU that rides with it
+//! ([`Network::rides_with_producer`], the grouping the dataflow plan's
+//! PEs follow too), refcounts every value and assigns arena slots by a
+//! linear scan over the topological order. `FastEngine` and
 //! `QuantizedEngine` differ only in the fusion predicate they pass and
-//! in the per-step payload they attach; [`Arena`] is the one place a
-//! slot buffer is lifted out for writing and put back. The dataflow
-//! runtime's PEs run the same steps, cut by node run
+//! in the op they resolve per step; [`Arena::run`] is the step loop both
+//! run, and the one place a slot buffer is lifted out for writing and put
+//! back. The dataflow runtime's PEs run the same steps, cut by node run
 //! ([`Schedule::steps_of`]).
 
 use crate::graph::NodeId;
@@ -20,7 +22,7 @@ use std::ops::{Range, RangeInclusive};
 /// Where the value a step reads was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Source {
-    /// The network input, staged into [`Schedule::input_slot`].
+    /// The network input, staged into the first step's input slot.
     NetworkInput,
     /// The output of `Schedule::steps[i]`.
     Step(usize),
@@ -31,9 +33,8 @@ pub(crate) enum Source {
 pub(crate) struct ScheduledStep {
     /// Index of the network node this step executes.
     pub node: usize,
-    /// Index of a sole-consumer ReLU node folded into this step's
-    /// epilogue (always `node + 1`); the step's output is then that
-    /// node's value.
+    /// Index of a ReLU node folded into this step's epilogue (always
+    /// `node + 1`); the step's output is then that node's value.
     pub fused_relu: Option<usize>,
     /// Arena slot, single-item shape and producer of each input, in
     /// fan-in order.
@@ -52,18 +53,12 @@ pub(crate) struct Schedule {
     /// Number of arena slots the scan settled on (2 for any linear
     /// chain — the ping-pong pair).
     pub slot_count: usize,
-    /// Slot the network input is staged into before the first step.
-    pub input_slot: usize,
-    /// Index in `steps` of the step whose output is the network output.
-    pub output_step: usize,
-    /// Largest single-node activation length.
-    pub max_elems: usize,
     pub input_shape: Shape,
     pub output_shape: Shape,
 }
 
-/// Lowering geometry of a convolution, from its declared
-/// hyper-parameters and inferred shapes.
+/// Lowering geometry of a convolution or pooling window, from its
+/// declared hyper-parameters and inferred shapes.
 pub(crate) fn conv_geometry(
     kernel: usize,
     stride: usize,
@@ -91,6 +86,42 @@ pub(crate) fn pool_method(kind: PoolKind) -> PoolMethod {
     }
 }
 
+/// The weights and bias of layer `name` reading `input`: empty for a
+/// layer without weights. Refused when a Conv/FC layer has none
+/// installed, or an FC layer's fan-in is not its flattened input.
+pub(crate) fn layer_weights<'a>(
+    net: &'a Network,
+    name: &str,
+    kind: &LayerKind,
+    input: Shape,
+) -> Result<(&'a [f32], Option<&'a [f32]>), NnError> {
+    if !kind.has_weights() {
+        return Ok((&[], None));
+    }
+    let lw = net.weights_or_err(name)?;
+    let (fan_in, k) = (lw.weights.shape().c, input.item_len());
+    if matches!(kind, LayerKind::InnerProduct { .. }) && fan_in != k {
+        return Err(NnError::at(
+            name,
+            format!("weight fan-in {fan_in} does not match flattened input {k}"),
+        )
+        .with_kind(NnErrorKind::WeightShape));
+    }
+    Ok((
+        lw.weights.as_slice(),
+        lw.bias.as_ref().map(Tensor::as_slice),
+    ))
+}
+
+/// The first `len` values of `buf`, which grows on first use to the
+/// largest length asked of it.
+pub(crate) fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
+}
+
 /// Pops a recycled arena slot or mints a new one.
 fn alloc_slot(free: &mut Vec<usize>, slot_count: &mut usize) -> usize {
     free.pop().unwrap_or_else(|| {
@@ -101,8 +132,8 @@ fn alloc_slot(free: &mut Vec<usize>, slot_count: &mut usize) -> usize {
 
 impl Schedule {
     /// Lowers `net`. `fuse` is asked, with the ReLU's negative slope,
-    /// whether a foldable ReLU may be folded into its producer's
-    /// epilogue.
+    /// whether a ReLU that rides with a Conv/FC producer may be folded
+    /// into its epilogue.
     pub(crate) fn compile(net: &Network, fuse: impl Fn(f32) -> bool) -> Result<Self, NnError> {
         let ins_multi = net.input_shapes_multi()?;
         let outs = net.output_shapes()?;
@@ -111,28 +142,20 @@ impl Schedule {
             NnError::net("network has no layers").with_kind(NnErrorKind::NoComputeLayers)
         })?;
 
-        // A ReLU folds into a Conv/FC producer's epilogue exactly when
-        // it directly follows that producer in node order (so a step is
-        // a contiguous node run, as the dataflow plan's PEs are), is its
-        // *sole* consumer and reads nothing else: a ReLU whose producer
-        // also feeds a skip edge keeps its own step (the raw
-        // pre-activation value must stay observable).
+        // A riding ReLU directly follows its producer and is its sole
+        // consumer, so a step is a contiguous node run inside one PE of
+        // the dataflow plan; a ReLU whose producer also feeds a skip edge
+        // keeps its own step (the raw pre-activation value must stay
+        // observable).
+        let rides = net.rides_with_producer();
         let mut fused_into: Vec<Option<usize>> = vec![None; n];
         let mut fused_relu: Vec<Option<usize>> = vec![None; n];
-        for (i, pair) in net.layers.windows(2).enumerate() {
-            let (j, id) = (i + 1, NodeId::from_index(i + 1));
-            let LayerKind::ReLU { negative_slope } = pair[1].kind else {
-                continue;
-            };
-            if matches!(
-                pair[0].kind,
-                LayerKind::Convolution { .. } | LayerKind::InnerProduct { .. }
-            ) && fuse(negative_slope)
-                && net.consumers_of(NodeId::from_index(i)) == [id]
-                && net.inputs_of(id).len() == 1
-            {
-                fused_into[j] = Some(i);
-                fused_relu[i] = Some(j);
+        for j in 1..n {
+            if let LayerKind::ReLU { negative_slope } = net.layers[j].kind {
+                if rides[j] && net.layers[j - 1].kind.has_weights() && fuse(negative_slope) {
+                    fused_into[j] = Some(j - 1);
+                    fused_relu[j - 1] = Some(j);
+                }
             }
         }
         // Node whose step produces node `k`'s value: its fused producer
@@ -168,7 +191,6 @@ impl Schedule {
         let input_slot = alloc_slot(&mut free, &mut slot_count);
         let mut step_of = vec![usize::MAX; n];
         let mut steps: Vec<ScheduledStep> = Vec::with_capacity(n);
-        let mut max_elems = net.input_shape.len();
         for j in 0..n {
             if fused_into[j].is_some() {
                 continue;
@@ -186,10 +208,6 @@ impl Schedule {
                     })
                     .collect()
             };
-            for &(_, shape, _) in &inputs {
-                max_elems = max_elems.max(shape.len());
-            }
-            max_elems = max_elems.max(outs[j].len());
             let out_slot = alloc_slot(&mut free, &mut slot_count);
             step_of[j] = steps.len();
             steps.push(ScheduledStep {
@@ -222,9 +240,6 @@ impl Schedule {
         Ok(Schedule {
             steps,
             slot_count,
-            input_slot,
-            output_step: step_of[value_src[n - 1]],
-            max_elems,
             input_shape: net.input_shape,
             output_shape,
         })
@@ -302,38 +317,49 @@ impl<T: Copy + Default> Arena<T> {
         }
     }
 
-    /// The first `len` values of `slot`, where a step's input is staged.
-    pub(crate) fn slot_mut(&mut self, slot: usize, len: usize) -> &mut [T] {
-        let buf = &mut self.slots[slot];
-        buf.resize(buf.len().max(len), T::default());
-        &mut buf[..len]
-    }
-
-    /// The value `step` wrote, until a later step reuses its slot.
-    pub(crate) fn value(&self, step: &ScheduledStep) -> &[T] {
-        &self.slots[step.out_slot][..step.output.len()]
+    /// The step loop of both engines. Stages `inputs`, the values the
+    /// first of `steps` reads in fan-in order, into its slots through
+    /// `stage`; runs each step through `exec` (step index, input slices,
+    /// output slice); hands each output to `hook`; and returns the last
+    /// step's value. The caller has checked that `steps` form a run
+    /// ([`Schedule::steps_of`]) and that `inputs` match its first reads.
+    pub(crate) fn run<S>(
+        &mut self,
+        schedule: &Schedule,
+        steps: Range<usize>,
+        inputs: &[&[S]],
+        stage: impl Fn(&[S], &mut [T]),
+        mut exec: impl FnMut(usize, &[&[T]], &mut [T]),
+        mut hook: impl FnMut(usize, &[T]),
+    ) -> &[T] {
+        let run = &schedule.steps[steps.clone()];
+        for (x, &(slot, _, _)) in inputs.iter().zip(&run[0].inputs) {
+            stage(x, grown(&mut self.slots[slot], x.len()));
+        }
+        for (i, step) in steps.zip(run) {
+            self.run_step(step, |ins, out| {
+                exec(i, ins, out);
+                hook(i, out);
+            });
+        }
+        let last = &run[run.len() - 1];
+        &self.slots[last.out_slot][..last.output.len()]
     }
 
     /// Runs `f` over the step's input slices (fan-in order) and its
     /// output slice. The output buffer is lifted out of the arena for
     /// the call so the inputs stay borrowable; an output slot aliasing
     /// an input would leave that input empty and panic here.
-    pub(crate) fn run_step<R>(
-        &mut self,
-        step: &ScheduledStep,
-        f: impl FnOnce(&[&[T]], &mut [T]) -> R,
-    ) -> R {
+    fn run_step(&mut self, step: &ScheduledStep, f: impl FnOnce(&[&[T]], &mut [T])) {
         let mut out_buf = std::mem::take(&mut self.slots[step.out_slot]);
-        out_buf.resize(out_buf.len().max(step.output.len()), T::default());
-        let out = &mut out_buf[..step.output.len()];
+        let out = grown(&mut out_buf, step.output.len());
         let slice = |&(slot, shape, _): &(usize, Shape, Source)| &self.slots[slot][..shape.len()];
-        let result = match step.inputs.as_slice() {
+        match step.inputs.as_slice() {
             // Every non-merge step: no allocation.
             [one] => f(&[slice(one)], out),
             many => f(&many.iter().map(slice).collect::<Vec<_>>(), out),
-        };
+        }
         self.slots[step.out_slot] = out_buf;
-        result
     }
 }
 
@@ -389,52 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn fusion_refused_when_relu_producer_feeds_a_skip_edge() {
-        // conv1 feeds both relu1 and the join: folding the ReLU into
-        // conv1's epilogue would corrupt the skip branch.
-        let mut b = NetworkBuilder::new("skip", Shape::chw(1, 6, 6));
-        let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
-        let c1 = b.add(conv("conv1", 2), &[data]).unwrap();
-        let relu = LayerKind::ReLU {
-            negative_slope: 0.0,
-        };
-        let r1 = b.add(Layer::new("relu1", relu), &[c1]).unwrap();
-        b.add(
-            Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum }),
-            &[c1, r1],
-        )
-        .unwrap();
-        let net = b.build().unwrap();
-        let schedule = Schedule::compile(&net, ALWAYS).unwrap();
-        assert_eq!(schedule.steps.len(), net.layers.len());
-        assert!(schedule.steps.iter().all(|s| s.fused_relu.is_none()));
-    }
-
-    #[test]
-    fn fusion_refused_when_relu_does_not_directly_follow_its_producer() {
-        // relu_a reads conv_a, but conv_b sits between them in node
-        // order: a step covering conv_a and relu_a would not be a
-        // contiguous node run.
-        let mut b = NetworkBuilder::new("interleaved", Shape::chw(1, 6, 6));
-        let data = b.add(Layer::new("data", LayerKind::Input), &[]).unwrap();
-        let ca = b.add(conv("conv_a", 2), &[data]).unwrap();
-        let cb = b.add(conv("conv_b", 2), &[data]).unwrap();
-        let relu = LayerKind::ReLU {
-            negative_slope: 0.0,
-        };
-        let ra = b.add(Layer::new("relu_a", relu), &[ca]).unwrap();
-        b.add(
-            Layer::new("join", LayerKind::Eltwise { op: EltwiseOp::Sum }),
-            &[ra, cb],
-        )
-        .unwrap();
-        let net = b.build().unwrap();
-        let schedule = Schedule::compile(&net, ALWAYS).unwrap();
-        assert_eq!(schedule.steps.len(), net.layers.len());
-        assert!(schedule.steps.iter().all(|s| s.fused_relu.is_none()));
-    }
-
-    #[test]
     #[should_panic]
     fn arena_refuses_a_step_whose_output_aliases_its_input() {
         let shape = Shape::vector(4);
@@ -448,9 +428,6 @@ mod tests {
         let schedule = Schedule {
             steps: vec![step],
             slot_count: 1,
-            input_slot: 0,
-            output_step: 0,
-            max_elems: 4,
             input_shape: shape,
             output_shape: shape,
         };
@@ -470,7 +447,7 @@ mod tests {
             }
         }
         let mut holds = vec![None; schedule.slot_count];
-        holds[schedule.input_slot] = Some(Source::NetworkInput);
+        holds[schedule.steps[0].inputs[0].0] = Some(Source::NetworkInput);
         for (si, step) in schedule.steps.iter().enumerate() {
             let preds = net.inputs_of(NodeId::from_index(step.node));
             assert_eq!(step.inputs.len(), preds.len().max(1), "{label} step {si}");
@@ -489,8 +466,10 @@ mod tests {
             holds[step.out_slot] = Some(Source::Step(si));
         }
         let last = producer[net.layers.len() - 1];
-        assert_eq!(last, Some(Source::Step(schedule.output_step)), "{label}");
-        let output_slot = schedule.steps[schedule.output_step].out_slot;
+        // The last step outputs the network's value.
+        let output_step = schedule.steps.len() - 1;
+        assert_eq!(last, Some(Source::Step(output_step)), "{label}");
+        let output_slot = schedule.steps[output_step].out_slot;
         assert_eq!(holds[output_slot], last, "{label}: output overwritten");
     }
 

@@ -12,16 +12,16 @@
 //!
 //! [`CpuBackend::replicas`] mirrors
 //! [`DeployedAccelerator::into_replicas`](condor::DeployedAccelerator):
-//! it yields N lanes sharing one network (weights are behind an `Arc`,
-//! not copied), the CPU analogue of serving from every FPGA slot of an
-//! F1 instance.
+//! it compiles one engine and one accelerator plan and yields N lanes
+//! that share the compiled engine (its resolved steps and weights are
+//! behind an `Arc`, not copied), each with its own arena: the CPU
+//! analogue of serving from every FPGA slot of an F1 instance.
 
 use condor::{CondorError, ExecutionBackend};
 use condor_dataflow::{PipelineModel, PlanBuilder};
 use condor_nn::{FastEngine, Network};
 use condor_tensor::Tensor;
 use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// One CPU serving lane: a fast engine plus the pipeline timing model of
 /// the network's default accelerator plan (so `pipeline()` reports what
@@ -44,33 +44,32 @@ impl std::fmt::Debug for CpuBackend {
 impl CpuBackend {
     /// Builds a single CPU lane for a fully-weighted network.
     pub fn new(net: &Network) -> Result<Self, CondorError> {
-        CpuBackend::from_shared(Arc::new(net.clone()), 0)
+        let plan = PlanBuilder::new(net).build()?;
+        Ok(CpuBackend {
+            engine: Mutex::new(FastEngine::new(net)?),
+            model: PipelineModel::from_plan(&plan),
+            label: format!("{}/lane0", net.name),
+        })
     }
 
-    /// Builds `n` lanes sharing one network handle — one backend (and
-    /// therefore one server worker thread) per requested lane.
+    /// Builds `n` lanes over one compiled engine and plan — one backend
+    /// (and therefore one server worker thread) per requested lane.
     pub fn replicas(
         net: &Network,
         n: usize,
     ) -> Result<Vec<Box<dyn ExecutionBackend>>, CondorError> {
-        let net = Arc::new(net.clone());
-        (0..n.max(1))
-            .map(|i| {
-                CpuBackend::from_shared(Arc::clone(&net), i)
-                    .map(|b| Box::new(b) as Box<dyn ExecutionBackend>)
+        let first = CpuBackend::new(net)?;
+        let mut lanes: Vec<Box<dyn ExecutionBackend>> = (1..n.max(1))
+            .map(|lane| {
+                Box::new(CpuBackend {
+                    engine: Mutex::new(first.engine.lock().clone()),
+                    model: first.model.clone(),
+                    label: format!("{}/lane{lane}", net.name),
+                }) as Box<dyn ExecutionBackend>
             })
-            .collect()
-    }
-
-    fn from_shared(net: Arc<Network>, lane: usize) -> Result<Self, CondorError> {
-        let label = format!("{}/lane{lane}", net.name);
-        let plan = PlanBuilder::new(&net).build()?;
-        let engine = FastEngine::from_shared(net)?;
-        Ok(CpuBackend {
-            engine: Mutex::new(engine),
-            model: PipelineModel::from_plan(&plan),
-            label,
-        })
+            .collect();
+        lanes.insert(0, Box::new(first));
+        Ok(lanes)
     }
 }
 
@@ -111,6 +110,66 @@ mod tests {
         }
         assert!(backend.location().starts_with("cpu:"));
         assert!(backend.pipeline().batch(1).total_cycles > 0);
+    }
+
+    /// Three lanes over one compiled engine, run from three threads at
+    /// once, compute `FastEngine::infer`'s bits: the lanes share the
+    /// resolved steps and weights, and each has its own arena. `odd`
+    /// runs all three of its convolutions through Winograd, so the lanes
+    /// also share transformed filters and each grows its own scratch.
+    #[test]
+    fn concurrent_lanes_match_one_engine_bit_for_bit() {
+        use condor_nn::{Layer, LayerKind, NetworkBuilder};
+        use condor_tensor::{Shape, TensorRng};
+        use std::sync::Barrier;
+
+        let conv = |name: &str, num_output: usize, pad: usize| {
+            let kind = LayerKind::Convolution {
+                num_output,
+                kernel: 3,
+                stride: 1,
+                pad,
+                bias: true,
+            };
+            Layer::new(name, kind)
+        };
+        let leaky = LayerKind::ReLU {
+            negative_slope: 0.1,
+        };
+        let layers = vec![
+            Layer::new("data", LayerKind::Input),
+            conv("conv1", 37, 1),
+            Layer::new("relu1", leaky.clone()),
+            conv("conv2", 33, 0),
+            Layer::new("relu2", leaky),
+            conv("conv3", 6, 1),
+        ];
+        let mut odd = NetworkBuilder::chain("odd", Shape::chw(35, 23, 21), layers).unwrap();
+        odd.attach_random_weights(4).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for net in [zoo::lenet_weighted(17), odd] {
+            let imgs: Vec<Tensor> = (0..2)
+                .map(|i| TensorRng::seeded(i).uniform(net.input_shape, -1.0, 1.0))
+                .collect();
+            let mut engine = FastEngine::new(&net).unwrap();
+            let want: Vec<Vec<u32>> = imgs
+                .iter()
+                .map(|x| bits(&engine.infer(x).unwrap()))
+                .collect();
+            let lanes = CpuBackend::replicas(&net, 3).unwrap();
+            let start = Barrier::new(lanes.len());
+            std::thread::scope(|s| {
+                for lane in &lanes {
+                    let (imgs, want, start) = (&imgs, &want, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let got = lane.infer_batch(imgs).unwrap();
+                        let got: Vec<Vec<u32>> = got.iter().map(bits).collect();
+                        assert!(got == *want, "{} differs from FastEngine", lane.location());
+                    });
+                }
+            });
+        }
     }
 
     #[test]
