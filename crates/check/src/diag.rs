@@ -68,6 +68,8 @@ pub enum Code {
     C015,
     /// Unclassified error propagated from a lower layer.
     C016,
+    /// A tensor or the MACs per image pass the flow's size ceiling.
+    C017,
     /// The plan maps no PEs.
     C020,
     /// A parallelism degree or stream width is zero.
@@ -127,6 +129,7 @@ impl Code {
         Code::C014,
         Code::C015,
         Code::C016,
+        Code::C017,
         Code::C020,
         Code::C021,
         Code::C022,
@@ -161,6 +164,7 @@ impl Code {
             Code::C014 => "C014",
             Code::C015 => "C015",
             Code::C016 => "C016",
+            Code::C017 => "C017",
             Code::C020 => "C020",
             Code::C021 => "C021",
             Code::C022 => "C022",
@@ -197,6 +201,7 @@ impl Code {
             Code::C014 => "missing weights",
             Code::C015 => "weight fan-in / channel mismatch",
             Code::C016 => "unclassified error",
+            Code::C017 => "network past the size ceiling",
             Code::C020 => "plan maps no PEs",
             Code::C021 => "zero parallelism or stream width",
             Code::C022 => "parallelism exceeds feature maps",

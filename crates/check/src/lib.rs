@@ -151,8 +151,18 @@ fn resources_json(r: &Resources) -> Value {
 pub fn check(net: &Network, plan: &AcceleratorPlan) -> CheckReport {
     let mut diags = Diagnostics::new();
     let ins = shape::check_network(net, &mut diags);
-    sdf::check_plan(net, plan, &ins, &mut diags);
-    let outcome = budget::check_budget(plan, &mut diags);
+    // Past the size gate, the plan's FIFO and resource arithmetic would
+    // multiply the very extents the gate refused.
+    let outcome = if diags.has_code(Code::C017) {
+        BudgetOutcome {
+            synthesis: None,
+            stages: Vec::new(),
+            budget: None,
+        }
+    } else {
+        sdf::check_plan(net, plan, &ins, &mut diags);
+        budget::check_budget(plan, &mut diags)
+    };
     CheckReport {
         subject: format!("{} on {}", net.name, plan.board),
         diagnostics: diags,

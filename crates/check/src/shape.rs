@@ -9,6 +9,11 @@
 //! were established — downstream of a failure the shapes are
 //! unknowable, not separately broken. Weight checks keep running for
 //! every layer whose input shape was established.
+//!
+//! Before the weight checks, the size gate ([`check_size`], C017)
+//! counts every tensor and the MACs per image with checked arithmetic;
+//! a network past a ceiling gets that one finding and nothing that
+//! would multiply its extents.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use condor_nn::{LayerKind, Network, NodeId};
@@ -19,12 +24,125 @@ use std::collections::BTreeSet;
 ///
 /// Returns the per-layer input shapes established before the first
 /// shape failure (one entry per layer, in order), which the SDF pass
-/// reuses to cross-check the plan topology.
+/// reuses to cross-check the plan topology; none at all when the size
+/// gate refused the network.
 pub fn check_network(net: &Network, diags: &mut Diagnostics) -> Vec<Option<Shape>> {
     check_structure(net, diags);
-    let ins = propagate_shapes(net, diags);
+    let (ins, outs) = propagate_shapes(net, diags);
+    if let Err(d) = check_sizes(net, &ins, &outs) {
+        diags.push(d);
+        return vec![None; ins.len()];
+    }
     check_weights(net, &ins, diags);
     ins
+}
+
+/// Largest element count of any one tensor the flow accepts: an
+/// activation, a layer's weights or a zero-padded input map. 2³¹
+/// elements is 8 GiB of `f32`; the zoo's largest tensor is VGG-16's
+/// `fc6` weights at 1.0·10⁸. Under it the product of two counts fits a
+/// `u64`, so the unchecked arithmetic downstream (`Shape::len`,
+/// `LayerKind::macs`, FIFO depths, window sizes) cannot overflow.
+pub const MAX_TENSOR_ELEMS: u64 = 1 << 31;
+
+/// Largest multiply-accumulate count per image the flow accepts, 2⁴⁰;
+/// VGG-16 needs 1.5·10¹⁰.
+pub const MAX_IMAGE_MACS: u64 = 1 << 40;
+
+/// The size gate: the first tensor past [`MAX_TENSOR_ELEMS`], or a MAC
+/// total past [`MAX_IMAGE_MACS`], as one C017 diagnostic. Every count is
+/// computed with checked arithmetic, so a hostile shape (a 4·10⁹ ×
+/// 4·10⁹ input) is refused, never wrapped. The frontend and the build
+/// flow run it before anything else multiplies extents.
+pub fn check_size(net: &Network) -> Result<(), Diagnostic> {
+    let (ins, outs) = propagate_shapes(net, &mut Diagnostics::new());
+    check_sizes(net, &ins, &outs)
+}
+
+/// [`check_size`] over shapes already propagated; layers whose shapes
+/// are unknown are skipped.
+fn check_sizes(
+    net: &Network,
+    ins: &[Option<Shape>],
+    outs: &[Option<Shape>],
+) -> Result<(), Diagnostic> {
+    let refuse = |site: &str, what: String| {
+        Diagnostic::new(Code::C017, what)
+            .at(site.to_string())
+            .hint("shrink the input or the layer: no board holds a network this large")
+    };
+    let count = |shape: Shape| {
+        shape
+            .checked_len()
+            .map(|n| n as u64)
+            .filter(|&n| n <= MAX_TENSOR_ELEMS)
+    };
+    if count(net.input_shape).is_none() {
+        let what = format!(
+            "network input {} holds more than 2^31 elements",
+            net.input_shape
+        );
+        return Err(refuse("input", what));
+    }
+    for (layer, out) in net.layers.iter().zip(outs) {
+        if let Some(out) = *out {
+            if count(out).is_none() {
+                let what = format!("output {out} holds more than 2^31 elements");
+                return Err(refuse(&layer.name, what));
+            }
+        }
+    }
+    let mut macs = 0u64;
+    for ((layer, input), out) in net.layers.iter().zip(ins).zip(outs) {
+        let (Some(input), Some(out)) = (*input, *out) else {
+            continue;
+        };
+        if let LayerKind::Convolution { pad, .. } | LayerKind::Pooling { pad, .. } = layer.kind {
+            let padded = |len: usize| pad.checked_mul(2).and_then(|p| p.checked_add(len));
+            let map = padded(input.h)
+                .zip(padded(input.w))
+                .and_then(|(h, w)| count(Shape::chw(input.c, h, w)));
+            if map.is_none() {
+                let what = format!("input {input} padded by {pad} holds more than 2^31 elements");
+                return Err(refuse(&layer.name, what));
+            }
+        }
+        let Some((weights, _)) = weight_shapes(&layer.kind, input) else {
+            continue;
+        };
+        let Some(params) = count(weights) else {
+            let what = format!("weights {weights} hold more than 2^31 elements");
+            return Err(refuse(&layer.name, what));
+        };
+        // Each weight meets every output position once: `LayerKind::macs`.
+        macs = (out.map_len() as u64)
+            .checked_mul(params)
+            .and_then(|m| macs.checked_add(m))
+            .filter(|&m| m <= MAX_IMAGE_MACS)
+            .ok_or_else(|| refuse(&layer.name, "MACs per image pass 2^40".to_string()))?;
+    }
+    Ok(())
+}
+
+/// The weight and bias shapes a weight-bearing layer expects for
+/// `input`; `input` must have passed the size gate.
+fn weight_shapes(kind: &LayerKind, input: Shape) -> Option<(Shape, Option<Shape>)> {
+    match *kind {
+        LayerKind::Convolution {
+            num_output,
+            kernel,
+            bias,
+            ..
+        } => Some((
+            Shape::new(num_output, input.c, kernel, kernel),
+            bias.then(|| Shape::vector(num_output)),
+        )),
+        LayerKind::InnerProduct { num_output, bias } => Some((
+            Shape::new(num_output, input.item_len(), 1, 1),
+            bias.then(|| Shape::vector(num_output)),
+        )),
+        _ => None,
+    }
 }
 
 /// Structural checks (the C00x group), collected exhaustively.
@@ -85,8 +203,12 @@ fn check_structure(net: &Network, diags: &mut Diagnostics) {
 /// Propagates shape inference along the graph edges, reporting every
 /// failure whose input shapes are all known and leaving shapes
 /// downstream of a failure unknown. On a linear chain this degenerates
-/// to the historical walk: one report, then silence.
-fn propagate_shapes(net: &Network, diags: &mut Diagnostics) -> Vec<Option<Shape>> {
+/// to the historical walk: one report, then silence. Returns each
+/// layer's input (its first input, for merges) and output shape.
+fn propagate_shapes(
+    net: &Network,
+    diags: &mut Diagnostics,
+) -> (Vec<Option<Shape>>, Vec<Option<Shape>>) {
     let mut outs: Vec<Option<Shape>> = Vec::with_capacity(net.layers.len());
     let mut ins: Vec<Option<Shape>> = Vec::with_capacity(net.layers.len());
     for (i, layer) in net.layers.iter().enumerate() {
@@ -126,7 +248,7 @@ fn propagate_shapes(net: &Network, diags: &mut Diagnostics) -> Vec<Option<Shape>
         };
         outs.push(out);
     }
-    ins
+    (ins, outs)
 }
 
 /// A fix hint tailored to the failing layer kind.
@@ -156,23 +278,7 @@ fn shape_hint(kind: &LayerKind, input: Shape) -> String {
 fn check_weights(net: &Network, ins: &[Option<Shape>], diags: &mut Diagnostics) {
     for (layer, input) in net.layers.iter().zip(ins) {
         let Some(input) = *input else { continue };
-        let expected = match layer.kind {
-            LayerKind::Convolution {
-                num_output,
-                kernel,
-                bias,
-                ..
-            } => Some((
-                Shape::new(num_output, input.c, kernel, kernel),
-                bias.then(|| Shape::vector(num_output)),
-            )),
-            LayerKind::InnerProduct { num_output, bias } => Some((
-                Shape::new(num_output, input.item_len(), 1, 1),
-                bias.then(|| Shape::vector(num_output)),
-            )),
-            _ => None,
-        };
-        let Some((want_w, want_b)) = expected else {
+        let Some((want_w, want_b)) = weight_shapes(&layer.kind, input) else {
             continue;
         };
         let Some(installed) = net.weights_of(&layer.name) else {
@@ -334,6 +440,72 @@ mod tests {
         // Weighted variant is fully clean.
         let d = run(&zoo::lenet_weighted(1));
         assert!(d.is_empty(), "{}", d.render());
+    }
+
+    fn one_layer(input: Shape, kind: LayerKind) -> Network {
+        Network::new("sized", input, vec![Layer::new("l", kind)]).unwrap()
+    }
+
+    fn conv(num_output: usize, kernel: usize, stride: usize, pad: usize) -> LayerKind {
+        LayerKind::Convolution {
+            num_output,
+            kernel,
+            stride,
+            pad,
+            bias: true,
+        }
+    }
+
+    /// Each count past its ceiling is refused with one C017 at its site,
+    /// the only finding of the pass; counts under the ceilings pass.
+    #[test]
+    fn size_gate_refuses_each_count_past_its_ceiling() {
+        let fc = LayerKind::InnerProduct {
+            num_output: 1 << 16,
+            bias: false,
+        };
+        let refused = [
+            // The committed hostile input: every product overflows u64.
+            (
+                one_layer(
+                    Shape::chw(3, 4_000_000_000, 4_000_000_000),
+                    conv(2_000_000_000, 3, 1, 0),
+                ),
+                "input",
+            ),
+            // 2^30 input elements, 2^32 output elements.
+            (
+                one_layer(Shape::chw(1, 1 << 15, 1 << 15), conv(4, 1, 1, 0)),
+                "l",
+            ),
+            // A 2x2 output read from a (1 + 2^21)^2 zero-padded map.
+            (
+                one_layer(Shape::chw(1, 1, 1), conv(1, 1, 1 << 21, 1 << 20)),
+                "l",
+            ),
+            // 2^32 weights.
+            (one_layer(Shape::vector(1 << 16), fc), "l"),
+            // 2^31 outputs, 2^40.2 MACs.
+            (
+                one_layer(Shape::chw(64, 1 << 12, 1 << 12), conv(128, 3, 1, 1)),
+                "l",
+            ),
+        ];
+        for (net, site) in &refused {
+            let err = check_size(net).unwrap_err();
+            assert_eq!((err.code, err.site.as_deref()), (Code::C017, Some(*site)));
+            let d = run(net);
+            assert_eq!(d.codes(), ["C017"], "{}", d.render());
+        }
+        // 2^30 outputs and 2^39.2 MACs pass, as does every zoo network.
+        check_size(&one_layer(
+            Shape::chw(64, 1 << 12, 1 << 12),
+            conv(64, 3, 1, 1),
+        ))
+        .unwrap();
+        for net in [zoo::vgg16(), zoo::lenet(), zoo::tc1(), zoo::resnet_block()] {
+            check_size(&net).unwrap();
+        }
     }
 
     #[test]

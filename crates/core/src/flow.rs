@@ -143,6 +143,9 @@ impl Condor {
 
     /// Runs the automation flow, producing the packaged accelerator.
     pub fn build(mut self) -> Result<BuiltAccelerator, CondorError> {
+        // A network built in code has not met the frontend's size gate.
+        condor_check::shape::check_size(&self.network)
+            .map_err(|d| CondorError::new("core-logic", d.render()))?;
         let board = self.resolve_board()?;
 
         // Step 2 — design space exploration (automated when requested).
@@ -275,6 +278,32 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use condor_nn::zoo;
+
+    /// A network built in code meets the size gate in `build`, before
+    /// the DSE or the plan multiplies its extents.
+    #[test]
+    fn build_refuses_a_network_past_the_size_gate() {
+        let net = condor_nn::Network::new(
+            "hostile",
+            condor_tensor::Shape::chw(3, 4_000_000_000, 4_000_000_000),
+            vec![condor_nn::Layer::new(
+                "conv1",
+                condor_nn::LayerKind::Convolution {
+                    num_output: 2_000_000_000,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 0,
+                    bias: true,
+                },
+            )],
+        )
+        .unwrap();
+        let err = Condor::from_network(net)
+            .auto_dse(DseConfig::default())
+            .build()
+            .unwrap_err();
+        assert!(err.message.contains("error C017"), "{err}");
+    }
 
     #[test]
     fn build_produces_all_artifacts() {

@@ -70,6 +70,7 @@ pub(crate) fn analyze_caffe(
 ) -> Result<LoadedModel, CondorError> {
     let proto = NetParameter::from_prototxt(prototxt)?;
     let mut network = caffe_to_network(&proto)?;
+    within_size(&network)?;
     if let Some(bytes) = caffemodel {
         install_caffe_weights(&mut network, NetParameter::decode(bytes)?)?;
     }
@@ -85,6 +86,7 @@ pub(crate) fn analyze_condor(
     weights: Option<&[u8]>,
 ) -> Result<LoadedModel, CondorError> {
     let representation = NetworkRepresentation::parse(representation)?;
+    within_size(&representation.network)?;
     let mut network = representation.network.clone();
     if let Some(bytes) = weights {
         read_weights(&mut network, bytes)?;
@@ -93,6 +95,13 @@ pub(crate) fn analyze_condor(
         representation,
         network,
     })
+}
+
+/// The size gate ([`condor_check::shape::check_size`]): every model
+/// passes it before its weights are read or its extents multiplied, so
+/// `condor info`, `check` and `build` refuse a hostile shape with C017.
+fn within_size(network: &Network) -> Result<(), CondorError> {
+    condor_check::shape::check_size(network).map_err(|d| CondorError::new("frontend", d.render()))
 }
 
 /// Resolves a layer's `bottom` blob names to producing node indices.

@@ -332,3 +332,21 @@ fn faults_replay_rejects_a_missing_journal() {
         .expect("binary runs");
     assert!(!out.status.success());
 }
+
+/// The committed hostile-shape input: every command that reads a model
+/// refuses it with the size gate's C017, in debug and in release,
+/// instead of panicking on (or printing) an overflowed count.
+#[test]
+fn hostile_shape_is_refused_with_c017_by_info_check_and_build() {
+    let model = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/inputs/hostile_shape.prototxt"
+    );
+    for cmd in ["info", "check", "build"] {
+        let out = Command::new(BIN).args([cmd, model]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains("error C017"), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}

@@ -2,8 +2,8 @@
 //!
 //! Fast CPU compute kernels for CNN inference — the software analogue of
 //! the paper's hardware acceleration argument. Where the golden engine
-//! (`condor-nn`) transcribes the paper's equations as obvious loop
-//! nests, this crate treats convolution as one GEMM, the lowering
+//! (`condor-nn`) transcribes the paper's equations one product at a
+//! time, this crate treats convolution as one GEMM, the lowering
 //! fpgaConvNet and Caffeinated FPGAs build their FPGA dataflows around —
 //! without ever writing the patch matrix, as the paper's own PEs never
 //! do:

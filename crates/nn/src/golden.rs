@@ -1,16 +1,20 @@
 //! Golden reference inference engine.
 //!
-//! A direct, loop-nest transcription of the paper's equations — Eq. (1)
-//! for convolution, Eq. (3)'s windowing for sub-sampling, Eq. (4) for the
-//! fully-connected layers and Eq. (5) for (Log)SoftMax. No tiling, no
-//! fusion, no cleverness: this is the functional oracle the dataflow
-//! hardware simulator is validated against, so it optimises for
-//! obviousness over speed.
+//! A transcription of the paper's equations — Eq. (1) for convolution,
+//! Eq. (3)'s windowing for sub-sampling, Eq. (4) for the fully-connected
+//! layers and Eq. (5) for (Log)SoftMax. No tiling, no fusion, no threads
+//! and no kernel library: this is the functional oracle the fast engines,
+//! the int8 calibration and the dataflow simulator are checked against.
+//! Each output is summed one product at a time, in the equations' order;
+//! the loops only choose which outputs advance together (a convolution
+//! tap sweeps whole output rows), so every value equals, bit for bit, the
+//! per-element loop nest the tests keep as its specification.
 
 use crate::graph::NodeId;
 use crate::layer::{EltwiseOp, LayerKind, PoolKind};
 use crate::network::{Network, NnError, NnErrorKind};
 use condor_tensor::{Shape, Tensor};
+use std::ops::Range;
 
 /// Reference CPU inference engine over a [`Network`].
 ///
@@ -167,7 +171,17 @@ impl<'a> GoldenEngine<'a> {
 
 /// Paper Eq. (1): `o[i,j,φ] = Σ_m Σ_n w[m,n,φ]·x[i+m, j+n] + b_φ`,
 /// summed over all input feature maps, generalised with stride/padding.
-/// Public so the hardware runtime can share the reference arithmetic.
+///
+/// Each filter tap `(φ, c, m, n)` adds `w·x` across whole output rows,
+/// so the innermost loop is a contiguous row. Every output still sums
+/// the same products in the same `(c, m, n)` order, starting from
+/// `+0.0`: a tap on the zero-padding halo, columns and whole rows alike,
+/// adds an explicit `w·0.0` (NaN when `w` is infinite), and the bias
+/// comes after the last tap. Rust never fuses a multiply and an add, so
+/// each output equals, bit for bit, the per-element loop `acc += w·x`.
+///
+/// Public for the property tests and benchmarks that compare a kernel
+/// against the reference arithmetic of one layer.
 #[allow(clippy::too_many_arguments)]
 pub fn convolve(
     input: &Tensor,
@@ -181,33 +195,66 @@ pub fn convolve(
     use_bias: bool,
 ) -> Tensor {
     let mut out = Tensor::zeros(out_shape);
-    let in_c = input.shape().c;
+    let in_shape = input.shape();
+    let (map_len, plane_len) = (in_shape.map_len(), out_shape.map_len());
     for phi in 0..num_output {
-        for i in 0..out_shape.h {
-            for j in 0..out_shape.w {
-                let mut acc = 0.0f32;
-                for c in 0..in_c {
-                    for m in 0..kernel {
-                        for n in 0..kernel {
-                            let x = input.at_padded(
-                                0,
-                                c,
-                                (i * stride + m) as isize,
-                                (j * stride + n) as isize,
-                                pad,
-                            );
-                            acc += weights.at(phi, c, m, n) * x;
+        let plane = &mut out.as_mut_slice()[phi * plane_len..(phi + 1) * plane_len];
+        for c in 0..in_shape.c {
+            let map = &input.as_slice()[c * map_len..(c + 1) * map_len];
+            for m in 0..kernel {
+                let rows = inside(m, stride, pad, in_shape.h, out_shape.h);
+                for n in 0..kernel {
+                    let w = weights.at(phi, c, m, n);
+                    let halo = w * 0.0;
+                    let cols = inside(n, stride, pad, in_shape.w, out_shape.w);
+                    let first = (cols.start * stride + n)
+                        .saturating_sub(pad)
+                        .min(in_shape.w);
+                    // `max(1)`: a zero-width map has no rows to walk.
+                    for (i, row) in plane.chunks_exact_mut(out_shape.w.max(1)).enumerate() {
+                        if !rows.contains(&i) {
+                            row.iter_mut().for_each(|o| *o += halo);
+                            continue;
+                        }
+                        let r = i * stride + m - pad;
+                        let src = &map[r * in_shape.w + first..(r + 1) * in_shape.w];
+                        let (left, rest) = row.split_at_mut(cols.start);
+                        let (mid, right) = rest.split_at_mut(cols.len());
+                        left.iter_mut().chain(right).for_each(|o| *o += halo);
+                        if stride == 1 {
+                            mid.iter_mut().zip(src).for_each(|(o, &x)| *o += w * x);
+                        } else {
+                            let xs = src.iter().step_by(stride);
+                            mid.iter_mut().zip(xs).for_each(|(o, &x)| *o += w * x);
                         }
                     }
                 }
-                if use_bias {
-                    acc += bias.expect("bias enabled").at(0, phi, 0, 0);
-                }
-                *out.at_mut(0, phi, i, j) = acc;
             }
+        }
+        if use_bias {
+            let b = bias.expect("bias enabled").at(0, phi, 0, 0);
+            plane.iter_mut().for_each(|o| *o += b);
         }
     }
     out
+}
+
+/// The output positions `j < out_len` whose tap at offset `n` reads
+/// inside the input, `pad <= j·stride + n < pad + in_len`: one run, with
+/// the halo on either side.
+fn inside(n: usize, stride: usize, pad: usize, in_len: usize, out_len: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(n).div_ceil(stride).min(out_len);
+    let hi = (pad + in_len).saturating_sub(n).div_ceil(stride);
+    lo..hi.clamp(lo, out_len)
+}
+
+/// The input positions a pooling window starting at padded position
+/// `start` covers: Caffe leaves out-of-range positions out of the window
+/// rather than treating them as zeros.
+fn window(start: usize, kernel: usize, pad: usize, in_len: usize) -> Range<usize> {
+    let lo = (start.max(pad) - pad).min(in_len);
+    let hi = (start + kernel).min(pad + in_len).saturating_sub(pad);
+    lo..hi.max(lo)
 }
 
 /// Sub-sampling: max or average over each window (paper Section 2.2).
@@ -221,32 +268,26 @@ pub fn pool(
 ) -> Tensor {
     let mut out = Tensor::zeros(out_shape);
     let in_shape = input.shape();
+    let map_len = in_shape.map_len();
+    let plane_len = out_shape.map_len();
     for c in 0..out_shape.c {
-        for i in 0..out_shape.h {
-            for j in 0..out_shape.w {
+        let map = &input.as_slice()[c * map_len..(c + 1) * map_len];
+        let plane = &mut out.as_mut_slice()[c * plane_len..(c + 1) * plane_len];
+        for (i, row) in plane.chunks_exact_mut(out_shape.w.max(1)).enumerate() {
+            let rows = window(i * stride, kernel, pad, in_shape.h);
+            for (j, o) in row.iter_mut().enumerate() {
+                let cols = window(j * stride, kernel, pad, in_shape.w);
                 let mut max = f32::NEG_INFINITY;
                 let mut sum = 0.0f32;
                 let mut count = 0usize;
-                for m in 0..kernel {
-                    for n in 0..kernel {
-                        let hh = (i * stride + m) as isize - pad as isize;
-                        let ww = (j * stride + n) as isize - pad as isize;
-                        // Caffe excludes out-of-range positions from the
-                        // window rather than treating them as zeros.
-                        if hh < 0
-                            || ww < 0
-                            || hh >= in_shape.h as isize
-                            || ww >= in_shape.w as isize
-                        {
-                            continue;
-                        }
-                        let v = input.at(0, c, hh as usize, ww as usize);
+                for hh in rows.clone() {
+                    for &v in &map[hh * in_shape.w..][cols.clone()] {
                         max = max.max(v);
                         sum += v;
                         count += 1;
                     }
                 }
-                *out.at_mut(0, c, i, j) = match method {
+                *o = match method {
                     PoolKind::Max => max,
                     PoolKind::Average => sum / count.max(1) as f32,
                 };
@@ -271,25 +312,25 @@ fn inner_product(
     use_bias: bool,
 ) -> Result<Tensor, NnError> {
     let x = input.as_slice();
-    let w_shape = weights.shape();
-    if w_shape.c != x.len() {
+    let fan_in = weights.shape().item_len();
+    if fan_in != x.len() {
         return Err(NnError::net(format!(
-            "weight fan-in {} does not match flattened input {}",
-            w_shape.c,
+            "weight fan-in {fan_in} does not match flattened input {}",
             x.len()
         ))
         .with_kind(NnErrorKind::WeightShape));
     }
     let mut out = Tensor::zeros(out_shape);
     for l in 0..out_shape.c {
+        let row = &weights.as_slice()[l * fan_in..(l + 1) * fan_in];
         let mut acc = 0.0f32;
-        for (h, &xv) in x.iter().enumerate() {
-            acc += weights.at(l, h, 0, 0) * xv;
+        for (&w, &xv) in row.iter().zip(x) {
+            acc += w * xv;
         }
         if use_bias {
             acc += bias.expect("bias enabled").at(0, l, 0, 0);
         }
-        *out.at_mut(0, l, 0, 0) = acc;
+        out.as_mut_slice()[l] = acc;
     }
     Ok(out)
 }
@@ -346,7 +387,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::layer::Layer;
-    use condor_tensor::{constant, linspace, AllClose};
+    use condor_tensor::{constant, linspace, AllClose, TensorRng};
 
     fn conv_net(kernel: usize, pad: usize, stride: usize) -> Network {
         let mut net = Network::new(
@@ -716,5 +757,302 @@ mod tests {
         let engine = GoldenEngine::new(&net).unwrap();
         let bad = Tensor::zeros(Shape::chw(1, 5, 5));
         assert!(engine.infer(&bad).is_err());
+    }
+
+    /// The per-element loop nests that `convolve`, `pool` and
+    /// `inner_product` replaced, kept as their specification: each output
+    /// sums its window in `(c, m, n)` order, one product at a time.
+    mod spec {
+        use super::*;
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn convolve(
+            input: &Tensor,
+            weights: &Tensor,
+            bias: Option<&Tensor>,
+            out_shape: Shape,
+            num_output: usize,
+            kernel: usize,
+            stride: usize,
+            pad: usize,
+            use_bias: bool,
+        ) -> Tensor {
+            let mut out = Tensor::zeros(out_shape);
+            for phi in 0..num_output {
+                for i in 0..out_shape.h {
+                    for j in 0..out_shape.w {
+                        let mut acc = 0.0f32;
+                        for c in 0..input.shape().c {
+                            for m in 0..kernel {
+                                for n in 0..kernel {
+                                    let x = input.at_padded(
+                                        0,
+                                        c,
+                                        (i * stride + m) as isize,
+                                        (j * stride + n) as isize,
+                                        pad,
+                                    );
+                                    acc += weights.at(phi, c, m, n) * x;
+                                }
+                            }
+                        }
+                        if use_bias {
+                            acc += bias.unwrap().at(0, phi, 0, 0);
+                        }
+                        *out.at_mut(0, phi, i, j) = acc;
+                    }
+                }
+            }
+            out
+        }
+
+        pub(super) fn pool(
+            input: &Tensor,
+            out_shape: Shape,
+            method: PoolKind,
+            kernel: usize,
+            stride: usize,
+            pad: usize,
+        ) -> Tensor {
+            let mut out = Tensor::zeros(out_shape);
+            let in_shape = input.shape();
+            for c in 0..out_shape.c {
+                for i in 0..out_shape.h {
+                    for j in 0..out_shape.w {
+                        let mut max = f32::NEG_INFINITY;
+                        let mut sum = 0.0f32;
+                        let mut count = 0usize;
+                        for m in 0..kernel {
+                            for n in 0..kernel {
+                                let hh = (i * stride + m) as isize - pad as isize;
+                                let ww = (j * stride + n) as isize - pad as isize;
+                                if hh < 0
+                                    || ww < 0
+                                    || hh >= in_shape.h as isize
+                                    || ww >= in_shape.w as isize
+                                {
+                                    continue;
+                                }
+                                let v = input.at(0, c, hh as usize, ww as usize);
+                                max = max.max(v);
+                                sum += v;
+                                count += 1;
+                            }
+                        }
+                        *out.at_mut(0, c, i, j) = match method {
+                            PoolKind::Max => max,
+                            PoolKind::Average => sum / count.max(1) as f32,
+                        };
+                    }
+                }
+            }
+            out
+        }
+
+        pub(super) fn inner_product(
+            input: &Tensor,
+            weights: &Tensor,
+            bias: Option<&Tensor>,
+            out_shape: Shape,
+            use_bias: bool,
+        ) -> Tensor {
+            let mut out = Tensor::zeros(out_shape);
+            for l in 0..out_shape.c {
+                let mut acc = 0.0f32;
+                for (h, &xv) in input.as_slice().iter().enumerate() {
+                    acc += weights.at(l, h, 0, 0) * xv;
+                }
+                if use_bias {
+                    acc += bias.unwrap().at(0, l, 0, 0);
+                }
+                *out.at_mut(0, l, 0, 0) = acc;
+            }
+            out
+        }
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, case: &str) {
+        assert_eq!(got.shape(), want.shape(), "{case}");
+        for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{case}: element {k}: {g} vs {w}");
+        }
+    }
+
+    /// Uniform values in `[-1, 1)` with about one in eight replaced by a
+    /// signed zero, so `-0.0` products and sums are exercised too.
+    fn values(rng: &mut TensorRng, shape: Shape) -> Tensor {
+        let mut t = rng.uniform(shape, -1.0, 1.0);
+        for v in t.as_mut_slice() {
+            match rng.index(16) {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// Runs `cases` seeded geometries through the row-wise code and the
+    /// per-element spec: kernel 1–5, stride 1–3, pad `0..=kernel`, maps
+    /// of 1–12 (narrower than the kernel where the padding allows), up
+    /// to 8 input channels and 5 filters, bias on and off.
+    fn check_against_spec(seed: u64, cases: usize) {
+        let mut rng = TensorRng::seeded(seed);
+        for case in 0..cases {
+            let kernel = 1 + rng.index(5);
+            let stride = 1 + rng.index(3);
+            let pad = rng.index(kernel + 1);
+            let min_len = kernel.saturating_sub(2 * pad).max(1);
+            let h = min_len + rng.index(13 - min_len);
+            let w = min_len + rng.index(13 - min_len);
+            let (c, f) = (1 + rng.index(8), 1 + rng.index(5));
+            let use_bias = rng.index(2) == 0;
+            let label = format!(
+                "seed {seed:#x} case {case}: c{c} {h}x{w} f{f} k{kernel} s{stride} p{pad} bias {use_bias}"
+            );
+            let input = values(&mut rng, Shape::chw(c, h, w));
+            let weights = values(&mut rng, Shape::new(f, c, kernel, kernel));
+            let bias = values(&mut rng, Shape::vector(f));
+
+            let out_shape = Shape::chw(
+                f,
+                Shape::conv_out_dim(h, kernel, stride, pad),
+                Shape::conv_out_dim(w, kernel, stride, pad),
+            );
+            let args = (out_shape, f, kernel, stride, pad, use_bias);
+            assert_same_bits(
+                &convolve(
+                    &input,
+                    &weights,
+                    Some(&bias),
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    args.4,
+                    args.5,
+                ),
+                &spec::convolve(
+                    &input,
+                    &weights,
+                    Some(&bias),
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    args.4,
+                    args.5,
+                ),
+                &format!("conv {label}"),
+            );
+
+            let pool_shape = Shape::chw(
+                c,
+                Shape::pool_out_dim(h, kernel, stride, pad),
+                Shape::pool_out_dim(w, kernel, stride, pad),
+            );
+            for method in [PoolKind::Max, PoolKind::Average] {
+                assert_same_bits(
+                    &pool(&input, pool_shape, method, kernel, stride, pad),
+                    &spec::pool(&input, pool_shape, method, kernel, stride, pad),
+                    &format!("{method:?} pool {label}"),
+                );
+            }
+
+            let fc_weights = values(&mut rng, Shape::new(f, input.len(), 1, 1));
+            let got = inner_product(&input, &fc_weights, Some(&bias), Shape::vector(f), use_bias);
+            assert_same_bits(
+                &got.unwrap(),
+                &spec::inner_product(&input, &fc_weights, Some(&bias), Shape::vector(f), use_bias),
+                &format!("fc {label}"),
+            );
+        }
+    }
+
+    #[test]
+    fn row_loops_match_the_per_element_spec_bit_for_bit() {
+        check_against_spec(0x601d, 64);
+    }
+
+    /// The long sweep of the test above; CI runs it in a release build.
+    #[test]
+    #[ignore = "2 000 geometries; run with --release -- --ignored"]
+    fn row_loops_match_the_per_element_spec_long_sweep() {
+        check_against_spec(0x601d_5eed, 2000);
+    }
+
+    /// `inf·0.0` is NaN, so a padded tap under an infinite weight poisons
+    /// its outputs: this fails if the halo's explicit `w·0.0` terms are
+    /// skipped. A NaN input reaches every window that covers it.
+    #[test]
+    fn infinite_weight_and_nan_input_match_the_spec() {
+        let mut rng = TensorRng::seeded(45);
+        let (c, h, w, f, kernel, pad) = (2, 5, 6, 3, 3, 1);
+        let out_shape = Shape::chw(f, h, w);
+        let mut weights = values(&mut rng, Shape::new(f, c, kernel, kernel));
+        let mut input = values(&mut rng, Shape::chw(c, h, w));
+        let bias = values(&mut rng, Shape::vector(f));
+
+        *weights.at_mut(1, 0, 0, 0) = f32::INFINITY;
+        let got = convolve(
+            &input,
+            &weights,
+            Some(&bias),
+            out_shape,
+            f,
+            kernel,
+            1,
+            pad,
+            true,
+        );
+        let want = spec::convolve(
+            &input,
+            &weights,
+            Some(&bias),
+            out_shape,
+            f,
+            kernel,
+            1,
+            pad,
+            true,
+        );
+        assert_same_bits(&got, &want, "+inf weight");
+        // Output (0, 0) of filter 1 reads the halo under the infinite tap.
+        assert!(got.at(0, 1, 0, 0).is_nan());
+
+        *weights.at_mut(1, 0, 0, 0) = 0.5;
+        *input.at_mut(0, 1, 2, 3) = f32::NAN;
+        let got = convolve(
+            &input,
+            &weights,
+            Some(&bias),
+            out_shape,
+            f,
+            kernel,
+            1,
+            pad,
+            true,
+        );
+        let want = spec::convolve(
+            &input,
+            &weights,
+            Some(&bias),
+            out_shape,
+            f,
+            kernel,
+            1,
+            pad,
+            true,
+        );
+        assert_same_bits(&got, &want, "NaN input");
+        assert!(got.at(0, 0, 2, 3).is_nan() && !got.at(0, 0, 0, 0).is_nan());
+        for method in [PoolKind::Max, PoolKind::Average] {
+            let shape = Shape::chw(c, 3, 3);
+            assert_same_bits(
+                &pool(&input, shape, method, 2, 2, 0),
+                &spec::pool(&input, shape, method, 2, 2, 0),
+                &format!("NaN input, {method:?} pool"),
+            );
+        }
     }
 }

@@ -223,10 +223,10 @@ impl LayerKind {
                 pad,
                 ..
             } => {
-                if kernel == 0 || num_output == 0 {
+                if kernel == 0 || stride == 0 || num_output == 0 {
                     return Err(ShapeError::new(
                         ShapeErrorKind::BadHyperParam,
-                        "convolution needs kernel_size > 0 and num_output > 0",
+                        "convolution needs kernel_size, stride and num_output > 0",
                     ));
                 }
                 if input.h + 2 * pad < kernel || input.w + 2 * pad < kernel {
@@ -252,10 +252,10 @@ impl LayerKind {
                 pad,
                 ..
             } => {
-                if kernel == 0 {
+                if kernel == 0 || stride == 0 {
                     return Err(ShapeError::new(
                         ShapeErrorKind::BadHyperParam,
-                        "pooling needs kernel_size > 0",
+                        "pooling needs kernel_size > 0 and stride > 0",
                     ));
                 }
                 if input.h + 2 * pad < kernel || input.w + 2 * pad < kernel {
@@ -509,6 +509,29 @@ mod tests {
     fn oversized_kernel_rejected() {
         assert!(conv(8, 5).output_shape(Shape::new(1, 1, 4, 4)).is_err());
         assert!(conv(0, 5).output_shape(Shape::new(1, 1, 8, 8)).is_err());
+    }
+
+    /// A zero stride is a C010 hyper-parameter error, not the panic of
+    /// `Shape::conv_out_dim`'s assertion.
+    #[test]
+    fn zero_stride_rejected() {
+        let conv = LayerKind::Convolution {
+            num_output: 2,
+            kernel: 3,
+            stride: 0,
+            pad: 0,
+            bias: true,
+        };
+        let pool = LayerKind::Pooling {
+            method: PoolKind::Max,
+            kernel: 2,
+            stride: 0,
+            pad: 0,
+        };
+        for kind in [conv, pool] {
+            let err = kind.output_shape(Shape::new(1, 1, 8, 8)).unwrap_err();
+            assert_eq!(err.kind, ShapeErrorKind::BadHyperParam);
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! * [`graph`] — stable [`NodeId`]s and the canonical [`NetworkBuilder`]
 //!   for constructing networks, including branchy (concat / eltwise)
 //!   topologies;
-//! * [`golden`] — a straightforward, obviously-correct software inference
-//!   engine (paper Eq. (1), (4), (5)) used as the functional oracle the
-//!   hardware simulator is validated against;
+//! * [`golden`] — the reference software inference engine (paper Eq.
+//!   (1), (4), (5)), summing each output one product at a time, used as
+//!   the functional oracle the other engines, the int8 calibration and
+//!   the hardware simulator are validated against;
 //! * [`fast`] — the production CPU engine: implicit-GEMM convolution and
 //!   register-tiled GEMM kernels from `condor-kernels`, ReLU fusion and a
 //!   per-engine activation arena, property-tested against the golden

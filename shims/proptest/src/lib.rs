@@ -9,7 +9,10 @@
 //!
 //! Differences from upstream: failing cases are reported by panic (no
 //! shrinking), and the case count defaults to 64 (`PROPTEST_CASES`
-//! overrides; `PROPTEST_SEED` reseeds the deterministic RNG).
+//! overrides). Each case draws from its own seed, a stable hash of the
+//! test name and the case index (`PROPTEST_SEED` reseeds them all); a
+//! failing case prints a `PROPTEST_REPLAY=<seed>` line that reruns it
+//! alone.
 
 pub mod arbitrary;
 pub mod collection;
@@ -39,9 +42,15 @@ macro_rules! proptest {
         $(
             $(#[$meta])*
             fn $name() {
-                let cases = $crate::test_runner::cases();
-                let mut rng = $crate::test_runner::TestRng::for_test(stringify!($name));
-                for _case in 0..cases {
+                for (case, seed) in $crate::test_runner::case_seeds(stringify!($name)) {
+                    let mut rng = $crate::test_runner::TestRng::seeded(seed);
+                    let _replay = $crate::test_runner::ReplayOnPanic {
+                        package: env!("CARGO_PKG_NAME"),
+                        module: module_path!(),
+                        name: stringify!($name),
+                        case,
+                        seed,
+                    };
                     $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)*
                     $body
                 }
