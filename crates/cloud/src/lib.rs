@@ -68,12 +68,6 @@ impl fmt::Display for CloudError {
 
 impl std::error::Error for CloudError {}
 
-impl condor_faults::retry::Retryable for CloudError {
-    fn is_transient(&self) -> bool {
-        self.transient
-    }
-}
-
 impl From<condor_faults::InjectedFault> for CloudError {
     fn from(f: condor_faults::InjectedFault) -> Self {
         // Sites are namespaced `service.operation`; keep the static

@@ -68,12 +68,6 @@ impl DataflowError {
     }
 }
 
-impl condor_faults::retry::Retryable for DataflowError {
-    fn is_transient(&self) -> bool {
-        self.transient
-    }
-}
-
 impl fmt::Display for DataflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dataflow plan error: {}", self.message)

@@ -418,12 +418,6 @@ impl fmt::Display for InjectedFault {
 
 impl std::error::Error for InjectedFault {}
 
-impl retry::Retryable for InjectedFault {
-    fn is_transient(&self) -> bool {
-        self.transient
-    }
-}
-
 /// A timing perturbation resolved from a fired timing rule: what the
 /// cycle-level DES applies to the intercepted unit of work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

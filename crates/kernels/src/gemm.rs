@@ -60,34 +60,22 @@ pub(crate) const KC_MAX: usize = 256;
 /// Accumulators of one `MR×NR` tile of `C`.
 type Tile = [[f32; NR]; MR];
 
-/// Loop-blocking parameters, shared by the f32 and int8 GEMMs.
+/// Loop-blocking parameters of the f32 GEMM.
 ///
-/// The f32 [`gemm`] reads only `kc`: the depth of the `k`-slice whose
-/// `kc × 24` piece of `B` is packed into the L1-resident stack tile,
-/// honoured up to that tile's cap of 256. Its row and column steps are
-/// fixed by the register tile and every row tile reuses one packed
-/// slice, so `mc` and `nc` are idle there. The int8 GEMM
-/// ([`crate::qgemm`]) reads only `nc`, the width of its widening plane.
-/// `mc` is read by neither and stays because callers name the struct.
-/// No value of any field changes a result bit.
+/// `kc` is the depth of the `k`-slice whose `kc × 24` piece of `B` is
+/// packed into the L1-resident stack tile, honoured up to that tile's
+/// cap of 256. The row and column steps are fixed by the register tile,
+/// and every row tile reuses one packed slice, so there is nothing else
+/// to block. No value of `kc` changes a result bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GemmBlocking {
-    /// Idle (was: rows of `C` per macro-kernel panel).
-    pub mc: usize,
-    /// Columns per staged block of the int8 GEMM; idle in the f32 one.
-    pub nc: usize,
-    /// Depth of the reduction slice per packed `B` tile of the f32 GEMM
-    /// (1 ..= 256); idle in the int8 one.
+    /// Depth of the reduction slice per packed `B` tile (1 ..= 256).
     pub kc: usize,
 }
 
 impl Default for GemmBlocking {
     fn default() -> Self {
-        GemmBlocking {
-            mc: 64,
-            nc: 512,
-            kc: 256,
-        }
+        GemmBlocking { kc: 256 }
     }
 }
 
@@ -141,7 +129,53 @@ impl<'a> Epilogue<'a> {
 
 /// Work threshold (in multiply-accumulates) below which spawning threads
 /// costs more than it saves.
-pub(crate) const PAR_MACS_THRESHOLD: usize = 1 << 21;
+const PAR_MACS_THRESHOLD: usize = 1 << 21;
+
+/// Threads a kernel of `macs` multiply-accumulates is split across: one
+/// below [`PAR_MACS_THRESHOLD`], every thread the machine has from it
+/// on. The one place a kernel decides whether to thread.
+pub(crate) fn threads_for(macs: usize) -> usize {
+    if macs >= PAR_MACS_THRESHOLD {
+        available_threads()
+    } else {
+        1
+    }
+}
+
+/// The number of worker threads worth using on this machine. Asked once:
+/// `available_parallelism` re-reads the cgroup files on every call
+/// (≈ 9 µs here), and every GEMM and GEMV asks.
+fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// Splits `out`, rows of `width` elements, into at most `threads` bands
+/// of whole rows, each a multiple of `align` rows except the last, and
+/// runs `band(row0, part)` on each: `part` is the band's elements and
+/// `row0` its first row. One band runs on the calling thread alone; of
+/// more, the first runs there and every other on a scoped thread of its
+/// own. Each caller computes a row the same way whatever band holds it,
+/// so no result depends on `threads`.
+pub(crate) fn row_bands<T: Send>(
+    threads: usize,
+    align: usize,
+    width: usize,
+    out: &mut [T],
+    band: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let rows = out.len().checked_div(width).unwrap_or(0);
+    let per = rows.div_ceil(threads.max(1)).next_multiple_of(align);
+    if per >= rows {
+        return band(0, out);
+    }
+    let band = &band;
+    run_split(
+        out.chunks_mut(per * width)
+            .enumerate()
+            .map(|(i, part)| move || band(i * per, part)),
+    );
+}
 
 /// `C = A · B` with an optional fused epilogue.
 ///
@@ -229,12 +263,7 @@ pub(crate) fn gemm_packed(
     blocking: GemmBlocking,
     epilogue: Epilogue<'_>,
 ) {
-    let threads = if m * n * k >= PAR_MACS_THRESHOLD {
-        available_threads()
-    } else {
-        1
-    };
-    gemm_on(threads, m, n, k, a, b, c, blocking, epilogue);
+    gemm_on(threads_for(m * n * k), m, n, k, a, b, c, blocking, epilogue);
 }
 
 /// [`gemm_packed`] over at most `threads` row bands.
@@ -259,29 +288,16 @@ pub(crate) fn gemm_on(
         return;
     }
     let kc = blocking.kc.clamp(1, KC_MAX);
-
-    // Each thread owns a horizontal band of C and the matching band of
-    // A; B is shared read-only. Bands are whole register tiles, so only
-    // the last one can end in a partial tile.
-    let rows_per = m.div_ceil(threads.clamp(1, m)).next_multiple_of(MR);
-    if rows_per >= m {
+    // Each band is whole register tiles of C and the matching rows of A;
+    // B is shared read-only. Only the last band can end in a partial
+    // tile.
+    row_bands(threads, MR, n, c, |row0, c_band| {
+        let rows = c_band.len() / n;
+        let a_band = &a[row0 * k..(row0 + rows) * k];
+        let epilogue = epilogue.for_band(row0);
         let mut packed = [[0.0; NR]; KC_MAX];
-        return gemm_band(m, n, k, a, b, c, n, kc, epilogue, &mut packed);
-    }
-    run_split(
-        c.chunks_mut(rows_per * n)
-            .enumerate()
-            .map(|(band, c_band)| {
-                let row0 = band * rows_per;
-                let rows = c_band.len() / n;
-                let a_band = &a[row0 * k..(row0 + rows) * k];
-                let epilogue = epilogue.for_band(row0);
-                move || {
-                    let mut packed = [[0.0; NR]; KC_MAX];
-                    gemm_band(rows, n, k, a_band, b, c_band, n, kc, epilogue, &mut packed)
-                }
-            }),
-    );
+        gemm_band(rows, n, k, a_band, b, c_band, n, kc, epilogue, &mut packed)
+    });
 }
 
 /// Runs the first of `parts` on the calling thread and each other one
@@ -298,14 +314,6 @@ pub(crate) fn run_split<F: FnOnce() + Send>(mut parts: impl Iterator<Item = F>) 
             part();
         }
     });
-}
-
-/// The number of worker threads worth using on this machine. Asked once:
-/// `available_parallelism` re-reads the cgroup files on every call
-/// (≈ 9 µs here), and every GEMM and GEMV asks.
-pub(crate) fn available_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Single-threaded GEMM over the whole of `c`, whose rows lie `ldc`
@@ -414,25 +422,31 @@ pub fn gemv(
     relu_slope: Option<f32>,
     y: &mut [f32],
 ) {
+    gemv_on(threads_for(m * k), m, k, w, x, bias, relu_slope, y);
+}
+
+/// [`gemv`] over at most `threads` row bands.
+#[allow(clippy::too_many_arguments)]
+fn gemv_on(
+    threads: usize,
+    m: usize,
+    k: usize,
+    w: &[f32],
+    x: &[f32],
+    bias: Option<&[f32]>,
+    relu_slope: Option<f32>,
+    y: &mut [f32],
+) {
     assert_eq!(w.len(), m * k, "W must be m×k");
     assert_eq!(x.len(), k, "x must have k elements");
     assert_eq!(y.len(), m, "y must have m elements");
     if let Some(b) = bias {
         assert!(b.len() >= m, "bias shorter than m");
     }
-
-    let threads = available_threads();
-    if threads > 1 && m * k >= PAR_MACS_THRESHOLD && m >= 2 {
-        let bands = threads.min(m);
-        let rows_per = m.div_ceil(bands);
-        run_split(y.chunks_mut(rows_per).enumerate().map(|(band, y_band)| {
-            let row0 = band * rows_per;
-            let w_band = &w[row0 * k..(row0 + y_band.len()) * k];
-            move || gemv_serial(k, w_band, x, bias, relu_slope, y_band, row0)
-        }));
-    } else {
-        gemv_serial(k, w, x, bias, relu_slope, y, 0);
-    }
+    row_bands(threads, 1, 1, y, |row0, y_band| {
+        let w_band = &w[row0 * k..(row0 + y_band.len()) * k];
+        gemv_serial(k, w_band, x, bias.map(|b| &b[row0..]), relu_slope, y_band)
+    });
 }
 
 /// Rows of `W` one pass of [`gemv_serial`] reduces together.
@@ -447,11 +461,10 @@ fn gemv_serial(
     bias: Option<&[f32]>,
     relu_slope: Option<f32>,
     y: &mut [f32],
-    row_off: usize,
 ) {
     let finish = |i: usize, mut acc: f32| {
         if let Some(b) = bias {
-            acc += b[row_off + i];
+            acc += b[i];
         }
         if let Some(slope) = relu_slope {
             if acc < 0.0 {
@@ -588,10 +601,7 @@ mod tests {
     #[test]
     fn matches_naive_across_shapes() {
         let kc = 8;
-        let blocking = GemmBlocking {
-            kc,
-            ..GemmBlocking::default()
-        };
+        let blocking = GemmBlocking { kc };
         for m in [1, MR - 1, MR + 1, 50] {
             for n in [1, 4, NR - 1, NR + 1, 70] {
                 for k in [0, 1, kc - 1, kc + 1, 2 * kc + 3] {
@@ -625,11 +635,7 @@ mod tests {
             GemmBlocking::default(),
             Epilogue::None,
         );
-        let tiny = GemmBlocking {
-            mc: 2,
-            nc: 3,
-            kc: 4,
-        };
+        let tiny = GemmBlocking { kc: 4 };
         gemm(m, n, k, &a, &b, &mut c2, tiny, Epilogue::None);
         assert_eq!(c1, c2, "blocking must not change the reduction order");
     }
@@ -726,7 +732,8 @@ mod tests {
 
     /// The multi-row pass reduces every row exactly as `dot` does: the
     /// full passes, the leftover rows and the `k` tails, with and without
-    /// the fused bias and ReLU, bit for bit.
+    /// the fused bias and ReLU, bit for bit, over one row band and over
+    /// two and three of uneven height (7 rows over 2 and 3, 500 over 3).
     #[test]
     fn gemv_rows_are_bit_identical_to_dot() {
         let noise = |len: usize, salt: usize| -> Vec<f32> {
@@ -757,14 +764,16 @@ mod tests {
                             }
                         })
                         .collect();
-                    let mut y = vec![f32::NAN; m];
-                    gemv(m, k, &w, &x, bias, slope, &mut y);
-                    assert_eq!(
-                        bits(&y),
-                        bits(&want),
-                        "m {m}, k {k}, bias {}, slope {slope:?}",
-                        bias.is_some()
-                    );
+                    for threads in 1..=3 {
+                        let mut y = vec![f32::NAN; m];
+                        gemv_on(threads, m, k, &w, &x, bias, slope, &mut y);
+                        assert_eq!(
+                            bits(&y),
+                            bits(&want),
+                            "m {m}, k {k}, bias {}, slope {slope:?}, {threads} threads",
+                            bias.is_some()
+                        );
+                    }
                 }
             }
         }
@@ -809,10 +818,7 @@ mod tests {
         let a: Vec<f32> = (0..m).flat_map(|_| FUSED_A).collect();
         let b: Vec<f32> = FUSED_B.iter().flat_map(|&v| vec![v; n]).collect();
         for kc in [1, 256] {
-            let blocking = GemmBlocking {
-                kc,
-                ..GemmBlocking::default()
-            };
+            let blocking = GemmBlocking { kc };
             let mut c = vec![f32::NAN; m * n];
             gemm(m, n, k, &a, &b, &mut c, blocking, Epilogue::None);
             for (i, j) in [(MR + 1, NR + 1), (m - 1, n - 1)] {

@@ -72,34 +72,76 @@ impl ConvGeometry {
 /// # Panics
 /// Panics when `input` or `cols` disagree with the geometry.
 pub fn im2col(input: &[f32], geo: &ConvGeometry, cols: &mut [f32]) {
-    im2col_impl(input, geo, cols, 0.0);
-}
+    assert_eq!(
+        input.len(),
+        geo.in_c * geo.in_h * geo.in_w,
+        "input length does not match geometry"
+    );
+    assert_eq!(cols.len(), geo.lowered_len(), "workspace length mismatch");
+    let (k, stride, pad) = (geo.kernel, geo.stride, geo.pad);
+    let (in_h, in_w) = (geo.in_h, geo.in_w);
+    let (out_h, out_w) = (geo.out_h, geo.out_w);
+    let n_cols = geo.lowered_cols();
 
-/// [`im2col`] over quantized `i8` feature maps — the identical lowering
-/// (symmetric quantization maps real 0 to quantized 0, so zero padding
-/// is untouched), feeding the packed GEMM in [`crate::qgemm`].
-///
-/// # Panics
-/// Panics when `input` or `cols` disagree with the geometry.
-pub fn im2col_i8(input: &[i8], geo: &ConvGeometry, cols: &mut [i8]) {
-    im2col_impl(input, geo, cols, 0);
+    for c in 0..geo.in_c {
+        let map = &input[c * in_h * in_w..(c + 1) * in_h * in_w];
+        for m in 0..k {
+            for n in 0..k {
+                let row = (c * k + m) * k + n;
+                let dst_row = &mut cols[row * n_cols..(row + 1) * n_cols];
+                for i in 0..out_h {
+                    let dst = &mut dst_row[i * out_w..(i + 1) * out_w];
+                    let ih = (i * stride + m) as isize - pad as isize;
+                    if ih < 0 || ih >= in_h as isize {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let src_row = &map[ih as usize * in_w..(ih as usize + 1) * in_w];
+                    if stride == 1 {
+                        // iw = j + n - pad: a contiguous slice of the
+                        // input row, with zero fringes where it leaves
+                        // the image.
+                        let shift = n as isize - pad as isize;
+                        let j_lo = (-shift).max(0) as usize;
+                        let j_hi = (in_w as isize - shift).clamp(0, out_w as isize) as usize;
+                        dst[..j_lo.min(out_w)].fill(0.0);
+                        if j_lo < j_hi {
+                            let src_lo = (j_lo as isize + shift) as usize;
+                            dst[j_lo..j_hi]
+                                .copy_from_slice(&src_row[src_lo..src_lo + (j_hi - j_lo)]);
+                        }
+                        dst[j_hi.max(j_lo).min(out_w)..].fill(0.0);
+                    } else {
+                        for (j, v) in dst.iter_mut().enumerate() {
+                            let iw = (j * stride + n) as isize - pad as isize;
+                            *v = if iw < 0 || iw >= in_w as isize {
+                                0.0
+                            } else {
+                                src_row[iw as usize]
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Patch-major int8 lowering: writes the **transposed** patch matrix,
 /// `(outH·outW) × (C·K·K)` row-major, where each output pixel's patch is
 /// one contiguous `C·K·K` slice — exactly the `b_t` operand of the
-/// packed GEMM ([`crate::qgemm::gemm_i8`]), so quantized convolution
-/// needs no transpose or panel repack between lowering and compute.
+/// packed GEMM ([`crate::qgemm::gemm_i8_requant`]), so quantized
+/// convolution needs no transpose or panel repack between lowering and
+/// compute.
 ///
 /// Unlike the row-major lowering, the identity geometry (1×1 kernel) is
 /// *not* a copy here — the patch layout is the input's transpose — so
 /// callers always lower through this function.
 ///
 /// Patches stay `i8` rather than being pre-widened to the GEMM's `i16`
-/// compute format: the GEMM stages cache-sized blocks through a recycled
-/// `i16` plane instead, so the full patch matrix is read from memory at
-/// `i8` density (half the cold traffic of an `i16` plane — measured
-/// faster end-to-end than emitting `i16` here).
+/// compute format: the GEMM widens them once per call, so the patch
+/// matrix is written at `i8` density (half the traffic of an `i16`
+/// plane — measured faster end-to-end than emitting `i16` here).
 ///
 /// # Panics
 /// Panics when `input` or `patches` disagree with the geometry.
@@ -143,62 +185,6 @@ pub fn im2col_i8_patches(input: &[i8], geo: &ConvGeometry, patches: &mut [i8]) {
                     dst[n_lo..n_hi].copy_from_slice(&map[src0..src0 + (n_hi - n_lo)]);
                 }
                 dst[n_hi.max(n_lo)..].fill(0);
-            }
-        }
-    }
-}
-
-fn im2col_impl<T: Copy>(input: &[T], geo: &ConvGeometry, cols: &mut [T], zero: T) {
-    assert_eq!(
-        input.len(),
-        geo.in_c * geo.in_h * geo.in_w,
-        "input length does not match geometry"
-    );
-    assert_eq!(cols.len(), geo.lowered_len(), "workspace length mismatch");
-    let (k, stride, pad) = (geo.kernel, geo.stride, geo.pad);
-    let (in_h, in_w) = (geo.in_h, geo.in_w);
-    let (out_h, out_w) = (geo.out_h, geo.out_w);
-    let n_cols = geo.lowered_cols();
-
-    for c in 0..geo.in_c {
-        let map = &input[c * in_h * in_w..(c + 1) * in_h * in_w];
-        for m in 0..k {
-            for n in 0..k {
-                let row = (c * k + m) * k + n;
-                let dst_row = &mut cols[row * n_cols..(row + 1) * n_cols];
-                for i in 0..out_h {
-                    let dst = &mut dst_row[i * out_w..(i + 1) * out_w];
-                    let ih = (i * stride + m) as isize - pad as isize;
-                    if ih < 0 || ih >= in_h as isize {
-                        dst.fill(zero);
-                        continue;
-                    }
-                    let src_row = &map[ih as usize * in_w..(ih as usize + 1) * in_w];
-                    if stride == 1 {
-                        // iw = j + n - pad: a contiguous slice of the
-                        // input row, with zero fringes where it leaves
-                        // the image.
-                        let shift = n as isize - pad as isize;
-                        let j_lo = (-shift).max(0) as usize;
-                        let j_hi = (in_w as isize - shift).clamp(0, out_w as isize) as usize;
-                        dst[..j_lo.min(out_w)].fill(zero);
-                        if j_lo < j_hi {
-                            let src_lo = (j_lo as isize + shift) as usize;
-                            dst[j_lo..j_hi]
-                                .copy_from_slice(&src_row[src_lo..src_lo + (j_hi - j_lo)]);
-                        }
-                        dst[j_hi.max(j_lo).min(out_w)..].fill(zero);
-                    } else {
-                        for (j, v) in dst.iter_mut().enumerate() {
-                            let iw = (j * stride + n) as isize - pad as isize;
-                            *v = if iw < 0 || iw >= in_w as isize {
-                                zero
-                            } else {
-                                src_row[iw as usize]
-                            };
-                        }
-                    }
-                }
             }
         }
     }
@@ -289,24 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn i8_lowering_matches_f32_lowering() {
-        for (c, h, w, k, s, p) in [(2, 6, 7, 3, 1, 1), (2, 9, 9, 3, 2, 1), (1, 7, 4, 2, 3, 0)] {
-            let geo = geometry(c, h, w, k, s, p);
-            let input_q: Vec<i8> = (0..c * h * w)
-                .map(|v| ((v * 37 % 255) as i32 - 127) as i8)
-                .collect();
-            let input_f: Vec<f32> = input_q.iter().map(|&q| q as f32).collect();
-            let mut cols_q = vec![1i8; geo.lowered_len()];
-            im2col_i8(&input_q, &geo, &mut cols_q);
-            let mut cols_f = vec![f32::NAN; geo.lowered_len()];
-            im2col(&input_f, &geo, &mut cols_f);
-            for (q, f) in cols_q.iter().zip(&cols_f) {
-                assert_eq!(*q as f32, *f, "geometry ({c},{h},{w},k{k},s{s},p{p})");
-            }
-        }
-    }
-
-    #[test]
     fn patch_major_lowering_is_the_transpose_of_row_major() {
         for (c, h, w, k, s, p) in [
             (2, 6, 7, 3, 1, 1),
@@ -318,15 +286,18 @@ mod tests {
             let input: Vec<i8> = (0..c * h * w)
                 .map(|v| ((v * 41 % 255) as i32 - 127) as i8)
                 .collect();
-            let mut rows = vec![0i8; geo.lowered_len()];
-            im2col_i8(&input, &geo, &mut rows);
+            // The f32 lowering over the same values, exactly
+            // representable, is the row-major reference.
+            let input_f: Vec<f32> = input.iter().map(|&q| q as f32).collect();
+            let mut rows = vec![f32::NAN; geo.lowered_len()];
+            im2col(&input_f, &geo, &mut rows);
             let mut patches = vec![1i8; geo.lowered_len()];
             im2col_i8_patches(&input, &geo, &mut patches);
             let (kd, nc) = (geo.lowered_rows(), geo.lowered_cols());
             for row in 0..kd {
                 for col in 0..nc {
                     assert_eq!(
-                        patches[col * kd + row],
+                        patches[col * kd + row] as f32,
                         rows[row * nc + col],
                         "geometry ({c},{h},{w},k{k},s{s},p{p}) at ({row},{col})"
                     );

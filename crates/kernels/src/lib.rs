@@ -28,16 +28,18 @@
 //!   vectorise over channels, in blocks of tiles inside caller-provided
 //!   scratch. It agrees with [`conv2d`] within rounding error, not bit
 //!   for bit;
-//! * [`im2col()`] — the explicit patch-matrix lowering: the reference the
-//!   f32 convolution is tested against bit for bit, and the int8
-//!   path's lowering.
+//! * [`im2col()`] — the explicit patch-matrix lowering, the reference the
+//!   f32 convolution is tested against bit for bit, and
+//!   [`im2col_i8_patches`], its transpose over `i8`, the int8 path's
+//!   lowering.
 //!
 //! Thread parallelism uses `std::thread::scope` over disjoint row bands
 //! (band splitting keeps each element's reduction order fixed), so
-//! results are bit-identical
-//! across thread counts and blocking parameters (Winograd's included). `condor-nn`'s
-//! `FastEngine` drives these kernels for whole networks and
-//! property-tests them against the golden oracle.
+//! results are bit-identical across thread counts and blocking
+//! parameters (Winograd's included). One rule decides when a kernel
+//! threads: at 2²¹ multiply-accumulates and more, on every thread the
+//! machine has. `condor-nn`'s `FastEngine` drives these kernels for
+//! whole networks and property-tests them against the golden oracle.
 //!
 //! The INT8 quantized path mirrors the f32 one a precision tier down,
 //! following the ACCEL-v1-style narrow-precision dataflow:
@@ -46,16 +48,17 @@
 //!   activation scales and the min/max calibration observer;
 //! * [`qgemm`] — packed GEMM over `i8` operands (4× denser than f32) in
 //!   the patch-major layout the int8 im2col emits directly, widened once
-//!   into `i16` staging planes so the reduction runs as
+//!   per call into `i16` planes so the reduction runs as
 //!   `pmaddwd`-shaped widening dot products into exact `i32`
 //!   accumulators (the workspace pins `x86-64-v3` codegen in
-//!   `.cargo/config.toml` so that combine fires), with fused
-//!   requantize/clamp/ReLU epilogues ([`requantize_into`]);
+//!   `.cargo/config.toml` so that combine fires), with the
+//!   requantize/clamp/ReLU epilogue fused into its tile loop
+//!   ([`gemm_i8_requant`]);
 //! * [`qops`] — quantized convolution ([`qconv2d`], patch-major int8
 //!   im2col into the reusable [`QWorkspace`]) and pooling ([`qpool2d`]).
 //!
 //! Integer accumulation is exact, so the quantized kernels are
-//! bit-identical across blocking and threading by construction;
+//! bit-identical across thread counts by construction;
 //! `condor-nn`'s `QuantizedEngine` drives them end to end under
 //! per-layer error budgets.
 
@@ -70,9 +73,9 @@ pub mod quant;
 pub mod winograd;
 
 pub use gemm::{dot, gemm as gemm_f32, gemv, Epilogue, GemmBlocking};
-pub use im2col::{im2col, im2col_i8, im2col_i8_patches, ConvGeometry};
+pub use im2col::{im2col, im2col_i8_patches, ConvGeometry};
 pub use ops::{activate, conv2d, pool2d, softmax, Activation, PoolMethod, Workspace};
-pub use qgemm::{gemm_i8, gemm_i8_requant, qgemv_i8, requantize_into, QWorkspace};
+pub use qgemm::{gemm_i8_requant, qgemv_i8, QWorkspace};
 pub use qops::{qconv2d, qpool2d};
 pub use quant::{
     dequantize_into, quantize_into, quantize_weights_per_channel, MinMaxObserver, QuantParams, QMAX,

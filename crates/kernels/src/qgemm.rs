@@ -1,4 +1,4 @@
-//! Packed INT8 GEMM with fused requantize/clamp/ReLU epilogues.
+//! Packed INT8 GEMM with a fused requantize/clamp/ReLU epilogue.
 //!
 //! Computes `C = A · B` for row-major `A: m×k` and **transposed**
 //! `B` (`b_t: n×k` row-major — row `j` of `b_t` is column `j` of `B`)
@@ -7,9 +7,9 @@
 //! ([`crate::im2col::im2col_i8_patches`]): each output pixel's patch is
 //! one contiguous `k`-length slice, so the kernel needs no transpose or
 //! panel repack in the hot loop. Operand storage is 4× denser than f32;
-//! compute staging widens both sides once into contiguous `i16` planes
-//! (still 2× denser than f32) so the reduction is the one shape LLVM's
-//! x86 backend combines to `pmaddwd`:
+//! each call widens both operands once, whole, into contiguous `i16`
+//! planes (still 2× denser than f32) so the reduction is the one shape
+//! LLVM's x86 backend combines to `pmaddwd`:
 //!
 //! ```text
 //! sum += a[p] as i32 * b[p] as i32      // a, b: &[i16]
@@ -23,18 +23,16 @@
 //! pairwise adds cannot overflow `i16` lanes; the `i32` accumulator is
 //! exact for any practical `k` (`k ≤ 2¹⁷` stays below `i32::MAX`).
 //! Integer addition is associative, so results are bit-identical across
-//! blocking parameters and thread counts for free.
+//! thread counts for free.
 //!
-//! Blocking and parallelism reuse the f32 kernel's machinery a tier
-//! down: the [`GemmBlocking`] `nc` extent drives the patch-staging width
-//! (at most `nc` widened patches are resident at once, keeping the `i16`
-//! staging plane L2-sized for arbitrarily wide layers), and large
-//! problems split across threads by `C` row bands under
-//! `std::thread::scope` exactly as in [`crate::gemm`]. `mc`/`kc` are
-//! accepted but idle here: with both operands pre-packed contiguous, one
-//! weight row plus one patch is L1-resident for every practical `k`, so
-//! further tiling of the reduction only adds loop overhead (measured, not
-//! assumed — an Mc×Kc panel variant ran 1.5× slower on the VGG layer).
+//! One band routine, `qgemm_band`, computes every output: over all rows
+//! of `C` on one thread, or over one row band per thread for large
+//! problems, the bands sharing the widened planes read-only. There is no
+//! cache blocking: with both operands pre-packed contiguous, one weight
+//! row plus one patch is L1-resident for every practical `k`, so tiling
+//! the reduction only adds loop overhead (measured, not assumed — an
+//! Mc×Kc panel variant ran 1.5× slower on the VGG layer). The one tiling
+//! is over patches, `TILE_J` at a time.
 //!
 //! The fused epilogue maps `i32` accumulators back to `i8`:
 //! `out = clamp(round((acc + bias) · multiplier), -127, 127)`, with the
@@ -43,11 +41,7 @@
 //! in `f64`: accumulators reach ~10⁸, beyond `f32`'s 24-bit exact
 //! integer range, and `f64` keeps the rounding decision exact.
 
-use crate::gemm::{available_threads, run_split, GemmBlocking};
-
-/// Work threshold (in multiply-accumulates) below which spawning threads
-/// costs more than it saves; matches the f32 kernel.
-const PAR_MACS_THRESHOLD: usize = 1 << 21;
+use crate::gemm::{row_bands, threads_for, GemmBlocking};
 
 /// Patch-tile width of the inner loops: every weight row is re-read once
 /// per tile instead of once per patch, cutting L2 traffic ~`TILE_J`-fold
@@ -106,112 +100,35 @@ fn widen_into(src: &[i8], dst: &mut Vec<i16>) {
     }
 }
 
-/// `C = A · B` over `i8` operands into exact `i32` accumulators, with
-/// `B` supplied transposed (`b_t: n×k` row-major, i.e. patch-major).
-///
-/// `c` (`m×n` row-major) is overwritten. Large problems split across
-/// threads by rows of `C`; integer accumulation makes the result
-/// identical either way.
-///
-/// # Panics
-/// Panics when a slice length disagrees with its `m`/`n`/`k` extent.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b_t: &[i8],
-    c: &mut [i32],
-    blocking: GemmBlocking,
-    ws: &mut QWorkspace,
-) {
-    assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(b_t.len(), n * k, "B (transposed) must be n×k");
-    assert_eq!(c.len(), m * n, "C must be m×n");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let nc = blocking.nc.max(1);
-
-    widen_into(a, &mut ws.apack);
-    let threads = available_threads();
-    if threads > 1 && m * n * k >= PAR_MACS_THRESHOLD && m >= 2 {
-        // Row-partitioned bands as in the f32 kernel. The whole patch
-        // matrix is widened once up front so every band can share it
-        // immutably (this path is only taken on multi-core machines for
-        // large layers, where the staging plane is sized like the f32
-        // kernel's im2col workspace anyway).
-        widen_into(b_t, &mut ws.bpack);
-        let (apack, bpack) = (&ws.apack[..m * k], &ws.bpack[..n * k]);
-        let bands = threads.min(m);
-        let rows_per = m.div_ceil(bands);
-        run_split(
-            c.chunks_mut(rows_per * n)
-                .enumerate()
-                .map(|(band, c_band)| {
-                    let row0 = band * rows_per;
-                    let rows = c_band.len() / n;
-                    let a_band = &apack[row0 * k..(row0 + rows) * k];
-                    move || {
-                        let mut jt = 0;
-                        while jt < n {
-                            let tw = TILE_J.min(n - jt);
-                            for i in 0..rows {
-                                let row = &a_band[i * k..(i + 1) * k];
-                                let crow = &mut c_band[i * n + jt..i * n + jt + tw];
-                                for (j, cv) in crow.iter_mut().enumerate() {
-                                    *cv = dot_i16(row, &bpack[(jt + j) * k..(jt + j + 1) * k]);
-                                }
-                            }
-                            jt += tw;
-                        }
-                    }
-                }),
-        );
-    } else {
-        // Serial: stage at most `nc` widened patches at a time so the
-        // i16 plane stays cache-sized however wide the layer is.
-        let apack = &ws.apack[..m * k];
-        ws.bpack.resize(nc.min(n) * k.max(1), 0);
-        let mut jb = 0;
-        while jb < n {
-            let jw = nc.min(n - jb);
-            for (d, &q) in ws.bpack.iter_mut().zip(&b_t[jb * k..(jb + jw) * k]) {
-                *d = q as i16;
-            }
-            let mut jt = 0;
-            while jt < jw {
-                let tw = TILE_J.min(jw - jt);
-                for i in 0..m {
-                    let row = &apack[i * k..(i + 1) * k];
-                    let crow = &mut c[i * n + jb + jt..i * n + jb + jt + tw];
-                    for (j, cv) in crow.iter_mut().enumerate() {
-                        *cv = dot_i16(row, &ws.bpack[(jt + j) * k..(jt + j + 1) * k]);
-                    }
-                }
-                jt += tw;
-            }
-            jb += jw;
-        }
-    }
+/// `clamp(round((acc + bias) · mult), lo, 127)` as `i8`, with `lo` = 0
+/// under a fused ReLU and −127 without: one `i32` accumulator back to
+/// the output's quantization. `bias` is in accumulator units; the
+/// multiply runs in `f64`, so rounding is exact for full-magnitude
+/// accumulators.
+#[inline(always)]
+fn requant(acc: i32, bias: i32, mult: f32, relu: bool) -> i8 {
+    let lo = if relu { 0.0 } else { -127.0 };
+    let q = ((acc as i64 + bias as i64) as f64 * mult as f64).round();
+    q.clamp(lo, 127.0) as i8
 }
 
 /// `C = requantize(A · B)` — the full quantized-layer kernel: packed
 /// `i8` GEMM with the bias/requantize/clamp(/ReLU) epilogue fused into
 /// the tile loop, storing straight back to `i8`. `B` is supplied
-/// transposed (patch-major), as in [`gemm_i8`].
+/// transposed (`b_t: n×k` row-major, i.e. patch-major).
 ///
 /// Fusing the epilogue requantizes each `C` tile while its accumulators
-/// are still register-resident, so the `m×n` `i32` accumulator plane of
-/// the two-pass formulation is never written or re-read — for a VGG-
-/// sized layer that deletes ~1.6 MB of round-trip traffic per call. The
-/// result is bit-identical to [`gemm_i8`] followed by
-/// [`requantize_into`] (pinned by a test).
+/// are still register-resident, so no `m×n` `i32` accumulator plane is
+/// ever written or re-read — for a VGG-sized layer that is ~1.6 MB of
+/// round-trip traffic per call. Large problems split across threads by
+/// rows of `C`; integer accumulation makes the result identical either
+/// way.
 ///
 /// `multipliers[i]` rescales row `i`'s accumulator into the output
 /// quantization domain (`s_in · s_w[i] / s_out`); `bias` is per-row in
-/// accumulator units (`round(b[i] / (s_in · s_w[i]))`).
+/// accumulator units (`round(b[i] / (s_in · s_w[i]))`). `blocking` is
+/// read by nothing: no blocking changes this kernel (see the module
+/// docs). Kept until the benchmark stops passing it.
 ///
 /// # Panics
 /// Panics on extent mismatches, or when `bias`/`multipliers` are
@@ -230,6 +147,26 @@ pub fn gemm_i8_requant(
     relu: bool,
     ws: &mut QWorkspace,
 ) {
+    let _ = blocking;
+    let threads = threads_for(m * n * k);
+    qgemm_on(threads, m, n, k, a, b_t, out, bias, multipliers, relu, ws);
+}
+
+/// [`gemm_i8_requant`] over at most `threads` row bands.
+#[allow(clippy::too_many_arguments)]
+fn qgemm_on(
+    threads: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[i8],
+    b_t: &[i8],
+    out: &mut [i8],
+    bias: Option<&[i32]>,
+    multipliers: &[f32],
+    relu: bool,
+    ws: &mut QWorkspace,
+) {
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b_t.len(), n * k, "B (transposed) must be n×k");
     assert_eq!(out.len(), m * n, "out must be m×n");
@@ -240,124 +177,48 @@ pub fn gemm_i8_requant(
     if m == 0 || n == 0 {
         return;
     }
-    let lo = if relu { 0.0 } else { -127.0 };
-
     widen_into(a, &mut ws.apack);
-    let threads = available_threads();
-    if threads > 1 && m * n * k >= PAR_MACS_THRESHOLD && m >= 2 {
-        // Row bands as in `gemm_i8`; each band requantizes its own rows.
-        widen_into(b_t, &mut ws.bpack);
-        let (apack, bpack) = (&ws.apack[..m * k], &ws.bpack[..n * k]);
-        let bands = threads.min(m);
-        let rows_per = m.div_ceil(bands);
-        run_split(
-            out.chunks_mut(rows_per * n)
-                .enumerate()
-                .map(|(band, o_band)| {
-                    let row0 = band * rows_per;
-                    let rows = o_band.len() / n;
-                    let a_band = &apack[row0 * k..(row0 + rows) * k];
-                    move || {
-                        let mut acc_t = [0i32; TILE_J];
-                        let mut jt = 0;
-                        while jt < n {
-                            let tw = TILE_J.min(n - jt);
-                            for i in 0..rows {
-                                let row = &a_band[i * k..(i + 1) * k];
-                                for (j, av) in acc_t[..tw].iter_mut().enumerate() {
-                                    *av = dot_i16(row, &bpack[(jt + j) * k..(jt + j + 1) * k]);
-                                }
-                                let badd = bias.map_or(0, |b| b[row0 + i]) as i64;
-                                let mult = multipliers[row0 + i] as f64;
-                                let orow = &mut o_band[i * n + jt..i * n + jt + tw];
-                                for (o, &v) in orow.iter_mut().zip(&acc_t[..tw]) {
-                                    let q = ((v as i64 + badd) as f64 * mult).round();
-                                    *o = q.clamp(lo, 127.0) as i8;
-                                }
-                            }
-                            jt += tw;
-                        }
-                    }
-                }),
-        );
-        return;
-    }
-
-    // Serial: stage `nc`-wide widened patch blocks exactly as in
-    // `gemm_i8`, requantizing each tile row as it is produced. The tile
-    // accumulators live in a stack buffer so the dot loop stays the
-    // clean `pmaddwd` shape and the requantize mini-loop vectorizes
-    // (`vroundpd`) separately.
-    let nc = blocking.nc.max(1);
-    let apack = &ws.apack[..m * k];
-    ws.bpack.resize(nc.min(n) * k.max(1), 0);
-    let mut acc_t = [0i32; TILE_J];
-    let mut jb = 0;
-    while jb < n {
-        let jw = nc.min(n - jb);
-        for (d, &q) in ws.bpack.iter_mut().zip(&b_t[jb * k..(jb + jw) * k]) {
-            *d = q as i16;
-        }
-        let mut jt = 0;
-        while jt < jw {
-            let tw = TILE_J.min(jw - jt);
-            for i in 0..m {
-                let row = &apack[i * k..(i + 1) * k];
-                for (j, av) in acc_t[..tw].iter_mut().enumerate() {
-                    *av = dot_i16(row, &ws.bpack[(jt + j) * k..(jt + j + 1) * k]);
-                }
-                let badd = bias.map_or(0, |b| b[i]) as i64;
-                let mult = multipliers[i] as f64;
-                let orow = &mut out[i * n + jb + jt..i * n + jb + jt + tw];
-                for (o, &v) in orow.iter_mut().zip(&acc_t[..tw]) {
-                    let q = ((v as i64 + badd) as f64 * mult).round();
-                    *o = q.clamp(lo, 127.0) as i8;
-                }
-            }
-            jt += tw;
-        }
-        jb += jw;
-    }
+    widen_into(b_t, &mut ws.bpack);
+    let (a, b_t) = (&ws.apack[..], &ws.bpack[..]);
+    row_bands(threads, 1, n, out, |row0, band| {
+        let rows = row0..row0 + band.len() / n;
+        let bias = bias.map(|b| &b[rows.clone()]);
+        let a_band = &a[rows.start * k..rows.end * k];
+        qgemm_band(n, k, a_band, b_t, bias, &multipliers[rows], relu, band)
+    });
 }
 
-/// Maps a plane of `i32` accumulators to `i8` outputs:
-/// `out = clamp(round((acc + bias[row]) · multipliers[row]), -127, 127)`,
-/// then `max(out, 0)` when `relu` is set. The multiply runs in `f64` so
-/// rounding is exact for full-magnitude accumulators.
-///
-/// # Panics
-/// Panics when `acc`/`out` lengths differ, `n` does not divide them, or
-/// `bias`/`multipliers` are shorter than the row count.
-pub fn requantize_into(
-    acc: &[i32],
+/// `out = requantize(a · b_tᵀ)` for one band of rows, `a`, `bias` and
+/// `multipliers` starting at the band's first row: for each tile of
+/// [`TILE_J`] patches, every row's dot products into a stack tile, then
+/// that tile requantized into the row. The tile keeps the dot loop the
+/// clean `pmaddwd` shape and lets the requantize loop vectorise
+/// (`vroundpd`) on its own. Kept out of line so that it has a symbol,
+/// which `xtask asm` reads.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn qgemm_band(
     n: usize,
+    k: usize,
+    a: &[i16],
+    b_t: &[i16],
     bias: Option<&[i32]>,
     multipliers: &[f32],
     relu: bool,
     out: &mut [i8],
 ) {
-    assert_eq!(acc.len(), out.len(), "acc/out length mismatch");
-    if acc.is_empty() {
-        return;
-    }
-    assert!(
-        n > 0 && acc.len().is_multiple_of(n),
-        "n must divide the plane"
-    );
-    let rows = acc.len() / n;
-    assert!(multipliers.len() >= rows, "multipliers shorter than rows");
-    if let Some(b) = bias {
-        assert!(b.len() >= rows, "bias shorter than rows");
-    }
-    let lo = if relu { 0.0 } else { -127.0 };
-    for i in 0..rows {
-        let badd = bias.map_or(0, |b| b[i]) as i64;
-        let mult = multipliers[i] as f64;
-        let arow = &acc[i * n..(i + 1) * n];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (o, &v) in orow.iter_mut().zip(arow) {
-            let q = ((v as i64 + badd) as f64 * mult).round();
-            *o = q.clamp(lo, 127.0) as i8;
+    let mut acc_t = [0i32; TILE_J];
+    for jt in (0..n).step_by(TILE_J) {
+        let tw = TILE_J.min(n - jt);
+        for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+            let row = &a[i * k..(i + 1) * k];
+            for (j, av) in acc_t[..tw].iter_mut().enumerate() {
+                *av = dot_i16(row, &b_t[(jt + j) * k..(jt + j + 1) * k]);
+            }
+            let (badd, mult) = (bias.map_or(0, |b| b[i]), multipliers[i]);
+            for (o, &v) in orow[jt..jt + tw].iter_mut().zip(&acc_t[..tw]) {
+                *o = requant(v, badd, mult, relu);
+            }
         }
     }
 }
@@ -392,15 +253,12 @@ pub fn qgemv_i8(
     // the same pmaddwd dot product do the work.
     widen_into(x, &mut ws.bpack);
     ws.apack.resize(k, 0);
-    let lo = if relu { 0.0 } else { -127.0 };
     for i in 0..m {
         for (av, &q) in ws.apack.iter_mut().zip(&w[i * k..(i + 1) * k]) {
             *av = q as i16;
         }
         let acc = dot_i16(&ws.apack[..k], &ws.bpack[..k]);
-        let badd = bias.map_or(0, |b| b[i]) as i64;
-        let q = ((acc as i64 + badd) as f64 * multipliers[i] as f64).round();
-        y[i] = q.clamp(lo, 127.0) as i8;
+        y[i] = requant(acc, bias.map_or(0, |b| b[i]), multipliers[i], relu);
     }
 }
 
@@ -437,6 +295,30 @@ mod tests {
         c
     }
 
+    /// The epilogue as its own scalar pass over an `m×n` accumulator
+    /// plane, written out independently of `requant`.
+    fn requantize(
+        acc: &[i32],
+        n: usize,
+        bias: Option<&[i32]>,
+        mult: &[f32],
+        relu: bool,
+    ) -> Vec<i8> {
+        acc.iter()
+            .enumerate()
+            .map(|(at, &v)| {
+                let i = at / n;
+                let real = (v as f64 + bias.map_or(0, |b| b[i]) as f64) * mult[i] as f64;
+                let q = real.round().clamp(-127.0, 127.0) as i8;
+                if relu {
+                    q.max(0)
+                } else {
+                    q
+                }
+            })
+            .collect()
+    }
+
     /// Row-major `k×n` B → patch-major `n×k` transpose.
     fn transpose(n: usize, k: usize, b: &[i8]) -> Vec<i8> {
         let mut bt = vec![0i8; n * k];
@@ -458,6 +340,11 @@ mod tests {
             .collect()
     }
 
+    /// Every thread count computes the naive product followed by the
+    /// scalar epilogue, with a bias and a multiplier that differ on
+    /// every row, so a band that reads another band's rows shows: bands
+    /// of uneven height (7 rows over 2 and 3 bands), patch counts off
+    /// the tile width, and an empty reduction.
     #[test]
     fn matches_naive_exactly_across_shapes() {
         for &(m, n, k) in &[
@@ -465,59 +352,84 @@ mod tests {
             (3, 5, 7),
             (4, 8, 16),
             (5, 9, 3),
+            (7, 17, 29),
+            (7, 33, 0),
             (17, 33, 29),
             (64, 70, 65),
         ] {
             let a = ramp_i8(m * k, 7 + m as u64);
             let b = ramp_i8(k * n, 11 + n as u64);
             let bt = transpose(n, k, &b);
-            let mut c = vec![9i32; m * n];
-            let mut ws = QWorkspace::new();
-            gemm_i8(m, n, k, &a, &bt, &mut c, GemmBlocking::default(), &mut ws);
-            assert_eq!(c, naive(m, n, k, &a, &b), "({m},{n},{k})");
+            let bias: Vec<i32> = (0..m as i32).map(|i| i * 97 - 300).collect();
+            // About 1/(128·k): most outputs stay off the clamp.
+            let mult: Vec<f32> = (0..m)
+                .map(|i| (1.0 + i as f32 * 0.1) / (128.0 * k.max(1) as f32))
+                .collect();
+            let acc = naive(m, n, k, &a, &b);
+            for relu in [false, true] {
+                let want = requantize(&acc, n, Some(&bias), &mult, relu);
+                for threads in 1..=3 {
+                    let mut out = vec![9i8; m * n];
+                    let mut ws = QWorkspace::new();
+                    qgemm_on(
+                        threads,
+                        m,
+                        n,
+                        k,
+                        &a,
+                        &bt,
+                        &mut out,
+                        Some(&bias),
+                        &mult,
+                        relu,
+                        &mut ws,
+                    );
+                    assert_eq!(out, want, "({m},{n},{k}) threads {threads} relu {relu}");
+                }
+            }
         }
     }
 
     #[test]
-    fn blocking_does_not_change_results() {
-        let (m, n, k) = (9, 11, 13);
-        let a = ramp_i8(m * k, 3);
-        let bt = ramp_i8(n * k, 5);
-        let mut c1 = vec![0i32; m * n];
-        let mut c2 = vec![0i32; m * n];
-        let mut ws = QWorkspace::new();
-        gemm_i8(m, n, k, &a, &bt, &mut c1, GemmBlocking::default(), &mut ws);
-        let tiny = GemmBlocking {
-            mc: 2,
-            nc: 3,
-            kc: 4,
-        };
-        gemm_i8(m, n, k, &a, &bt, &mut c2, tiny, &mut ws);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
     fn requantize_rounds_clamps_and_relus() {
-        let acc = [400i32, -400, 100, -100, 63, -63];
-        let mult = [0.01f32, 1.0, 1.0];
-        let mut out = [0i8; 6];
-        requantize_into(&acc, 2, None, &mult, false, &mut out);
-        assert_eq!(out, [4, -4, 100, -100, 63, -63]);
-        requantize_into(&acc, 2, None, &mult, true, &mut out);
-        assert_eq!(out, [4, 0, 100, 0, 63, 0]);
-        // Saturation at ±127.
-        let hot = [i32::MAX, i32::MIN];
-        let mut out2 = [0i8; 2];
-        requantize_into(&hot, 1, None, &[1.0, 1.0], false, &mut out2);
-        assert_eq!(out2, [127, -127]);
+        // Rounding to nearest, halves away from zero, in both signs.
+        assert_eq!(requant(400, 0, 0.01, false), 4);
+        assert_eq!(requant(-400, 0, 0.01, false), -4);
+        assert_eq!(requant(5, 0, 0.5, false), 3);
+        assert_eq!(requant(-5, 0, 0.5, false), -3);
+        assert_eq!(requant(63, 0, 1.0, false), 63);
+        // ReLU clamps negatives to zero and leaves positives alone.
+        assert_eq!(requant(-400, 0, 0.01, true), 0);
+        assert_eq!(requant(-63, 0, 1.0, true), 0);
+        assert_eq!(requant(100, 0, 1.0, true), 100);
+        // Saturation at ±127, never -128.
+        assert_eq!(requant(i32::MAX, 0, 1.0, false), 127);
+        assert_eq!(requant(i32::MIN, 0, 1.0, false), -127);
+        assert_eq!(requant(i32::MAX, i32::MAX, 1.0, true), 127);
     }
 
+    /// The bias is added to the accumulator before the multiplier
+    /// scales it, through the fused kernel as well as the helper.
     #[test]
     fn requantize_bias_is_in_accumulator_units() {
-        let acc = [10i32, 20];
-        let bias = [5i32, -30];
+        assert_eq!(requant(10, 5, 1.0, false), 15);
+        assert_eq!(requant(20, -30, 0.5, false), -5);
+        // k = 1: the accumulators are a[i] · b[j] = [10, 20] · [1].
         let mut out = [0i8; 2];
-        requantize_into(&acc, 1, Some(&bias), &[1.0, 0.5], false, &mut out);
+        let mut ws = QWorkspace::new();
+        gemm_i8_requant(
+            2,
+            1,
+            1,
+            &[10, 20],
+            &[1],
+            &mut out,
+            GemmBlocking::default(),
+            Some(&[5, -30]),
+            &[1.0, 0.5],
+            false,
+            &mut ws,
+        );
         assert_eq!(out, [15, -5]);
     }
 
@@ -527,23 +439,36 @@ mod tests {
         let w = ramp_i8(m * k, 21);
         let x = ramp_i8(k, 22);
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 10 - 30).collect();
-        let mult = vec![0.005f32; m];
-        let mut ws = QWorkspace::new();
-        let mut y = vec![0i8; m];
-        qgemv_i8(m, k, &w, &x, Some(&bias), &mult, false, &mut y, &mut ws);
-        // With n = 1 the transposed B *is* the x vector (1×k patch).
-        let mut acc = vec![0i32; m];
-        gemm_i8(m, 1, k, &w, &x, &mut acc, GemmBlocking::default(), &mut ws);
-        let mut want = vec![0i8; m];
-        requantize_into(&acc, 1, Some(&bias), &mult, false, &mut want);
-        assert_eq!(y, want);
+        let mult: Vec<f32> = (0..m).map(|i| 0.004 + i as f32 * 0.001).collect();
+        for relu in [false, true] {
+            let mut ws = QWorkspace::new();
+            let mut y = vec![0i8; m];
+            qgemv_i8(m, k, &w, &x, Some(&bias), &mult, relu, &mut y, &mut ws);
+            // With n = 1 the transposed B *is* the x vector (1×k patch).
+            let mut want = vec![0i8; m];
+            gemm_i8_requant(
+                m,
+                1,
+                k,
+                &w,
+                &x,
+                &mut want,
+                GemmBlocking::default(),
+                Some(&bias),
+                &mult,
+                relu,
+                &mut ws,
+            );
+            assert_eq!(y, want, "relu {relu}");
+        }
     }
 
     #[test]
     fn fused_requant_equals_separate_passes() {
         let (m, n, k) = (6, 10, 12);
         let a = ramp_i8(m * k, 31);
-        let bt = ramp_i8(n * k, 37);
+        let b = ramp_i8(k * n, 37);
+        let bt = transpose(n, k, &b);
         let bias: Vec<i32> = (0..m as i32).map(|i| i * 7 - 20).collect();
         let mult: Vec<f32> = (0..m).map(|i| 0.001 + i as f32 * 0.0005).collect();
         let mut ws = QWorkspace::new();
@@ -561,19 +486,17 @@ mod tests {
             true,
             &mut ws,
         );
-        let mut acc = vec![0i32; m * n];
-        gemm_i8(m, n, k, &a, &bt, &mut acc, GemmBlocking::default(), &mut ws);
-        let mut want = vec![0i8; m * n];
-        requantize_into(&acc, n, Some(&bias), &mult, true, &mut want);
+        let want = requantize(&naive(m, n, k, &a, &b), n, Some(&bias), &mult, true);
         assert_eq!(fused, want);
     }
 
     #[test]
     fn empty_dimensions_are_noops() {
-        let mut c: Vec<i32> = vec![];
+        let mut out: Vec<i8> = vec![];
         let mut ws = QWorkspace::new();
-        gemm_i8(0, 0, 3, &[], &[], &mut c, GemmBlocking::default(), &mut ws);
-        assert!(c.is_empty());
+        let d = GemmBlocking::default();
+        gemm_i8_requant(0, 0, 3, &[], &[], &mut out, d, None, &[], false, &mut ws);
+        assert!(out.is_empty());
     }
 
     #[test]

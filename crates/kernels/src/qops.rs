@@ -3,10 +3,10 @@
 //! Mirrors [`crate::ops`] for the `i8` domain: every kernel writes into
 //! a caller-provided slice and borrows scratch from a [`QWorkspace`],
 //! so steady-state quantized inference allocates nothing. Convolution
-//! lowers with [`im2col_i8`](crate::im2col::im2col_i8) (symmetric
+//! lowers with the patch-major [`im2col_i8_patches`] (symmetric
 //! quantization maps real 0 to quantized 0, so zero padding carries over
-//! unchanged), runs the packed `i8` GEMM into `i32` accumulators and
-//! requantizes through the fused bias/clamp(/ReLU) epilogue.
+//! unchanged) and runs the packed `i8` GEMM, which requantizes its `i32`
+//! accumulators through the fused bias/clamp(/ReLU) epilogue.
 
 use crate::im2col::{im2col_i8_patches, ConvGeometry};
 use crate::qgemm::{gemm_i8_requant, QWorkspace};

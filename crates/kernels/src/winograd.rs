@@ -59,7 +59,7 @@
 //! convolution ([`crate::ops::conv2d`]), and agrees with it within
 //! rounding error.
 
-use crate::gemm::{self, available_threads, Epilogue, SliceB, KC_MAX, NR, PAR_MACS_THRESHOLD};
+use crate::gemm::{self, threads_for, Epilogue, SliceB, KC_MAX, NR};
 use crate::im2col::ConvGeometry;
 
 /// Input channels at and above which a 3×3, stride-1 convolution takes
@@ -307,20 +307,11 @@ fn odd_lines(len: usize) -> usize {
     (len.div_ceil(LINE) | 1) * LINE
 }
 
-/// Threads a layer is split across: as many as the machine has once the
-/// direct convolution's multiply-adds would make the GEMM split too.
-fn threads_for(geo: &ConvGeometry, num_output: usize) -> usize {
-    if num_output * geo.lowered_rows() * geo.lowered_cols() >= PAR_MACS_THRESHOLD {
-        available_threads()
-    } else {
-        1
-    }
-}
-
 /// Scratch floats [`conv2d_winograd`] needs for this layer, over all the
 /// threads it will use.
 pub fn winograd_scratch_len(geo: &ConvGeometry, num_output: usize) -> usize {
-    let plan = Plan::new(geo, num_output, threads_for(geo, num_output), None);
+    let threads = threads_for(num_output * geo.lowered_len());
+    let plan = Plan::new(geo, num_output, threads, None);
     plan.parts * plan.part_len()
 }
 
@@ -345,7 +336,8 @@ pub fn conv2d_winograd(
     out: &mut [f32],
     scratch: &mut [f32],
 ) {
-    let threads = threads_for(geo, filters.num_output);
+    // Threaded exactly when the direct convolution's GEMM would be.
+    let threads = threads_for(filters.num_output * geo.lowered_len());
     winograd_on(
         threads, None, input, filters, bias, geo, fused_relu, out, scratch,
     );

@@ -492,11 +492,6 @@ impl QuantizedEngine {
         })
     }
 
-    /// The network this engine executes.
-    pub fn network(&self) -> &Network {
-        &self.plan.net
-    }
-
     /// Number of `i8` activation slots the arena holds (2 for chains —
     /// the same ping-pong pair as the f32 engine).
     pub fn arena_slot_count(&self) -> usize {

@@ -246,12 +246,12 @@ pub(crate) struct Route {
 }
 
 /// One fleet slot: the live replica (absent while re-provisioning), its
-/// generation, health record, load and room.
+/// generation, load and room. Its health is its breaker's state: healthy
+/// while Closed.
 #[derive(Default)]
 struct InstanceSlot {
     server: Option<Arc<Replica>>,
     generation: u64,
-    healthy: bool,
     /// Requests handed to this slot's replicas and not yet settled
     /// (a retired generation's stragglers included).
     inflight: usize,
@@ -306,22 +306,23 @@ struct FleetShared {
 }
 
 impl FleetShared {
+    /// Live instances whose breaker is Closed.
     fn healthy_instances(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| {
-                let s = s.lock();
-                s.healthy && s.server.is_some()
-            })
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].lock().server.is_some() && self.is_closed(i))
             .count()
+    }
+
+    fn is_closed(&self, replica: usize) -> bool {
+        self.breakers[replica].state() == BreakerState::Closed
     }
 
     fn retry(&self) -> MutexGuard<'_, VecDeque<(Request, ServeError)>> {
         self.retry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Provisions generation `generation` of instance `replica`, makes
-    /// it the slot's healthy replica with a reset breaker, and wakes the
+    /// Provisions generation `generation` of instance `replica`, resets
+    /// its breaker, swaps it in as the slot's replica, and wakes the
     /// dispatcher for its room.
     fn provision(self: &Arc<Self>, replica: usize, generation: u64) -> Result<(), ServeError> {
         let provisioned = self.provisioner.provision(replica, generation);
@@ -345,15 +346,17 @@ impl FleetShared {
         let server = Replica::start(backends, &config, metrics, Some(inbox), next, settle)?;
         {
             let mut slot = self.slots[replica].lock();
+            // The replacement starts with a clean slate: the old
+            // generation's failure history describes hardware that no
+            // longer exists. Reset under the slot's lock, before the
+            // swap: a report against the old generation either lands
+            // before the reset or finds the new generation and is
+            // ignored.
+            self.breakers[replica].reset();
             slot.server = Some(Arc::new(server));
             slot.generation = generation;
-            slot.healthy = true;
             slot.room = room;
         }
-        // The replacement starts with a clean slate: the old
-        // generation's failure history describes hardware that no
-        // longer exists.
-        self.breakers[replica].reset();
         drop(self.retry());
         self.wake.notify_one();
         Ok(())
@@ -374,19 +377,16 @@ impl FleetShared {
         !live
     }
 
-    /// Picks the healthy instance with room and the least in-flight
-    /// work (round-robin tie-break). An Open breaker refuses its
-    /// instance outright — not even as a fallback; a HalfOpen breaker
-    /// admits it only as a last-resort *probe* (bounded by the breaker,
-    /// and suppressed while the `breaker.probe` fault site fires).
-    /// Among the closed-breaker instances, unhealthy ones are demoted
-    /// to fallbacks — liveness beats health when there is no healthy
-    /// choice.
+    /// Picks the healthy (closed-breaker) instance with room and the
+    /// least in-flight work (round-robin tie-break). An Open breaker
+    /// refuses its instance outright; a HalfOpen breaker admits it only
+    /// as a last-resort *probe* (bounded by the breaker, and suppressed
+    /// while the `breaker.probe` fault site fires).
     fn pick(&self, avoid: Option<usize>) -> Pick {
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let n = self.slots.len();
         let mut best: Option<(usize, Arc<Replica>, usize)> = None;
-        let (mut fallback, mut half_open, mut full) = (None, None, false);
+        let (mut half_open, mut full) = (None, false);
         for off in 0..n {
             let i = (start + off) % n;
             let slot = self.slots[i].lock();
@@ -401,13 +401,11 @@ impl FleetShared {
                 full = true;
             } else if state == BreakerState::HalfOpen {
                 half_open.get_or_insert((i, Arc::clone(server)));
-            } else if !slot.healthy {
-                fallback.get_or_insert((i, Arc::clone(server)));
             } else if best.as_ref().is_none_or(|b| slot.inflight < b.2) {
                 best = Some((i, Arc::clone(server), slot.inflight));
             }
         }
-        if let Some((i, server)) = best.map(|(i, s, _)| (i, s)).or(fallback) {
+        if let Some((i, server, _)) = best {
             return Pick::Go(i, server, false);
         }
         // Last resort: ask a half-open breaker for a probe slot. The
@@ -526,15 +524,14 @@ impl FleetShared {
 
     /// Reports a terminal failure against `(replica, generation)` to
     /// its breaker. A stale generation (the instance was already
-    /// replaced) is ignored. A trip marks the instance unhealthy and
-    /// asks the supervisor for a replacement.
+    /// replaced) is ignored. A trip (the instance is unhealthy while
+    /// its breaker is not Closed) asks the supervisor for a replacement.
     fn record_failure(&self, replica: usize, generation: u64) {
-        let mut slot = self.slots[replica].lock();
+        let slot = self.slots[replica].lock();
         if slot.generation != generation {
             return;
         }
         if self.breakers[replica].on_failure() {
-            slot.healthy = false;
             self.metrics.incr("instance_failed_over", 1);
             let _ = (self.supervisor_tx).send(SupervisorMsg::Reprovision(replica, generation));
         }
@@ -542,14 +539,11 @@ impl FleetShared {
 
     /// Reports a success on `(replica, generation)` to its breaker.
     /// When a half-open probe run closes the breaker, the instance
-    /// recovered in place — mark it healthy without reprovisioning.
+    /// recovered in place, without reprovisioning.
     fn record_success(&self, replica: usize, generation: u64) {
-        let mut slot = self.slots[replica].lock();
-        if slot.generation != generation {
-            return;
-        }
-        if self.breakers[replica].on_success() {
-            slot.healthy = true;
+        let slot = self.slots[replica].lock();
+        if slot.generation == generation {
+            self.breakers[replica].on_success();
         }
     }
 }
@@ -638,7 +632,7 @@ impl Fleet {
         })
     }
 
-    /// Instances currently healthy and serving.
+    /// Instances currently serving with a Closed breaker.
     pub fn healthy_instances(&self) -> usize {
         self.shared.healthy_instances()
     }
@@ -782,7 +776,7 @@ fn supervisor_loop(shared: Arc<FleetShared>, rx: Receiver<SupervisorMsg>, backof
         // already recovered in place.
         let old = {
             let mut slot = shared.slots[replica].lock();
-            if slot.generation != generation || slot.healthy {
+            if slot.generation != generation || shared.is_closed(replica) {
                 continue;
             }
             slot.server.take()

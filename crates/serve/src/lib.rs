@@ -343,12 +343,6 @@ impl ServeError {
     }
 }
 
-impl condor_faults::retry::Retryable for ServeError {
-    fn is_transient(&self) -> bool {
-        ServeError::is_transient(self)
-    }
-}
-
 /// A completed inference.
 #[derive(Clone, Debug)]
 pub struct ServeReply {

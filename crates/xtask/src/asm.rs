@@ -23,8 +23,9 @@
 //!   on `ymm` registers. F(4×4, 3×3) transforms scale by 2, 3, 4, 5 and 8
 //!   as well as add, and a scalar transform passes every test while
 //!   running several times slower;
-//! * a `vpmaddwd` anywhere in the crate (the int8 GEMM's widening dot
-//!   product).
+//! * a `vpmaddwd` in `qgemm_band`, the int8 GEMM's one band routine
+//!   (its widening dot product), so the int8 convolution cannot lose
+//!   it while some other caller of the dot product keeps one.
 //!
 //! All are x86_64 mnemonics; on any other target the check is skipped.
 
@@ -41,6 +42,8 @@ const GEMV_FN: &str = "dot_rows";
 /// The Winograd transforms, each of which must hold packed adds or
 /// subtracts and packed multiplies or fused multiply-adds.
 const TRANSFORM_FNS: [&str; 2] = ["input_transform", "output_transform"];
+/// The int8 GEMM's band routine, which must hold a `vpmaddwd`.
+const QGEMM_FN: &str = "qgemm_band";
 
 /// What `check` counted in one assembly listing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,7 +59,7 @@ struct Counts {
     /// Packed `ymm` multiplies and fused multiply-adds in each of
     /// [`TRANSFORM_FNS`], in that order.
     transform_packed_mul: [usize; 2],
-    /// `vpmaddwd` instructions anywhere in the listing.
+    /// `vpmaddwd` instructions in `qgemm_band`.
     vpmaddwd: usize,
 }
 
@@ -65,7 +68,8 @@ struct Counts {
 /// not hold exactly [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
 /// packed FMA, when `dot_rows` is missing or has no packed FMA, when a
 /// Winograd transform is missing or lacks a packed add or subtract or a
-/// packed multiply or fused multiply-add, or when it has no `vpmaddwd`.
+/// packed multiply or fused multiply-add, or when `qgemm_band` is
+/// missing or has no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
     let bodies = function_bodies(asm, GEMM_FN);
     if bodies.len() != GEMM_COPIES {
@@ -108,7 +112,10 @@ fn check(asm: &str) -> Result<Counts, String> {
         gemv_packed_fma,
         transform_packed_add,
         transform_packed_mul,
-        vpmaddwd: asm.lines().filter(|l| mnemonic(l) == "vpmaddwd").count(),
+        vpmaddwd: only_body(asm, QGEMM_FN)?
+            .iter()
+            .filter(|l| mnemonic(l) == "vpmaddwd")
+            .count(),
     };
     if let Some(copy) = counts.gemm_packed_fma.iter().position(|&n| n == 0) {
         return Err(format!(
@@ -119,10 +126,9 @@ fn check(asm: &str) -> Result<Counts, String> {
         ));
     }
     if counts.vpmaddwd == 0 {
-        return Err(
-            "condor-kernels holds no vpmaddwd: the int8 GEMM lost its widening dot product"
-                .to_string(),
-        );
+        return Err(format!(
+            "`{QGEMM_FN}` holds no vpmaddwd: the int8 GEMM lost its widening dot product"
+        ));
     }
     Ok(counts)
 }
@@ -228,7 +234,7 @@ pub fn run(root: &Path) -> Result<String, String> {
     Ok(format!(
         "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, `{GEMV_FN}` holds {}, \
          `{}` and `{}` hold {:?} packed ymm adds and subtracts and {:?} multiplies and \
-         FMAs, condor-kernels holds {} vpmaddwd ({})",
+         FMAs, `{QGEMM_FN}` holds {} vpmaddwd ({})",
         counts.gemm_packed_fma.len(),
         counts.gemm_packed_fma,
         counts.gemv_packed_fma,
@@ -263,7 +269,8 @@ mod tests {
     /// Shaped like rustc's output: a section line naming the symbol, the
     /// label, local labels inside the body, and the end markers. It holds
     /// three copies of `gemm_band`, as a generic function compiles to,
-    /// and one `dot_rows`.
+    /// one `dot_rows` and one `qgemm_band`, and a `vpmaddwd` outside
+    /// `qgemm_band` as well.
     const LISTING: &str = "\
 \t.section\t.text._ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE,\"ax\",@progbits
 _ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE:
@@ -291,10 +298,16 @@ _ZN14condor_kernels4gemm9gemm_band17h00112233aabbccddE:
 \tvfmadd231ps\t128(%r8), %ymm6, %ymm9
 .Lfunc_end11:
 \t.cfi_endproc
-_ZN14condor_kernels5qgemm6dot_i1617h0123456789abcdefE:
+_ZN14condor_kernels5qgemm10qgemm_band17h0123456789abcdefE:
+\t.cfi_startproc
 \tvpmaddwd\t(%rdi), %ymm1, %ymm2
+\tvpmaddwd\t32(%rdi), %ymm1, %ymm3
 \tvfmadd231ps\t%ymm1, %ymm2, %ymm3
 .Lfunc_end7:
+_ZN14condor_kernels5qgemm8qgemv_i817h0123456789abcdefE:
+\t.cfi_startproc
+\tvpmaddwd\t(%rsi), %ymm4, %ymm5
+.Lfunc_end13:
 _ZN14condor_kernels4gemm8dot_rows17h0123456789abcdefE:
 \t.cfi_startproc
 \tvfmadd231ps\t(%rdi,%rcx,4), %ymm8, %ymm0
@@ -320,7 +333,7 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
 ";
 
     #[test]
-    fn counts_packed_ymm_fmas_in_gemm_band_and_vpmaddwd_anywhere() {
+    fn counts_packed_ymm_fmas_in_gemm_band_and_vpmaddwd_in_qgemm_band() {
         assert_eq!(
             check(LISTING),
             Ok(Counts {
@@ -328,7 +341,7 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
                 gemv_packed_fma: 2,
                 transform_packed_add: [2, 1],
                 transform_packed_mul: [2, 1],
-                vpmaddwd: 1
+                vpmaddwd: 2
             })
         );
     }
@@ -465,6 +478,21 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
     fn a_crate_without_vpmaddwd_fails() {
         let err = check(&LISTING.replace("vpmaddwd", "vpmullw")).expect_err("no vpmaddwd left");
         assert!(err.contains("vpmaddwd"), "{err}");
+    }
+
+    /// A `vpmaddwd` elsewhere in the crate does not stand in for the
+    /// band routine's: `qgemm_band` without one fails, and so does a
+    /// listing where it was inlined away.
+    #[test]
+    fn a_vpmaddwd_outside_qgemm_band_fails() {
+        let scalar = LISTING
+            .replace("vpmaddwd\t(%rdi)", "vpmulld\t(%rdi)")
+            .replace("vpmaddwd\t32(%rdi)", "vpaddd\t32(%rdi)");
+        let err = check(&scalar).expect_err("qgemm_band lost its vpmaddwd");
+        assert!(err.contains("`qgemm_band`"), "{err}");
+        let inlined = LISTING.replace("10qgemm_band17h", "15gemm_i8_requant17h");
+        let err = check(&inlined).expect_err("no qgemm_band left");
+        assert!(err.contains("`qgemm_band`"), "{err}");
     }
 
     #[test]
