@@ -138,9 +138,12 @@ impl DseOutcome {
     }
 }
 
-/// Evaluates one configuration.
+/// Evaluates one configuration; `flops` is the network's FLOPs per
+/// image.
+#[allow(clippy::too_many_arguments)]
 fn evaluate(
     net: &Network,
+    flops: u64,
     board: &Board,
     fusion: usize,
     parallelism: PeParallelism,
@@ -148,7 +151,7 @@ fn evaluate(
     freq_mhz: f64,
     eval_batch: usize,
 ) -> Result<DsePoint, CondorError> {
-    let plan = PlanBuilder::new(net)
+    let mut plan = PlanBuilder::new(net)
         .board(board.name)
         .freq_mhz(freq_mhz)
         .fusion(fusion)
@@ -168,10 +171,8 @@ fn evaluate(
         None
     };
     // Timing at the achieved clock.
-    let mut timed_plan = plan.clone();
-    timed_plan.freq_mhz = synthesis.achieved_fmax_mhz;
-    let model = PipelineModel::from_plan(&timed_plan);
-    let gflops = model.gflops(net.total_flops()?, eval_batch);
+    plan.freq_mhz = synthesis.achieved_fmax_mhz;
+    let gflops = PipelineModel::from_plan(&plan).gflops(flops, eval_batch);
     Ok(DsePoint {
         fusion,
         parallelism,
@@ -216,7 +217,8 @@ fn pruned_point(
     }
 }
 
-/// Sweeps the configured candidate space in parallel.
+/// Sweeps the configured candidate space, one point after another in
+/// the order of the axes (fusion outermost, clock innermost).
 pub fn explore(net: &Network, board: &Board, cfg: &DseConfig) -> Result<DseOutcome, CondorError> {
     let mut combos = Vec::new();
     for &fusion in &cfg.fusions {
@@ -253,6 +255,7 @@ pub fn explore(net: &Network, board: &Board, cfg: &DseConfig) -> Result<DseOutco
         None
     };
     let budget = board.usable_resources();
+    let flops = net.total_flops()?;
     let points: Vec<DsePoint> = combos
         .iter()
         .map(|&(fusion, par, precision, freq)| {
@@ -263,7 +266,16 @@ pub fn explore(net: &Network, board: &Board, cfg: &DseConfig) -> Result<DseOutco
                     ));
                 }
             }
-            evaluate(net, board, fusion, par, precision, freq, cfg.eval_batch)
+            evaluate(
+                net,
+                flops,
+                board,
+                fusion,
+                par,
+                precision,
+                freq,
+                cfg.eval_batch,
+            )
         })
         .collect::<Result<Vec<_>, _>>()?;
 

@@ -360,6 +360,27 @@ mod tests {
         assert_eq!(built.network.name, "LeNet");
     }
 
+    /// A network name with quotes, angle brackets and spaces reaches the
+    /// kernel XML and the host code only as a C identifier.
+    #[test]
+    fn kernel_name_is_escaped_in_xml_and_host_code() {
+        let prototxt =
+            zoo::lenet_prototxt().replacen(r#"name: "LeNet""#, r#"name: "my \"net\" <v2>""#, 1);
+        let built = Condor::from_caffe(&prototxt, None)
+            .unwrap()
+            .board("aws-f1")
+            .build()
+            .unwrap();
+        assert_eq!(built.network.name, r#"my "net" <v2>"#);
+        assert_eq!(built.xo.kernel_name, "condor_my__net___v2_");
+        assert!(built.xo.xml.contains(
+            r#"<kernel name="condor_my__net___v2_" language="ip" vlnv="polimi.it:condor:condor_my__net___v2_:1.0""#
+        ));
+        assert!(built
+            .host_code
+            .contains(r#"cl::Kernel kernel(program, "condor_my__net___v2_")"#));
+    }
+
     #[test]
     fn condor_path_builds() {
         let repr = NetworkRepresentation::new(zoo::tc1(), HardwareConfig::default());

@@ -357,13 +357,7 @@ fn caffe_to_network(proto: &NetParameter) -> Result<Network, CondorError> {
 /// Installs the blobs of a trained `caffemodel` into the network, moving
 /// each blob's decoded values into its tensor.
 fn install_caffe_weights(net: &mut Network, mut trained: NetParameter) -> Result<(), CondorError> {
-    let weighted: Vec<String> = net
-        .layers
-        .iter()
-        .filter(|l| l.kind.has_weights())
-        .map(|l| l.name.clone())
-        .collect();
-    for name in weighted {
+    net.install_weights(|name, _, _| {
         let lp = trained
             .layer
             .iter_mut()
@@ -381,21 +375,16 @@ fn install_caffe_weights(net: &mut Network, mut trained: NetParameter) -> Result
                 format!("caffemodel layer '{name}' carries no blobs"),
             )
         })?;
-        let weights = reshape_weight_blob(weights.into_tensor()?, net, &name)?;
+        // Conv blobs are 4-D `F×C×K×K`; IP blobs come as `[out, in]`,
+        // which `BlobShape` right-aligns into `out×in×1×1`. Both are
+        // already our convention.
+        let weights = weights.into_tensor()?;
         let bias = match blobs.next() {
             Some(b) => Some(reshape_bias_blob(b.into_tensor()?)),
             None => None,
         };
-        net.set_weights(&name, weights, bias)?;
-    }
-    Ok(())
-}
-
-/// Caffe IP weight blobs come as `[out, in]` 2-D, which `BlobShape`
-/// right-aligns into `out×in×1×1` — already our convention. Conv blobs
-/// are 4-D `F×C×K×K`. This hook exists for dimension reconciliation.
-fn reshape_weight_blob(t: Tensor, _net: &Network, _name: &str) -> Result<Tensor, CondorError> {
-    Ok(t)
+        Ok((weights, bias))
+    })
 }
 
 /// Bias blobs are 1-D `[out]` → `1×out×1×1`, our vector convention.

@@ -23,8 +23,11 @@
 use std::collections::VecDeque;
 
 /// One filter of the chain: the sliding-window access it represents and
-/// the inequalities selecting its data domain (used verbatim by the HLS
-/// code generator).
+/// its data domain. The domain is the set of stream coordinates `(i, j)`
+/// of the padded input with `row ≤ i ≤ last_row`, `col ≤ j ≤ last_col`
+/// and `i − row`, `j − col` multiples of `stride`;
+/// [`FilterSpec::write_domain`] renders it as the C condition the HLS
+/// code generator writes into the filter's source.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FilterSpec {
     /// Window-row offset of the access this filter represents.
@@ -37,9 +40,54 @@ pub struct FilterSpec {
     pub position: usize,
     /// Depth of the FIFO feeding the *next* filter (`None` for the last).
     pub downstream_fifo_depth: Option<usize>,
-    /// Human-readable selection inequalities over the stream coordinates
-    /// `(i, j)` of the padded input.
-    pub conditions: Vec<String>,
+    /// Window stride: the filter takes every `stride`-th row and column.
+    pub stride: usize,
+    /// Last stream row of the domain: `row + (out_h − 1)·stride`.
+    pub last_row: usize,
+    /// Last stream column of the domain: `col + (out_w − 1)·stride`.
+    pub last_col: usize,
+}
+
+impl FilterSpec {
+    /// Appends the data domain to `out` as the C condition the filter
+    /// tests per stream element `(i, j)`:
+    /// `(i >= 1) && (i <= 23) && ((i - 1) % 1 == 0) && (j >= 0) && …`.
+    pub fn write_domain(&self, out: &mut String) {
+        out.push_str("(i >= ");
+        push_decimal(out, self.row);
+        out.push_str(") && (i <= ");
+        push_decimal(out, self.last_row);
+        out.push_str(") && ((i - ");
+        push_decimal(out, self.row);
+        out.push_str(") % ");
+        push_decimal(out, self.stride);
+        out.push_str(" == 0) && (j >= ");
+        push_decimal(out, self.col);
+        out.push_str(") && (j <= ");
+        push_decimal(out, self.last_col);
+        out.push_str(") && ((j - ");
+        push_decimal(out, self.col);
+        out.push_str(") % ");
+        push_decimal(out, self.stride);
+        out.push_str(" == 0)");
+    }
+}
+
+/// Appends `n` in decimal to `out`. Generated filter sources are static
+/// text around a few integers, so their writers skip `fmt`'s
+/// per-argument dispatch.
+pub fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// A completed sliding window, emitted in output row-major order.
@@ -211,20 +259,14 @@ impl FilterChain {
             } else {
                 Some(1)
             };
-            let conditions = vec![
-                format!("i >= {row}"),
-                format!("i <= {}", row + (self.out_h - 1) * s),
-                format!("(i - {row}) % {s} == 0"),
-                format!("j >= {col}"),
-                format!("j <= {}", col + (self.out_w - 1) * s),
-                format!("(j - {col}) % {s} == 0"),
-            ];
             specs.push(FilterSpec {
                 row,
                 col,
                 position,
                 downstream_fifo_depth,
-                conditions,
+                stride: s,
+                last_row: row + (self.out_h - 1) * s,
+                last_col: col + (self.out_w - 1) * s,
             });
         }
         specs
@@ -360,11 +402,46 @@ mod tests {
 
     #[test]
     fn filter_conditions_mention_domain() {
-        let chain = FilterChain::new(2, 4, 4, 2, 0);
+        // A 2×2 window at stride 2 over a 4×5 map: 2×2 outputs.
+        let chain = FilterChain::new(2, 4, 5, 2, 0);
         let specs = chain.filter_specs();
         let f = specs.iter().find(|s| s.row == 0 && s.col == 1).unwrap();
-        assert!(f.conditions.iter().any(|c| c == "j >= 1"));
-        assert!(f.conditions.iter().any(|c| c.contains("% 2 == 0")));
+        assert_eq!((f.stride, f.last_row, f.last_col), (2, 2, 3));
+        let mut text = String::new();
+        f.write_domain(&mut text);
+        assert_eq!(
+            text,
+            "(i >= 0) && (i <= 2) && ((i - 0) % 2 == 0) && \
+             (j >= 1) && (j <= 3) && ((j - 1) % 2 == 0)"
+        );
+        // The domain holds exactly the stream coordinates of the tap
+        // (0, 1) in the windows the chain emits.
+        let mut chain = FilterChain::new(2, 4, 5, 2, 0);
+        let taps: Vec<(usize, usize)> = chain
+            .run(&ramp(20))
+            .iter()
+            .map(|w| (w.out_row * 2, w.out_col * 2 + 1))
+            .collect();
+        let domain: Vec<(usize, usize)> = (0..4)
+            .flat_map(|i| (0..5).map(move |j| (i, j)))
+            .filter(|&(i, j)| {
+                (f.row..=f.last_row).contains(&i)
+                    && (f.col..=f.last_col).contains(&j)
+                    && (i - f.row) % f.stride == 0
+                    && (j - f.col) % f.stride == 0
+            })
+            .collect();
+        assert_eq!(domain, taps);
+    }
+
+    #[test]
+    fn push_decimal_writes_every_digit() {
+        let mut out = String::from("n=");
+        for n in [0, 7, 10, 4096, usize::MAX] {
+            push_decimal(&mut out, n);
+            out.push(' ');
+        }
+        assert_eq!(out, format!("n=0 7 10 4096 {} ", usize::MAX));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! and are emitted verbatim into the build artifacts so a user with real
 //! tools can run the genuine flow.
 
-use condor_dataflow::window::FilterSpec;
+use condor_dataflow::window::{push_decimal, FilterSpec};
 use condor_dataflow::{PePlan, PlannedLayer};
 use condor_nn::LayerKind;
 use std::fmt::Write as _;
@@ -36,50 +36,44 @@ fn c_ident(name: &str) -> String {
 /// select which of the elements present in the input stream of the filter
 /// have to be sent to the PE."
 pub fn filter_source(pe_name: &str, spec: &FilterSpec, padded_w: usize) -> String {
-    let name = format!("{}_filter_{}_{}", c_ident(pe_name), spec.row, spec.col);
-    let mut src = String::new();
-    let _ = writeln!(src, "// Auto-generated by Condor: sliding-window filter");
-    let _ = writeln!(
-        src,
-        "// access ({}, {}), chain position {}.",
-        spec.row, spec.col, spec.position
+    let next = spec.downstream_fifo_depth;
+    let mut src = String::with_capacity(768);
+    src.push_str("// Auto-generated by Condor: sliding-window filter\n// access (");
+    push_decimal(&mut src, spec.row);
+    src.push_str(", ");
+    push_decimal(&mut src, spec.col);
+    src.push_str("), chain position ");
+    push_decimal(&mut src, spec.position);
+    src.push_str(".\n#include <hls_stream.h>\n\nvoid ");
+    src.push_str(&c_ident(pe_name));
+    src.push_str("_filter_");
+    push_decimal(&mut src, spec.row);
+    src.push('_');
+    push_decimal(&mut src, spec.col);
+    src.push_str("(\n    hls::stream<float> &in,\n");
+    if next.is_some() {
+        src.push_str("    hls::stream<float> &next,\n");
+    }
+    src.push_str(
+        "    hls::stream<float> &to_pe,\n    int rows, int cols) {\n#pragma HLS INLINE off\n",
     );
-    let _ = writeln!(src, "#include <hls_stream.h>");
-    let _ = writeln!(src);
-    let _ = writeln!(src, "void {name}(");
-    let _ = writeln!(src, "    hls::stream<float> &in,");
-    if spec.downstream_fifo_depth.is_some() {
-        let _ = writeln!(src, "    hls::stream<float> &next,");
+    if let Some(depth) = next {
+        src.push_str("#pragma HLS STREAM variable=next depth=");
+        push_decimal(&mut src, depth);
+        src.push_str(" // spatial distance\n");
     }
-    let _ = writeln!(src, "    hls::stream<float> &to_pe,");
-    let _ = writeln!(src, "    int rows, int cols) {{");
-    let _ = writeln!(src, "#pragma HLS INLINE off");
-    if let Some(depth) = spec.downstream_fifo_depth {
-        let _ = writeln!(
-            src,
-            "#pragma HLS STREAM variable=next depth={depth} // spatial distance"
-        );
+    src.push_str(
+        "    for (int i = 0; i < rows; i++) {\n        for (int j = 0; j < cols; j++) {\n\
+         #pragma HLS PIPELINE II=1\n            float v = in.read();\n            if (",
+    );
+    spec.write_domain(&mut src);
+    src.push_str(") {\n                to_pe.write(v);\n            }\n");
+    if next.is_some() {
+        src.push_str("            next.write(v);\n");
     }
-    let _ = writeln!(src, "    for (int i = 0; i < rows; i++) {{");
-    let _ = writeln!(src, "        for (int j = 0; j < cols; j++) {{");
-    let _ = writeln!(src, "#pragma HLS PIPELINE II=1");
-    let _ = writeln!(src, "            float v = in.read();");
-    let cond = spec
-        .conditions
-        .iter()
-        .map(|c| format!("({c})"))
-        .collect::<Vec<_>>()
-        .join(" && ");
-    let _ = writeln!(src, "            if ({cond}) {{");
-    let _ = writeln!(src, "                to_pe.write(v);");
-    let _ = writeln!(src, "            }}");
-    if spec.downstream_fifo_depth.is_some() {
-        let _ = writeln!(src, "            next.write(v);");
-    }
-    let _ = writeln!(src, "        }}");
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "// padded row width: {padded_w}");
+    src.push_str("        }\n    }\n}\n// padded row width: ");
+    push_decimal(&mut src, padded_w);
+    src.push('\n');
     src
 }
 

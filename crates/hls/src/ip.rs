@@ -142,6 +142,23 @@ pub struct AcceleratorIp {
     pub module_reports: Vec<ModuleSynthesis>,
 }
 
+/// The network name as it appears in the kernel's name and VLNV: lower
+/// case, with every character outside `[A-Za-z0-9_]` mapped to `_`, so
+/// the name is a C identifier and safe inside XML attributes and C++
+/// string literals.
+fn kernel_stem(network: &str) -> String {
+    network
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
 /// Connects packaged layer IPs following the plan topology (paper
 /// step 5), checking stream-interface compatibility.
 pub fn connect_network(
@@ -186,12 +203,10 @@ pub fn connect_network(
         }
         connections.push((up.name.clone(), down.name.clone()));
     }
+    let stem = kernel_stem(&plan.network);
     Ok(AcceleratorIp {
-        name: format!("condor_{}", plan.network.to_lowercase().replace('-', "_")),
-        vlnv: format!(
-            "polimi.it:condor:accel_{}:1.0",
-            plan.network.to_lowercase().replace('-', "_")
-        ),
+        name: format!("condor_{stem}"),
+        vlnv: format!("polimi.it:condor:accel_{stem}:1.0"),
         layers: ips,
         connections,
         module_reports,
@@ -242,6 +257,13 @@ mod tests {
         assert_eq!(accel.connections.len(), plan.pes.len() - 1);
         assert_eq!(accel.connections[0], ("pe0".to_string(), "pe1".to_string()));
         assert_eq!(accel.name, "condor_lenet");
+    }
+
+    #[test]
+    fn kernel_name_is_a_c_identifier() {
+        assert_eq!(kernel_stem("VGG-16-features"), "vgg_16_features");
+        assert_eq!(kernel_stem("my \"net\" <v2>"), "my__net___v2_");
+        assert_eq!(kernel_stem("a:b/é"), "a_b__");
     }
 
     #[test]

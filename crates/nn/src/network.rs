@@ -405,26 +405,19 @@ impl Network {
         node: NodeId,
     ) -> Result<Option<(Shape, Option<Shape>)>, NnError> {
         let index = node.index();
-        let ins = self.input_shapes()?;
+        let outs = self.output_shapes()?;
         let layer = self.layers.get(index).ok_or_else(|| {
             NnError::net(format!("node {node} out of range")).with_kind(NnErrorKind::UnknownLayer)
         })?;
-        Ok(match layer.kind {
-            LayerKind::Convolution {
-                num_output,
-                kernel,
-                bias,
-                ..
-            } => Some((
-                Shape::new(num_output, ins[index].c, kernel, kernel),
-                bias.then(|| Shape::vector(num_output)),
-            )),
-            LayerKind::InnerProduct { num_output, bias } => Some((
-                Shape::new(num_output, ins[index].item_len(), 1, 1),
-                bias.then(|| Shape::vector(num_output)),
-            )),
-            _ => None,
-        })
+        Ok(weight_shapes(&layer.kind, self.first_input(&outs, node)))
+    }
+
+    /// Primary (first) input shape of a node, given every node's output
+    /// shape from [`Network::output_shapes`].
+    fn first_input(&self, outs: &[Shape], node: NodeId) -> Shape {
+        self.inputs_of(node)
+            .first()
+            .map_or(self.input_shape, |p| outs[p.index()])
     }
 
     /// Installs weights for a layer after shape-checking them.
@@ -448,37 +441,33 @@ impl Network {
                 NnError::at(layer_name, "layer does not take weights")
                     .with_kind(NnErrorKind::WeightShape)
             })?;
-        if weights.shape() != expected.0 {
-            return Err(NnError::at(
-                layer_name,
-                format!(
-                    "weight shape {} does not match expected {}",
-                    weights.shape(),
-                    expected.0
-                ),
-            )
-            .with_kind(NnErrorKind::WeightShape));
-        }
-        match (&bias, expected.1) {
-            (Some(b), Some(eb)) if b.shape() != eb => {
-                return Err(NnError::at(
-                    layer_name,
-                    format!("bias shape {} does not match expected {eb}", b.shape()),
-                )
-                .with_kind(NnErrorKind::WeightShape));
-            }
-            (Some(_), None) => {
-                return Err(NnError::at(layer_name, "layer has bias_term: false")
-                    .with_kind(NnErrorKind::WeightShape));
-            }
-            (None, Some(_)) => {
-                return Err(NnError::at(layer_name, "missing bias tensor")
-                    .with_kind(NnErrorKind::WeightShape));
-            }
-            _ => {}
-        }
+        check_weights(layer_name, expected, &weights, bias.as_ref())?;
         self.weights
             .insert(layer_name.to_string(), LayerWeights { weights, bias });
+        Ok(())
+    }
+
+    /// Installs weights for every weight-bearing layer in topological
+    /// order, from one shape-inference pass. `fetch` gets each such
+    /// layer's name and expected weight and bias shapes and returns its
+    /// tensors, which are checked as [`Network::set_weights`] checks
+    /// them. The first error, from `fetch` or a check, stops the install;
+    /// the layers before it keep their new weights.
+    pub fn install_weights<E: From<NnError>>(
+        &mut self,
+        mut fetch: impl FnMut(&str, Shape, Option<Shape>) -> Result<(Tensor, Option<Tensor>), E>,
+    ) -> Result<(), E> {
+        let outs = self.output_shapes()?;
+        for i in 0..self.layers.len() {
+            let input = self.first_input(&outs, NodeId::from_index(i));
+            let Some(expected) = weight_shapes(&self.layers[i].kind, input) else {
+                continue;
+            };
+            let name = self.layers[i].name.clone();
+            let (weights, bias) = fetch(&name, expected.0, expected.1)?;
+            check_weights(&name, expected, &weights, bias.as_ref())?;
+            self.weights.insert(name, LayerWeights { weights, bias });
+        }
         Ok(())
     }
 
@@ -507,48 +496,39 @@ impl Network {
     /// layer — the stand-in for a trained `caffemodel` (see DESIGN.md).
     pub fn attach_random_weights(&mut self, seed: u64) -> Result<(), NnError> {
         let mut rng = TensorRng::seeded(seed);
-        let mut plans: Vec<(String, Shape, Option<Shape>)> = Vec::new();
-        for (i, l) in self.layers.iter().enumerate() {
-            if let Some((w, b)) = self.node_weight_shapes(NodeId::from_index(i))? {
-                plans.push((l.name.clone(), w, b));
-            }
-        }
-        for (name, wshape, bshape) in plans {
-            let fan_in = wshape.item_len();
-            let weights = rng.xavier(wshape, fan_in.max(1));
+        self.install_weights(|_, wshape, bshape| {
+            let weights = rng.xavier(wshape, wshape.item_len().max(1));
             let bias = bshape.map(|bs| rng.uniform(bs, -0.05, 0.05));
-            self.set_weights(&name, weights, bias)?;
-        }
-        Ok(())
+            Ok::<_, NnError>((weights, bias))
+        })
     }
 
-    /// Per-node cost table, in topological order.
+    /// Per-node cost table, in topological order, from one
+    /// shape-inference pass.
     pub fn costs(&self) -> Result<Vec<LayerCost>, NnError> {
-        let ins = self.input_shapes()?;
-        let ins_multi = self.input_shapes_multi()?;
         let outs = self.output_shapes()?;
         let stages = self.stages();
         let mut costs = Vec::with_capacity(self.layers.len());
         for (i, l) in self.layers.iter().enumerate() {
             let node = NodeId::from_index(i);
-            let params = match self.node_weight_shapes(node)? {
-                Some((w, b)) => w.len() as u64 + b.map_or(0, |s| s.len() as u64),
-                None => 0,
-            };
+            let preds = self.inputs_of(node);
+            let input = preds.first().map_or(self.input_shape, |p| outs[p.index()]);
+            let params = weight_shapes(&l.kind, input)
+                .map_or(0, |(w, b)| w.len() as u64 + b.map_or(0, |s| s.len() as u64));
             // Eltwise cost scales with the actual fan-in: n inputs take
             // n - 1 element-wise ops per output element.
             let flops = match l.kind {
                 LayerKind::Eltwise { .. } => {
-                    (ins_multi[i].len().saturating_sub(1) as u64) * outs[i].item_len() as u64
+                    (preds.len().saturating_sub(1) as u64) * outs[i].item_len() as u64
                 }
-                _ => l.kind.flops(ins[i]),
+                _ => l.kind.flops(input),
             };
             costs.push(LayerCost {
                 node,
                 name: l.name.clone(),
-                input: ins[i],
+                input,
                 output: outs[i],
-                macs: l.kind.macs(ins[i]),
+                macs: l.kind.macs(input),
                 flops,
                 stage: stages[i],
                 params,
@@ -615,6 +595,60 @@ impl Network {
             }
         }
         Ok(net)
+    }
+}
+
+/// Weight and bias shapes of a layer of `kind` whose (first) input is
+/// `input`; `None` for weight-less kinds.
+fn weight_shapes(kind: &LayerKind, input: Shape) -> Option<(Shape, Option<Shape>)> {
+    match *kind {
+        LayerKind::Convolution {
+            num_output,
+            kernel,
+            bias,
+            ..
+        } => Some((
+            Shape::new(num_output, input.c, kernel, kernel),
+            bias.then(|| Shape::vector(num_output)),
+        )),
+        LayerKind::InnerProduct { num_output, bias } => Some((
+            Shape::new(num_output, input.item_len(), 1, 1),
+            bias.then(|| Shape::vector(num_output)),
+        )),
+        _ => None,
+    }
+}
+
+/// Checks a layer's weight and bias tensors against its expected shapes.
+fn check_weights(
+    layer_name: &str,
+    expected: (Shape, Option<Shape>),
+    weights: &Tensor,
+    bias: Option<&Tensor>,
+) -> Result<(), NnError> {
+    if weights.shape() != expected.0 {
+        return Err(NnError::at(
+            layer_name,
+            format!(
+                "weight shape {} does not match expected {}",
+                weights.shape(),
+                expected.0
+            ),
+        )
+        .with_kind(NnErrorKind::WeightShape));
+    }
+    match (bias, expected.1) {
+        (Some(b), Some(eb)) if b.shape() != eb => Err(NnError::at(
+            layer_name,
+            format!("bias shape {} does not match expected {eb}", b.shape()),
+        )
+        .with_kind(NnErrorKind::WeightShape)),
+        (Some(_), None) => Err(NnError::at(layer_name, "layer has bias_term: false")
+            .with_kind(NnErrorKind::WeightShape)),
+        (None, Some(_)) => {
+            Err(NnError::at(layer_name, "missing bias tensor").with_kind(NnErrorKind::WeightShape))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -795,6 +829,131 @@ mod tests {
             costs.iter().map(|c| c.flops).sum::<u64>()
         );
         assert!(net.feature_extraction_flops().unwrap() < net.total_flops().unwrap());
+    }
+
+    /// `costs()` node by node as it read before it shared one shape pass:
+    /// every node re-infers the whole network for its weight shapes.
+    fn costs_per_node(net: &Network) -> Vec<LayerCost> {
+        let ins = net.input_shapes().unwrap();
+        let ins_multi = net.input_shapes_multi().unwrap();
+        let outs = net.output_shapes().unwrap();
+        let stages = net.stages();
+        let mut costs = Vec::new();
+        for (i, l) in net.layers.iter().enumerate() {
+            let input = net.input_shapes().unwrap()[i];
+            let shapes = match l.kind {
+                LayerKind::Convolution {
+                    num_output,
+                    kernel,
+                    bias,
+                    ..
+                } => Some((
+                    Shape::new(num_output, input.c, kernel, kernel),
+                    bias.then(|| Shape::vector(num_output)),
+                )),
+                LayerKind::InnerProduct { num_output, bias } => Some((
+                    Shape::new(num_output, input.item_len(), 1, 1),
+                    bias.then(|| Shape::vector(num_output)),
+                )),
+                _ => None,
+            };
+            let params = match shapes {
+                Some((w, b)) => w.len() as u64 + b.map_or(0, |s| s.len() as u64),
+                None => 0,
+            };
+            let flops = match l.kind {
+                LayerKind::Eltwise { .. } => {
+                    (ins_multi[i].len().saturating_sub(1) as u64) * outs[i].item_len() as u64
+                }
+                _ => l.kind.flops(ins[i]),
+            };
+            costs.push(LayerCost {
+                node: NodeId::from_index(i),
+                name: l.name.clone(),
+                input: ins[i],
+                output: outs[i],
+                macs: l.kind.macs(ins[i]),
+                flops,
+                stage: stages[i],
+                params,
+            });
+        }
+        costs
+    }
+
+    fn zoo_and_random_dags() -> Vec<Network> {
+        let mut nets = vec![
+            crate::zoo::lenet(),
+            crate::zoo::tc1(),
+            crate::zoo::resnet_block(),
+            crate::zoo::vgg16(),
+            crate::zoo::vgg16().feature_extraction_prefix().unwrap(),
+        ];
+        nets.extend((0..64).map(|seed| crate::arbitrary::random_weighted_dag(seed).topology()));
+        nets
+    }
+
+    #[test]
+    fn costs_match_the_per_node_definition() {
+        let nets = zoo_and_random_dags();
+        // The random DAGs reach merge nodes with fan-in above one.
+        assert!(nets
+            .iter()
+            .any(|n| n.layers.iter().enumerate().any(|(i, l)| {
+                matches!(l.kind, LayerKind::Eltwise { .. })
+                    && n.inputs_of(NodeId::from_index(i)).len() > 1
+            })));
+        assert!(nets
+            .iter()
+            .any(|n| n.layers.iter().any(|l| matches!(l.kind, LayerKind::Concat))));
+        for net in &nets {
+            let (got, want) = (net.costs().unwrap(), costs_per_node(net));
+            assert_eq!(got.len(), want.len(), "{}", net.name);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g, w, "{} node {}", net.name, g.node);
+            }
+        }
+    }
+
+    /// One shape pass installs the same weights, drawn in the same
+    /// order, as one `set_weights` per layer did. (VGG-16's weights are
+    /// left out: 138 M parameters, twice.)
+    #[test]
+    fn attach_random_weights_matches_per_layer_install() {
+        let nets = zoo_and_random_dags();
+        for net in nets.into_iter().filter(|n| !n.name.starts_with("VGG")) {
+            let mut once = net.clone();
+            once.attach_random_weights(9).unwrap();
+            let mut per_layer = net.clone();
+            let mut rng = TensorRng::seeded(9);
+            for i in 0..net.layers.len() {
+                let Some((w, b)) = net.node_weight_shapes(NodeId::from_index(i)).unwrap() else {
+                    continue;
+                };
+                let weights = rng.xavier(w, w.item_len().max(1));
+                let bias = b.map(|bs| rng.uniform(bs, -0.05, 0.05));
+                per_layer
+                    .set_weights(&net.layers[i].name, weights, bias)
+                    .unwrap();
+            }
+            assert_eq!(once.weights, per_layer.weights, "{}", net.name);
+        }
+    }
+
+    #[test]
+    fn install_weights_stops_at_the_first_bad_tensor() {
+        let mut net = tiny_net();
+        let mut asked = Vec::new();
+        let err = net
+            .install_weights(|name, w, _| {
+                asked.push(name.to_string());
+                Ok::<_, NnError>((Tensor::zeros(w), None))
+            })
+            .unwrap_err();
+        assert_eq!(asked, ["conv1"]);
+        assert_eq!(err.kind, NnErrorKind::WeightShape);
+        assert!(err.to_string().contains("missing bias tensor"), "{err}");
+        assert!(net.weights.is_empty());
     }
 
     #[test]
