@@ -541,7 +541,8 @@ impl<'a> PlanBuilder<'a> {
                 )));
             }
         }
-        let ins = self.net.input_shapes()?;
+        // One shape pass: a node's (first) input is its first
+        // predecessor's output, or the network input.
         let outs = self.net.output_shapes()?;
         let stages = self.net.stages();
 
@@ -551,11 +552,14 @@ impl<'a> PlanBuilder<'a> {
         let rides = self.net.rides_with_producer();
         let mut groups: Vec<(Stage, Vec<PlannedLayer>)> = Vec::new();
         for (i, layer) in self.net.layers.iter().enumerate() {
+            let node = NodeId::from_index(i);
+            let input = (self.net.inputs_of(node).first())
+                .map_or(self.net.input_shape, |p| outs[p.index()]);
             let planned = PlannedLayer {
-                node: NodeId::from_index(i),
+                node,
                 name: layer.name.clone(),
                 kind: layer.kind.clone(),
-                input: ins[i],
+                input,
                 output: outs[i],
             };
             match (&layer.kind, groups.last_mut()) {
@@ -714,6 +718,28 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use condor_nn::zoo;
+
+    /// The plan takes every layer's input shape from one
+    /// `output_shapes` pass; it must be the shape the network's own
+    /// `input_shapes` reports, on the zoo and on random DAGs (merges,
+    /// skip edges, nodes reading the network input) at every fusion.
+    #[test]
+    fn planned_shapes_match_the_network_shape_passes() {
+        let nets = [zoo::lenet(), zoo::tc1(), zoo::vgg16(), zoo::resnet_block()]
+            .into_iter()
+            .chain((0..64).map(condor_nn::arbitrary::random_dag));
+        for net in nets {
+            let (ins, outs) = (net.input_shapes().unwrap(), net.output_shapes().unwrap());
+            for fusion in 1..=4 {
+                let plan = PlanBuilder::new(&net).fusion(fusion).build().unwrap();
+                for layer in plan.pes.iter().flat_map(|pe| &pe.layers) {
+                    let at = layer.node.index();
+                    assert_eq!(layer.input, ins[at], "{} {}", net.name, layer.name);
+                    assert_eq!(layer.output, outs[at], "{} {}", net.name, layer.name);
+                }
+            }
+        }
+    }
 
     #[test]
     fn lenet_unfused_plan_has_one_pe_per_anchor_layer() {

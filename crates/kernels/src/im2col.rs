@@ -12,8 +12,11 @@
 //!
 //! The f32 convolution ([`crate::ops::conv2d`]) does not lower: its GEMM
 //! packs the same values straight from the input. The f32 [`im2col`]
-//! stays as the reference that path is tested against bit for bit; the
-//! int8 convolution lowers through [`im2col_i8_patches`].
+//! stays as the reference that path is tested against bit for bit. The
+//! int8 convolution ([`crate::qops::qconv2d`]) does not lower either: it
+//! gathers each patch into its GEMM tile with the same clipped row copies
+//! (`patch_into`) that [`im2col_i8_patches`] runs, and the explicit
+//! lowering stays as the reference it is tested against.
 
 /// Geometry of one convolution lowering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,18 +133,15 @@ pub fn im2col(input: &[f32], geo: &ConvGeometry, cols: &mut [f32]) {
 /// Patch-major int8 lowering: writes the **transposed** patch matrix,
 /// `(outH·outW) × (C·K·K)` row-major, where each output pixel's patch is
 /// one contiguous `C·K·K` slice — exactly the `b_t` operand of the
-/// packed GEMM ([`crate::qgemm::gemm_i8_requant`]), so quantized
-/// convolution needs no transpose or panel repack between lowering and
-/// compute.
+/// packed GEMM ([`crate::qgemm::gemm_i8_requant`]).
 ///
 /// Unlike the row-major lowering, the identity geometry (1×1 kernel) is
-/// *not* a copy here — the patch layout is the input's transpose — so
-/// callers always lower through this function.
+/// *not* a copy here — the patch layout is the input's transpose.
 ///
-/// Patches stay `i8` rather than being pre-widened to the GEMM's `i16`
-/// compute format: the GEMM widens them once per call, so the patch
-/// matrix is written at `i8` density (half the traffic of an `i16`
-/// plane — measured faster end-to-end than emitting `i16` here).
+/// The int8 convolution ([`crate::qops::qconv2d`]) does not call this:
+/// its GEMM gathers each tile of patches straight from the input with
+/// the same row copies (`patch_into`). This lowering stays as the
+/// reference that path is tested against.
 ///
 /// # Panics
 /// Panics when `input` or `patches` disagree with the geometry.
@@ -156,35 +156,50 @@ pub fn im2col_i8_patches(input: &[i8], geo: &ConvGeometry, patches: &mut [i8]) {
         geo.lowered_len(),
         "workspace length mismatch"
     );
+    for (col, patch) in patches.chunks_mut(geo.lowered_rows().max(1)).enumerate() {
+        patch_into(input, geo, col, patch);
+    }
+}
+
+/// Writes patch `col` (output pixel `col / outW`, `col % outW`) of the
+/// `C×H×W` `input` into `dst`, `C·K·K` values in `(c, kh, kw)` order,
+/// converted to `T`: the zero-padded reads
+/// `x[c, oi·stride + kh − pad, oj·stride + kw − pad]`. Kernel-row runs
+/// are contiguous in the input for any stride (stride only moves the
+/// patch origin). The window's in-range rows and columns are the same
+/// for every channel, so they are clipped once: a patch that overhangs
+/// the input is zeroed whole, then each in-range `(c, kh)` run is one
+/// copy (most patches overhang nothing and skip the zeroing).
+pub(crate) fn patch_into<T: Copy + Default + From<i8>>(
+    input: &[i8],
+    geo: &ConvGeometry,
+    col: usize,
+    dst: &mut [T],
+) {
     let (k, stride, pad) = (geo.kernel, geo.stride, geo.pad);
     let (in_h, in_w) = (geo.in_h, geo.in_w);
-    let k_depth = geo.lowered_rows();
-
-    for (col, patch) in patches.chunks_mut(k_depth.max(1)).enumerate() {
-        let oi = col / geo.out_w;
-        let oj = col % geo.out_w;
-        let h0 = (oi * stride) as isize - pad as isize;
-        let w0 = (oj * stride) as isize - pad as isize;
-        // Kernel-row runs are contiguous in the input for any stride
-        // (stride only moves the patch origin), so each (c, m) pair is
-        // one clipped memcpy plus zero fringes.
-        let n_lo = (-w0).max(0) as usize;
-        let n_hi = (in_w as isize - w0).clamp(0, k as isize) as usize;
-        for c in 0..geo.in_c {
-            let map = &input[c * in_h * in_w..(c + 1) * in_h * in_w];
-            for m in 0..k {
-                let dst = &mut patch[(c * k + m) * k..(c * k + m) * k + k];
-                let ih = h0 + m as isize;
-                if ih < 0 || ih >= in_h as isize {
-                    dst.fill(0);
-                    continue;
-                }
-                dst[..n_lo.min(k)].fill(0);
-                if n_lo < n_hi {
-                    let src0 = ih as usize * in_w + (w0 + n_lo as isize) as usize;
-                    dst[n_lo..n_hi].copy_from_slice(&map[src0..src0 + (n_hi - n_lo)]);
-                }
-                dst[n_hi.max(n_lo)..].fill(0);
+    let (oi, oj) = (col / geo.out_w, col % geo.out_w);
+    let h0 = (oi * stride) as isize - pad as isize;
+    let w0 = (oj * stride) as isize - pad as isize;
+    let n_lo = ((-w0).max(0) as usize).min(k);
+    let n_hi = (in_w as isize - w0).clamp(0, k as isize) as usize;
+    let m_lo = ((-h0).max(0) as usize).min(k);
+    let m_hi = (in_h as isize - h0).clamp(0, k as isize) as usize;
+    if m_lo > 0 || m_hi < k || n_lo > 0 || n_hi < k {
+        dst.fill(T::default());
+    }
+    if m_lo >= m_hi || n_lo >= n_hi {
+        return;
+    }
+    let map_len = in_h * in_w;
+    let first = (h0 + m_lo as isize) as usize * in_w + (w0 + n_lo as isize) as usize;
+    let width = n_hi - n_lo;
+    for (c, plane) in dst.chunks_exact_mut((k * k).max(1)).enumerate() {
+        let map = &input[c * map_len..(c + 1) * map_len];
+        let rows = plane[m_lo * k..m_hi * k].chunks_exact_mut(k);
+        for (run, src) in rows.zip(map[first..].chunks(in_w)) {
+            for (d, &q) in run[n_lo..n_hi].iter_mut().zip(&src[..width]) {
+                *d = T::from(q);
             }
         }
     }

@@ -30,8 +30,8 @@
 //!   for bit;
 //! * [`im2col()`] — the explicit patch-matrix lowering, the reference the
 //!   f32 convolution is tested against bit for bit, and
-//!   [`im2col_i8_patches`], its transpose over `i8`, the int8 path's
-//!   lowering.
+//!   [`im2col_i8_patches`], its transpose over `i8`, the reference of the
+//!   int8 convolution.
 //!
 //! Thread parallelism uses `std::thread::scope` over disjoint row bands
 //! (band splitting keeps each element's reduction order fixed), so
@@ -46,16 +46,17 @@
 //!
 //! * [`quant`] — symmetric per-channel weight quantization, per-tensor
 //!   activation scales and the min/max calibration observer;
-//! * [`qgemm`] — packed GEMM over `i8` operands (4× denser than f32) in
-//!   the patch-major layout the int8 im2col emits directly, widened once
-//!   per call into `i16` planes so the reduction runs as
-//!   `pmaddwd`-shaped widening dot products into exact `i32`
-//!   accumulators (the workspace pins `x86-64-v3` codegen in
-//!   `.cargo/config.toml` so that combine fires), with the
-//!   requantize/clamp/ReLU epilogue fused into its tile loop
+//! * [`qgemm`] — packed GEMM over `i8` operands (4× denser than f32)
+//!   with `B` in the patch-major layout, taken 16 patches at a time into
+//!   an `i16` tile so the reduction runs as `pmaddwd`-shaped widening dot
+//!   products into exact `i32` accumulators (the workspace pins
+//!   `x86-64-v3` codegen in `.cargo/config.toml` so that combine fires),
+//!   with the requantize/clamp/ReLU epilogue fused into its tile loop
 //!   ([`gemm_i8_requant`]);
-//! * [`qops`] — quantized convolution ([`qconv2d`], patch-major int8
-//!   im2col into the reusable [`QWorkspace`]) and pooling ([`qpool2d`]).
+//! * [`qops`] — quantized convolution ([`qconv2d`], an implicit GEMM
+//!   whose tiles of patches are gathered straight from the `i8` input, so
+//!   the [`QWorkspace`] keeps only the widened weights) and pooling
+//!   ([`qpool2d`]).
 //!
 //! Integer accumulation is exact, so the quantized kernels are
 //! bit-identical across thread counts by construction;

@@ -3,13 +3,11 @@
 //! Computes `C = A · B` for row-major `A: m×k` and **transposed**
 //! `B` (`b_t: n×k` row-major — row `j` of `b_t` is column `j` of `B`)
 //! of `i8` into exact `i32` accumulators. The transposed operand is the
-//! **patch-major** layout the int8 im2col emits for free
-//! ([`crate::im2col::im2col_i8_patches`]): each output pixel's patch is
-//! one contiguous `k`-length slice, so the kernel needs no transpose or
-//! panel repack in the hot loop. Operand storage is 4× denser than f32;
-//! each call widens both operands once, whole, into contiguous `i16`
-//! planes (still 2× denser than f32) so the reduction is the one shape
-//! LLVM's x86 backend combines to `pmaddwd`:
+//! **patch-major** layout of a convolution: each output pixel's patch is
+//! one contiguous `k`-length slice
+//! ([`crate::im2col::im2col_i8_patches`]). Operand storage is 4× denser
+//! than f32. The reduction runs on `i16` values, the one shape LLVM's
+//! x86 backend combines to `pmaddwd`:
 //!
 //! ```text
 //! sum += a[p] as i32 * b[p] as i32      // a, b: &[i16]
@@ -27,12 +25,22 @@
 //!
 //! One band routine, `qgemm_band`, computes every output: over all rows
 //! of `C` on one thread, or over one row band per thread for large
-//! problems, the bands sharing the widened planes read-only. There is no
-//! cache blocking: with both operands pre-packed contiguous, one weight
-//! row plus one patch is L1-resident for every practical `k`, so tiling
-//! the reduction only adds loop overhead (measured, not assumed — an
-//! Mc×Kc panel variant ran 1.5× slower on the VGG layer). The one tiling
-//! is over patches, `TILE_J` at a time.
+//! problems. `A` (the weights) is widened once per call into the
+//! workspace's `m×k` `i16` plane, which the bands share read-only. `B`
+//! is never widened whole: the band routine takes it one tile of
+//! `TILE_J` patches at a time from a source, into a `TILE_J×k` `i16`
+//! buffer of its own, which each call allocates once per band (at most
+//! `2·TILE_J·k` bytes: 18 KiB at `k = 576`) and frees on return; the
+//! workspace does not keep it. There are two sources: the dense `b_t`
+//! of [`gemm_i8_requant`], widened tile by tile, and the convolution's
+//! patches, gathered straight from its `i8` input
+//! ([`crate::qops::qconv2d`]). So no plane proportional to `n` exists;
+//! each band re-reads its tiles of `B`, about `1/rows` of its
+//! multiply-accumulates. There is no cache blocking of the reduction:
+//! one weight row plus one tile of patches is L1-resident for every
+//! practical `k`, so tiling the reduction only adds loop overhead
+//! (measured, not assumed — an Mc×Kc panel variant ran 1.5× slower on
+//! the VGG layer).
 //!
 //! The fused epilogue maps `i32` accumulators back to `i8`:
 //! `out = clamp(round((acc + bias) · multiplier), -127, 127)`, with the
@@ -49,12 +57,12 @@ use crate::gemm::{row_bands, threads_for, GemmBlocking};
 /// Measured ~20% faster than the untiled loop on the VGG-56 layer.
 const TILE_J: usize = 16;
 
-/// Reusable scratch for the quantized path: im2col output and the `i16`
-/// widening planes. Grown on demand, never shrunk, so steady-state
-/// inference allocates nothing.
+/// Reusable scratch for the quantized path: the widened weights of the
+/// last GEMM and the widened input of the last GEMV. Grown on demand,
+/// never shrunk. Patches are not kept here: each band widens or gathers
+/// them a tile at a time into a buffer it allocates per call.
 #[derive(Debug, Default)]
 pub struct QWorkspace {
-    cols: Vec<i8>,
     apack: Vec<i16>,
     bpack: Vec<i16>,
 }
@@ -65,38 +73,40 @@ impl QWorkspace {
         QWorkspace::default()
     }
 
-    /// Pre-sizes the im2col plane (e.g. to a network's high-water mark)
-    /// so inference never reallocates it.
-    pub fn with_capacity(cols_len: usize) -> Self {
-        QWorkspace {
-            cols: Vec::with_capacity(cols_len),
-            ..QWorkspace::default()
-        }
-    }
-
-    /// Current im2col capacity in elements (diagnostic).
-    pub fn cols_capacity(&self) -> usize {
-        self.cols.capacity()
-    }
-
-    /// Detaches the im2col buffer so it can be borrowed alongside the
-    /// widening planes; return it with
-    /// [`QWorkspace::put_cols`].
-    pub(crate) fn take_cols(&mut self) -> Vec<i8> {
-        std::mem::take(&mut self.cols)
-    }
-
-    /// Reattaches the im2col buffer after [`QWorkspace::take_cols`].
-    pub(crate) fn put_cols(&mut self, cols: Vec<i8>) {
-        self.cols = cols;
+    /// Bytes the workspace holds (diagnostic): its capacity, not only
+    /// what the last call used.
+    pub fn bytes(&self) -> usize {
+        (self.apack.capacity() + self.bpack.capacity()) * std::mem::size_of::<i16>()
     }
 }
 
 /// Widens an `i8` slice into an `i16` plane (resizing it to fit).
 fn widen_into(src: &[i8], dst: &mut Vec<i16>) {
     dst.resize(src.len(), 0);
+    widen(src, dst);
+}
+
+/// Widens `src` into `dst`, element by element.
+fn widen(src: &[i8], dst: &mut [i16]) {
     for (d, &q) in dst.iter_mut().zip(src) {
         *d = q as i16;
+    }
+}
+
+/// A source of the transposed `B` for the band routine. `tile` writes
+/// patches `j0..j0 + dst.len() / k` of `B`, each `k` values widened to
+/// `i16`, into `dst`. Every source must give the same values for the
+/// same matrix, so the result does not depend on where `B` comes from.
+pub(crate) trait TileB: Sync {
+    fn tile(&self, j0: usize, k: usize, dst: &mut [i16]);
+}
+
+/// A dense transposed `B`: `n×k` row-major `i8`.
+struct Transposed<'a>(&'a [i8]);
+
+impl TileB for Transposed<'_> {
+    fn tile(&self, j0: usize, k: usize, dst: &mut [i16]) {
+        widen(&self.0[j0 * k..j0 * k + dst.len()], dst);
     }
 }
 
@@ -148,19 +158,33 @@ pub fn gemm_i8_requant(
     ws: &mut QWorkspace,
 ) {
     let _ = blocking;
+    assert_eq!(b_t.len(), n * k, "B (transposed) must be n×k");
     let threads = threads_for(m * n * k);
-    qgemm_on(threads, m, n, k, a, b_t, out, bias, multipliers, relu, ws);
+    qgemm_on(
+        threads,
+        m,
+        n,
+        k,
+        a,
+        &Transposed(b_t),
+        out,
+        bias,
+        multipliers,
+        relu,
+        ws,
+    );
 }
 
-/// [`gemm_i8_requant`] over at most `threads` row bands.
+/// `out = requantize(a · Bᵀ)` with the transposed `B` from `b`, over
+/// at most `threads` row bands.
 #[allow(clippy::too_many_arguments)]
-fn qgemm_on(
+pub(crate) fn qgemm_on(
     threads: usize,
     m: usize,
     n: usize,
     k: usize,
     a: &[i8],
-    b_t: &[i8],
+    b: &impl TileB,
     out: &mut [i8],
     bias: Option<&[i32]>,
     multipliers: &[f32],
@@ -168,7 +192,6 @@ fn qgemm_on(
     ws: &mut QWorkspace,
 ) {
     assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(b_t.len(), n * k, "B (transposed) must be n×k");
     assert_eq!(out.len(), m * n, "out must be m×n");
     assert!(multipliers.len() >= m, "multipliers shorter than rows");
     if let Some(b) = bias {
@@ -178,42 +201,45 @@ fn qgemm_on(
         return;
     }
     widen_into(a, &mut ws.apack);
-    widen_into(b_t, &mut ws.bpack);
-    let (a, b_t) = (&ws.apack[..], &ws.bpack[..]);
+    let a = &ws.apack[..];
     row_bands(threads, 1, n, out, |row0, band| {
         let rows = row0..row0 + band.len() / n;
         let bias = bias.map(|b| &b[rows.clone()]);
         let a_band = &a[rows.start * k..rows.end * k];
-        qgemm_band(n, k, a_band, b_t, bias, &multipliers[rows], relu, band)
+        qgemm_band(n, k, a_band, b, bias, &multipliers[rows], relu, band)
     });
 }
 
-/// `out = requantize(a · b_tᵀ)` for one band of rows, `a`, `bias` and
+/// `out = requantize(a · Bᵀ)` for one band of rows, `a`, `bias` and
 /// `multipliers` starting at the band's first row: for each tile of
-/// [`TILE_J`] patches, every row's dot products into a stack tile, then
-/// that tile requantized into the row. The tile keeps the dot loop the
-/// clean `pmaddwd` shape and lets the requantize loop vectorise
-/// (`vroundpd`) on its own. Kept out of line so that it has a symbol,
-/// which `xtask asm` reads.
+/// [`TILE_J`] patches, the tile from `b` into the band's own buffer
+/// (allocated once per call), then every row's dot products into a
+/// stack tile, then that tile requantized into the row. The tile keeps the dot loop the clean
+/// `pmaddwd` shape and lets the requantize loop vectorise (`vroundpd`)
+/// on its own. One copy is compiled per source of `B`, each kept out of
+/// line so that it has a symbol, which `xtask asm` reads.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn qgemm_band(
     n: usize,
     k: usize,
     a: &[i16],
-    b_t: &[i16],
+    b: &impl TileB,
     bias: Option<&[i32]>,
     multipliers: &[f32],
     relu: bool,
     out: &mut [i8],
 ) {
+    let mut tile = vec![0i16; TILE_J.min(n) * k];
     let mut acc_t = [0i32; TILE_J];
     for jt in (0..n).step_by(TILE_J) {
         let tw = TILE_J.min(n - jt);
+        let tile = &mut tile[..tw * k];
+        b.tile(jt, k, tile);
         for (i, orow) in out.chunks_exact_mut(n).enumerate() {
             let row = &a[i * k..(i + 1) * k];
             for (j, av) in acc_t[..tw].iter_mut().enumerate() {
-                *av = dot_i16(row, &b_t[(jt + j) * k..(jt + j + 1) * k]);
+                *av = dot_i16(row, &tile[j * k..(j + 1) * k]);
             }
             let (badd, mult) = (bias.map_or(0, |b| b[i]), multipliers[i]);
             for (o, &v) in orow[jt..jt + tw].iter_mut().zip(&acc_t[..tw]) {
@@ -278,7 +304,7 @@ fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
 
@@ -297,7 +323,7 @@ mod tests {
 
     /// The epilogue as its own scalar pass over an `m×n` accumulator
     /// plane, written out independently of `requant`.
-    fn requantize(
+    pub(crate) fn requantize(
         acc: &[i32],
         n: usize,
         bias: Option<&[i32]>,
@@ -330,7 +356,7 @@ mod tests {
         bt
     }
 
-    fn ramp_i8(len: usize, seed: u64) -> Vec<i8> {
+    pub(crate) fn ramp_i8(len: usize, seed: u64) -> Vec<i8> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1;
         (0..len)
             .map(|_| {
@@ -377,7 +403,7 @@ mod tests {
                         n,
                         k,
                         &a,
-                        &bt,
+                        &Transposed(&bt),
                         &mut out,
                         Some(&bias),
                         &mult,

@@ -1,20 +1,20 @@
-//! Quantized layer kernels assembled from the INT8 lowering and GEMM.
+//! Quantized layer kernels assembled from the INT8 GEMM.
 //!
 //! Mirrors [`crate::ops`] for the `i8` domain: every kernel writes into
-//! a caller-provided slice and borrows scratch from a [`QWorkspace`],
-//! so steady-state quantized inference allocates nothing. Convolution
-//! lowers with the patch-major [`im2col_i8_patches`] (symmetric
-//! quantization maps real 0 to quantized 0, so zero padding carries over
-//! unchanged) and runs the packed `i8` GEMM, which requantizes its `i32`
+//! a caller-provided slice and borrows scratch from a [`QWorkspace`].
+//! Convolution is an implicit GEMM, as in the f32 path: the int8 GEMM
+//! gathers each tile of patches straight from the `i8` input and widens
+//! it there, so neither the patch matrix nor a widened copy of it is
+//! ever written (symmetric quantization maps real 0 to quantized 0, so
+//! zero padding carries over unchanged). The GEMM requantizes its `i32`
 //! accumulators through the fused bias/clamp(/ReLU) epilogue.
 
-use crate::im2col::{im2col_i8_patches, ConvGeometry};
-use crate::qgemm::{gemm_i8_requant, QWorkspace};
-use crate::GemmBlocking;
+use crate::gemm::threads_for;
+use crate::im2col::{patch_into, ConvGeometry};
+use crate::qgemm::{qgemm_on, QWorkspace, TileB};
 use crate::PoolMethod;
 
-/// Quantized convolution: patch-major int8 im2col + packed GEMM + fused
-/// requantize.
+/// Quantized convolution: implicit int8 GEMM with a fused requantize.
 ///
 /// * `input` — `C×H×W` row-major `i8` (one image),
 /// * `weights` — `F×C×K×K` row-major `i8` (per-channel quantized),
@@ -23,9 +23,11 @@ use crate::PoolMethod;
 /// * `multipliers` — per output channel, `s_in · s_w[f] / s_out`,
 /// * `out` — `F×outH×outW` row-major `i8`.
 ///
-/// The lowering emits patches in the transposed (patch-major) layout the
-/// packed GEMM consumes directly, so there is no repack between lowering
-/// and compute (see [`crate::qgemm`]).
+/// The GEMM takes its patches a tile at a time, gathered from `input`
+/// with the row copies of [`im2col_i8_patches`](crate::im2col_i8_patches),
+/// so the result is bit for bit that of the explicit lowering followed
+/// by [`gemm_i8_requant`](crate::gemm_i8_requant). `ws` keeps only the
+/// widened weights (see [`crate::qgemm`]).
 ///
 /// # Panics
 /// Panics when slice lengths disagree with the geometry.
@@ -41,31 +43,71 @@ pub fn qconv2d(
     out: &mut [i8],
     ws: &mut QWorkspace,
 ) {
+    qconv2d_on(
+        threads_for(num_output * geo.lowered_len()),
+        input,
+        weights,
+        bias,
+        num_output,
+        geo,
+        multipliers,
+        relu,
+        out,
+        ws,
+    );
+}
+
+/// [`qconv2d`] over at most `threads` row bands.
+#[allow(clippy::too_many_arguments)]
+fn qconv2d_on(
+    threads: usize,
+    input: &[i8],
+    weights: &[i8],
+    bias: Option<&[i32]>,
+    num_output: usize,
+    geo: &ConvGeometry,
+    multipliers: &[f32],
+    relu: bool,
+    out: &mut [i8],
+    ws: &mut QWorkspace,
+) {
+    assert_eq!(
+        input.len(),
+        geo.in_c * geo.in_h * geo.in_w,
+        "input length does not match geometry"
+    );
     let k_depth = geo.lowered_rows();
     let n_cols = geo.lowered_cols();
     assert_eq!(weights.len(), num_output * k_depth, "weight blob mismatch");
     assert_eq!(out.len(), num_output * n_cols, "output length mismatch");
-
-    // Detach the lowering buffer so the workspace's widening and
-    // accumulator planes stay borrowable for the GEMM.
-    let mut cols = ws.take_cols();
-    let len = geo.lowered_len();
-    cols.resize(len, 0);
-    im2col_i8_patches(input, geo, &mut cols[..len]);
-    gemm_i8_requant(
+    qgemm_on(
+        threads,
         num_output,
         n_cols,
         k_depth,
         weights,
-        &cols[..len],
+        &QConvPatches { input, geo },
         out,
-        GemmBlocking::default(),
         bias,
         multipliers,
         relu,
         ws,
     );
-    ws.put_cols(cols);
+}
+
+/// The transposed patch matrix of a convolution, gathered from its
+/// `C×H×W` `i8` input one patch at a time as the GEMM asks for it.
+struct QConvPatches<'a> {
+    input: &'a [i8],
+    geo: &'a ConvGeometry,
+}
+
+impl TileB for QConvPatches<'_> {
+    fn tile(&self, j0: usize, k: usize, dst: &mut [i16]) {
+        for (j, patch) in dst.chunks_exact_mut(k.max(1)).enumerate() {
+            patch_into(self.input, self.geo, j0 + j, patch);
+        }
+    }
 }
 
 /// Quantized sub-sampling over each `i8` feature map.
@@ -134,8 +176,9 @@ pub fn qpool2d(
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::qgemm::tests::{ramp_i8, requantize};
     use crate::quant::{quantize_weights_per_channel, QuantParams};
-    use crate::{conv2d, pool2d, Workspace};
+    use crate::{conv2d, im2col_i8_patches, pool2d, Workspace};
     use condor_tensor::Shape;
 
     fn geo(in_c: usize, in_h: usize, in_w: usize, k: usize, s: usize, p: usize) -> ConvGeometry {
@@ -229,6 +272,128 @@ mod tests {
                 "elem {o}: |{got} - {w}| > {budget}"
             );
         }
+    }
+
+    /// The explicit lowering the convolution used to run: the whole
+    /// patch matrix from [`im2col_i8_patches`], a naive `i32` GEMM over
+    /// it and the scalar requantize pass. The int8 lowering shares its
+    /// row copies with the convolution's gather, so it is first checked
+    /// against the transpose of the f32 [`crate::im2col()`], which shares
+    /// no code with either.
+    #[allow(clippy::too_many_arguments)]
+    fn lowered_reference(
+        input: &[i8],
+        weights: &[i8],
+        bias: Option<&[i32]>,
+        num_output: usize,
+        g: &ConvGeometry,
+        mult: &[f32],
+        relu: bool,
+    ) -> Vec<i8> {
+        let (k, n) = (g.lowered_rows(), g.lowered_cols());
+        let mut patches = vec![0i8; g.lowered_len()];
+        im2col_i8_patches(input, g, &mut patches);
+        let input_f: Vec<f32> = input.iter().map(|&q| q as f32).collect();
+        let mut rows = vec![f32::NAN; g.lowered_len()];
+        crate::im2col(&input_f, g, &mut rows);
+        for (j, patch) in patches.chunks_exact(k.max(1)).enumerate() {
+            for (p, &q) in patch.iter().enumerate() {
+                assert_eq!(q as f32, rows[p * n + j], "{g:?} patch {j} row {p}");
+            }
+        }
+        let mut acc = vec![0i32; num_output * n];
+        for i in 0..num_output {
+            for j in 0..n {
+                for p in 0..k {
+                    acc[i * n + j] += weights[i * k + p] as i32 * patches[j * k + p] as i32;
+                }
+            }
+        }
+        requantize(&acc, n, bias, mult, relu)
+    }
+
+    /// `count` seeded geometries through `qconv2d_on` on 1–3 threads
+    /// against [`lowered_reference`], which must agree in every value:
+    /// kernels 1–5, strides 1–3, every padding below the kernel, maps
+    /// narrower than the kernel, reduction depths off the 16-lane width
+    /// and patch counts off the tile width, with and without bias and
+    /// ReLU.
+    fn qconv_sweep(count: u64, seed: u64) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for case in 0..count {
+            let kernel = 1 + next(5);
+            let (stride, pad) = (1 + next(3), next(kernel));
+            // At least one output: `in + 2·pad ≥ kernel`, so with padding
+            // the map may be narrower than the kernel.
+            let least = kernel.saturating_sub(2 * pad).max(1);
+            let (in_h, in_w) = (least + next(9), least + next(9));
+            let (in_c, num_output) = (1 + next(6), 1 + next(9));
+            let g = geo(in_c, in_h, in_w, kernel, stride, pad);
+            let k = g.lowered_rows();
+            let input = ramp_i8(in_c * in_h * in_w, case ^ seed);
+            let weights = ramp_i8(num_output * k, case.wrapping_mul(31) ^ seed);
+            let bias: Vec<i32> = (0..num_output as i32).map(|i| i * 53 - 140).collect();
+            let bias = (case % 3 != 0).then_some(&bias[..]);
+            let mult: Vec<f32> = (0..num_output)
+                .map(|i| (1.0 + i as f32 * 0.1) / (128.0 * k as f32))
+                .collect();
+            let relu = case % 2 == 1;
+            let want = lowered_reference(&input, &weights, bias, num_output, &g, &mult, relu);
+            for threads in 1..=3 {
+                let mut out = vec![9i8; num_output * g.lowered_cols()];
+                let mut ws = QWorkspace::new();
+                qconv2d_on(
+                    threads, &input, &weights, bias, num_output, &g, &mult, relu, &mut out, &mut ws,
+                );
+                assert_eq!(
+                    out, want,
+                    "case {case}: {g:?}, F {num_output}, threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn qconv2d_matches_the_explicit_lowering() {
+        qconv_sweep(150, 1);
+    }
+
+    /// The long form of [`qconv2d_matches_the_explicit_lowering`], run
+    /// in release by CI.
+    #[test]
+    #[ignore = "2 000 geometries; CI runs it in release"]
+    fn qconv2d_matches_the_explicit_lowering_long_sweep() {
+        qconv_sweep(2000, 2);
+    }
+
+    /// Neither path keeps a plane proportional to the patch count: after
+    /// a 64→64 3×3 convolution at 56×56 (the `vgg56` `conv1_2` layer)
+    /// the workspace holds only the widened weights.
+    #[test]
+    fn workspace_keeps_only_the_widened_weights() {
+        let g = geo(64, 56, 56, 3, 1, 1);
+        let input = ramp_i8(g.in_c * g.in_h * g.in_w, 3);
+        let weights = ramp_i8(64 * g.lowered_rows(), 4);
+        let mut out = vec![0i8; 64 * g.lowered_cols()];
+        let mut ws = QWorkspace::new();
+        qconv2d(
+            &input,
+            &weights,
+            None,
+            64,
+            &g,
+            &[1e-4; 64],
+            false,
+            &mut out,
+            &mut ws,
+        );
+        assert_eq!(ws.bytes(), 64 * g.lowered_rows() * 2);
     }
 
     #[test]

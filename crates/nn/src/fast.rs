@@ -416,7 +416,7 @@ pub fn forward_layer_fast(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::arbitrary::random_weighted_chain;
@@ -565,7 +565,7 @@ mod tests {
     /// The layers of `zoo::vgg16()` up to `last`, rebuilt at `input`
     /// with random weights; up to `pool2` at 3×56×56 it is the `perf`
     /// benchmark's `vgg56`.
-    fn vgg_prefix(seed: u64, input: Shape, last: &str) -> Network {
+    pub(crate) fn vgg_prefix(seed: u64, input: Shape, last: &str) -> Network {
         let full = zoo::vgg16();
         let end = full.layers.iter().position(|l| l.name == last).unwrap();
         let layers = full.layers[..=end].to_vec();

@@ -9,6 +9,12 @@
 //! the loops only choose which outputs advance together (a convolution
 //! tap sweeps whole output rows), so every value equals, bit for bit, the
 //! per-element loop nest the tests keep as its specification.
+//!
+//! The engine steps through the nodes in topological order and keeps a
+//! node's output only until its last reader has run, so an image holds
+//! the live values of the graph (two on a chain), not every layer's.
+//! Calibration and the int8 accuracy check observe each value as it
+//! streams past; only [`GoldenEngine::infer_all_layers`] keeps them all.
 
 use crate::graph::NodeId;
 use crate::layer::{EltwiseOp, LayerKind, PoolKind};
@@ -32,6 +38,11 @@ use std::ops::Range;
 /// ```
 pub struct GoldenEngine<'a> {
     net: &'a Network,
+    /// Every node's predecessors, in fan-in order.
+    preds: Vec<Vec<NodeId>>,
+    /// The last node that reads each node's output (the node itself when
+    /// none does): its value is dropped once that node has run.
+    last_use: Vec<usize>,
 }
 
 impl<'a> GoldenEngine<'a> {
@@ -43,21 +54,45 @@ impl<'a> GoldenEngine<'a> {
             )
             .with_kind(NnErrorKind::MissingWeights));
         }
-        Ok(GoldenEngine { net })
+        let preds: Vec<Vec<NodeId>> = net.node_ids().map(|id| net.inputs_of(id)).collect();
+        let mut last_use: Vec<usize> = (0..preds.len()).collect();
+        for (i, ins) in preds.iter().enumerate() {
+            for p in ins {
+                last_use[p.index()] = i;
+            }
+        }
+        Ok(GoldenEngine {
+            net,
+            preds,
+            last_use,
+        })
     }
 
     /// Runs one image (`1×c×h×w`) through the whole network.
     pub fn infer(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let outputs = self.infer_all_layers(input)?;
-        Ok(outputs.into_iter().last().expect("validated non-empty"))
+        self.for_each_layer(input, |_, _| {})
     }
 
     /// Runs one image, returning every node's output in topological
     /// order (for layer-by-layer comparison against the hardware
-    /// simulator). Nodes read their predecessors' stored outputs, so a
-    /// linear chain behaves exactly as it always has while branchy
-    /// graphs get correct fan-out for free.
+    /// simulator). Unlike [`GoldenEngine::infer`] this keeps every
+    /// layer's output, a copy of each value as it streams past.
     pub fn infer_all_layers(&self, input: &Tensor) -> Result<Vec<Tensor>, NnError> {
+        let mut outputs: Vec<Tensor> = Vec::with_capacity(self.net.layers.len());
+        self.for_each_layer(input, |_, out| outputs.push(out.clone()))?;
+        Ok(outputs)
+    }
+
+    /// Runs one image and hands each node's output to `f` with the
+    /// node's index, in topological order; returns the last node's
+    /// output. Nodes read their predecessors' outputs, each of which is
+    /// dropped after its last reader has run, so only the values still
+    /// to be read are alive at any step.
+    pub(crate) fn for_each_layer(
+        &self,
+        input: &Tensor,
+        mut f: impl FnMut(usize, &Tensor),
+    ) -> Result<Tensor, NnError> {
         if input.shape() != self.net.input_shape {
             return Err(NnError::net(format!(
                 "input shape {} does not match network input {}",
@@ -66,11 +101,11 @@ impl<'a> GoldenEngine<'a> {
             ))
             .with_kind(NnErrorKind::InputMismatch));
         }
-        let mut outputs: Vec<Tensor> = Vec::with_capacity(self.net.layers.len());
+        let mut values: Vec<Option<Tensor>> = vec![None; self.net.layers.len()];
         for (i, layer) in self.net.layers.iter().enumerate() {
-            let preds = self.net.inputs_of(NodeId::from_index(i));
+            let preds = &self.preds[i];
             let next = if layer.kind.is_merge() && preds.len() > 1 {
-                let ins: Vec<&Tensor> = preds.iter().map(|p| &outputs[p.index()]).collect();
+                let ins: Vec<&Tensor> = preds.iter().map(|&p| live(&values, p)).collect();
                 match layer.kind {
                     LayerKind::Concat => concat(&ins),
                     LayerKind::Eltwise { op } => eltwise(op, &ins),
@@ -80,18 +115,26 @@ impl<'a> GoldenEngine<'a> {
                 // Single-input merges (including a merge reading the
                 // network input) are shape-preserving pass-throughs,
                 // mirroring `output_shape_multi`.
-                // Borrow the predecessor's stored output instead of
-                // keeping a cloned running copy: each output tensor is
-                // allocated once and moved into `outputs`.
                 let current = match preds.first() {
                     None => input,
-                    Some(p) => &outputs[p.index()],
+                    Some(&p) => live(&values, p),
                 };
                 self.forward_layer(&layer.kind, &layer.name, current)?
             };
-            outputs.push(next);
+            f(i, &next);
+            for p in preds {
+                if self.last_use[p.index()] == i {
+                    values[p.index()] = None;
+                }
+            }
+            if self.last_use[i] != i || i + 1 == values.len() {
+                values[i] = Some(next);
+            }
         }
-        Ok(outputs)
+        Ok(values
+            .pop()
+            .flatten()
+            .expect("validated non-empty: the last value is kept"))
     }
 
     /// Runs a batch of images one after another, preserving order.
@@ -167,6 +210,13 @@ impl<'a> GoldenEngine<'a> {
             LayerKind::Eltwise { .. } => input.clone(),
         })
     }
+}
+
+/// The stored output of node `p`, which must not have been dropped yet.
+fn live(values: &[Option<Tensor>], p: NodeId) -> &Tensor {
+    values[p.index()]
+        .as_ref()
+        .expect("a value lives until its last reader")
 }
 
 /// Paper Eq. (1): `o[i,j,φ] = Σ_m Σ_n w[m,n,φ]·x[i+m, j+n] + b_φ`,
@@ -1053,6 +1103,63 @@ mod tests {
                 &spec::pool(&input, shape, method, 2, 2, 0),
                 &format!("NaN input, {method:?} pool"),
             );
+        }
+    }
+
+    /// The engine's loop as it was before values were dropped: every
+    /// node's output stored until the image ends, predecessors read from
+    /// the store.
+    fn store_everything(engine: &GoldenEngine, input: &Tensor) -> Vec<Tensor> {
+        let net = engine.net;
+        let mut outputs: Vec<Tensor> = Vec::with_capacity(net.layers.len());
+        for (i, layer) in net.layers.iter().enumerate() {
+            let preds = net.inputs_of(NodeId::from_index(i));
+            let next = if layer.kind.is_merge() && preds.len() > 1 {
+                let ins: Vec<&Tensor> = preds.iter().map(|p| &outputs[p.index()]).collect();
+                match layer.kind {
+                    LayerKind::Concat => concat(&ins),
+                    LayerKind::Eltwise { op } => eltwise(op, &ins),
+                    _ => unreachable!(),
+                }
+            } else {
+                let current = match preds.first() {
+                    None => input,
+                    Some(p) => &outputs[p.index()],
+                };
+                engine
+                    .forward_layer(&layer.kind, &layer.name, current)
+                    .unwrap()
+            };
+            outputs.push(next);
+        }
+        outputs
+    }
+
+    /// Dropping values after their last reader changes no bit of any
+    /// node's output, on the zoo and on random DAGs whose skip edges
+    /// read values many nodes back (a value dropped too early fails).
+    #[test]
+    fn dropping_dead_values_changes_no_output() {
+        let nets = [
+            crate::zoo::lenet_weighted(3),
+            crate::zoo::tc1_weighted(4),
+            crate::zoo::resnet_block_weighted(5),
+        ]
+        .into_iter()
+        .chain((0..64).map(crate::arbitrary::random_weighted_dag));
+        for net in nets {
+            let engine = GoldenEngine::new(&net).unwrap();
+            let input = TensorRng::seeded(9).uniform(net.input_shape, -1.0, 1.0);
+            let want = store_everything(&engine, &input);
+            let got = engine.infer_all_layers(&input).unwrap();
+            assert_eq!(got.len(), want.len(), "{}", net.name);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.shape(), w.shape(), "{} node {i}", net.name);
+                assert_eq!(bits(g), bits(w), "{} node {i}", net.name);
+            }
+            let last = engine.infer(&input).unwrap();
+            assert_eq!(bits(&last), bits(&want[want.len() - 1]), "{}", net.name);
         }
     }
 }

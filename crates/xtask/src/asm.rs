@@ -23,9 +23,13 @@
 //!   on `ymm` registers. F(4×4, 3×3) transforms scale by 2, 3, 4, 5 and 8
 //!   as well as add, and a scalar transform passes every test while
 //!   running several times slower;
-//! * a `vpmaddwd` in `qgemm_band`, the int8 GEMM's one band routine
-//!   (its widening dot product), so the int8 convolution cannot lose
-//!   it while some other caller of the dot product keeps one.
+//! * exactly two copies of `qgemm_band`, the int8 GEMM's band routine,
+//!   which is generic over the source of its tiles of `B` (the dense
+//!   transposed matrix of `gemm_i8_requant` and the input of the
+//!   implicit-GEMM `qconv2d`) and kept out of line, and a `vpmaddwd`
+//!   (its widening dot product) in every one of them, so that neither
+//!   int8 path can lose it while the other or some other caller of the
+//!   dot product keeps one.
 //!
 //! All are x86_64 mnemonics; on any other target the check is skipped.
 
@@ -42,8 +46,11 @@ const GEMV_FN: &str = "dot_rows";
 /// The Winograd transforms, each of which must hold packed adds or
 /// subtracts and packed multiplies or fused multiply-adds.
 const TRANSFORM_FNS: [&str; 2] = ["input_transform", "output_transform"];
-/// The int8 GEMM's band routine, which must hold a `vpmaddwd`.
+/// The int8 GEMM's band routine, whose every copy must hold a
+/// `vpmaddwd`.
 const QGEMM_FN: &str = "qgemm_band";
+/// Copies of [`QGEMM_FN`] the listing must hold: one per source of `B`.
+const QGEMM_COPIES: usize = 2;
 
 /// What `check` counted in one assembly listing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,8 +66,9 @@ struct Counts {
     /// Packed `ymm` multiplies and fused multiply-adds in each of
     /// [`TRANSFORM_FNS`], in that order.
     transform_packed_mul: [usize; 2],
-    /// `vpmaddwd` instructions in `qgemm_band`.
-    vpmaddwd: usize,
+    /// `vpmaddwd` instructions in each copy of `qgemm_band`, in
+    /// listing order.
+    vpmaddwd: Vec<usize>,
 }
 
 /// Counts the vector instructions the kernels depend on in an AT&T
@@ -68,8 +76,9 @@ struct Counts {
 /// not hold exactly [`GEMM_COPIES`] copies of `gemm_band`, when any copy has no
 /// packed FMA, when `dot_rows` is missing or has no packed FMA, when a
 /// Winograd transform is missing or lacks a packed add or subtract or a
-/// packed multiply or fused multiply-add, or when `qgemm_band` is
-/// missing or has no `vpmaddwd`.
+/// packed multiply or fused multiply-add, or when the listing does not
+/// hold exactly [`QGEMM_COPIES`] copies of `qgemm_band` or any copy has
+/// no `vpmaddwd`.
 fn check(asm: &str) -> Result<Counts, String> {
     let bodies = function_bodies(asm, GEMM_FN);
     if bodies.len() != GEMM_COPIES {
@@ -77,6 +86,14 @@ fn check(asm: &str) -> Result<Counts, String> {
             "{} copies of `{GEMM_FN}` in the listing, want {GEMM_COPIES}, one per source \
              of B (inlined, renamed or a source added?)",
             bodies.len()
+        ));
+    }
+    let qbodies = function_bodies(asm, QGEMM_FN);
+    if qbodies.len() != QGEMM_COPIES {
+        return Err(format!(
+            "{} copies of `{QGEMM_FN}` in the listing, want {QGEMM_COPIES}, one per source \
+             of B (inlined, renamed or a source added?)",
+            qbodies.len()
         ));
     }
     let gemv_packed_fma = only_body(asm, GEMV_FN)?
@@ -112,10 +129,10 @@ fn check(asm: &str) -> Result<Counts, String> {
         gemv_packed_fma,
         transform_packed_add,
         transform_packed_mul,
-        vpmaddwd: only_body(asm, QGEMM_FN)?
+        vpmaddwd: qbodies
             .iter()
-            .filter(|l| mnemonic(l) == "vpmaddwd")
-            .count(),
+            .map(|body| body.iter().filter(|l| mnemonic(l) == "vpmaddwd").count())
+            .collect(),
     };
     if let Some(copy) = counts.gemm_packed_fma.iter().position(|&n| n == 0) {
         return Err(format!(
@@ -125,9 +142,12 @@ fn check(asm: &str) -> Result<Counts, String> {
             bodies.len()
         ));
     }
-    if counts.vpmaddwd == 0 {
+    if let Some(copy) = counts.vpmaddwd.iter().position(|&n| n == 0) {
         return Err(format!(
-            "`{QGEMM_FN}` holds no vpmaddwd: the int8 GEMM lost its widening dot product"
+            "copy {} of {} of `{QGEMM_FN}` holds no vpmaddwd: \
+             the int8 GEMM lost its widening dot product",
+            copy + 1,
+            qbodies.len()
         ));
     }
     Ok(counts)
@@ -234,7 +254,7 @@ pub fn run(root: &Path) -> Result<String, String> {
     Ok(format!(
         "ok: the {} copies of `{GEMM_FN}` hold {:?} packed ymm FMAs, `{GEMV_FN}` holds {}, \
          `{}` and `{}` hold {:?} packed ymm adds and subtracts and {:?} multiplies and \
-         FMAs, `{QGEMM_FN}` holds {} vpmaddwd ({})",
+         FMAs, the {} copies of `{QGEMM_FN}` hold {:?} vpmaddwd ({})",
         counts.gemm_packed_fma.len(),
         counts.gemm_packed_fma,
         counts.gemv_packed_fma,
@@ -242,6 +262,7 @@ pub fn run(root: &Path) -> Result<String, String> {
         TRANSFORM_FNS[1],
         counts.transform_packed_add,
         counts.transform_packed_mul,
+        counts.vpmaddwd.len(),
         counts.vpmaddwd,
         listing.display()
     ))
@@ -268,8 +289,8 @@ mod tests {
 
     /// Shaped like rustc's output: a section line naming the symbol, the
     /// label, local labels inside the body, and the end markers. It holds
-    /// three copies of `gemm_band`, as a generic function compiles to,
-    /// one `dot_rows` and one `qgemm_band`, and a `vpmaddwd` outside
+    /// three copies of `gemm_band` and two of `qgemm_band`, as generic
+    /// functions compile to, one `dot_rows`, and a `vpmaddwd` outside
     /// `qgemm_band` as well.
     const LISTING: &str = "\
 \t.section\t.text._ZN14condor_kernels4gemm9gemm_band17h0123456789abcdefE,\"ax\",@progbits
@@ -304,6 +325,10 @@ _ZN14condor_kernels5qgemm10qgemm_band17h0123456789abcdefE:
 \tvpmaddwd\t32(%rdi), %ymm1, %ymm3
 \tvfmadd231ps\t%ymm1, %ymm2, %ymm3
 .Lfunc_end7:
+_ZN14condor_kernels5qgemm10qgemm_band17hfedcba9876543210E:
+\t.cfi_startproc
+\tvpmaddwd\t(%r8), %ymm6, %ymm7
+.Lfunc_end14:
 _ZN14condor_kernels5qgemm8qgemv_i817h0123456789abcdefE:
 \t.cfi_startproc
 \tvpmaddwd\t(%rsi), %ymm4, %ymm5
@@ -341,7 +366,7 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
                 gemv_packed_fma: 2,
                 transform_packed_add: [2, 1],
                 transform_packed_mul: [2, 1],
-                vpmaddwd: 2
+                vpmaddwd: vec![2, 1]
             })
         );
     }
@@ -493,6 +518,28 @@ _ZN14condor_kernels8winograd16output_transform17h0123456789abcdefE:
         let inlined = LISTING.replace("10qgemm_band17h", "15gemm_i8_requant17h");
         let err = check(&inlined).expect_err("no qgemm_band left");
         assert!(err.contains("`qgemm_band`"), "{err}");
+    }
+
+    /// One copy per source of `B` for the int8 band routine too: a
+    /// source inlined into its caller fails, and so does a third copy.
+    #[test]
+    fn a_copy_of_qgemm_band_more_or_less_fails() {
+        let one = LISTING.replace("10qgemm_band17hfedcba", "10qconv2d_on17hfedcba");
+        let err = check(&one).expect_err("the convolution's copy was inlined");
+        assert!(err.contains("1 copies") && err.contains("want 2"), "{err}");
+        let third = "_ZN14condor_kernels5qgemm10qgemm_band17h99887766aabbccddE:\n\
+                     \tvpmaddwd\t(%rsi), %ymm4, %ymm5\n.Lfunc_end15:\n";
+        let err = check(&format!("{LISTING}{third}")).expect_err("a third copy");
+        assert!(err.contains("3 copies"), "{err}");
+    }
+
+    /// Each copy must keep its own `vpmaddwd`: the first copy's do not
+    /// stand in for a second copy that went scalar.
+    #[test]
+    fn a_copy_of_qgemm_band_without_vpmaddwd_fails() {
+        let scalar = LISTING.replace("vpmaddwd\t(%r8), %ymm6", "vpmulld\t(%r8), %ymm6");
+        let err = check(&scalar).expect_err("the second copy lost its vpmaddwd");
+        assert!(err.contains("copy 2 of 2 of `qgemm_band`"), "{err}");
     }
 
     #[test]
